@@ -23,8 +23,8 @@ import numpy as np
 from .errors import HypothesisViolationError, ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
-from .grid import (GridFunction, GridSpec, cubes_per_axis, from_spectrum,
-                   spectral_derivative, spectrum, zero_function)
+from .grid import (GridFunction, GridSpec, cubes_per_axis, finest_aligned_level,
+                   from_spectrum, spectral_derivative, spectrum, zero_function)
 from .luxemburg import ScaleLadder, mixed_core, solve_luxemburg
 
 COEFF_FLOOR = 1e-14
@@ -211,10 +211,15 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
         V = ladder.octaves
     if V > ladder.octaves:
         raise ParameterError(f"V = {V} exceeds the ladder's {ladder.octaves} octaves")
+    spec = f.spec
+    finest = finest_aligned_level(spec)
+    if V > finest:
+        raise ParameterError(
+            f"V = {V} needs level-{V} cubes, but with grid spacing {spec.spacing:g} "
+            f"the finest aligned level is {finest}; lower the octaves or raise the points")
     if target_alpha is not None:
         _check_target(K, L, target_alpha)
 
-    spec = f.spec
     n = spec.dimension
     h = spec.spacing ** n
     profile = frame.profile

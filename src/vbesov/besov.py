@@ -88,51 +88,108 @@ def lp_profile(f: GridFunction, frame: CalderonFrame, alpha: ExponentField,
     return ScaleProfile(frame.ladder, vals, level0)
 
 
-# -- Peetre maximal machinery ---------------------------------------------------
+# -- Peetre maximal function ---------------------------------------------------
+#
+# out(x) = max_y K[(y - x) mod N] g(y), K the kernel (1 + d/t)^-a over periodic
+# offsets.  Bound and prune: a cheap lower bound per point, an upper bound per
+# pair of blocks (X, Y), and dense products only for the block pairs whose
+# bound beats the smallest lower bound in X.  Every output is a max over the
+# same floating-point products K[d] * g[y] as the all-pairs maximum, and each
+# block bound is the product of maxima of the very K and g values the dense
+# step multiplies; rounding is monotone, so no pruned product can exceed the
+# result and the pruning is exact in floating point.
 
-_OFFSET_IDX: Dict[int, np.ndarray] = {}
+_BLOCK = 16        # block side per axis (16 points in 1-D, 16x16 tiles in 2-D)
+_NEAR = 2          # lower bound: offsets up to this many nodes along each axis
+_TOP = 8           # lower bound: this many largest samples
+_CHUNK = 1 << 18   # products per dense chunk
 
 
-def _offset_index(N: int) -> np.ndarray:
-    idx = _OFFSET_IDX.get(N)
-    if idx is None:
-        ar = np.arange(N, dtype=np.int64)
-        idx = ((ar[None, :] - ar[:, None]) % N).astype(np.int32)
-        _OFFSET_IDX[N] = idx
-    return idx
+def _offset_kernel(spec: GridSpec, t: float, a: float) -> np.ndarray:
+    """(1 + d/t)^-a indexed by the per-axis offset (y - x) mod N."""
+    off = np.arange(spec.points_per_axis) * spec.spacing
+    d = np.minimum(off, spec.box_length - off)
+    if spec.dimension == 1:
+        return (1.0 + d / t) ** (-a)
+    return (1.0 + np.sqrt(d[:, None] ** 2 + d[None, :] ** 2) / t) ** (-a)
+
+
+def _lower_bound(K: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Max of a subset of the products: the point itself, its nearest
+    offsets and the largest samples."""
+    n, N = g.ndim, g.shape[0]
+    axes = tuple(range(n))
+    lb = K[(0,) * n] * g
+    for s in np.ndindex(*(2 * _NEAR + 1,) * n):
+        s = tuple(si - _NEAR for si in s)
+        if any(s):
+            np.maximum(lb, K[s] * np.roll(g, [-si for si in s], axis=axes), out=lb)
+    ar = np.arange(N)
+    for y in np.argpartition(g, -_TOP, axis=None)[-_TOP:]:
+        yc = np.unravel_index(y, g.shape)
+        np.maximum(lb, K[np.ix_(*[(c - ar) & (N - 1) for c in yc])] * g[yc], out=lb)
+    return lb
+
+
+def _tiles(v: np.ndarray, nb: int) -> np.ndarray:
+    """A grid array as (blocks, points per block), blocks in raster order."""
+    n = v.ndim
+    split = v.reshape((nb, _BLOCK) * n)
+    return split.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))) \
+        .reshape(nb ** n, _BLOCK ** n)
 
 
 def peetre_maximal(spec: GridSpec, g: np.ndarray, t: float, a: float) -> np.ndarray:
     """max over grid y of g(y) / (1 + d(x,y)/t)^a with d the periodic distance.
 
-    Exact O(M^2) maximum over all node pairs; 1-D uses a circulant gather,
-    2-D falls back to row blocks.
+    g must be nonnegative.  The result is the exact all-pairs maximum
+    (bit-identical to it where the offsets are exact in floating point),
+    found by bound and prune over blocks of nodes.
     """
-    g = np.asarray(g, dtype=float)
-    if spec.dimension == 1:
-        N = spec.points_per_axis
-        off = np.arange(N) * spec.spacing
-        d = np.minimum(off, spec.box_length - off)
-        K = (1.0 + d / t) ** (-a)
-        W = K[_offset_index(N)]
-        W *= g.reshape(1, N)
-        return W.max(axis=1)
-    N = spec.points_per_axis
-    L = spec.box_length
-    x = spec.axis_coords()
-    gf = g.reshape(-1)
-    coords = spec.coords().reshape(-1, 2)
-    out = np.empty(coords.shape[0])
-    block = max(1, 2 ** 22 // coords.shape[0])
-    for start in range(0, coords.shape[0], block):
-        sl = slice(start, start + block)
-        dx = np.abs(coords[sl, None, 0] - coords[None, :, 0])
-        dy = np.abs(coords[sl, None, 1] - coords[None, :, 1])
-        dx = np.minimum(dx, L - dx)
-        dy = np.minimum(dy, L - dy)
-        W = (1.0 + np.sqrt(dx ** 2 + dy ** 2) / t) ** (-a)
-        out[sl] = (W * gf[None, :]).max(axis=1)
-    return out.reshape(spec.shape)
+    g = np.asarray(g, dtype=float).reshape(spec.shape)
+    if not g.min() >= 0.0:
+        raise ParameterError("the Peetre maximal function needs nonnegative samples")
+    n, N = spec.dimension, spec.points_per_axis
+    nb = N // _BLOCK
+    mask = N - 1  # N is a power of two: & mask is mod N, also for negatives
+    K = _offset_kernel(spec, t, a)
+    out = _tiles(_lower_bound(K, g), nb)
+    G = _tiles(g, nb)
+
+    # the offsets joining block X to block Y, per axis, are the window
+    # _BLOCK * ((Y - X) mod nb) + [-(_BLOCK - 1), _BLOCK - 1]  (mod N)
+    win = (_BLOCK * np.arange(nb)[:, None] + np.arange(1 - _BLOCK, _BLOCK)) & mask
+    Kb = K
+    for ax in range(n):
+        Kb = np.take(Kb, win, axis=ax).max(axis=ax + 1)
+    tc = np.indices((nb,) * n).reshape(n, -1)
+    rel = np.zeros((nb ** n,) * 2, dtype=np.int64)
+    for ax in range(n):
+        rel = rel * nb + ((tc[ax][None, :] - tc[ax][:, None]) & (nb - 1))
+    bound = Kb.reshape(-1)[rel] * G.max(axis=1)[None, :]
+    X, Y = np.nonzero(bound > out.min(axis=1)[:, None])
+
+    # W[pair, y, x] = K[(y - x) mod N] * g[y] over the two blocks of a pair
+    loc = np.indices((_BLOCK,) * n).reshape(n, -1)
+    dloc = [loc[ax][:, None] - loc[ax][None, :] for ax in range(n)]
+    Kf = K.reshape(-1)
+    step = max(1, _CHUNK // _BLOCK ** (2 * n))
+    for start in range(0, X.size, step):
+        xs, ys = X[start:start + step], Y[start:start + step]
+        # the kernel block of a pair depends only on the block offset Y - X
+        uo, inv = np.unique(rel[xs, ys], return_inverse=True)
+        idx = 0
+        for ax in range(n):
+            shift = _BLOCK * (uo // nb ** (n - 1 - ax) % nb)
+            idx = idx * N + ((shift[:, None, None] + dloc[ax]) & mask)
+        W = Kf[idx][inv]
+        W *= G[ys][:, :, None]
+        # X is sorted (row-major nonzero), so each block's rows are contiguous
+        first = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+        ux = xs[first]
+        out[ux] = np.maximum(out[ux], np.maximum.reduceat(W.max(axis=1), first, axis=0))
+    return out.reshape((nb,) * n + (_BLOCK,) * n) \
+        .transpose(tuple(i for ax in range(n) for i in (ax, n + ax))).reshape(spec.shape)
 
 
 def _check_peetre_order(a: float, p: ExponentField, spec: GridSpec) -> None:

@@ -925,9 +925,12 @@ def check_norm_equivalences(bank: Optional[FunctionBank] = None, seed: int = 7,
     """All norm forms across two frames; flags pairwise ratios outside
     [1/window, window].
 
-    The maximal-function forms cost O(N^2) per scale node, so the working
-    resolution is capped at max_points (the matrix's reference resolution);
-    a larger input bank is rebuilt at the cap with the same ladder and seed.
+    The maximal-function forms are the costly ones: the pruned maximal
+    function evaluates only the block pairs that can set a maximum, usually
+    a few percent, but its worst case is still O(N^2) per scale node.  The
+    working resolution therefore stays capped at max_points (the matrix's
+    reference resolution); a larger input bank is rebuilt at the cap with
+    the same ladder and seed.
     """
     t0 = time.time()
     if bank is None:

@@ -144,7 +144,7 @@ def cmd_synthesize(args) -> int:
                "l2_relative_residual": float(rel), "seed": cfg.seed,
                "reconstruction": rec_path},
               os.path.join(cfg.out, f"synthesize_{cfg.member}.json"))
-    print(f"round trip {cfg.member}: relative L2 residual = {rel!r}")
+    print(f"round trip {cfg.member}: relative L2 residual = {float(rel)!r}")
     return EXIT_OK
 
 

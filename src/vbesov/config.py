@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from .errors import ParameterError
-from .exprgrammar import evaluate_text, parse_expression
+from .exprgrammar import ExprError, evaluate_text, parse_expression
 from .exponents import ExponentField, make_exponent_field
 from .grid import GridSpec, make_grid
 from .luxemburg import ScaleLadder, make_ladder
@@ -83,6 +83,7 @@ def parse_config(text: str) -> RunConfig:
     line/column positions."""
     cfg = RunConfig()
     seen = set()
+    where = {}  # key -> (line, column of its value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -97,6 +98,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"duplicate key {key_s!r}", lineno)
         seen.add(key_s)
         col = len(key) + 2
+        where[key_s] = (lineno, col + len(value) - len(value.lstrip()))
         if key_s in _STR_FIELDS:
             setattr(cfg, key_s, value_s)
             continue
@@ -109,11 +111,14 @@ def parse_config(text: str) -> RunConfig:
         except ValueError:
             raise ConfigError(f"cannot parse value {value_s!r} for {key_s}", lineno, col)
     # expressions must at least parse now, not at first use
-    for key, var in (("p", "x"), ("alpha", "x"), ("q", "t")):
+    for key in ("p", "alpha", "q"):
         try:
             parse_expression(getattr(cfg, key))
         except ParameterError as exc:
-            raise ConfigError(f"bad expression for {key}: {exc}", 0)
+            line, col = where.get(key, (0, 1))
+            if isinstance(exc, ExprError):
+                col += exc.column - 1
+            raise ConfigError(f"bad expression for {key}: {exc}", line, col)
     return cfg
 
 

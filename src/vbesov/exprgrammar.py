@@ -45,7 +45,7 @@ def _tokenize(text: str) -> List[Token]:
             rest = text[pos:].lstrip()
             if not rest:
                 break
-            raise ExprError(f"unexpected character {rest[0]!r}", pos + 1)
+            raise ExprError(f"unexpected character {rest[0]!r}", len(text) - len(rest) + 1)
         num, name, op = m.groups()
         col = m.start(m.lastindex) + 1
         if num:

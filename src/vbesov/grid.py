@@ -280,6 +280,18 @@ def cubes_per_axis(spec: GridSpec, level: int) -> int:
     return int(round(n_cubes))
 
 
+def finest_aligned_level(spec: GridSpec) -> int:
+    """Largest V such that the cubes of every level 0..V align with the grid
+    (-1 when level 0 already does not)."""
+    level = -1
+    while True:
+        try:
+            cubes_per_axis(spec, level + 1)
+        except ParameterError:
+            return level
+        level += 1
+
+
 def cubes_in_box(spec: GridSpec, level: int) -> Iterator[DyadicCube]:
     """Iterate the dyadic cubes at `level` that tile the box."""
     n = cubes_per_axis(spec, level)

@@ -103,9 +103,11 @@ def solve_luxemburg(vals, expo, weights, rtol: float = RTOL,
 
     Returns 0 when the modular of the raw values vanishes.
     """
-    vals = np.abs(np.asarray(vals, dtype=float)).reshape(-1)
+    vals = np.abs(np.asarray(vals, dtype=float))
+    # broadcast against the grid shape before flattening (2-D fields are (N, N))
     expo = np.broadcast_to(np.asarray(expo, dtype=float), vals.shape).reshape(-1)
     weights = np.broadcast_to(np.asarray(weights, dtype=float), vals.shape).reshape(-1)
+    vals = vals.reshape(-1)
     if np.any(expo <= 0):
         raise ParameterError("exponents must be positive")
 

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and measured constants.
+lines and measured constants.  Every test here carries the `acceptance`
+marker, so `pytest -m "not acceptance"` runs the rest of the suite alone.
 """
 
 import json
@@ -22,6 +23,8 @@ from vbesov.frame import BumpParams
 from vbesov.grid import spectrum
 from vbesov.luxemburg import t_norm
 from vbesov.reporting import strip_timestamp
+
+pytestmark = pytest.mark.acceptance
 
 DETERMINISTIC_MEMBERS = [
     "gauss_w05", "gauss_w1", "gauss_w2", "modgauss_f4", "modgauss_f16",

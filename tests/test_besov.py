@@ -180,3 +180,17 @@ def test_profile_csv(tmp_path, setup2k):
     assert rows[0] == "t,value"
     assert rows[1].startswith("level0,")
     assert len(rows) == 2 + ladder.t.size
+
+
+def test_peetre_norm_2d_smoke():
+    spec = vb.make_grid(2, 16.0, 32)
+    ladder = vb.make_ladder(4, 12)
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    f = vb.from_callable(spec, lambda x, y: np.exp(-(x ** 2 + 2 * y ** 2)))
+    p = vb.constant_field(spec, 2.0)
+    alpha = vb.constant_field(spec, 0.5, "alpha")
+    q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
+    direct = vb.besov_norm(f, frame, alpha, p, q, "direct").value
+    peetre = vb.besov_norm(f, frame, alpha, p, q, "peetre").value
+    # the maximal function dominates |g| pointwise, so the norm can only grow
+    assert np.isfinite(peetre) and direct <= peetre <= 3 * direct

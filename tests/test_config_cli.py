@@ -81,6 +81,17 @@ def test_config_errors_carry_line():
         parse_config("p = 2 +\n")
 
 
+def test_config_bad_expression_reports_its_line():
+    text = "points = 1024\n\nalpha = 1 / 2\nq =  2 + $\n"
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text)
+    assert (ei.value.line, ei.value.column) == (4, 10)  # where the '$' is
+    assert str(ei.value).startswith("line 4, column 10: bad expression for q")
+    with pytest.raises(ConfigError) as ei:
+        parse_config("alpha = fob(x)\np = 2\n")
+    assert (ei.value.line, ei.value.column) == (1, 9)
+
+
 def test_config_builds_fields():
     cfg = parse_config(FAST_CONFIG)
     spec = cfg.grid()
@@ -161,3 +172,28 @@ def test_cli_verify_single_and_report(tmp_path):
     assert os.path.exists(os.path.join(out, "check_hardy.json"))
     assert os.path.exists(os.path.join(out, "checks.csv"))
     assert main(["report", "--config", cfg, "--out", out]) == 0
+
+
+def test_cli_synthesize_prints_plain_float(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "points = 256\noctaves = 4\nmember = gauss_w1\n")
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("round trip gauss_w1: relative L2 residual = ")
+    float(line.rsplit("= ", 1)[1])  # a bare float repr, not np.float64(...)
+
+
+def test_cli_synthesize_rejects_unaligned_levels_up_front(tmp_path, capsys, monkeypatch):
+    import vbesov.atoms as atoms_mod
+
+    def no_kernel_work(*args, **kwargs):
+        raise AssertionError("analyze reached the kernels before validating V")
+
+    monkeypatch.setattr(atoms_mod, "synthesize_phi_t", no_kernel_work)
+    monkeypatch.setattr(atoms_mod, "spectrum", no_kernel_work)
+    # h = 16 / 2048 = 2^-7, so level-8 cubes (the default V = octaves) cannot align
+    cfg = _write_cfg(tmp_path, "points = 2048\noctaves = 8\n")
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "V = 8" in err
+    assert "grid spacing 0.0078125" in err
+    assert "finest aligned level is 7" in err

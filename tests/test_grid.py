@@ -201,3 +201,10 @@ def test_2d_smoke():
     assert np.max(np.abs(d.samples - oracle)) < 1e-6
     g = vb.convolve(f, f)
     assert abs(vb.integrate(g) - np.pi ** 2) < 1e-5
+
+
+def test_finest_aligned_level():
+    assert vb.grid.finest_aligned_level(vb.make_grid(1, 16.0, 2048)) == 7
+    assert vb.grid.finest_aligned_level(vb.make_grid(2, 16.0, 32)) == 1
+    # h = 10/1024 divides no dyadic side, so not even level 0 aligns
+    assert vb.grid.finest_aligned_level(vb.make_grid(1, 10.0, 1024)) == -1

@@ -221,3 +221,17 @@ def test_octave_block_constant_q_collapse(ladder):
 def test_solve_luxemburg_rejects_bad_exponent():
     with pytest.raises(ParameterError):
         solve_luxemburg(np.ones(4), np.array([1.0, 2.0, 0.0, 1.0]), 1.0)
+
+
+def test_luxemburg_norm_2d_equals_flattened():
+    spec = vb.make_grid(2, 16.0, 32)
+    f = vb.from_callable(spec, lambda x, y: np.exp(-(x ** 2 + y ** 2)))
+    h2 = spec.spacing ** 2
+    for p in (vb.constant_field(spec, 3.0, "p"),
+              vb.field_from_callable(spec, lambda x, y: 2 + 0.5 * np.cos(x) * np.sin(y),
+                                     "p", 2.0)):
+        flat = solve_luxemburg(np.abs(f.samples).reshape(-1),
+                               p.grid_values().reshape(-1), h2).value
+        assert vb.luxemburg_norm(f, p).value == flat
+        w = f.with_samples(np.ones(spec.shape))
+        assert vb.luxemburg_norm(f, p, w).value == flat
