@@ -10,9 +10,8 @@ cli (command-line front end).
 from .grid import (DyadicCube, GridFunction, GridSpec, convolve, from_callable,
                    integrate, make_grid, spectral_derivative)
 from .exponents import (ClassReport, ExponentField, check_class,
-                        constant_field, estimate_log_holder,
-                        field_from_callable, make_exponent_field,
-                        q_field_from_callable)
+                        constant_field, field_from_callable,
+                        make_exponent_field, q_field_from_callable)
 from .luxemburg import (NormResult, ScaleLadder, luxemburg_norm, make_ladder,
                         mixed_sequence_norm, modular, t_norm)
 from .frame import (BumpParams, CalderonFrame, LocalMeanPair,

@@ -1,17 +1,26 @@
 """Scale profiles and the smoothness norm in its equivalent forms.
 
-Forms: "direct" (variable-q Luxemburg norm of the profile over dt/t),
-"discretized" (octave blocks in the mixed sequence space), "q0" (fixed
-exponent q(0)), "peetre" (maximal-function profiles), and the local-mean
-variants "local_mean_prime" / "local_mean_double_prime".  Every form is
-level-0 term + t-norm of a profile; only the profile producer changes.
+Every form is a level-0 term plus a t-norm of one scale profile, and every
+profile comes from the same pipeline (`_scale_profile`): per ladder node t,
+a kernel multiplier at scale t times the spectrum of f, then |.| t^-alpha(x),
+then, for the maximal forms, the Peetre maximal function of order a, then
+the Luxemburg norm in L^p(.).  The level-0 term runs the same steps with the
+level-0 multiplier and no weight.  Only the kernel pair and the maximal
+switch change between forms:
+
+  direct, discretized, q0   resolution of unity (Phi, phi_t), no maximal;
+                            the t-norm is variable-q over dt/t, octave
+                            blocks, or the fixed exponent q(0)
+  peetre                    resolution of unity, maximal
+  local_mean_double_prime   local-mean pair (k0, k_t), no maximal
+  local_mean_prime          local-mean pair, maximal
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -71,21 +80,6 @@ def _scale_weight(t: float, alpha: ExponentField) -> np.ndarray:
     if alpha.is_constant:
         return np.asarray(t ** (-alpha.cached_min))
     return np.power(t, -alpha.grid_values())
-
-
-def lp_profile(f: GridFunction, frame: CalderonFrame, alpha: ExponentField,
-               p: ExponentField) -> ScaleProfile:
-    """Profile t -> Luxemburg norm of t^{-alpha(.)} (phi_t * f)."""
-    F = spectrum(f)
-    h = f.spec.spacing ** f.spec.dimension
-    pv = p.grid_values()
-    vals = np.empty(frame.ladder.t.size)
-    for i, t in enumerate(frame.ladder.t):
-        band = from_spectrum(f.spec, frame.phi_t_spectrum(t) * F)
-        g = band.abs_samples() * _scale_weight(t, alpha)
-        vals[i] = solve_luxemburg(g, pv, h).value
-    level0 = solve_luxemburg(np.abs(frame.level0_transform(f).samples), pv, h).value
-    return ScaleProfile(frame.ladder, vals, level0)
 
 
 # -- Peetre maximal function ---------------------------------------------------
@@ -197,25 +191,45 @@ def _check_peetre_order(a: float, p: ExponentField, spec: GridSpec) -> None:
         warnings.warn(
             f"Peetre order a = {a} is not above n/p- = {spec.dimension / p.cached_min:g}; "
             "the maximal-function equivalence is outside its hypothesis",
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+# -- the profile pipeline ------------------------------------------------------
+
+
+def _scale_profile(spec: GridSpec, F: np.ndarray, band: Callable[[float], np.ndarray],
+                   level0: np.ndarray, ladder: ScaleLadder, alpha: ExponentField,
+                   p: ExponentField, a: Optional[float] = None) -> ScaleProfile:
+    """The pipeline of the module docstring for f with spectrum F; the
+    maximal step runs when a Peetre order a is given (t = 1 at level 0)."""
+    if a is not None:
+        _check_peetre_order(a, p, spec)
+    h = spec.spacing ** spec.dimension
+    pv = p.grid_values()
+
+    def norm(multiplier: np.ndarray, t: float, weight) -> float:
+        g = from_spectrum(spec, multiplier * F).abs_samples() * weight
+        if a is not None:
+            g = peetre_maximal(spec, g, t, a)
+        return solve_luxemburg(g, pv, h).value
+
+    vals = np.array([norm(band(t), t, _scale_weight(t, alpha)) for t in ladder.t])
+    return ScaleProfile(ladder, vals, norm(level0, 1.0, 1.0))
+
+
+def lp_profile(f: GridFunction, frame: CalderonFrame, alpha: ExponentField,
+               p: ExponentField) -> ScaleProfile:
+    """Profile t -> Luxemburg norm of t^{-alpha(.)} (phi_t * f)."""
+    return _scale_profile(f.spec, spectrum(f), frame.phi_t_spectrum, frame.FPhi,
+                          frame.ladder, alpha, p)
 
 
 def peetre_profile(f: GridFunction, frame: CalderonFrame, alpha: ExponentField,
                    a: float, p: ExponentField) -> ScaleProfile:
     """Profile of Luxemburg norms of the Peetre maximal functions."""
-    _check_peetre_order(a, p, f.spec)
-    F = spectrum(f)
-    h = f.spec.spacing ** f.spec.dimension
-    pv = p.grid_values()
-    vals = np.empty(frame.ladder.t.size)
-    for i, t in enumerate(frame.ladder.t):
-        band = from_spectrum(f.spec, frame.phi_t_spectrum(t) * F).abs_samples()
-        g = band * _scale_weight(t, alpha)
-        vals[i] = solve_luxemburg(peetre_maximal(f.spec, g, t, a), pv, h).value
-    g0 = np.abs(frame.level0_transform(f).samples)
-    level0 = solve_luxemburg(peetre_maximal(f.spec, g0, 1.0, a), pv, h).value
-    return ScaleProfile(frame.ladder, vals, level0)
+    return _scale_profile(f.spec, spectrum(f), frame.phi_t_spectrum, frame.FPhi,
+                          frame.ladder, alpha, p, a)
 
 
 # -- the norm forms -------------------------------------------------------------
@@ -266,30 +280,16 @@ def local_mean_norm(f: GridFunction, pair: LocalMeanPair, alpha: ExponentField,
         raise HypothesisViolationError(
             f"alpha+ = {alpha.cached_max:g} must be below S+1 = {pair.S + 1} "
             "for the local-means characterization")
-    F = spectrum(f)
-    h = f.spec.spacing ** f.spec.dimension
-    pv = p.grid_values()
     sr = f.spec.freq_radius()
-    vals = np.empty(ladder.t.size)
-    if variant == "prime":
-        _check_peetre_order(a, p, f.spec)
-    for i, t in enumerate(ladder.t):
-        band = from_spectrum(f.spec, pair.k_spectrum_at(t * sr) * F).abs_samples()
-        g = band * _scale_weight(t, alpha)
-        if variant == "prime":
-            g = peetre_maximal(f.spec, g, t, a)
-        vals[i] = solve_luxemburg(g, pv, h).value
-    g0 = from_spectrum(f.spec, pair.k0_spectrum_at(sr) * F).abs_samples()
-    if variant == "prime":
-        g0 = peetre_maximal(f.spec, g0, 1.0, a)
-    level0 = solve_luxemburg(g0, pv, h).value
-    prof = ScaleProfile(ladder, vals, level0)
+    prof = _scale_profile(f.spec, spectrum(f), lambda t: pair.k_spectrum_at(t * sr),
+                          pair.k0_spectrum_at(sr), ladder, alpha, p,
+                          a if variant == "prime" else None)
     tpart = t_norm(prof.values, q, ladder, "variable")
     form = "local_mean_prime" if variant == "prime" else "local_mean_double_prime"
     params = {"alpha": _field_echo(alpha), "p": _field_echo(p), "q": _field_echo(q),
               "a": a if variant == "prime" else None,
               "kernel": {"S": pair.S, "m": pair.m, "epsilon": pair.epsilon}}
-    return BesovNormReport(form, level0 + tpart, prof, params)
+    return BesovNormReport(form, prof.level0 + tpart, prof, params)
 
 
 def write_profile_csv(profile: ScaleProfile, path: str) -> None:

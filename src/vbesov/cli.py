@@ -88,8 +88,8 @@ def cmd_norm(args) -> int:
     frame = build_resolution_of_unity(spec, ladder, BumpParams(cfg.profile_order))
     if cfg.form in ("local_mean_prime", "local_mean_double_prime"):
         pair = build_local_mean_pair(spec, cfg.kernel_S, cfg.kernel_epsilon)
-        variant = "prime" if cfg.form.endswith("_prime") and "double" not in cfg.form else "double_prime"
-        report = local_mean_norm(f, pair, alpha, p, q, cfg.peetre_a, variant, ladder)
+        report = local_mean_norm(f, pair, alpha, p, q, cfg.peetre_a,
+                                 cfg.form.removeprefix("local_mean_"), ladder)
     else:
         report = besov_norm(f, frame, alpha, p, q, cfg.form, a=cfg.peetre_a)
     lux = luxemburg_norm(f, p)

@@ -22,17 +22,26 @@ MAX_PAIRS = 10 ** 6  # deterministic strided subsample cap for pair scans
 KINDS = ("p", "alpha", "q_of_t")
 
 
-def _pair_constant(coords: np.ndarray, values: np.ndarray) -> Tuple[float, tuple]:
+def _pair_constant(coords: np.ndarray, values: np.ndarray,
+                   shape: Optional[Tuple[int, ...]] = None) -> Tuple[float, tuple]:
     """max over sampled pairs of |g(x)-g(y)| * log(e + 1/|x-y|), with witness.
 
-    Pairs are an all-pairs scan over a strided subsample (<= MAX_PAIRS pairs)
-    plus all consecutive-sample pairs, so short-range jumps are never missed.
+    `shape` is the sample grid, by default one axis (1-D and t-axis).  Pairs
+    are an all-pairs scan over a subsample taken with the same stride along
+    every axis (<= MAX_PAIRS pairs) plus all pairs of neighbours along each
+    axis, so short-range jumps are never missed and swapping the axes of a
+    square grid leaves the estimate unchanged.  Constant fields give 0.
     """
     M = len(values)
     if M < 2:
         return 0.0, ()
-    k = max(1, int(np.ceil(M / np.sqrt(MAX_PAIRS))))
-    idx = np.arange(0, M, k)
+    if values.min() == values.max():
+        return 0.0, (0, 0)
+    shape = values.shape if shape is None else shape
+    n = len(shape)
+    flat = np.arange(M).reshape(shape)
+    idx = flat[tuple(slice(None, None, int(np.ceil(N / MAX_PAIRS ** (1 / (2 * n)))))
+                     for N in shape)].reshape(-1)
     sub_c, sub_v = coords[idx], values[idx]
     if sub_c.ndim == 1:
         dist = np.abs(sub_c[:, None] - sub_c[None, :])
@@ -45,19 +54,22 @@ def _pair_constant(coords: np.ndarray, values: np.ndarray) -> Tuple[float, tuple
     i, j = np.unravel_index(int(prod.argmax()), prod.shape)
     witness = (idx[i], idx[j])
 
-    # consecutive pairs at full resolution
-    if coords.ndim == 1:
-        d_adj = np.abs(np.diff(coords))
-    else:
-        d_adj = np.linalg.norm(np.diff(coords, axis=0), axis=-1)
-    g_adj = np.abs(np.diff(values))
-    ok = d_adj > 0
-    if ok.any():
-        prod_adj = g_adj[ok] * np.log(np.e + 1.0 / d_adj[ok])
-        if prod_adj.max() > best:
-            best = float(prod_adj.max())
-            a = int(np.flatnonzero(ok)[int(prod_adj.argmax())])
-            witness = (a, a + 1)
+    # neighbour pairs along each axis at full resolution
+    grid_c = coords.reshape(shape + coords.shape[1:])
+    grid_v = values.reshape(shape)
+    for ax in range(n):
+        lo = tuple(slice(None, -1) if k == ax else slice(None) for k in range(n))
+        hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(n))
+        dc = grid_c[hi] - grid_c[lo]
+        d_adj = (np.abs(dc) if coords.ndim == 1 else np.linalg.norm(dc, axis=-1)).reshape(-1)
+        g_adj = np.abs(grid_v[hi] - grid_v[lo]).reshape(-1)
+        ok = d_adj > 0
+        if ok.any():
+            prod_adj = g_adj[ok] * np.log(np.e + 1.0 / d_adj[ok])
+            if prod_adj.max() > best:
+                best = float(prod_adj.max())
+                a = int(np.flatnonzero(ok)[int(prod_adj.argmax())])
+                witness = (int(flat[lo].reshape(-1)[a]), int(flat[hi].reshape(-1)[a]))
     return best, witness
 
 
@@ -152,7 +164,8 @@ def make_exponent_field(
     if cmin == cmax and limit_value is None:
         limit_value = cmin
 
-    clog_local, witness = _pair_constant(coords, vals)
+    clog_local, witness = _pair_constant(
+        coords, vals, None if spec is None else spec.shape)
     clog_decay = None
     if limit_value is not None:
         if kind == "q_of_t":
@@ -188,22 +201,10 @@ def constant_field(spec: GridSpec, value: float, kind: str = "p") -> ExponentFie
     return make_exponent_field(np.full(spec.size, float(value)), kind, float(value), spec=spec)
 
 
-def estimate_log_holder(g: ExponentField, require_decay: bool = False) -> Tuple[float, Optional[float]]:
-    """(clog_local, clog_decay) as cached at construction.
-
-    clog_local is the max over sampled pairs of |g(x)-g(y)| log(e + 1/|x-y|);
-    clog_decay uses the stored limit value (p_infty or q(0)).
-    """
-    if g.samples.size < 2:
-        raise ParameterError("need at least two samples to estimate constants")
-    if require_decay and g.clog_decay is None:
-        raise ParameterError("decay constant requested but limit_value is missing")
-    return g.clog_local, g.clog_decay
-
-
 def reciprocal_constants(g: ExponentField) -> Tuple[float, Optional[float]]:
     """log-Holder constants of 1/g, as needed by the damping factors gamma_m."""
-    clog_local, _ = _pair_constant(g.coords, 1.0 / g.samples)
+    clog_local, _ = _pair_constant(
+        g.coords, 1.0 / g.samples, None if g.spec is None else g.spec.shape)
     clog_decay = None
     if g.limit_value is not None:
         inv_limit = 1.0 / g.limit_value

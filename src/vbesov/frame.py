@@ -131,12 +131,6 @@ class CalderonFrame:
     def phi_t_spectrum(self, t: float) -> np.ndarray:
         return self.profile.phi_hat(t * self.spec.freq_radius())
 
-    def band_transform(self, f: GridFunction, t: float) -> GridFunction:
-        """phi_t * f computed spectrally (identical to convolve with phi_t)."""
-        if not (0 < t <= 1):
-            raise ParameterError(f"t must lie in (0, 1], got {t}")
-        return from_spectrum(f.spec, self.phi_t_spectrum(t) * spectrum(f))
-
     def level0_transform(self, f: GridFunction) -> GridFunction:
         """Phi * f."""
         return from_spectrum(f.spec, self.FPhi * spectrum(f))
@@ -191,6 +185,21 @@ def synthesize_Phi(frame: CalderonFrame) -> GridFunction:
 # -- local means ---------------------------------------------------------------
 
 
+def _k0_hat(s, epsilon: float) -> np.ndarray:
+    """Fk0(s) = exp(-s^2 / (2 eps^2))."""
+    s = np.asarray(s, dtype=float)
+    return np.exp(-s ** 2 / (2 * epsilon ** 2))
+
+
+def _k_hat(s, epsilon: float, m: int) -> np.ndarray:
+    """Fk(s) = s^{2m} exp(-s^2 / (2 eps^2)), peak-normalized to 1 (Fk0 at m = 0)."""
+    if m == 0:
+        return _k0_hat(s, epsilon)
+    s = np.asarray(s, dtype=float)
+    peak = (2 * m) ** m * epsilon ** (2 * m) * math.exp(-m)
+    return s ** (2 * m) * np.exp(-s ** 2 / (2 * epsilon ** 2)) / peak
+
+
 @dataclass(frozen=True)
 class LocalMeanPair:
     """Kernels (k0, k) with Tauberian lower bounds and S vanishing moments.
@@ -211,26 +220,10 @@ class LocalMeanPair:
     certification: dict
 
     def k0_spectrum_at(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return np.exp(-s ** 2 / (2 * self.epsilon ** 2))
+        return _k0_hat(s, self.epsilon)
 
     def k_spectrum_at(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if self.m == 0:
-            return self.k0_spectrum_at(s)
-        peak = (2 * self.m) ** self.m * self.epsilon ** (2 * self.m) * math.exp(-self.m)
-        return s ** (2 * self.m) * np.exp(-s ** 2 / (2 * self.epsilon ** 2)) / peak
-
-    def band_transform(self, f: GridFunction, t: float) -> GridFunction:
-        """k_t * f."""
-        if not (0 < t <= 1):
-            raise ParameterError(f"t must lie in (0, 1], got {t}")
-        s = t * f.spec.freq_radius()
-        return from_spectrum(f.spec, self.k_spectrum_at(s) * spectrum(f))
-
-    def level0_transform(self, f: GridFunction) -> GridFunction:
-        """k0 * f."""
-        return from_spectrum(f.spec, self.k0_spectrum_at(f.spec.freq_radius()) * spectrum(f))
+        return _k_hat(s, self.epsilon, self.m)
 
 
 def build_local_mean_pair(spec: GridSpec, S: int, epsilon: float = 1.0) -> LocalMeanPair:
@@ -242,21 +235,15 @@ def build_local_mean_pair(spec: GridSpec, S: int, epsilon: float = 1.0) -> Local
             f"epsilon {epsilon} incompatible with grid Nyquist {spec.nyquist:.3g}")
     m = max(0, math.ceil((S + 1) / 2))
 
-    pair_stub = LocalMeanPair.__new__(LocalMeanPair)
-    object.__setattr__(pair_stub, "spec", spec)
-    object.__setattr__(pair_stub, "S", S)
-    object.__setattr__(pair_stub, "epsilon", epsilon)
-    object.__setattr__(pair_stub, "m", m)
-
     sr = spec.freq_radius()
-    k0 = from_spectrum(spec, pair_stub.k0_spectrum_at(sr), tag="k0")
-    k = from_spectrum(spec, pair_stub.k_spectrum_at(sr), tag="k")
+    k0 = from_spectrum(spec, _k0_hat(sr, epsilon), tag="k0")
+    k = from_spectrum(spec, _k_hat(sr, epsilon, m), tag="k")
 
     # certification: Tauberian lower bounds on dense radial samples + moments
     ball = np.linspace(0.0, 2 * epsilon * (1 - 1e-9), 512)
     annulus = np.linspace(epsilon / 2, 2 * epsilon, 512)
-    tauberian_k0 = float(pair_stub.k0_spectrum_at(ball).min())
-    tauberian_k = float(pair_stub.k_spectrum_at(annulus).min())
+    tauberian_k0 = float(_k0_hat(ball, epsilon).min())
+    tauberian_k = float(_k_hat(annulus, epsilon, m).min())
 
     h = spec.spacing ** spec.dimension
     moments = {}

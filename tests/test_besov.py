@@ -4,6 +4,7 @@ import pytest
 import vbesov as vb
 from vbesov.besov import peetre_maximal
 from vbesov.errors import HypothesisViolationError, ParameterError
+from vbesov.grid import from_spectrum, spectrum
 
 
 @pytest.fixture(scope="module")
@@ -52,22 +53,59 @@ def test_pure_tone_annulus_consistency(setup2k):
     assert prof.values[active].max() > 0.1
 
 
+def _all_forms(f, frame, pair, alpha, p, q, ladder):
+    """The six forms of the norm of f, keyed by form name."""
+    out = {form: vb.besov_norm(f, frame, alpha, p, q, form).value
+           for form in ("direct", "discretized", "q0", "peetre")}
+    for variant in ("prime", "double_prime"):
+        out["local_mean_" + variant] = vb.local_mean_norm(
+            f, pair, alpha, p, q, 2.0, variant, ladder).value
+    return out
+
+
 def test_scaling_all_forms(setup2k):
     spec, ladder, frame, F = setup2k
+    pair = vb.build_local_mean_pair(spec, S=1)
     f = vb.from_callable(spec, lambda x: np.cos(4 * x) * np.exp(-x ** 2 / 2))
     g = f.with_samples(17.0 * f.samples)
-    for form in ("direct", "discretized", "q0"):
-        a = vb.besov_norm(f, frame, F["a05"], F["p2"], F["qlog"], form).value
-        b = vb.besov_norm(g, frame, F["a05"], F["p2"], F["qlog"], form).value
-        assert b == pytest.approx(17.0 * a, rel=1e-8)
+    a = _all_forms(f, frame, pair, F["a05"], F["p2"], F["qlog"], ladder)
+    b = _all_forms(g, frame, pair, F["a05"], F["p2"], F["qlog"], ladder)
+    assert len(a) == 6
+    for form in a:
+        assert b[form] == pytest.approx(17.0 * a[form], rel=1e-8), form
+
+
+def test_all_forms_2d_swap_and_scaling():
+    spec = vb.make_grid(2, 8.0, 16)
+    ladder = vb.make_ladder(4, 12)
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    pair = vb.build_local_mean_pair(spec, S=0)  # S = 1 fails moment certification this coarse
+    # exponents symmetric in (x, y), so swapping the axes of f is an isometry
+    p = vb.field_from_callable(spec, lambda x, y: 2.5 + 0.5 * np.sin(x) * np.sin(y), "p", 2.5)
+    alpha = vb.field_from_callable(
+        spec, lambda x, y: 0.4 + 0.2 * np.cos(x / 2) * np.cos(y / 2), "alpha", 0.4)
+    q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 1.0 / np.log(np.e + 1.0 / t), 2.0)
+
+    def fn(x, y):
+        return np.cos(2 * x + y) * np.exp(-(x ** 2 + 3 * y ** 2) / 4)
+
+    f = vb.from_callable(spec, fn)
+    swapped = vb.from_callable(spec, lambda x, y: fn(y, x))
+    base = _all_forms(f, frame, pair, alpha, p, q, ladder)
+    swap = _all_forms(swapped, frame, pair, alpha, p, q, ladder)
+    scaled = _all_forms(f.with_samples(17.0 * f.samples), frame, pair, alpha, p, q, ladder)
+    assert len(base) == 6
+    for form, v in base.items():
+        assert v > 0
+        assert swap[form] == pytest.approx(v, rel=1e-12), form
+        assert scaled[form] == pytest.approx(17.0 * v, rel=1e-10), form
 
 
 def test_peetre_domination(setup2k):
     spec, ladder, frame, F = setup2k
     f = vb.from_callable(spec, lambda x: np.sin(3 * x) * np.exp(-x ** 2 / 3))
     t = float(ladder.t[10])
-    band = frame.band_transform(f, t)
-    g = band.abs_samples()
+    g = np.abs(from_spectrum(spec, frame.phi_t_spectrum(t) * spectrum(f)).samples)
     maximal = peetre_maximal(spec, g, t, a=2.0)
     assert np.all(maximal >= g - 1e-14)
 

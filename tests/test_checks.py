@@ -67,3 +67,16 @@ def test_embeddings_pass(bank):
     assert r.passed, r.constants
     assert r.constants["q_monotone_profile_level"] <= 1.1
     assert np.isfinite(r.constants["sobolev_line_p2_to_p4"])
+
+
+def test_embeddings_identity_gate_trips_when_alpha_is_dropped(bank, monkeypatch):
+    real = C.besov_norm
+    alpha0 = bank.exponents["alpha_const0"]
+
+    def without_alpha(f, frame, alpha, *args, **kwargs):
+        return real(f, frame, alpha0, *args, **kwargs)
+
+    monkeypatch.setattr(C, "besov_norm", without_alpha)
+    r = C.check_embeddings(bank=bank)
+    assert abs(r.constants["identity_embedding"] - 1.0) > 1e-9
+    assert not r.passed

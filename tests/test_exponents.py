@@ -16,6 +16,31 @@ def test_constant_field(spec1k):
     assert p.clog_decay == 0.0
 
 
+def test_constant_fields_skip_the_pair_scan(spec1k, ladder):
+    spec2 = vb.make_grid(2, 16.0, 32)
+    fields = [vb.constant_field(spec1k, 2.0), vb.constant_field(spec1k, 0.5, "alpha"),
+              vb.constant_field(spec2, 3.0),
+              vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)]
+    for fld in fields:
+        assert fld.clog_local == 0.0
+        assert fld.witness_local == (0, 0)
+
+
+@pytest.mark.parametrize("N, fn", [
+    (64, lambda u: 2.0 + (u > 0)),   # a jump
+    (64, lambda u: 2.0 + np.sin(u)),
+    (32, lambda u: 2.0 + (u > 0)),
+    (32, lambda u: 2.0 + np.sin(u)),
+])
+def test_2d_log_holder_axis_symmetric(N, fn):
+    spec = vb.make_grid(2, 16.0, N)
+    across_x = vb.field_from_callable(spec, lambda x, y: fn(x), "p", None)
+    across_y = vb.field_from_callable(spec, lambda x, y: fn(y), "p", None)
+    assert across_x.clog_local > 0
+    assert across_x.clog_local == across_y.clog_local
+    assert reciprocal_constants(across_x)[0] == reciprocal_constants(across_y)[0]
+
+
 def test_sin_extrema(spec1k):
     L = spec1k.box_length
     p = vb.field_from_callable(spec1k, lambda x: 3 + np.sin(2 * np.pi * x / L), "p", 3.0)
@@ -100,13 +125,6 @@ def test_q_field_requires_limit(ladder):
 def test_q_value_interpolation(ladder):
     q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + t, 2.0)
     assert q.value_at(float(ladder.t[5])) == pytest.approx(2.0 + ladder.t[5], abs=1e-12)
-
-
-def test_estimate_log_holder_requires_limit_when_asked(spec1k):
-    vals = np.sin(spec1k.axis_coords()) + 2.0
-    fld = vb.make_exponent_field(vals, "alpha", None, spec=spec1k)
-    with pytest.raises(ParameterError):
-        vb.estimate_log_holder(fld, require_decay=True)
 
 
 def test_reciprocal_constants_positive(spec1k):
