@@ -21,7 +21,7 @@ from .besov import (BesovNormReport, ScaleProfile, besov_norm, local_mean_norm,
                     lp_profile, peetre_profile)
 from .atoms import (AtomDescriptor, AtomicDecomposition, analyze,
                     sequence_norm_b, synthesize, validate_atom)
-from .bank import FunctionBank, make_bank
+from .bank import FunctionBank, make_bank, make_member
 
 __version__ = "0.1.0"
 

@@ -8,7 +8,9 @@ the coefficient of the cube Q_{v,m} is
 and the atom is the same double integral against phi_t(x-y), divided by
 lambda (zero branch when lambda = 0).  Summing atoms over all cubes
 reproduces the ladder-quadratured reproducing identity exactly, so the
-round-trip error is the frame residual plus deep-scale truncation.
+round-trip error is the frame residual plus deep-scale truncation.  The cubes
+of a level tile the box, so that sum is one spectral product per ladder node
+of the band masked to the nonzero cubes; atoms are built only on request.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -134,9 +136,44 @@ def validate_atom(a: GridFunction, v: int, m, K: int, L: int, gamma: float,
     return AtomDescriptor(v, m, a, K, L, gamma, validation)
 
 
+def _expand(spec: GridSpec, lattice: np.ndarray) -> np.ndarray:
+    """A cube-lattice array sampled on the grid: each cube's value on its points."""
+    spc = spec.points_per_axis // lattice.shape[0]
+    for ax in range(spec.dimension):
+        lattice = np.repeat(lattice, spc, axis=ax)
+    return lattice
+
+
+def _level(frame: CalderonFrame, F: np.ndarray, v: int, synthesis: bool = True):
+    """Analysis bands, quadrature weights and synthesis multipliers of level v.
+
+    Level 0 is the Psi/Phi pair with unit weight and no t-integral; level
+    v >= 1 runs psi_t/phi_t over the nodes of octave v.  The bands are
+    g = ifft(A F) for the analysis multipliers A and f's spectrum F; the
+    synthesis multipliers are None when not asked for.
+    """
+    spec = frame.spec
+    sr = spec.freq_radius()
+    profile = frame.profile
+    if v == 0:
+        ws, analysis = [1.0], [profile.Psi_hat(sr)]
+        synth = [frame.FPhi] if synthesis else None
+    else:
+        sl = frame.ladder.octave_slice(v)
+        ts, ws = frame.ladder.t[sl], frame.ladder.weights[sl]
+        analysis = [profile.psi_hat(t * sr) for t in ts]
+        synth = [profile.phi_hat(t * sr) for t in ts] if synthesis else None
+    return [from_spectrum(spec, A * F).samples for A in analysis], ws, synth
+
+
 @dataclass(frozen=True)
 class AtomicDecomposition:
-    """Coefficients and atoms indexed by dyadic cubes, levels 0..V."""
+    """Coefficients indexed by dyadic cubes, levels 0..V, and their atoms.
+
+    An analysed decomposition keeps the frame and f's spectrum instead of
+    atoms, and builds an atom only when `atom(key)` asks for it; an imported
+    one holds its atoms in `atoms`.
+    """
 
     spec: GridSpec
     ladder: ScaleLadder
@@ -149,6 +186,8 @@ class AtomicDecomposition:
     C_Phi: float
     coefficients: Dict[Key, float]
     atoms: Dict[Key, AtomDescriptor] = field(default_factory=dict)
+    frame: Optional[CalderonFrame] = field(default=None, repr=False, compare=False)
+    f_spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def coefficient_array(self, v: int) -> np.ndarray:
         """lambda_{v,.} as an array over the cube lattice of level v."""
@@ -168,12 +207,44 @@ class AtomicDecomposition:
 
     def indicator_sum(self, v: int) -> np.ndarray:
         """sum_m lambda_{v,m} chi_{v,m} sampled on the grid."""
-        lam = self.coefficient_array(v)
-        nc = cubes_per_axis(self.spec, v)
-        spc = self.spec.points_per_axis // nc
-        if self.spec.dimension == 1:
-            return np.repeat(lam, spc)
-        return np.repeat(np.repeat(lam, spc, axis=0), spc, axis=1)
+        return _expand(self.spec, self.coefficient_array(v))
+
+    def atom(self, key: Key) -> AtomDescriptor:
+        """The atom of cube `key`: the stored one if there is one, the zero
+        atom for a zero coefficient, otherwise built from the level's bands."""
+        return self._level_atoms(key[0], [key])[0]
+
+    def _level_atoms(self, v: int, keys) -> List[AtomDescriptor]:
+        """Atoms of the level-v cubes `keys`; the level's bands are built at
+        most once."""
+        spec = self.spec
+        nc = cubes_per_axis(spec, v)
+        spc = spec.points_per_axis // nc
+        out, bands = [], None
+        for key in keys:
+            lam = self.coefficients[key]
+            m = key[1]
+            if key in self.atoms:
+                out.append(self.atoms[key])
+                continue
+            if lam == 0.0:
+                out.append(AtomDescriptor(v, m, zero_function(spec, tag="zero-atom"),
+                                          self.K, self.L, self.gamma))
+                continue
+            if self.f_spectrum is None:
+                raise ParameterError(f"no atom stored for cube {key}")
+            if bands is None:
+                bands = _level(self.frame, self.f_spectrum, v)
+            # cube m spans lattice index m + nc/2 along each axis
+            sl = tuple(slice((mm + nc // 2) * spc, (mm + nc // 2 + 1) * spc) for mm in m)
+            acc = np.zeros(spec.shape, dtype=np.complex128)
+            for g, w, S in zip(*bands):
+                masked = np.zeros(spec.shape, dtype=np.complex128)
+                masked[sl] = g[sl]
+                acc += w * from_spectrum(spec, S * spectrum(GridFunction(spec, masked))).samples
+            out.append(AtomDescriptor(v, m, GridFunction(spec, acc / lam),
+                                      self.K, self.L, self.gamma))
+        return out
 
 
 def measured_kernel_constant(kernel: GridFunction, K: int) -> float:
@@ -198,13 +269,14 @@ def _check_target(K: int, L: int, alpha: ExponentField) -> None:
 
 def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
             K: int = 2, L: int = 0, gamma: float = 3.0,
-            target_alpha: Optional[ExponentField] = None,
-            keep_atoms: bool = True) -> AtomicDecomposition:
+            target_alpha: Optional[ExponentField] = None) -> AtomicDecomposition:
     """Constructive atomic analysis of f down to level V.
 
     When a target smoothness field is supplied, the (K, L) hypotheses of the
     decomposition theorem are enforced up front.  Coefficients below the
-    numerical floor are stored as exact zeros with zero atoms.
+    numerical floor are stored as exact zeros.  No atom is built: the
+    decomposition keeps the frame and f's spectrum, from which `atom(key)`
+    builds one cube's atom and `synthesize` the sum of all of them.
     """
     ladder = frame.ladder
     if V is None:
@@ -222,79 +294,60 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
 
     n = spec.dimension
     h = spec.spacing ** n
-    profile = frame.profile
     C_phi = measured_kernel_constant(synthesize_phi_t(frame, 1.0), K)
     C_Phi = measured_kernel_constant(synthesize_Phi(frame), K)
-
     F = spectrum(f)
-    sr = spec.freq_radius()
-    zero = zero_function(spec, tag="zero-atom")
 
     coeffs: Dict[Key, float] = {}
-    atoms: Dict[Key, AtomDescriptor] = {}
-
-    def cube_sums(abs2: np.ndarray, nc: int) -> np.ndarray:
-        spc = spec.points_per_axis // nc
-        if n == 1:
-            return abs2.reshape(nc, spc).sum(axis=1) * h
-        return abs2.reshape(nc, spc, nc, spc).sum(axis=(1, 3)) * h
-
-    def emit_level(v, nodes_t, nodes_w, analysis_specs, synth_specs, const):
+    for v in range(V + 1):
+        gs, ws, _ = _level(frame, F, v, synthesis=False)
         nc = cubes_per_axis(spec, v)
-        m0 = -(nc // 2)
         spc = spec.points_per_axis // nc
-        gs = [from_spectrum(spec, A * F).samples for A in analysis_specs]
         lam2 = None
-        for g, w in zip(gs, nodes_w):
-            cs = cube_sums(np.abs(g) ** 2, nc)
+        for g, w in zip(gs, ws):
+            abs2 = np.abs(g) ** 2
+            if n == 1:
+                cs = abs2.reshape(nc, spc).sum(axis=1) * h
+            else:
+                cs = abs2.reshape(nc, spc, nc, spc).sum(axis=(1, 3)) * h
             lam2 = cs * w if lam2 is None else lam2 + cs * w
-        lam = const * np.sqrt(lam2)
+        lam = (C_Phi if v == 0 else C_phi) * np.sqrt(lam2)
         lam[lam < COEFF_FLOOR] = 0.0
+        m0 = -(nc // 2)
+        for j in np.ndindex(*lam.shape):
+            coeffs[(v, tuple(jj + m0 for jj in j))] = float(lam[j])
 
-        it = np.ndindex(*lam.shape)
-        for j in it:
-            midx = tuple(jj + m0 for jj in j)
-            key = (v, midx)
-            coeffs[key] = float(lam[j])
-            if not keep_atoms:
-                continue
-            if lam[j] == 0.0:
-                atoms[key] = AtomDescriptor(v, midx, zero, K, L, gamma)
-                continue
-            acc = np.zeros(spec.shape, dtype=np.complex128)
-            sl = tuple(slice(jj * spc, (jj + 1) * spc) for jj in j)
-            for g, w, S in zip(gs, nodes_w, synth_specs):
-                masked = np.zeros(spec.shape, dtype=np.complex128)
-                masked[sl] = g[sl]
-                acc += w * from_spectrum(spec, S * spectrum(GridFunction(spec, masked))).samples
-            atoms[key] = AtomDescriptor(
-                v, midx, GridFunction(spec, acc / lam[j]), K, L, gamma)
-
-    # level 0: Psi / Phi pair, no t-integral
-    emit_level(0, [1.0], [1.0],
-               [profile.Psi_hat(sr)], [frame.FPhi], C_Phi)
-    # levels 1..V: psi_t / phi_t over the octave nodes
-    for v in range(1, V + 1):
-        sl = ladder.octave_slice(v)
-        ts, ws = ladder.t[sl], ladder.weights[sl]
-        emit_level(v, ts, ws,
-                   [profile.psi_hat(t * sr) for t in ts],
-                   [profile.phi_hat(t * sr) for t in ts], C_phi)
-
+    profile = frame.profile
     frame_id = f"bump{profile.params.order}-V{ladder.octaves}-J{ladder.nodes_per_octave}"
     return AtomicDecomposition(spec, ladder, V, K, L, gamma, frame_id,
-                               C_phi, C_Phi, coeffs, atoms)
+                               C_phi, C_Phi, coeffs, frame=frame, f_spectrum=F)
 
 
 def synthesize(dec: AtomicDecomposition) -> GridFunction:
-    """sum_{v,m} lambda_{v,m} rho_{v,m} pointwise on the grid."""
-    if set(dec.coefficients) != set(dec.atoms):
-        raise ParameterError("coefficient/atom key sets disagree")
-    out = np.zeros(dec.spec.shape, dtype=np.complex128)
-    for key, lam in dec.coefficients.items():
-        if lam != 0.0:
-            out += lam * dec.atoms[key].samples.samples
-    return GridFunction(dec.spec, out, tag="synthesized")
+    """sum_{v,m} lambda_{v,m} rho_{v,m} pointwise on the grid.
+
+    For an analysed decomposition lambda_{v,m} rho_{v,m} is the level's
+    bands masked to cube Q_{v,m} and synthesized, so the sum over the cubes
+    of a level collapses to one spectral product per ladder node with the
+    mask of the nonzero cubes.  Stored atoms are summed one by one.
+    """
+    spec = dec.spec
+    out = np.zeros(spec.shape, dtype=np.complex128)
+    if dec.f_spectrum is None:
+        if set(dec.coefficients) != set(dec.atoms):
+            raise ParameterError("coefficient/atom key sets disagree")
+        for key, lam in dec.coefficients.items():
+            if lam != 0.0:
+                out += lam * dec.atoms[key].samples.samples
+        return GridFunction(spec, out, tag="synthesized")
+    for v in range(dec.V + 1):
+        mask = _expand(spec, dec.coefficient_array(v) != 0.0)
+        if not mask.any():
+            continue
+        for g, w, S in zip(*_level(dec.frame, dec.f_spectrum, v)):
+            masked = GridFunction(spec, np.where(mask, g, 0.0))
+            out += w * from_spectrum(spec, S * spectrum(masked)).samples
+    return GridFunction(spec, out, tag="synthesized")
 
 
 def sequence_norm_b(dec: AtomicDecomposition, alpha: ExponentField,
@@ -365,9 +418,11 @@ def export_coefficients(dec: AtomicDecomposition, path: str,
             w.writerow([v, *m, repr(dec.coefficients[(v, m)])])
     if atoms_dir is not None:
         os.makedirs(atoms_dir, exist_ok=True)
-        for (v, m), desc in dec.atoms.items():
-            if dec.coefficients[(v, m)] != 0.0:
-                write_raw(desc.samples, os.path.join(atoms_dir, _atom_filename(v, m)))
+        for v in sorted({v for v, _ in dec.coefficients}):
+            keys = sorted(k for k, lam in dec.coefficients.items()
+                          if k[0] == v and lam != 0.0)
+            for desc in dec._level_atoms(v, keys):
+                write_raw(desc.samples, os.path.join(atoms_dir, _atom_filename(v, desc.m)))
 
 
 def import_coefficients(path: str, spec: GridSpec, ladder: ScaleLadder,

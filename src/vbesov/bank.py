@@ -7,10 +7,11 @@ generator with Hermitian-symmetric spectra so members stay real-valued.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
+from .errors import ParameterError
 from .exponents import ExponentField, field_from_callable, q_field_from_callable
 from .grid import GridFunction, GridSpec, from_callable, make_grid
 from .luxemburg import ScaleLadder, make_ladder
@@ -57,6 +58,58 @@ class FunctionBank:
         return self.members[name]
 
 
+# name -> builder(x, omega0) of the deterministic members
+_SMOOTH: Dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
+    "gauss_w05": lambda x, w0: np.exp(-x ** 2 / (2 * 0.5 ** 2)),
+    "gauss_w1": lambda x, w0: np.exp(-x ** 2 / 2),
+    "gauss_w2": lambda x, w0: np.exp(-x ** 2 / (2 * 2.0 ** 2)),
+    "modgauss_f4": lambda x, w0: np.cos(4 * x) * np.exp(-x ** 2 / 2),
+    "modgauss_f16": lambda x, w0: np.cos(16 * x) * np.exp(-x ** 2 / 2),
+    "modgauss_f4_w05": lambda x, w0: np.cos(4 * x) * np.exp(-x ** 2 / (2 * 0.5 ** 2)),
+    "weier_s03": lambda x, w0: weierstrass(x, 0.3, w0),
+    "weier_s05": lambda x, w0: weierstrass(x, 0.5, w0),
+    "weier_s12": lambda x, w0: weierstrass(x, 1.2, w0),
+    "smoothstep_w1": lambda x, w0: 0.5 * (np.tanh((x + 1) / 0.25) - np.tanh((x - 1) / 0.25)),
+    "smoothstep_w2": lambda x, w0: 0.5 * (np.tanh((x + 2) / 0.25) - np.tanh((x - 2) / 0.25)),
+    "smoothstep_shift": lambda x, w0: 0.5 * (np.tanh((x - 2) / 0.25) - np.tanh((x - 4) / 0.25)),
+    "tone_k8": lambda x, w0: np.cos(8 * w0 * x),
+    "tone_k40": lambda x, w0: np.sin(40 * w0 * x),
+    "dgauss": lambda x, w0: -x * np.exp(-x ** 2 / 2),
+    "gausspair": lambda x, w0: np.exp(-(x - 2) ** 2 / 2) + np.exp(-(x + 2) ** 2 / 2),
+}
+# name -> xi_max of the band-noise members, in the order they draw from the
+# seeded generator
+_NOISE: Dict[str, float] = {"bandnoise_a": 32.0, "bandnoise_b": 32.0,
+                            "bandnoise_c": 64.0, "bandnoise_d": 64.0}
+MEMBER_NAMES = sorted([*_SMOOTH, *_NOISE])
+
+
+def _check_spec(spec: GridSpec) -> None:
+    if spec.dimension != 1:
+        raise NotImplementedError("the bank is 1-D; build 2-D inputs directly")
+
+
+def _smooth_member(spec: GridSpec, name: str) -> GridFunction:
+    omega0 = 2 * np.pi / spec.box_length
+    return from_callable(spec, lambda x: _SMOOTH[name](x, omega0), tag=name)
+
+
+def make_member(spec: GridSpec, name: str, seed: int = DEFAULT_SEED) -> GridFunction:
+    """One bank member, bit-identical to `make_bank(spec, ..., seed)[name]`;
+    the band-noise members before it replay their draws."""
+    _check_spec(spec)
+    if name in _SMOOTH:
+        return _smooth_member(spec, name)
+    if name not in _NOISE:
+        raise ParameterError(f"unknown bank member {name!r}; "
+                             f"known: {', '.join(MEMBER_NAMES)}")
+    rng = np.random.default_rng(seed)
+    for noise, xi_max in _NOISE.items():
+        samples = _band_noise(spec, rng, xi_max)
+        if noise == name:
+            return GridFunction(spec, samples, tag=name)
+
+
 def make_bank(spec: GridSpec = None, ladder: ScaleLadder = None,
               seed: int = DEFAULT_SEED) -> FunctionBank:
     """The seeded 20-member function bank plus the exponent-field bank."""
@@ -64,36 +117,11 @@ def make_bank(spec: GridSpec = None, ladder: ScaleLadder = None,
         spec = make_grid(1, 16.0, 4096)
     if ladder is None:
         ladder = make_ladder()
-    if spec.dimension != 1:
-        raise NotImplementedError("the bank is 1-D; build 2-D inputs directly")
+    _check_spec(spec)
     rng = np.random.default_rng(seed)
     L = spec.box_length
-    omega0 = 2 * np.pi / L
-
-    members: Dict[str, GridFunction] = {}
-
-    def add(name, fn):
-        members[name] = from_callable(spec, fn, tag=name)
-
-    add("gauss_w05", lambda x: np.exp(-x ** 2 / (2 * 0.5 ** 2)))
-    add("gauss_w1", lambda x: np.exp(-x ** 2 / 2))
-    add("gauss_w2", lambda x: np.exp(-x ** 2 / (2 * 2.0 ** 2)))
-    add("modgauss_f4", lambda x: np.cos(4 * x) * np.exp(-x ** 2 / 2))
-    add("modgauss_f16", lambda x: np.cos(16 * x) * np.exp(-x ** 2 / 2))
-    add("modgauss_f4_w05", lambda x: np.cos(4 * x) * np.exp(-x ** 2 / (2 * 0.5 ** 2)))
-    add("weier_s03", lambda x: weierstrass(x, 0.3, omega0))
-    add("weier_s05", lambda x: weierstrass(x, 0.5, omega0))
-    add("weier_s12", lambda x: weierstrass(x, 1.2, omega0))
-    add("smoothstep_w1", lambda x: 0.5 * (np.tanh((x + 1) / 0.25) - np.tanh((x - 1) / 0.25)))
-    add("smoothstep_w2", lambda x: 0.5 * (np.tanh((x + 2) / 0.25) - np.tanh((x - 2) / 0.25)))
-    add("smoothstep_shift", lambda x: 0.5 * (np.tanh((x - 2) / 0.25) - np.tanh((x - 4) / 0.25)))
-    add("tone_k8", lambda x: np.cos(8 * omega0 * x))
-    add("tone_k40", lambda x: np.sin(40 * omega0 * x))
-    add("dgauss", lambda x: -x * np.exp(-x ** 2 / 2))
-    add("gausspair", lambda x: np.exp(-(x - 2) ** 2 / 2) + np.exp(-(x + 2) ** 2 / 2))
-
-    for i, xi_max in enumerate((32.0, 32.0, 64.0, 64.0)):
-        name = f"bandnoise_{chr(97 + i)}"
+    members = {name: _smooth_member(spec, name) for name in _SMOOTH}
+    for name, xi_max in _NOISE.items():
         members[name] = GridFunction(spec, _band_noise(spec, rng, xi_max), tag=name)
 
     exponents: Dict[str, ExponentField] = {

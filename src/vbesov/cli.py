@@ -15,12 +15,11 @@ import numpy as np
 
 from . import atoms as atoms_mod
 from . import grid as grid_mod
-from .bank import make_bank
+from .bank import make_bank, make_member
 from .besov import besov_norm, local_mean_norm
 from .checks import run_checks
 from .config import ConfigError, RunConfig, emit_config, parse_config
-from .errors import (AdmissibilityError, HypothesisViolationError,
-                     ParameterError, VbesovError)
+from .errors import AdmissibilityError, HypothesisViolationError, VbesovError
 from .frame import BumpParams, build_local_mean_pair, build_resolution_of_unity
 from .luxemburg import luxemburg_norm
 from .reporting import dump_json, write_rollup_csv
@@ -47,26 +46,16 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _setup(cfg: RunConfig):
-    spec = cfg.grid()
-    ladder = cfg.ladder()
-    bank = make_bank(spec, ladder, cfg.seed)
-    return spec, ladder, bank
-
-
-def _member(cfg: RunConfig, bank, spec):
+def _member(cfg: RunConfig, spec):
     name = cfg.member
     if name.endswith(".csv"):
         return grid_mod.read_csv(name, spec)
-    if name not in bank.members:
-        raise ParameterError(f"unknown bank member {name!r}; "
-                             f"known: {', '.join(bank.names())}")
-    return bank[name]
+    return make_member(spec, name, cfg.seed)
 
 
 def cmd_gen_bank(args) -> int:
     cfg = _load_config(args)
-    spec, ladder, bank = _setup(cfg)
+    bank = make_bank(cfg.grid(), cfg.ladder(), cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     manifest = {"seed": cfg.seed, "members": {}, "config": emit_config(cfg)}
     for name in bank.names():
@@ -80,8 +69,8 @@ def cmd_gen_bank(args) -> int:
 
 def cmd_norm(args) -> int:
     cfg = _load_config(args)
-    spec, ladder, bank = _setup(cfg)
-    f = _member(cfg, bank, spec)
+    spec, ladder = cfg.grid(), cfg.ladder()
+    f = _member(cfg, spec)
     p = cfg.p_field(spec)
     alpha = cfg.alpha_field(spec)
     q = cfg.q_field(ladder)
@@ -104,13 +93,12 @@ def cmd_norm(args) -> int:
 
 def cmd_decompose(args) -> int:
     cfg = _load_config(args)
-    spec, ladder, bank = _setup(cfg)
-    f = _member(cfg, bank, spec)
+    spec, ladder = cfg.grid(), cfg.ladder()
+    f = _member(cfg, spec)
     frame = build_resolution_of_unity(spec, ladder, BumpParams(cfg.profile_order))
     alpha = cfg.alpha_field(spec)
     dec = atoms_mod.analyze(f, frame, K=cfg.atom_K, L=cfg.atom_L,
-                            gamma=cfg.atom_gamma, target_alpha=alpha,
-                            keep_atoms=False)
+                            gamma=cfg.atom_gamma, target_alpha=alpha)
     os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, f"coeffs_{cfg.member}.csv")
     atoms_mod.export_coefficients(dec, csv_path)
@@ -125,13 +113,12 @@ def cmd_decompose(args) -> int:
 
 def cmd_synthesize(args) -> int:
     cfg = _load_config(args)
-    spec, ladder, bank = _setup(cfg)
-    f = _member(cfg, bank, spec)
+    spec, ladder = cfg.grid(), cfg.ladder()
+    f = _member(cfg, spec)
     frame = build_resolution_of_unity(spec, ladder, BumpParams(cfg.profile_order))
     alpha = cfg.alpha_field(spec)
     dec = atoms_mod.analyze(f, frame, K=cfg.atom_K, L=cfg.atom_L,
-                            gamma=cfg.atom_gamma, target_alpha=alpha,
-                            keep_atoms=True)
+                            gamma=cfg.atom_gamma, target_alpha=alpha)
     rec = atoms_mod.synthesize(dec)
     resid = np.sqrt(grid_mod.integrate(
         grid_mod.GridFunction(spec, np.abs(rec.samples - f.samples) ** 2)))
@@ -150,7 +137,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    spec, ladder, bank = _setup(cfg)
+    bank = make_bank(cfg.grid(), cfg.ladder(), cfg.seed)
     which = args.check or ["all"]
     reports = run_checks(which, bank=bank, seed=cfg.seed, jobs=cfg.jobs)
     os.makedirs(cfg.out, exist_ok=True)

@@ -101,7 +101,9 @@ def solve_luxemburg(vals, expo, weights, rtol: float = RTOL,
                     max_iter: int = MAX_ITER) -> NormResult:
     """inf{lam > 0 : sum w * (v/lam)^e <= 1} for nonnegative v, positive e.
 
-    Returns 0 when the modular of the raw values vanishes.
+    Returns 0 when the modular of the raw values vanishes.  The root is found
+    for v / max|v| and scaled back (the norm is homogeneous), so the powers
+    neither overflow nor underflow at any magnitude float64 holds.
     """
     vals = np.abs(np.asarray(vals, dtype=float))
     # broadcast against the grid shape before flattening (2-D fields are (N, N))
@@ -111,7 +113,10 @@ def solve_luxemburg(vals, expo, weights, rtol: float = RTOL,
     if np.any(expo <= 0):
         raise ParameterError("exponents must be positive")
 
-    terms = weights * vals ** expo
+    scale = float(vals.max(initial=0.0))
+    if scale == 0.0:
+        return NormResult(0.0, 0.0, 0, (0.0, 0.0))
+    terms = weights * (vals / scale) ** expo
     R = float(terms.sum())
     if R == 0.0:
         return NormResult(0.0, 0.0, 0, (0.0, 0.0))
@@ -137,7 +142,7 @@ def solve_luxemburg(vals, expo, weights, rtol: float = RTOL,
         else:
             bhi = mid
         iters += 1
-    return NormResult(bhi, modular_at(bhi), iters, (lo, hi))
+    return NormResult(scale * bhi, modular_at(bhi), iters, (scale * lo, scale * hi))
 
 
 # -- grid-space operations ----------------------------------------------------

@@ -57,14 +57,15 @@ def strip_timestamp(path: str) -> bytes:
 
 
 def write_rollup_csv(reports: Iterable, path: str) -> None:
-    """One row per check: id, passed, worst constant, violations, runtime."""
+    """One row per check: id, passed, worst constant, violations.  Runtimes
+    are run-dependent, so they live only in each check's JSON timestamp."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["check_id", "passed", "n_configurations", "max_constant",
-                    "n_violations", "runtime_s"])
+                    "n_violations"])
         for r in reports:
             consts = [v for v in r.constants.values()]
             w.writerow([r.check_id, r.passed, len(r.configurations),
                         repr(max(consts) if consts else 0.0),
-                        len(r.violations), repr(round(r.runtime_s, 3))])
+                        len(r.violations)])

@@ -3,9 +3,15 @@ tested against.  They are kept here, not in the library, on purpose."""
 
 from __future__ import annotations
 
+from typing import Dict, Optional
+
 import numpy as np
 
-from vbesov.grid import GridSpec
+from vbesov.atoms import (COEFF_FLOOR, AtomDescriptor, AtomicDecomposition,
+                          Key, measured_kernel_constant)
+from vbesov.frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
+from vbesov.grid import (GridFunction, GridSpec, cubes_per_axis, from_spectrum,
+                         spectrum, zero_function)
 
 
 def peetre_maximal_bruteforce(spec: GridSpec, g: np.ndarray, t: float,
@@ -39,3 +45,80 @@ def peetre_maximal_bruteforce(spec: GridSpec, g: np.ndarray, t: float,
         W = (1.0 + np.sqrt(dx ** 2 + dy ** 2) / t) ** (-a)
         out[sl] = (W * gf[None, :]).max(axis=1)
     return out.reshape(spec.shape)
+
+
+def analyze_eager(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
+                  K: int = 2, L: int = 0, gamma: float = 3.0) -> AtomicDecomposition:
+    """Atomic analysis that builds every atom as a full-grid array.
+
+    One FFT pair per ladder node per nonzero cube; the atoms are stored, so
+    `synthesize` takes the atom-by-atom sum.  Coefficients below the
+    numerical floor are stored as exact zeros with zero atoms.
+    """
+    ladder = frame.ladder
+    if V is None:
+        V = ladder.octaves
+    spec = f.spec
+
+    n = spec.dimension
+    h = spec.spacing ** n
+    profile = frame.profile
+    C_phi = measured_kernel_constant(synthesize_phi_t(frame, 1.0), K)
+    C_Phi = measured_kernel_constant(synthesize_Phi(frame), K)
+
+    F = spectrum(f)
+    sr = spec.freq_radius()
+    zero = zero_function(spec, tag="zero-atom")
+
+    coeffs: Dict[Key, float] = {}
+    atoms: Dict[Key, AtomDescriptor] = {}
+
+    def cube_sums(abs2: np.ndarray, nc: int) -> np.ndarray:
+        spc = spec.points_per_axis // nc
+        if n == 1:
+            return abs2.reshape(nc, spc).sum(axis=1) * h
+        return abs2.reshape(nc, spc, nc, spc).sum(axis=(1, 3)) * h
+
+    def emit_level(v, nodes_t, nodes_w, analysis_specs, synth_specs, const):
+        nc = cubes_per_axis(spec, v)
+        m0 = -(nc // 2)
+        spc = spec.points_per_axis // nc
+        gs = [from_spectrum(spec, A * F).samples for A in analysis_specs]
+        lam2 = None
+        for g, w in zip(gs, nodes_w):
+            cs = cube_sums(np.abs(g) ** 2, nc)
+            lam2 = cs * w if lam2 is None else lam2 + cs * w
+        lam = const * np.sqrt(lam2)
+        lam[lam < COEFF_FLOOR] = 0.0
+
+        it = np.ndindex(*lam.shape)
+        for j in it:
+            midx = tuple(jj + m0 for jj in j)
+            key = (v, midx)
+            coeffs[key] = float(lam[j])
+            if lam[j] == 0.0:
+                atoms[key] = AtomDescriptor(v, midx, zero, K, L, gamma)
+                continue
+            acc = np.zeros(spec.shape, dtype=np.complex128)
+            sl = tuple(slice(jj * spc, (jj + 1) * spc) for jj in j)
+            for g, w, S in zip(gs, nodes_w, synth_specs):
+                masked = np.zeros(spec.shape, dtype=np.complex128)
+                masked[sl] = g[sl]
+                acc += w * from_spectrum(spec, S * spectrum(GridFunction(spec, masked))).samples
+            atoms[key] = AtomDescriptor(
+                v, midx, GridFunction(spec, acc / lam[j]), K, L, gamma)
+
+    # level 0: Psi / Phi pair, no t-integral
+    emit_level(0, [1.0], [1.0],
+               [profile.Psi_hat(sr)], [frame.FPhi], C_Phi)
+    # levels 1..V: psi_t / phi_t over the octave nodes
+    for v in range(1, V + 1):
+        sl = ladder.octave_slice(v)
+        ts, ws = ladder.t[sl], ladder.weights[sl]
+        emit_level(v, ts, ws,
+                   [profile.psi_hat(t * sr) for t in ts],
+                   [profile.phi_hat(t * sr) for t in ts], C_phi)
+
+    frame_id = f"bump{profile.params.order}-V{ladder.octaves}-J{ladder.nodes_per_octave}"
+    return AtomicDecomposition(spec, ladder, V, K, L, gamma, frame_id,
+                               C_phi, C_Phi, coeffs, atoms)

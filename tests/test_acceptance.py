@@ -227,7 +227,7 @@ def test_criterion_6_atomic_round_trip(bank, frame):
     worst_rec = 0.0
     for name in ("gauss_w1", "modgauss_f4", "tone_k8"):
         f = bank[name]
-        dec = vb.analyze(f, frame, V=8, K=2, L=0, target_alpha=a05, keep_atoms=True)
+        dec = vb.analyze(f, frame, V=8, K=2, L=0, target_alpha=a05)
         rec = vb.synthesize(dec)
         rel = (np.linalg.norm(rec.samples - f.samples)
                / np.linalg.norm(f.samples))
@@ -237,7 +237,7 @@ def test_criterion_6_atomic_round_trip(bank, frame):
     ratios = []
     for name in bank.names():
         g = bank[name]
-        decn = vb.analyze(g, frame, V=8, K=2, L=0, keep_atoms=False)
+        decn = vb.analyze(g, frame, V=8, K=2, L=0)
         bnorm = vb.sequence_norm_b(decn, a05, p2, q2, form="continuous")
         snorm = besov_norm(g, frame, a05, p2, q2, "direct").value
         r = bnorm / snorm
@@ -246,11 +246,11 @@ def test_criterion_6_atomic_round_trip(bank, frame):
 
     # constructed atoms: derivative bounds at constant 1 and strict moments;
     # support leak measured and validated at the reported tolerance
-    dec = vb.analyze(bank["gauss_w1"], frame, V=6, K=2, L=0, keep_atoms=True)
+    dec = vb.analyze(bank["gauss_w1"], frame, V=6, K=2, L=0)
     checked, leaks = 0, []
     for key, lam in sorted(dec.coefficients.items(),
                            key=lambda kv: -kv[1])[:5]:
-        d = dec.atoms[key]
+        d = dec.atom(key)
         probe = vb.validate_atom(d.samples, d.v, d.m, 2, 0, 3.0)
         leak = probe.validation["support_fraction"]
         leaks.append(leak)
@@ -323,10 +323,14 @@ def test_criterion_9_determinism(tmp_path):
     cfg_path = tmp_path / "det.cfg"
     cfg_path.write_text(DETERMINISM_CONFIG)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    cli_main(["verify", "--config", str(cfg_path), "--seed", "7",
-              "--out", out_a, "--check", "all"])
-    cli_main(["verify", "--config", str(cfg_path), "--seed", "7",
-              "--out", out_b, "--check", "all"])
+    code_a = cli_main(["verify", "--config", str(cfg_path), "--seed", "7",
+                       "--out", out_a, "--check", "all"])
+    code_b = cli_main(["verify", "--config", str(cfg_path), "--seed", "7",
+                       "--out", out_b, "--check", "all"])
+    assert code_a == code_b, (code_a, code_b)
+    with open(os.path.join(out_a, "checks.csv"), "rb") as fh_a, \
+            open(os.path.join(out_b, "checks.csv"), "rb") as fh_b:
+        assert fh_a.read() == fh_b.read(), "checks.csv differs between runs"
     files_a = sorted(f for f in os.listdir(out_a) if f.endswith(".json"))
     files_b = sorted(f for f in os.listdir(out_b) if f.endswith(".json"))
     assert files_a == files_b and files_a
@@ -334,4 +338,5 @@ def test_criterion_9_determinism(tmp_path):
         bytes_a = strip_timestamp(os.path.join(out_a, name))
         bytes_b = strip_timestamp(os.path.join(out_b, name))
         assert bytes_a == bytes_b, f"{name} differs between runs"
-    _report(9, True, f"{len(files_a)} check documents byte-identical")
+    _report(9, True, f"{len(files_a)} check documents and checks.csv "
+                     f"byte-identical, exit code {code_a} both runs")

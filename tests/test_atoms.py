@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import vbesov as vb
 from vbesov.atoms import (AtomDescriptor, AtomicDecomposition,
                           export_coefficients, import_coefficients)
 from vbesov.errors import HypothesisViolationError, ParameterError
+
+from oracles import analyze_eager
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +81,7 @@ def test_validate_rejects_bad_params(setup2k):
 def test_analyze_zero(setup2k):
     spec, ladder, frame = setup2k
     zero = vb.from_callable(spec, lambda x: np.zeros_like(x))
-    dec = vb.analyze(zero, frame, V=5, keep_atoms=True)
+    dec = vb.analyze(zero, frame, V=5)
     assert all(lam == 0.0 for lam in dec.coefficients.values())
     rec = vb.synthesize(dec)
     assert np.max(np.abs(rec.samples)) == 0.0
@@ -106,7 +110,7 @@ def test_round_trip_band_limited(setup2k):
     for fn in (lambda x: np.exp(-x ** 2 / 2),
                lambda x: np.cos(4 * x) * np.exp(-x ** 2 / 2)):
         f = vb.from_callable(spec, fn)
-        dec = vb.analyze(f, frame, V=7, keep_atoms=True)
+        dec = vb.analyze(f, frame, V=7)
         rec = vb.synthesize(dec)
         num = np.sqrt(np.sum(np.abs(rec.samples - f.samples) ** 2))
         den = np.sqrt(np.sum(np.abs(f.samples) ** 2))
@@ -116,7 +120,7 @@ def test_round_trip_band_limited(setup2k):
 def test_coefficient_tiling_parseval(setup2k):
     spec, ladder, frame = setup2k
     f = vb.from_callable(spec, lambda x: np.cos(6 * x) * np.exp(-x ** 2 / 2))
-    dec = vb.analyze(f, frame, V=7, keep_atoms=False)
+    dec = vb.analyze(f, frame, V=7)
     lhs = sum(lam ** 2 for (v, m), lam in dec.coefficients.items() if v >= 1)
     lhs0 = sum(lam ** 2 for (v, m), lam in dec.coefficients.items() if v == 0)
     # independent side: ladder quadrature of the analysis-transform energies
@@ -139,11 +143,11 @@ def test_coefficient_tiling_parseval(setup2k):
 def test_zero_coefficient_zero_atom(setup2k):
     spec, ladder, frame = setup2k
     f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
-    dec = vb.analyze(f, frame, V=6, keep_atoms=True)
+    dec = vb.analyze(f, frame, V=6)
     zero_keys = [k for k, lam in dec.coefficients.items() if lam == 0.0]
     assert zero_keys, "expected deep-level zero coefficients for a Gaussian"
     for k in zero_keys[:10]:
-        assert np.max(np.abs(dec.atoms[k].samples.samples)) == 0.0
+        assert np.max(np.abs(dec.atom(k).samples.samples)) == 0.0
 
 
 def test_synthesize_single_atom(setup2k):
@@ -217,7 +221,7 @@ def test_sequence_norm_sign_switch(setup2k):
 def test_export_import_roundtrip(tmp_path, setup2k):
     spec, ladder, frame = setup2k
     f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
-    dec = vb.analyze(f, frame, V=5, keep_atoms=False)
+    dec = vb.analyze(f, frame, V=5)
     path = tmp_path / "coeffs.csv"
     export_coefficients(dec, str(path))
     back = import_coefficients(str(path), spec, ladder)
@@ -227,7 +231,7 @@ def test_export_import_roundtrip(tmp_path, setup2k):
 def test_export_import_with_atoms(tmp_path, setup2k):
     spec, ladder, frame = setup2k
     f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
-    dec = vb.analyze(f, frame, V=4, keep_atoms=True)
+    dec = vb.analyze(f, frame, V=4)
     path = str(tmp_path / "coeffs.csv")
     adir = str(tmp_path / "atoms")
     export_coefficients(dec, path, atoms_dir=adir)
@@ -236,3 +240,89 @@ def test_export_import_with_atoms(tmp_path, setup2k):
     rec_a = vb.synthesize(dec)
     rec_b = vb.synthesize(back)
     assert np.max(np.abs(rec_a.samples - rec_b.samples)) < 1e-14
+
+
+# -- lazy atoms against the eager per-cube oracle --------------------------------
+
+
+def _zero_key_sample(dec, count=12):
+    zeros = sorted(k for k, lam in dec.coefficients.items() if lam == 0.0)
+    return zeros[::max(1, len(zeros) // count)]
+
+
+def _check_against_oracle(f, frame, V):
+    dec = vb.analyze(f, frame, V=V)
+    ref = analyze_eager(f, frame, V=V)
+    assert dec.coefficients == ref.coefficients
+    assert dec.atoms == {}
+    nonzero = [k for k, lam in dec.coefficients.items() if lam != 0.0]
+    assert nonzero
+    for key in nonzero + _zero_key_sample(dec):
+        got, want = dec.atom(key), ref.atoms[key]
+        assert (got.v, got.m) == (want.v, want.m) == key
+        assert np.array_equal(got.samples.samples, want.samples.samples), key
+    scale = np.max(np.abs(f.samples))
+    rec, rec_ref = vb.synthesize(dec), vb.synthesize(ref)
+    assert np.max(np.abs(rec.samples - rec_ref.samples)) <= 1e-13 * scale
+    # with every other nonzero coefficient zeroed, the dropped cubes must
+    # leave the collapsed sum exactly as they leave the atom-by-atom sum
+    thinned = {k: (0.0 if k in nonzero[::2] else lam)
+               for k, lam in dec.coefficients.items()}
+    rec = vb.synthesize(dataclasses.replace(dec, coefficients=thinned))
+    rec_ref = vb.synthesize(dataclasses.replace(ref, coefficients=thinned))
+    assert np.max(np.abs(rec_ref.samples)) > 0.1 * scale
+    assert np.max(np.abs(rec.samples - rec_ref.samples)) <= 1e-13 * scale
+
+
+def test_lazy_atoms_match_oracle_1d():
+    spec = vb.make_grid(1, 16.0, 256)
+    frame = vb.build_resolution_of_unity(spec, vb.make_ladder(4, 12))
+    # a Gaussian leaves deep-level zero coefficients; the tone has none
+    for fn in (lambda x: np.exp(-x ** 2 / 2),
+               lambda x: np.sin(2 * np.pi * 5 * x / 16) * np.exp(-x ** 2 / 8)):
+        _check_against_oracle(vb.from_callable(spec, fn), frame, V=4)
+
+
+def test_lazy_atoms_match_oracle_2d():
+    spec = vb.make_grid(2, 8.0, 32)
+    frame = vb.build_resolution_of_unity(spec, vb.make_ladder(4, 12))
+    f = vb.from_callable(spec, lambda x, y: np.exp(-(x ** 2 + 2 * y ** 2) / 2)
+                         * (1 + 0.5 * np.cos(3 * x)))
+    _check_against_oracle(f, frame, V=2)
+
+
+def test_atom_rejects_unknown_cube(setup2k):
+    spec, ladder, frame = setup2k
+    f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
+    dec = vb.analyze(f, frame, V=2)
+    with pytest.raises(KeyError):
+        dec.atom((3, (0,)))
+
+
+def test_atom_returns_stored_descriptor(setup2k):
+    spec, ladder, frame = setup2k
+    a, _ = _bump_atom(spec, 3, 2, K=2)
+    desc = AtomDescriptor(3, (2,), a, 2, -1, 3.0)
+    dec = AtomicDecomposition(spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0,
+                              {(3, (2,)): 1.0, (3, (3,)): 0.0}, {(3, (2,)): desc})
+    assert dec.atom((3, (2,))) is desc
+    assert np.max(np.abs(dec.atom((3, (3,))).samples.samples)) == 0.0
+    with pytest.raises(ParameterError):
+        AtomicDecomposition(spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0,
+                            {(3, (2,)): 1.0}, {}).atom((3, (2,)))
+
+
+def test_export_atoms_match_oracle(tmp_path):
+    from vbesov.grid import read_raw
+    spec = vb.make_grid(1, 16.0, 256)
+    frame = vb.build_resolution_of_unity(spec, vb.make_ladder(4, 12))
+    f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
+    dec = vb.analyze(f, frame, V=4)
+    ref = analyze_eager(f, frame, V=4)
+    adir = tmp_path / "atoms"
+    export_coefficients(dec, str(tmp_path / "coeffs.csv"), atoms_dir=str(adir))
+    nonzero = [k for k, lam in dec.coefficients.items() if lam != 0.0]
+    assert len(list(adir.iterdir())) == len(nonzero)
+    for v, m in nonzero:
+        got = read_raw(str(adir / ("atom_v%d_m%s.vbgf" % (v, "_".join(map(str, m))))))
+        assert np.array_equal(got.samples, ref.atoms[(v, m)].samples.samples)

@@ -235,3 +235,17 @@ def test_luxemburg_norm_2d_equals_flattened():
         assert vb.luxemburg_norm(f, p).value == flat
         w = f.with_samples(np.ones(spec.shape))
         assert vb.luxemburg_norm(f, p, w).value == flat
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(-300.0, 300.0))
+def test_homogeneity_at_any_magnitude(unit_box, log10_c):
+    c = 10.0 ** log10_c
+    p = vb.field_from_callable(unit_box, lambda x: 2 + np.abs(np.sin(3 * x)), "p", 2.0)
+    f = vb.from_callable(unit_box, lambda x: np.cos(5 * x) * np.exp(-x ** 2))
+    base = vb.luxemburg_norm(f, p).value
+    scaled = vb.luxemburg_norm(f.with_samples(c * f.samples), p).value
+    assert scaled == pytest.approx(c * base, rel=1e-9)
+    v = np.array([1.0, 2.0, 3.0])
+    one = solve_luxemburg(v, [4.0, 4.0, 5.0], 1.0).value
+    assert solve_luxemburg(c * v, [4.0, 4.0, 5.0], 1.0).value == pytest.approx(c * one, rel=1e-9)
