@@ -27,7 +27,7 @@ from .exponents import ExponentField
 from .frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
 from .grid import (GridFunction, GridSpec, cubes_per_axis, finest_aligned_level,
                    from_spectrum, spectral_derivative, spectrum, zero_function)
-from .luxemburg import ScaleLadder, mixed_core, solve_luxemburg
+from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg
 
 COEFF_FLOOR = 1e-14
 SUPPORT_TOL = 1e-6
@@ -358,8 +358,13 @@ def sequence_norm_b(dec: AtomicDecomposition, alpha: ExponentField,
     form="continuous" runs the ladder mixed norm of the octave blocks
     t^{-(alpha(.)+n/2)-1/q(t)} sum_m lambda chi; form="discrete" collapses to
     the fixed exponent q(0) with weights 2^{v(alpha(.)+n/2)}.  half_dim_sign
-    flips the n/2 term's sign for the alternative normalization.
+    flips the n/2 term's sign for the alternative normalization.  The
+    continuous form needs V <= the ladder's octave count.
     """
+    ladder = dec.ladder
+    if form == "continuous" and dec.V > ladder.octaves:
+        raise ParameterError(f"V = {dec.V} levels but the ladder has only "
+                             f"{ladder.octaves} octaves")
     spec = dec.spec
     n = spec.dimension
     h = spec.spacing ** n
@@ -382,19 +387,12 @@ def sequence_norm_b(dec: AtomicDecomposition, alpha: ExponentField,
     if form != "continuous":
         raise ParameterError(f"unknown sequence-norm form {form!r}")
 
-    ladder = dec.ladder
-    terms, q_levels = [], []
+    node_norms = np.zeros(ladder.t.size)  # octaves beyond V stay zero
     for v, S in enumerate(levels, start=1):
         sl = ladder.octave_slice(v)
-        ts = ladder.t[sl]
-        qs = np.asarray(q.value_at(ts), dtype=float)
-        node_norms = np.array([
-            solve_luxemburg(t ** (-(av + half)) * S, pv, h).value for t in ts
-        ])
-        vals = ts ** (-1.0 / qs) * node_norms
-        terms.append((vals, qs, ts * ladder.weights[sl]))
-        q_levels.append(float(q.value_at(ScaleLadder.octave_midpoint(v))))
-    return level0 + mixed_core(terms, q_levels)
+        node_norms[sl] = [solve_luxemburg(t ** (-(av + half)) * S, pv, h).value
+                          for t in ladder.t[sl]]
+    return level0 + octave_block_norm(node_norms, ladder, q)
 
 
 # -- import / export ------------------------------------------------------------

@@ -20,15 +20,14 @@ from .atoms import validate_atom
 from .bank import FunctionBank, make_bank
 from .besov import besov_norm, local_mean_norm, lp_profile
 from .errors import ParameterError
-from .exponents import (field_from_callable, make_exponent_field,
-                        reciprocal_constants)
+from .exponents import (field_from_callable, log_holder_constants,
+                        make_exponent_field, reciprocal_constants)
 from .frame import (BumpParams, build_local_mean_pair,
                     build_resolution_of_unity, eta_kernel)
 from .grid import (GridFunction, GridSpec, convolve, cubes_per_axis,
                    from_callable, from_spectrum, integrate, make_grid,
                    spectral_derivative, spectrum)
-from .luxemburg import (ScaleLadder, mixed_core, octave_block_norm,
-                        solve_luxemburg, t_norm)
+from .luxemburg import octave_block_norm, solve_luxemburg, t_norm
 
 HUGE = 1e12  # constants above this count as "no finite constant"
 
@@ -87,8 +86,9 @@ def check_pointwise_shift(bank: Optional[FunctionBank] = None, m: float = 4.0,
     spec, ladder = bank.spec, bank.ladder
     alpha = bank.exponents["alpha_signchange"]
     alpha_c = bank.exponents["alpha_const05"]
+    clog_alpha = log_holder_constants(alpha, alpha.samples, alpha.limit_value)[0]
     if R is None:
-        R = 2.0 * alpha.clog_local
+        R = 2.0 * clog_alpha
     x = spec.axis_coords()
     xs = x[::x_stride]
     av_s = alpha.grid_values()[::x_stride]
@@ -109,7 +109,7 @@ def check_pointwise_shift(bank: Optional[FunctionBank] = None, m: float = 4.0,
     constants["alpha_const_R0"] = float(w_const.max())
     w_var = max_ratio(av_s, av_s, R, ts)
     constants["alpha_signchange_R2clog"] = float(w_var.max())
-    w_sharp = max_ratio(av_s, av_s, alpha.clog_local, ts)
+    w_sharp = max_ratio(av_s, av_s, clog_alpha, ts)
     constants["alpha_signchange_Rclog"] = float(w_sharp.max())
 
     # origin variant: y = 0, a(0) fixed
@@ -140,7 +140,7 @@ def check_pointwise_shift(bank: Optional[FunctionBank] = None, m: float = 4.0,
               and _stability(constants["alpha_signchange_R2clog"], refined) <= 1.25)
     return CheckReport(
         "pointwise-shift", seed,
-        [{"m": m, "R": R, "clog_alpha": alpha.clog_local, "x_stride": x_stride}],
+        [{"m": m, "R": R, "clog_alpha": clog_alpha, "x_stride": x_stride}],
         constants, _finite(constants), passed, time.time() - t0,
         details={"R0_growth_across_ladder": growth,
                  "refined_constant": refined,
@@ -607,7 +607,7 @@ def check_mixed_equivalence(bank: Optional[FunctionBank] = None,
     alpha = bank.exponents["alpha_signchange"].grid_values()
     p = bank.exponents["p_sin"].grid_values()
     member_cycle = ["gauss_w1", "modgauss_f4", "bandnoise_a", "smoothstep_w1"]
-    terms, q_levels, rhs_acc = [], [], 0.0
+    node_vals, rhs_acc = [], 0.0
     q0 = float(ql.limit_value)
     for v in range(1, V + 1):
         f = bank[member_cycle[(v - 1) % len(member_cycle)]]
@@ -616,15 +616,10 @@ def check_mixed_equivalence(bank: Optional[FunctionBank] = None,
         j = nc // 2  # cube just right of the origin
         masked = np.zeros(spec.shape)
         masked[j * spc:(j + 1) * spc] = np.abs(f.samples[j * spc:(j + 1) * spc])
-        sl = ladder.octave_slice(v)
-        ts = ladder.t[sl]
-        qs = np.asarray(ql.value_at(ts))
-        node_vals = np.array([
-            solve_luxemburg(t ** (-alpha) * masked, p, h).value for t in ts])
-        terms.append((ts ** (-1.0 / qs) * node_vals, qs, ts * ladder.weights[sl]))
-        q_levels.append(float(ql.value_at(ScaleLadder.octave_midpoint(v))))
+        node_vals += [solve_luxemburg(t ** (-alpha) * masked, p, h).value
+                      for t in ladder.t[ladder.octave_slice(v)]]
         rhs_acc += solve_luxemburg(2.0 ** (v * alpha) * masked, p, h).value ** q0
-    lhs = mixed_core(terms, q_levels)
+    lhs = octave_block_norm(np.array(node_vals), ladder, ql)
     rhs = rhs_acc ** (1.0 / q0)
     constants["masked_cube_ratio"] = lhs / rhs
 

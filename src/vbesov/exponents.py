@@ -1,10 +1,11 @@
 """Variable exponent fields p(.), alpha(.), q(t) and their regularity constants.
 
-A field is a sampled function together with cached extrema and estimated
-log-Holder constants.  Spatial fields (kinds "p" and "alpha") live on a
-GridSpec; "q_of_t" fields live on a log-spaced t-axis in (0, 1] and carry the
-limit q(0) explicitly, turning "log-Holder continuous at the origin" into a
-checkable inequality on that axis.
+A field is a sampled function together with its extrema.  Spatial fields
+(kinds "p" and "alpha") live on a GridSpec; "q_of_t" fields live on a
+log-spaced t-axis in (0, 1] and carry the limit q(0) explicitly, turning
+"log-Holder continuous at the origin" into a checkable inequality on that
+axis.  The log-Holder constants are estimated by `log_holder_constants` where
+a check reads them; building a field does not compute them.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _pair_constant(coords: np.ndarray, values: np.ndarray,
 
 @dataclass(frozen=True)
 class ExponentField:
-    """Sampled variable exponent with cached admissibility data."""
+    """Sampled variable exponent with its extrema."""
 
     kind: str
     coords: np.ndarray          # sample positions: x (spatial) or t in (0,1]
@@ -84,9 +85,6 @@ class ExponentField:
     limit_value: Optional[float] = None   # p_infty, or q(0) for q_of_t
     cached_min: float = 0.0
     cached_max: float = 0.0
-    clog_local: float = 0.0
-    clog_decay: Optional[float] = None
-    witness_local: tuple = ()
 
     @property
     def is_constant(self) -> bool:
@@ -123,7 +121,7 @@ def make_exponent_field(
     spec: Optional[GridSpec] = None,
     t_coords: Optional[np.ndarray] = None,
 ) -> ExponentField:
-    """Build a field, validate admissibility, cache extrema and constants.
+    """Build a field, validate admissibility, cache extrema.
 
     Spatial kinds need `spec`; q_of_t needs `t_coords` in (0,1] and a finite
     limit_value = q(0).
@@ -164,20 +162,9 @@ def make_exponent_field(
     if cmin == cmax and limit_value is None:
         limit_value = cmin
 
-    clog_local, witness = _pair_constant(
-        coords, vals, None if spec is None else spec.shape)
-    clog_decay = None
-    if limit_value is not None:
-        if kind == "q_of_t":
-            clog_decay = float(np.max(np.abs(vals - limit_value) * np.log(np.e + 1.0 / coords)))
-        else:
-            r = np.abs(coords) if coords.ndim == 1 else np.linalg.norm(coords, axis=-1)
-            clog_decay = float(np.max(np.abs(vals - limit_value) * np.log(np.e + r)))
-
     return ExponentField(
         kind=kind, coords=coords, samples=vals, spec=spec,
         limit_value=limit_value, cached_min=cmin, cached_max=cmax,
-        clog_local=clog_local, clog_decay=clog_decay, witness_local=witness,
     )
 
 
@@ -201,19 +188,31 @@ def constant_field(spec: GridSpec, value: float, kind: str = "p") -> ExponentFie
     return make_exponent_field(np.full(spec.size, float(value)), kind, float(value), spec=spec)
 
 
-def reciprocal_constants(g: ExponentField) -> Tuple[float, Optional[float]]:
-    """log-Holder constants of 1/g, as needed by the damping factors gamma_m."""
-    clog_local, _ = _pair_constant(
-        g.coords, 1.0 / g.samples, None if g.spec is None else g.spec.shape)
+def log_holder_constants(g: ExponentField, values: np.ndarray,
+                         limit: Optional[float]) -> Tuple[float, Optional[float], tuple]:
+    """(local constant, decay constant, witness pair) of `values` on g's samples.
+
+    The local constant and its witness pair of sample indices come from
+    `_pair_constant`.  The decay constant is max |values - limit| times
+    log(e + 1/t) on the t-axis of a q_of_t field and log(e + |x|) on a grid;
+    it is None without a limit.
+    """
+    clog_local, witness = _pair_constant(
+        g.coords, values, None if g.spec is None else g.spec.shape)
     clog_decay = None
-    if g.limit_value is not None:
-        inv_limit = 1.0 / g.limit_value
+    if limit is not None:
         if g.kind == "q_of_t":
-            clog_decay = float(np.max(np.abs(1.0 / g.samples - inv_limit)
-                                      * np.log(np.e + 1.0 / g.coords)))
+            clog_decay = float(np.max(np.abs(values - limit) * np.log(np.e + 1.0 / g.coords)))
         else:
             r = np.abs(g.coords) if g.coords.ndim == 1 else np.linalg.norm(g.coords, axis=-1)
-            clog_decay = float(np.max(np.abs(1.0 / g.samples - inv_limit) * np.log(np.e + r)))
+            clog_decay = float(np.max(np.abs(values - limit) * np.log(np.e + r)))
+    return clog_local, clog_decay, witness
+
+
+def reciprocal_constants(g: ExponentField) -> Tuple[float, Optional[float]]:
+    """log-Holder constants of 1/g, as needed by the damping factors gamma_m."""
+    inv_limit = None if g.limit_value is None else 1.0 / g.limit_value
+    clog_local, clog_decay, _ = log_holder_constants(g, 1.0 / g.samples, inv_limit)
     return clog_local, clog_decay
 
 
@@ -231,15 +230,16 @@ def check_class(g: ExponentField) -> ClassReport:
     so the verdict is about finiteness of the constants plus presence of the
     limit value; the witnesses expose where the constants are attained.
     """
-    finite_local = np.isfinite(g.clog_local)
-    finite_decay = g.clog_decay is not None and np.isfinite(g.clog_decay)
+    clog_local, clog_decay, witness = log_holder_constants(g, g.samples, g.limit_value)
+    finite_local = np.isfinite(clog_local)
+    finite_decay = clog_decay is not None and np.isfinite(clog_decay)
     witnesses = {
-        "clog_local": g.clog_local,
-        "clog_decay": g.clog_decay,
-        "worst_pair_indices": tuple(int(i) for i in g.witness_local),
+        "clog_local": clog_local,
+        "clog_decay": clog_decay,
+        "worst_pair_indices": tuple(int(i) for i in witness),
     }
-    if g.witness_local:
-        i, j = g.witness_local
+    if witness:
+        i, j = witness
         witnesses["worst_pair"] = {
             "coord_a": np.asarray(g.coords[i]).tolist(),
             "coord_b": np.asarray(g.coords[j]).tolist(),
@@ -254,7 +254,7 @@ def check_class(g: ExponentField) -> ClassReport:
 
 
 def write_field_csv(g: ExponentField, path: str, sidecar: Optional[str] = None) -> None:
-    """CSV of (coordinate, value); cached constants go to a JSON sidecar."""
+    """CSV of (coordinate, value); extrema and constants go to a JSON sidecar."""
     import csv as _csv
     with open(path, "w", newline="") as fh:
         w = _csv.writer(fh)
@@ -268,13 +268,14 @@ def write_field_csv(g: ExponentField, path: str, sidecar: Optional[str] = None) 
                 w.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
     if sidecar is not None:
         from .reporting import dump_json
+        clog_local, clog_decay, _ = log_holder_constants(g, g.samples, g.limit_value)
         dump_json({
             "kind": g.kind,
             "min": g.cached_min,
             "max": g.cached_max,
             "limit_value": g.limit_value,
-            "clog_local": g.clog_local,
-            "clog_decay": g.clog_decay,
+            "clog_local": clog_local,
+            "clog_decay": clog_decay,
         }, sidecar)
 
 

@@ -129,9 +129,6 @@ class GridFunction:
     def with_samples(self, samples: np.ndarray, tag: Optional[str] = None) -> "GridFunction":
         return GridFunction(self.spec, samples, tag if tag is not None else self.tag)
 
-    def real_samples(self) -> np.ndarray:
-        return self.samples.real
-
     def abs_samples(self) -> np.ndarray:
         return np.abs(self.samples)
 

@@ -55,10 +55,6 @@ class ScaleLadder:
     def octave_midpoint(v: int) -> float:
         return 3.0 * 2.0 ** (-v - 1)
 
-    @property
-    def t_min(self) -> float:
-        return float(self.t[-1])
-
 
 def make_ladder(octaves: int = 8, nodes_per_octave: int = 12) -> ScaleLadder:
     if octaves < 1 or nodes_per_octave < 1:

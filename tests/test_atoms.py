@@ -218,6 +218,30 @@ def test_sequence_norm_sign_switch(setup2k):
     assert plus > minus  # the +n/2 normalization weighs fine levels more
 
 
+def test_sequence_norm_rejects_levels_beyond_the_ladder(tmp_path, setup2k):
+    spec, _, _ = setup2k
+    path = tmp_path / "coeffs.csv"
+    path.write_text("v,m0,lambda\n" + "".join(
+        f"{v},0,{100.0 if v >= 4 else 1.0}\n" for v in range(6)))
+    p2 = vb.constant_field(spec, 2.0)
+    a05 = vb.constant_field(spec, 0.5, "alpha")
+    short = vb.make_ladder(3, 12)
+    q2 = vb.q_field_from_callable(short.t, lambda t: 2.0 + 0 * t, 2.0)
+    dec = import_coefficients(str(path), spec, short)
+    assert dec.V == 5
+    with pytest.raises(ParameterError, match=r"V = 5 .* 3 octaves"):
+        vb.sequence_norm_b(dec, a05, p2, q2, form="continuous")
+    # the discrete form has no ladder and reads every level
+    shallow = dataclasses.replace(dec, V=3)
+    assert (vb.sequence_norm_b(dec, a05, p2, q2, form="discrete")
+            > vb.sequence_norm_b(shallow, a05, p2, q2, form="discrete"))
+    # a ladder deep enough for V takes the deep levels into account
+    deep = vb.make_ladder(5, 12)
+    q5 = vb.q_field_from_callable(deep.t, lambda t: 2.0 + 0 * t, 2.0)
+    full = vb.sequence_norm_b(import_coefficients(str(path), spec, deep), a05, p2, q5)
+    assert full > vb.sequence_norm_b(shallow, a05, p2, q2)
+
+
 def test_export_import_roundtrip(tmp_path, setup2k):
     spec, ladder, frame = setup2k
     f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))

@@ -6,14 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 import vbesov as vb
 from vbesov.errors import AdmissibilityError, ParameterError
-from vbesov.exponents import reciprocal_constants
+from vbesov.cli import main
+from vbesov.exponents import log_holder_constants, reciprocal_constants
+
+
+def _constants(fld):
+    """(clog_local, clog_decay, witness) of the field itself."""
+    return log_holder_constants(fld, fld.samples, fld.limit_value)
 
 
 def test_constant_field(spec1k):
     p = vb.constant_field(spec1k, 2.0)
     assert p.cached_min == p.cached_max == 2.0
-    assert p.clog_local == 0.0
-    assert p.clog_decay == 0.0
+    assert _constants(p)[:2] == (0.0, 0.0)
 
 
 def test_constant_fields_skip_the_pair_scan(spec1k, ladder):
@@ -22,8 +27,9 @@ def test_constant_fields_skip_the_pair_scan(spec1k, ladder):
               vb.constant_field(spec2, 3.0),
               vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)]
     for fld in fields:
-        assert fld.clog_local == 0.0
-        assert fld.witness_local == (0, 0)
+        clog_local, _, witness = _constants(fld)
+        assert clog_local == 0.0
+        assert witness == (0, 0)
 
 
 @pytest.mark.parametrize("N, fn", [
@@ -36,8 +42,8 @@ def test_2d_log_holder_axis_symmetric(N, fn):
     spec = vb.make_grid(2, 16.0, N)
     across_x = vb.field_from_callable(spec, lambda x, y: fn(x), "p", None)
     across_y = vb.field_from_callable(spec, lambda x, y: fn(y), "p", None)
-    assert across_x.clog_local > 0
-    assert across_x.clog_local == across_y.clog_local
+    assert _constants(across_x)[0] > 0
+    assert _constants(across_x)[0] == _constants(across_y)[0]
     assert reciprocal_constants(across_x)[0] == reciprocal_constants(across_y)[0]
 
 
@@ -78,14 +84,14 @@ def test_origin_decay_field_reads_back_constant():
         return np.where(ax == 0, 0.0, c / np.log(np.e + 1.0 / np.where(ax == 0, 1.0, ax)))
 
     fld = vb.field_from_callable(spec, lambda x: 2.0 + g(x), "alpha", 2.0)
-    assert abs(fld.clog_local - c) / c < 0.10
+    assert abs(_constants(fld)[0] - c) / c < 0.10
 
 
 def test_jump_field_constant_grows_like_log_h(spec4k):
     h = spec4k.spacing
     vals = np.where(spec4k.axis_coords() < 0, 2.0, 3.0)
     fld = vb.make_exponent_field(vals, "p", 2.5, spec=spec4k)
-    assert fld.clog_local == pytest.approx(math.log(math.e + 1.0 / h), rel=1e-12)
+    assert _constants(fld)[0] == pytest.approx(math.log(math.e + 1.0 / h), rel=1e-12)
     rep = vb.check_class(fld)
     i, j = rep.witnesses["worst_pair_indices"]
     assert abs(i - j) == 1  # the witness is the adjacent pair at the jump
@@ -97,8 +103,9 @@ def test_scaling_scales_constants_exactly(lam):
     spec = vb.make_grid(1, 8.0, 64)
     base = vb.field_from_callable(spec, lambda x: np.sin(x) + 0.2 * x, "alpha", 0.0)
     scaled = vb.make_exponent_field(lam * base.samples, "alpha", 0.0, spec=spec)
-    assert scaled.clog_local == pytest.approx(lam * base.clog_local, rel=1e-12)
-    assert scaled.clog_decay == pytest.approx(lam * base.clog_decay, rel=1e-12)
+    (base_local, base_decay, _), (local, decay, _) = _constants(base), _constants(scaled)
+    assert local == pytest.approx(lam * base_local, rel=1e-12)
+    assert decay == pytest.approx(lam * base_decay, rel=1e-12)
 
 
 def test_check_class_constant_all_true(spec1k):
@@ -113,7 +120,7 @@ def test_q_field_origin_class(ladder):
     rep = vb.check_class(q)
     assert rep.is_log_holder_at_origin
     # |q(t) - q(0)| log(e + 1/t) = 1 identically for the generating formula
-    assert q.clog_decay == pytest.approx(1.0, abs=1e-9)
+    assert _constants(q)[1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_q_field_requires_limit(ladder):
@@ -132,6 +139,8 @@ def test_reciprocal_constants_positive(spec1k):
         spec1k, lambda x: 3 + np.sin(2 * np.pi * x / 16), "p", 3.0)
     cl, cd = reciprocal_constants(p)
     assert cl > 0 and cd is not None and cd > 0
+    inv = vb.make_exponent_field(1.0 / p.samples, "alpha", 1.0 / 3.0, spec=spec1k)
+    assert (cl, cd) == _constants(inv)[:2]  # the field constants of 1/p
 
 
 def test_field_csv_roundtrip(tmp_path, spec1k):
@@ -144,7 +153,7 @@ def test_field_csv_roundtrip(tmp_path, spec1k):
     assert np.max(np.abs(back.samples - p.samples)) < 1e-15
     import json
     doc = json.load(open(side))
-    assert doc["min"] == p.cached_min and doc["clog_local"] == p.clog_local
+    assert doc["min"] == p.cached_min and doc["clog_local"] == _constants(p)[0]
 
 
 def test_q_field_csv_roundtrip(tmp_path, ladder):
@@ -154,3 +163,29 @@ def test_q_field_csv_roundtrip(tmp_path, ladder):
     write_field_csv(q, path)
     back = read_field_csv(path, "q_of_t", 2.0)
     assert np.max(np.abs(back.samples - q.samples)) < 1e-15
+
+
+# the "variable" exponents of the benchmark workloads, on a small grid
+VARIABLE_EXPONENTS = """
+p = 3 + sin(2 * pi * x / 16)
+alpha = 3 / 10 + 3 / 5 * sin(2 * pi * x / 16)
+q = 2 + 1 / log(e + 1 / t)
+points = 256
+octaves = 4
+member = gauss_w05
+"""
+
+
+def test_requests_never_run_the_pair_scan(tmp_path, monkeypatch):
+    import vbesov.exponents as exponents_mod
+
+    def no_pair_scan(*args, **kwargs):
+        raise AssertionError("a request estimated a log-Holder constant")
+
+    monkeypatch.setattr(exponents_mod, "_pair_constant", no_pair_scan)
+    cfg = tmp_path / "variable.cfg"
+    cfg.write_text(VARIABLE_EXPONENTS)
+    out = str(tmp_path / "out")
+    for form in ("direct", "local_mean_double_prime"):
+        assert main(["norm", "--config", str(cfg), "--out", out, "--form", form]) == 0
+    assert main(["decompose", "--config", str(cfg), "--out", out]) == 0
