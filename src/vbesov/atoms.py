@@ -361,6 +361,8 @@ def sequence_norm_b(dec: AtomicDecomposition, alpha: ExponentField,
     flips the n/2 term's sign for the alternative normalization.  The
     continuous form needs V <= the ladder's octave count.
     """
+    if form not in ("continuous", "discrete"):
+        raise ParameterError(f"unknown sequence-norm form {form!r}")
     ladder = dec.ladder
     if form == "continuous" and dec.V > ladder.octaves:
         raise ParameterError(f"V = {dec.V} levels but the ladder has only "
@@ -384,8 +386,6 @@ def sequence_norm_b(dec: AtomicDecomposition, alpha: ExponentField,
             weight = 2.0 ** (v * (av + half))
             acc += solve_luxemburg(weight * S, pv, h).value ** q0
         return level0 + acc ** (1.0 / q0)
-    if form != "continuous":
-        raise ParameterError(f"unknown sequence-norm form {form!r}")
 
     node_norms = np.zeros(ladder.t.size)  # octaves beyond V stay zero
     for v, S in enumerate(levels, start=1):

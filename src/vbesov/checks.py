@@ -10,8 +10,8 @@ constants below so the whole suite is deterministic under a seed.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -34,14 +34,26 @@ HUGE = 1e12  # constants above this count as "no finite constant"
 
 @dataclass
 class CheckReport:
+    """One check's measured constants and verdict.
+
+    Every constant must be finite and below HUGE: construction appends each
+    one that is not to `violations` and fails the report.  `runtime_s` is
+    wall time, set by run_checks and kept out of to_dict().
+    """
     check_id: str
     seed: int
     configurations: List[dict]
     constants: Dict[str, float]
     violations: List[dict]
     passed: bool
-    runtime_s: float
     details: dict = field(default_factory=dict)
+    runtime_s: float = 0.0
+
+    def __post_init__(self):
+        unbounded = [{"config": k, "constant": v} for k, v in self.constants.items()
+                     if not (np.isfinite(v) and v < HUGE)]
+        self.violations = self.violations + unbounded
+        self.passed = bool(self.passed) and not unbounded
 
     def to_dict(self) -> dict:
         return {
@@ -51,14 +63,8 @@ class CheckReport:
             "constants": self.constants,
             "violations": self.violations,
             "passed": self.passed,
-            "runtime_s": round(self.runtime_s, 3),
             "details": self.details,
         }
-
-
-def _finite(constants: Dict[str, float]) -> List[dict]:
-    return [{"config": k, "constant": v} for k, v in constants.items()
-            if not (np.isfinite(v) and v < HUGE)]
 
 
 def _stability(base: float, refined: float) -> float:
@@ -72,7 +78,7 @@ def _stability(base: float, refined: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_pointwise_shift(bank: Optional[FunctionBank] = None, m: float = 4.0,
+def check_pointwise_shift(bank: FunctionBank, m: float = 4.0,
                           R: Optional[float] = None, seed: int = 7,
                           x_stride: int = 16) -> CheckReport:
     """t^{-a(x)} eta_{t,m+R}(x-y) <= c t^{-a(y)} eta_{t,m}(x-y) for R >= clog(a).
@@ -80,12 +86,8 @@ def check_pointwise_shift(bank: Optional[FunctionBank] = None, m: float = 4.0,
     Also runs the origin variant and the designed R = 0 failure, whose
     constant must grow across the ladder.
     """
-    t0 = time.time()
-    if bank is None:
-        bank = make_bank()
     spec, ladder = bank.spec, bank.ladder
     alpha = bank.exponents["alpha_signchange"]
-    alpha_c = bank.exponents["alpha_const05"]
     clog_alpha = log_holder_constants(alpha, alpha.samples, alpha.limit_value)[0]
     if R is None:
         R = 2.0 * clog_alpha
@@ -93,23 +95,24 @@ def check_pointwise_shift(bank: Optional[FunctionBank] = None, m: float = 4.0,
     xs = x[::x_stride]
     av_s = alpha.grid_values()[::x_stride]
 
-    def max_ratio(afield_vals, a0_vals, R_order, ts):
-        # ratio_t(x,y) = t^{a(y)-a(x)} (1 + |x-y|/t)^{-R}
+    ts = ladder.t
+
+    def max_ratio(xs, av, R_order):
+        # ratio_t(x,y) = t^{a(y)-a(x)} (1 + |x-y|/t)^{-R}, worst per t
         worst_per_t = np.empty(len(ts))
         d = np.abs(xs[:, None] - xs[None, :])
-        dexp = a0_vals[None, :] - afield_vals[:, None]  # a(y) - a(x), x rows
+        dexp = av[None, :] - av[:, None]  # a(y) - a(x), x rows
         for i, t in enumerate(ts):
             ratio = t ** (-dexp) * (1.0 + d / t) ** (-R_order)
             worst_per_t[i] = ratio.max()
         return worst_per_t
 
     constants: Dict[str, float] = {}
-    ts = ladder.t
-    w_const = max_ratio(av_s * 0 + 0.5, av_s * 0 + 0.5, 0.0, ts)
+    w_const = max_ratio(xs, av_s * 0 + 0.5, 0.0)
     constants["alpha_const_R0"] = float(w_const.max())
-    w_var = max_ratio(av_s, av_s, R, ts)
+    w_var = max_ratio(xs, av_s, R)
     constants["alpha_signchange_R2clog"] = float(w_var.max())
-    w_sharp = max_ratio(av_s, av_s, clog_alpha, ts)
+    w_sharp = max_ratio(xs, av_s, clog_alpha)
     constants["alpha_signchange_Rclog"] = float(w_sharp.max())
 
     # origin variant: y = 0, a(0) fixed
@@ -122,26 +125,20 @@ def check_pointwise_shift(bank: Optional[FunctionBank] = None, m: float = 4.0,
     constants["origin_variant"] = worst
 
     # designed failure: R = 0, nonconstant alpha -> per-t constant diverges
-    w_fail = max_ratio(av_s, av_s, 0.0, ts)
+    w_fail = max_ratio(xs, av_s, 0.0)
     growth = float(w_fail.max() / max(w_fail.min(), 1e-300))
 
     # refinement: halve the stride
-    xs2 = x[:: max(1, x_stride // 2)]
-    av2 = alpha.grid_values()[:: max(1, x_stride // 2)]
-    d2 = np.abs(xs2[:, None] - xs2[None, :])
-    dexp2 = av2[None, :] - av2[:, None]
-    refined = 0.0
-    for t in ts:
-        refined = max(refined, float((t ** (-dexp2) * (1 + d2 / t) ** (-R)).max()))
+    half = max(1, x_stride // 2)
+    refined = float(max_ratio(x[::half], alpha.grid_values()[::half], R).max())
 
     passed = (abs(constants["alpha_const_R0"] - 1.0) <= 1e-9
-              and all(np.isfinite(v) and v < HUGE for v in constants.values())
               and growth > 10.0
               and _stability(constants["alpha_signchange_R2clog"], refined) <= 1.25)
     return CheckReport(
         "pointwise-shift", seed,
         [{"m": m, "R": R, "clog_alpha": clog_alpha, "x_stride": x_stride}],
-        constants, _finite(constants), passed, time.time() - t0,
+        constants, [], passed,
         details={"R0_growth_across_ladder": growth,
                  "refined_constant": refined,
                  "per_t_constants_R0": {"t_max": float(w_fail[0]), "t_min": float(w_fail[-1])}},
@@ -153,7 +150,7 @@ def check_pointwise_shift(bank: Optional[FunctionBank] = None, m: float = 4.0,
 # ---------------------------------------------------------------------------
 
 
-def check_subconvolution(bank: Optional[FunctionBank] = None, m: float = 4.0,
+def check_subconvolution(bank: FunctionBank, m: float = 4.0,
                          seed: int = 7,
                          scales: Sequence[int] = (4, 16, 64)) -> CheckReport:
     """|theta_N * omega_N * g| <= c (eta_{N,m} * |omega_N * g|^r)^{1/r}.
@@ -161,9 +158,6 @@ def check_subconvolution(bank: Optional[FunctionBank] = None, m: float = 4.0,
     omega is band-limited (spectrum inside the unit ball), theta Gaussian;
     reports min c per (r, N) over a bank subset and the stability across N.
     """
-    t0 = time.time()
-    if bank is None:
-        bank = make_bank()
     spec = bank.spec
     frame_profile = build_resolution_of_unity(spec, bank.ladder).profile
     members = ["gauss_w1", "modgauss_f4", "weier_s05", "bandnoise_a",
@@ -192,12 +186,11 @@ def check_subconvolution(bank: Optional[FunctionBank] = None, m: float = 4.0,
     for r in (1.0, 0.5):
         vals = [constants[f"r={r}_N={N}"] for N in scales]
         stab[f"r={r}"] = max(vals) / min(vals)
-    passed = (all(np.isfinite(v) and v < HUGE for v in constants.values())
-              and stab["r=1.0"] <= 2.0)
+    passed = stab["r=1.0"] <= 2.0
     return CheckReport(
         "subconvolution", seed,
         [{"m": m, "scales": list(scales), "members": members}],
-        constants, _finite(constants), passed, time.time() - t0,
+        constants, [], passed,
         details={"stability_across_N": stab},
     )
 
@@ -207,7 +200,7 @@ def check_subconvolution(bank: Optional[FunctionBank] = None, m: float = 4.0,
 # ---------------------------------------------------------------------------
 
 
-def check_eta_algebra(bank: Optional[FunctionBank] = None, m: float = 4.0,
+def check_eta_algebra(bank: FunctionBank, m: float = 4.0,
                       seed: int = 7, level_range: Sequence[int] = range(0, 7),
                       window: float = 6.0) -> CheckReport:
     """eta_{v0,m} * eta_{v1,m} ~ eta_{min(v0,v1),m} and cube-average comparison.
@@ -215,9 +208,6 @@ def check_eta_algebra(bank: Optional[FunctionBank] = None, m: float = 4.0,
     The two-sided constants are measured on |x| <= window (the box truncates
     the kernels' tails; the window keeps wraparound out of the ratio).
     """
-    t0 = time.time()
-    if bank is None:
-        bank = make_bank()
     spec = bank.spec
     x = spec.axis_coords()
     sel = np.abs(x) <= window
@@ -263,11 +253,11 @@ def check_eta_algebra(bank: Optional[FunctionBank] = None, m: float = 4.0,
               for t in (1.0, t_cmp, 1.0 / 64.0)}
     mass_dev = abs(masses[1.0] - masses[t_cmp]) / masses[1.0]
 
-    passed = (worst_two < HUGE and worst_cube < HUGE and mass_dev < 1e-2)
+    passed = mass_dev < 1e-2
     return CheckReport(
         "eta-algebra", seed,
         [{"m": m, "levels": list(level_range), "window": window}],
-        constants, _finite(constants), passed, time.time() - t0,
+        constants, [], passed,
         details={"eta_masses": {str(k): v for k, v in masses.items()},
                  "mass_t_independence_rel": mass_dev,
                  "continuum_mass_2_over_m_minus_1": 2.0 / (m - 1.0)},
@@ -279,13 +269,10 @@ def check_eta_algebra(bank: Optional[FunctionBank] = None, m: float = 4.0,
 # ---------------------------------------------------------------------------
 
 
-def check_hardy(bank: Optional[FunctionBank] = None, seed: int = 7,
+def check_hardy(bank: FunctionBank, seed: int = 7,
                 lengths: Sequence[int] = (16, 64, 256), draws: int = 20) -> CheckReport:
     """Discrete: ||sum_j |k-j|^sigma a^|k-j| eps_j||_q <= c ||eps||_q.
     Continuous: cumulative t^s / t^-s averages bounded on L^{q(.)}((0,1],dt/t)."""
-    t0 = time.time()
-    if bank is None:
-        bank = make_bank()
     rng = np.random.default_rng(seed)
     constants: Dict[str, float] = {}
 
@@ -358,13 +345,11 @@ def check_hardy(bank: Optional[FunctionBank] = None, seed: int = 7,
                 worst = max(worst, num / den)
             constants[f"continuous_s={s}_{qname}"] = worst
 
-    passed = (abs(impulse_c - 3.0) <= 1e-9
-              and all(np.isfinite(v) and v < HUGE for v in constants.values())
-              and stability <= 1.05)
+    passed = abs(impulse_c - 3.0) <= 1e-9 and stability <= 1.05
     return CheckReport(
         "hardy", seed,
         [{"lengths": list(lengths), "draws": draws}],
-        constants, _finite(constants), passed, time.time() - t0,
+        constants, [], passed,
         details={"length_stability_sigma0_a05_q2": stability},
     )
 
@@ -383,7 +368,7 @@ def _origin_constant_of_reciprocal(t: np.ndarray, p: np.ndarray, p0: float) -> f
     return float(np.max(np.abs(1.0 / p - 1.0 / p0) * np.log(np.e + 1.0 / t)))
 
 
-def check_key_modular(bank: Optional[FunctionBank] = None, m: float = 2.0,
+def check_key_modular(bank: FunctionBank, m: float = 2.0,
                       seed: int = 7, cubes_per_level: int = 8,
                       x_per_cube: int = 24, pairs: int = 40) -> CheckReport:
     """(gamma_m avg_Q |f| w)^{p(x)} <= c [main term + damped tail term].
@@ -393,9 +378,6 @@ def check_key_modular(bank: Optional[FunctionBank] = None, m: float = 2.0,
     normalized to unit weighted Luxemburg norm first; the two RHS terms are
     reported separately so the binding one is visible.
     """
-    t0 = time.time()
-    if bank is None:
-        bank = make_bank()
     spec = bank.spec
     h = spec.spacing
     xg = spec.axis_coords()
@@ -536,12 +518,11 @@ def check_key_modular(bank: Optional[FunctionBank] = None, m: float = 2.0,
     # over the full set
     subset_ok = all(subset_constants[k] <= constants[k] * (1 + 1e-12)
                     for k in subset_constants)
-    passed = (jensen_ok and subset_ok
-              and all(np.isfinite(v) and v < HUGE for v in constants.values()))
+    passed = jensen_ok and subset_ok
     return CheckReport(
         "key-modular", seed,
         [{"m": m, "cubes_per_level": cubes_per_level, "members": members}],
-        constants, _finite(constants), passed, time.time() - t0,
+        constants, [], passed,
         details={"tail_term_share_at_worst": tail_share,
                  "jensen_constant_at_most_one": jensen_ok,
                  "subset_constants": subset_constants,
@@ -554,13 +535,10 @@ def check_key_modular(bank: Optional[FunctionBank] = None, m: float = 2.0,
 # ---------------------------------------------------------------------------
 
 
-def check_mixed_equivalence(bank: Optional[FunctionBank] = None,
+def check_mixed_equivalence(bank: FunctionBank,
                             seed: int = 7, draws: int = 12) -> CheckReport:
     """Octave-block mixed norm vs (sum ||f_v||^{q(0)})^{1/q(0)}, the masked-cube
     variant with t^{-alpha}, and the 2^{-|k-v|delta} smoothing bound."""
-    t0 = time.time()
-    if bank is None:
-        bank = make_bank()
     ladder = bank.ladder
     V = ladder.octaves
     rng = np.random.default_rng(seed)
@@ -637,12 +615,11 @@ def check_mixed_equivalence(bank: Optional[FunctionBank] = None,
 
     passed = (const_dev <= 1e-9
               and 0.5 <= ratio_lo and ratio_hi <= 2.0
-              and constants["single_level_spread"] <= 1.10
-              and all(np.isfinite(v) and v < HUGE for v in constants.values()))
+              and constants["single_level_spread"] <= 1.10)
     return CheckReport(
         "mixed-equivalence", seed,
         [{"draws": draws, "octaves": V}],
-        constants, _finite(constants), passed, time.time() - t0,
+        constants, [], passed,
         details={"single_level_values": sweep.tolist()},
     )
 
@@ -697,15 +674,12 @@ def _fj_atom(spec: GridSpec, v: int, mloc: int, K: int, L: int):
     return GridFunction(spec, a.samples / worst)
 
 
-def check_kernel_decay(bank: Optional[FunctionBank] = None, seed: int = 7,
+def check_kernel_decay(bank: FunctionBank, seed: int = 7,
                        N_poly: float = 4.0,
                        moment_orders: Sequence[int] = (-1, 1, 3)) -> CheckReport:
     """sup_z |mu_t * rho(z)| (1+|z|)^N ~ t^{M+1} for mu with M+1 vanishing
     moments; M = -1 shows no gain.  The FJ variant regresses both decay
     exponents of band transforms of a constructed atom."""
-    t0 = time.time()
-    if bank is None:
-        bank = make_bank()
     spec = bank.spec
     x = spec.axis_coords()
     rho = from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
@@ -730,19 +704,18 @@ def check_kernel_decay(bank: Optional[FunctionBank] = None, seed: int = 7,
     frame = build_resolution_of_unity(spec, bank.ladder)
     Fa = spectrum(atom)
     xQ = 2.0 ** (-v) * mloc
-    fine_j = np.arange(v, v + 5)
-    fine_sups = []
-    for j in fine_j:
+
+    def band_sup(j, dilation):
+        # sup of the level-j band of the atom, weighted by decay away from x_Q
         conv = from_spectrum(spec, frame.profile.phi_hat(2.0 ** (-j) * sr) * Fa)
-        fine_sups.append(float(np.max(conv.abs_samples()
-                                      * (1 + 2.0 ** v * np.abs(x - xQ)) ** N_poly)))
+        return float(np.max(conv.abs_samples()
+                            * (1 + dilation * np.abs(x - xQ)) ** N_poly))
+
+    fine_j = np.arange(v, v + 5)
+    fine_sups = [band_sup(j, 2.0 ** v) for j in fine_j]
     slope_K = float(-np.polyfit(fine_j, np.log2(fine_sups), 1)[0])
     coarse_j = np.arange(0, v + 1)
-    coarse_sups = []
-    for j in coarse_j:
-        conv = from_spectrum(spec, frame.profile.phi_hat(2.0 ** (-j) * sr) * Fa)
-        coarse_sups.append(float(np.max(conv.abs_samples()
-                                        * (1 + 2.0 ** j * np.abs(x - xQ)) ** N_poly)))
+    coarse_sups = [band_sup(j, 2.0 ** j) for j in coarse_j]
     slope_L = float(np.polyfit(coarse_j, np.log2(coarse_sups), 1)[0])
     slopes["fj_fine_scale"] = slope_K
     slopes["fj_coarse_scale"] = slope_L
@@ -759,7 +732,7 @@ def check_kernel_decay(bank: Optional[FunctionBank] = None, seed: int = 7,
         "kernel-decay", seed,
         [{"N_poly": N_poly, "moment_orders": list(moment_orders),
           "fj_atom": {"v": v, "m": mloc, "K": K, "L": L}}],
-        constants, [], passed, time.time() - t0,
+        constants, [], passed,
         details={"slopes": slopes,
                  "fj_atom_validation": atom_report.validation},
     )
@@ -775,7 +748,7 @@ def _scaled_profile(base, s: float):
     return ScaleProfile(base.ladder, base.values * base.ladder.t ** (-s), base.level0)
 
 
-def check_embeddings(bank: Optional[FunctionBank] = None, seed: int = 7,
+def check_embeddings(bank: FunctionBank, seed: int = 7,
                      variable_members: int = 6) -> CheckReport:
     """Target norm <= c * source norm for the three embedding regimes.
 
@@ -783,9 +756,6 @@ def check_embeddings(bank: Optional[FunctionBank] = None, seed: int = 7,
     shared and rescaled); the variable-exponent spot checks run on a member
     subset.  The fixed-q q-monotonicity configuration must have c <= 1.1.
     """
-    t0 = time.time()
-    if bank is None:
-        bank = make_bank()
     spec, ladder = bank.spec, bank.ladder
     frame = build_resolution_of_unity(spec, ladder)
     p2 = bank.exponents["p_const2"]
@@ -899,13 +869,12 @@ def check_embeddings(bank: Optional[FunctionBank] = None, seed: int = 7,
     constants["schwartz_to_space"] = worst_upper
     constants["space_to_distributions"] = worst_pair
 
-    passed = (all(np.isfinite(v) and v < HUGE for v in constants.values())
-              and constants["q_monotone_profile_level"] <= 1.1
+    passed = (constants["q_monotone_profile_level"] <= 1.1
               and abs(constants["identity_embedding"] - 1.0) <= 1e-9)
     return CheckReport(
         "embeddings", seed,
         [{"variable_members": subset}],
-        constants, _finite(constants), passed, time.time() - t0,
+        constants, [], passed,
     )
 
 
@@ -914,7 +883,7 @@ def check_embeddings(bank: Optional[FunctionBank] = None, seed: int = 7,
 # ---------------------------------------------------------------------------
 
 
-def check_norm_equivalences(bank: Optional[FunctionBank] = None, seed: int = 7,
+def check_norm_equivalences(bank: FunctionBank, seed: int = 7,
                             members: Optional[Sequence[str]] = None,
                             peetre_a: float = 2.0, S: int = 2,
                             ratio_window: float = 10.0,
@@ -929,9 +898,6 @@ def check_norm_equivalences(bank: Optional[FunctionBank] = None, seed: int = 7,
     reference resolution); a larger input bank is rebuilt at the cap with
     the same ladder and seed.
     """
-    t0 = time.time()
-    if bank is None:
-        bank = make_bank(make_grid(1, 16.0, 2048))
     if bank.spec.points_per_axis > max_points:
         bank = make_bank(
             make_grid(bank.spec.dimension, bank.spec.box_length, max_points),
@@ -995,7 +961,7 @@ def check_norm_equivalences(bank: Optional[FunctionBank] = None, seed: int = 7,
         "norm-equivalences", seed,
         [{"members": list(members), "peetre_a": peetre_a, "S": S,
           "ratio_window": ratio_window}],
-        constants, violations, passed, time.time() - t0,
+        constants, violations, passed,
         details={"matrices": matrices},
     )
 
@@ -1021,20 +987,18 @@ CHECKS: Dict[str, Callable[..., CheckReport]] = {
 }
 
 
-def run_checks(which: Sequence[str] = ("all",), bank: Optional[FunctionBank] = None,
-               seed: int = 7, jobs: int = 1) -> List[CheckReport]:
-    """Run the named checks (or all) and return reports sorted by check id."""
+def run_checks(which: Sequence[str], bank: FunctionBank,
+               seed: int = 7) -> List[CheckReport]:
+    """Run the named checks (or all) on the bank, timing each call, and
+    return the reports sorted by check id."""
     names = sorted(CHECKS) if "all" in which else list(which)
     for n in names:
         if n not in CHECKS:
             raise ParameterError(f"unknown check {n!r}; known: {sorted(CHECKS)}")
-    if bank is None:
-        bank = make_bank()
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futs = {n: ex.submit(CHECKS[n], bank=bank, seed=seed) for n in names}
-            reports = [futs[n].result() for n in names]
-    else:
-        reports = [CHECKS[n](bank=bank, seed=seed) for n in names]
+    reports = []
+    for n in names:
+        start = perf_counter()
+        report = CHECKS[n](bank, seed=seed)
+        report.runtime_s = perf_counter() - start
+        reports.append(report)
     return sorted(reports, key=lambda r: r.check_id)

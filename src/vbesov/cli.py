@@ -39,8 +39,6 @@ def _load_config(args) -> RunConfig:
         cfg.seed = args.seed
     if getattr(args, "out", None):
         cfg.out = args.out
-    if getattr(args, "jobs", None):
-        cfg.jobs = args.jobs
     if getattr(args, "form", None):
         cfg.form = args.form
     return cfg
@@ -137,16 +135,15 @@ def cmd_synthesize(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
+    if args.quick:
+        cfg.points, cfg.octaves, cfg.nodes_per_octave = 1024, 6, 12
     bank = make_bank(cfg.grid(), cfg.ladder(), cfg.seed)
-    which = args.check or ["all"]
-    reports = run_checks(which, bank=bank, seed=cfg.seed, jobs=cfg.jobs)
+    reports = run_checks(args.check or ["all"], bank, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     any_violation = False
     for r in reports:
-        doc = r.to_dict()
-        runtime = doc.pop("runtime_s")
-        dump_json(doc, os.path.join(cfg.out, f"check_{r.check_id}.json"),
-                  volatile={"runtime_s": runtime})
+        dump_json(r.to_dict(), os.path.join(cfg.out, f"check_{r.check_id}.json"),
+                  volatile={"runtime_s": round(r.runtime_s, 3)})
         status = "pass" if r.passed else "FAIL"
         print(f"{r.check_id}: {status} ({len(r.violations)} violations, "
               f"{r.runtime_s:.1f}s)")
@@ -190,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--jobs", type=int, help="worker pool size for verify")
 
     p = sub.add_parser("gen-bank", help="write the seeded function bank")
     common(p)
@@ -214,6 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--check", action="append",
                    help="check id (repeatable) or 'all'")
+    p.add_argument("--quick", action="store_true",
+                   help="reduced resolution over the config: points = 1024, "
+                        "octaves = 6, nodes_per_octave = 12")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="roll up prior verify outputs")

@@ -46,7 +46,6 @@ class RunConfig:
     atom_L: int = 0
     atom_gamma: float = 3.0
     seed: int = 7
-    jobs: int = 1
     out: str = "out"
 
     def grid(self) -> GridSpec:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import time
 from typing import Iterable
 
@@ -49,11 +50,12 @@ def dump_json(document: dict, path: str, timestamp: bool = True,
 
 
 def strip_timestamp(path: str) -> bytes:
-    """The document bytes with the timestamp field removed (for comparisons)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc.pop("timestamp", None)
-    return json.dumps(doc, sort_keys=True, indent=1).encode()
+    """The file's raw bytes with the value of the top-level `timestamp`
+    object masked (for comparisons).  dump_json writes that object flat, at
+    one space of indent, so the first `{...}` after the key is all of it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return re.sub(rb'\n "timestamp": \{[^{}]*\}', b'\n "timestamp": {}', raw, count=1)
 
 
 def write_rollup_csv(reports: Iterable, path: str) -> None:
@@ -67,5 +69,5 @@ def write_rollup_csv(reports: Iterable, path: str) -> None:
         for r in reports:
             consts = [v for v in r.constants.values()]
             w.writerow([r.check_id, r.passed, len(r.configurations),
-                        repr(max(consts) if consts else 0.0),
+                        repr(float(max(consts) if consts else 0.0)),
                         len(r.violations)])

@@ -311,21 +311,11 @@ def test_criterion_8_embeddings(bank):
             f"{c_sob:.3f} in {elapsed:.0f}s")
 
 
-DETERMINISM_CONFIG = """
-points = 1024
-octaves = 6
-nodes_per_octave = 12
-seed = 7
-"""
-
-
 def test_criterion_9_determinism(tmp_path):
-    cfg_path = tmp_path / "det.cfg"
-    cfg_path.write_text(DETERMINISM_CONFIG)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    code_a = cli_main(["verify", "--config", str(cfg_path), "--seed", "7",
+    code_a = cli_main(["verify", "--quick", "--seed", "7",
                        "--out", out_a, "--check", "all"])
-    code_b = cli_main(["verify", "--config", str(cfg_path), "--seed", "7",
+    code_b = cli_main(["verify", "--quick", "--seed", "7",
                        "--out", out_b, "--check", "all"])
     assert code_a == code_b, (code_a, code_b)
     with open(os.path.join(out_a, "checks.csv"), "rb") as fh_a, \

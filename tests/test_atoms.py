@@ -186,6 +186,21 @@ def test_sequence_norm_trivials(setup2k):
     assert val == pytest.approx(1.0, rel=1e-9)  # |chi_{0,0}|_2 on the unit cube
 
 
+@pytest.mark.parametrize("coefficients", [
+    {(0, (0,)): 1.0},                   # levels 1..V all zero
+    {(0, (0,)): 1.0, (1, (0,)): 1.0},
+], ids=["level0-only", "with-level1"])
+def test_sequence_norm_rejects_unknown_form(setup2k, coefficients):
+    spec, ladder, frame = setup2k
+    p2 = vb.constant_field(spec, 2.0)
+    a0 = vb.constant_field(spec, 0.0, "alpha")
+    q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
+    dec = AtomicDecomposition(spec, ladder, 3, 2, 0, 3.0, "manual", 1.0, 1.0,
+                              coefficients, {})
+    with pytest.raises(ParameterError, match="unknown sequence-norm form 'bogus'"):
+        vb.sequence_norm_b(dec, a0, p2, q2, form="bogus")
+
+
 def test_sequence_norm_forms_comparable(setup2k):
     spec, ladder, frame = setup2k
     rng = np.random.default_rng(11)

@@ -48,7 +48,6 @@ def test_key_modular_jensen(bank):
 def test_reports_deterministic(bank):
     a = C.check_hardy(bank=bank, seed=123).to_dict()
     b = C.check_hardy(bank=bank, seed=123).to_dict()
-    a.pop("runtime_s"), b.pop("runtime_s")
     assert a == b
 
 
@@ -60,6 +59,20 @@ def test_run_checks_rejects_unknown(bank):
 def test_run_checks_subset_sorted(bank):
     reports = run_checks(["hardy", "eta-algebra"], bank=bank)
     assert [r.check_id for r in reports] == ["eta-algebra", "hardy"]
+
+
+def test_run_checks_times_each_call_outside_the_document(bank):
+    reports = run_checks(["hardy", "eta-algebra"], bank)
+    for r in reports:
+        assert r.runtime_s > 0
+        assert "runtime_s" not in r.to_dict()
+
+
+@pytest.mark.parametrize("bad", [np.inf, 2 * C.HUGE])
+def test_unbounded_constant_fails_the_report(bad):
+    r = CheckReport("probe", 7, [], {"bounded": 1.0, "unbounded": bad}, [], True)
+    assert not r.passed
+    assert r.violations == [{"config": "unbounded", "constant": bad}]
 
 
 def test_embeddings_pass(bank):

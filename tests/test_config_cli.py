@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vbesov as vb
+import vbesov.cli as cli
 from vbesov.cli import main
 from vbesov.config import ConfigError, emit_config, parse_config
 from vbesov.errors import ParameterError
@@ -172,6 +173,29 @@ def test_cli_verify_single_and_report(tmp_path):
     assert os.path.exists(os.path.join(out, "check_hardy.json"))
     assert os.path.exists(os.path.join(out, "checks.csv"))
     assert main(["report", "--config", cfg, "--out", out]) == 0
+
+
+def test_cli_verify_quick_reaches_the_runner_with_the_reduced_grid(tmp_path, monkeypatch):
+    seen = {}
+
+    def capture(which, bank, seed=7):
+        seen["bank"] = bank
+        return []
+
+    monkeypatch.setattr(cli, "run_checks", capture)
+    assert main(["verify", "--quick", "--out", str(tmp_path / "out")]) == 0
+    assert seen["bank"].spec.points_per_axis == 1024
+    assert seen["bank"].ladder.octaves == 6
+    assert seen["bank"].ladder.nodes_per_octave == 12
+
+
+def test_cli_has_no_jobs_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "--jobs", "2", "--out", str(tmp_path / "out")])
+    assert ei.value.code == 2
+    cfg = _write_cfg(tmp_path, "jobs = 2\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key 'jobs'" in capsys.readouterr().err
 
 
 def test_cli_synthesize_prints_plain_float(tmp_path, capsys):
