@@ -25,8 +25,9 @@ import numpy as np
 from .errors import HypothesisViolationError, ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
-from .grid import (GridFunction, GridSpec, cubes_per_axis, finest_aligned_level,
-                   from_spectrum, spectral_derivative, spectrum, zero_function)
+from .grid import (GridFunction, GridSpec, _multi_indices, cubes_per_axis,
+                   finest_aligned_level, from_spectrum, spectral_derivative,
+                   spectrum, zero_function)
 from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg
 
 COEFF_FLOOR = 1e-14
@@ -35,16 +36,6 @@ DIFF_TOL = 1e-6
 MOMENT_TOL = 1e-6
 
 Key = Tuple[int, Tuple[int, ...]]
-
-
-def _multi_indices(dimension: int, max_order: int):
-    if dimension == 1:
-        for b in range(max_order + 1):
-            yield (b,)
-    else:
-        for b1 in range(max_order + 1):
-            for b2 in range(max_order + 1 - b1):
-                yield (b1, b2)
 
 
 @dataclass(frozen=True)
@@ -88,9 +79,7 @@ def validate_atom(a: GridFunction, v: int, m, K: int, L: int, gamma: float,
         support_fraction = 0.0
     else:
         inside = np.ones(spec.shape, dtype=bool)
-        coords = spec.coords()
-        for ax in range(n):
-            c_ax = coords if n == 1 else coords[..., ax]
+        for ax, c_ax in enumerate(spec.axes()):
             center = (m[ax] + 0.5) * side
             d = np.abs(c_ax - center)
             d = np.minimum(d, spec.box_length - d)
@@ -100,7 +89,7 @@ def validate_atom(a: GridFunction, v: int, m, K: int, L: int, gamma: float,
     ratios = {}
     for beta in _multi_indices(n, K):
         order = sum(beta)
-        da = spectral_derivative(a, beta if n == 2 else beta[0])
+        da = spectral_derivative(a, beta)
         bound = 2.0 ** (v * (order + 0.5))
         ratios["".join(map(str, beta))] = float(np.max(da.abs_samples()) / bound)
     inflation = max(ratios.values()) if ratios else 0.0
@@ -108,13 +97,8 @@ def validate_atom(a: GridFunction, v: int, m, K: int, L: int, gamma: float,
     moments = {}
     pass_moments = True
     if v >= 1 and L >= 0:
-        x = spec.axis_coords()
-        coords = spec.coords()
         for beta in _multi_indices(n, L):
-            if n == 1:
-                mono = x ** beta[0]
-            else:
-                mono = coords[..., 0] ** beta[0] * coords[..., 1] ** beta[1]
+            mono = math.prod(x ** b for x, b in zip(spec.axes(), beta))
             mom = abs(complex(np.sum(mono * a.samples) * h))
             tol = MOMENT_TOL * 2.0 ** (-v / 2 - v * sum(beta))
             moments["".join(map(str, beta))] = {"value": mom, "tolerance": tol}
@@ -192,18 +176,12 @@ class AtomicDecomposition:
     def coefficient_array(self, v: int) -> np.ndarray:
         """lambda_{v,.} as an array over the cube lattice of level v."""
         nc = cubes_per_axis(self.spec, v)
-        m0 = -(nc // 2)
-        if self.spec.dimension == 1:
-            out = np.zeros(nc)
-            for (lv, m), lam in self.coefficients.items():
-                if lv == v:
-                    out[m[0] - m0] = lam
-        else:
-            out = np.zeros((nc, nc))
-            for (lv, m), lam in self.coefficients.items():
-                if lv == v:
-                    out[m[0] - m0, m[1] - m0] = lam
-        return out
+        out = np.zeros((nc,) * self.spec.dimension)
+        for (lv, m), lam in self.coefficients.items():
+            if lv == v:
+                out[m] = lam
+        # cube m sits at m mod nc; the shift by nc // 2 puts it at m + nc // 2
+        return np.fft.fftshift(out)
 
     def indicator_sum(self, v: int) -> np.ndarray:
         """sum_m lambda_{v,m} chi_{v,m} sampled on the grid."""
@@ -251,7 +229,7 @@ def measured_kernel_constant(kernel: GridFunction, K: int) -> float:
     """max over |beta| <= K of sup |D^beta kernel| (the coefficient constant)."""
     best = 0.0
     for beta in _multi_indices(kernel.spec.dimension, K):
-        da = spectral_derivative(kernel, beta if kernel.spec.dimension == 2 else beta[0])
+        da = spectral_derivative(kernel, beta)
         best = max(best, float(np.max(da.abs_samples())))
     return best
 
@@ -306,10 +284,7 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
         lam2 = None
         for g, w in zip(gs, ws):
             abs2 = np.abs(g) ** 2
-            if n == 1:
-                cs = abs2.reshape(nc, spc).sum(axis=1) * h
-            else:
-                cs = abs2.reshape(nc, spc, nc, spc).sum(axis=(1, 3)) * h
+            cs = abs2.reshape((nc, spc) * n).sum(axis=tuple(range(1, 2 * n, 2))) * h
             lam2 = cs * w if lam2 is None else lam2 + cs * w
         lam = (C_Phi if v == 0 else C_phi) * np.sqrt(lam2)
         lam[lam < COEFF_FLOOR] = 0.0
@@ -438,9 +413,26 @@ def import_coefficients(path: str, spec: GridSpec, ladder: ScaleLadder,
         if n != spec.dimension:
             raise ParameterError("CSV dimensionality does not match the grid")
         for row in r:
-            v = int(row[0])
-            m = tuple(int(x) for x in row[1:-1])
-            coeffs[(v, m)] = float(row[-1])
+            where = f"{path}, line {r.line_num}"
+            try:
+                v = int(row[0])
+                m = tuple(int(x) for x in row[1:-1])
+                lam = float(row[-1])
+            except (ValueError, IndexError):
+                raise ParameterError(f"{where}: cannot parse row {row}")
+            if v < 0 or len(m) != n:
+                raise ParameterError(f"{where}: need a level v >= 0 and {n} cube indices")
+            try:
+                nc = cubes_per_axis(spec, v)
+            except ParameterError as exc:
+                raise ParameterError(f"{where}: {exc}")
+            lo = -(nc // 2)
+            if any(not lo <= mi < lo + nc for mi in m):
+                raise ParameterError(f"{where}: cube {m} of level {v} lies outside the "
+                                     f"box, indices run over [{lo}, {lo + nc})")
+            if (v, m) in coeffs:
+                raise ParameterError(f"{where}: duplicate cube (v, m) = {(v, m)}")
+            coeffs[(v, m)] = lam
             V = max(V, v)
     atoms: Dict[Key, AtomDescriptor] = {}
     if atoms_dir is not None:

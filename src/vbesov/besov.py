@@ -103,9 +103,8 @@ def _offset_kernel(spec: GridSpec, t: float, a: float) -> np.ndarray:
     """(1 + d/t)^-a indexed by the per-axis offset (y - x) mod N."""
     off = np.arange(spec.points_per_axis) * spec.spacing
     d = np.minimum(off, spec.box_length - off)
-    if spec.dimension == 1:
-        return (1.0 + d / t) ** (-a)
-    return (1.0 + np.sqrt(d[:, None] ** 2 + d[None, :] ** 2) / t) ** (-a)
+    r = np.sqrt(sum(da * da for da in np.ix_(*(d,) * spec.dimension)))
+    return (1.0 + r / t) ** (-a)
 
 
 def _lower_bound(K: np.ndarray, g: np.ndarray) -> np.ndarray:

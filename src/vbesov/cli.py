@@ -72,12 +72,12 @@ def cmd_norm(args) -> int:
     p = cfg.p_field(spec)
     alpha = cfg.alpha_field(spec)
     q = cfg.q_field(ladder)
-    frame = build_resolution_of_unity(spec, ladder, BumpParams(cfg.profile_order))
     if cfg.form in ("local_mean_prime", "local_mean_double_prime"):
         pair = build_local_mean_pair(spec, cfg.kernel_S, cfg.kernel_epsilon)
         report = local_mean_norm(f, pair, alpha, p, q, cfg.peetre_a,
                                  cfg.form.removeprefix("local_mean_"), ladder)
     else:
+        frame = build_resolution_of_unity(spec, ladder, BumpParams(cfg.profile_order))
         report = besov_norm(f, frame, alpha, p, q, cfg.form, a=cfg.peetre_a)
     lux = luxemburg_norm(f, p)
     doc = {"member": cfg.member, "form": report.form, "value": report.value,

@@ -36,7 +36,6 @@ class RunConfig:
     q: str = "2"
     q0: float = 2.0
     profile_order: int = 6
-    profile_order_alt: int = 10
     kernel_S: int = 2
     kernel_epsilon: float = 1.0
     peetre_a: float = 2.0
@@ -56,8 +55,7 @@ class RunConfig:
 
     def _spatial_values(self, expr: str, spec: GridSpec) -> np.ndarray:
         # expressions are functions of the first axis coordinate
-        x = spec.axis_coords() if spec.dimension == 1 \
-            else spec.coords()[..., 0].reshape(-1)
+        x = np.broadcast_to(spec.axes()[0], spec.shape).reshape(-1)
         return evaluate_text(expr, "x", x)
 
     def p_field(self, spec: GridSpec) -> ExponentField:

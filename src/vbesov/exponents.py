@@ -43,11 +43,9 @@ def _pair_constant(coords: np.ndarray, values: np.ndarray,
     flat = np.arange(M).reshape(shape)
     idx = flat[tuple(slice(None, None, int(np.ceil(N / MAX_PAIRS ** (1 / (2 * n)))))
                      for N in shape)].reshape(-1)
+    coords = coords.reshape(M, -1)
     sub_c, sub_v = coords[idx], values[idx]
-    if sub_c.ndim == 1:
-        dist = np.abs(sub_c[:, None] - sub_c[None, :])
-    else:
-        dist = np.linalg.norm(sub_c[:, None, :] - sub_c[None, :, :], axis=-1)
+    dist = np.linalg.norm(sub_c[:, None, :] - sub_c[None, :, :], axis=-1)
     diff = np.abs(sub_v[:, None] - sub_v[None, :])
     with np.errstate(divide="ignore"):
         prod = np.where(dist > 0, diff * np.log(np.e + 1.0 / np.where(dist > 0, dist, 1.0)), 0.0)
@@ -61,8 +59,7 @@ def _pair_constant(coords: np.ndarray, values: np.ndarray,
     for ax in range(n):
         lo = tuple(slice(None, -1) if k == ax else slice(None) for k in range(n))
         hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(n))
-        dc = grid_c[hi] - grid_c[lo]
-        d_adj = (np.abs(dc) if coords.ndim == 1 else np.linalg.norm(dc, axis=-1)).reshape(-1)
+        d_adj = np.linalg.norm(grid_c[hi] - grid_c[lo], axis=-1).reshape(-1)
         g_adj = np.abs(grid_v[hi] - grid_v[lo]).reshape(-1)
         ok = d_adj > 0
         if ok.any():
@@ -170,11 +167,7 @@ def make_exponent_field(
 
 def field_from_callable(spec: GridSpec, fn, kind: str,
                         limit_value: Optional[float] = None) -> ExponentField:
-    coords = spec.coords()
-    if spec.dimension == 1:
-        vals = fn(coords)
-    else:
-        vals = fn(coords[..., 0], coords[..., 1])
+    vals = fn(*np.meshgrid(*(spec.axis_coords(),) * spec.dimension, indexing="ij"))
     return make_exponent_field(np.broadcast_to(vals, spec.shape).reshape(-1),
                                kind, limit_value, spec=spec)
 
@@ -204,7 +197,7 @@ def log_holder_constants(g: ExponentField, values: np.ndarray,
         if g.kind == "q_of_t":
             clog_decay = float(np.max(np.abs(values - limit) * np.log(np.e + 1.0 / g.coords)))
         else:
-            r = np.abs(g.coords) if g.coords.ndim == 1 else np.linalg.norm(g.coords, axis=-1)
+            r = g.spec.radius().reshape(-1)
             clog_decay = float(np.max(np.abs(values - limit) * np.log(np.e + r)))
     return clog_local, clog_decay, witness
 

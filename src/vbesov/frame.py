@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConstructionError, ParameterError
-from .grid import GridFunction, GridSpec, from_spectrum, spectrum
+from .grid import GridFunction, GridSpec, _multi_indices, from_spectrum, spectrum
 from .luxemburg import ScaleLadder
 
 RESIDUAL_TOL = 1e-6
@@ -247,28 +247,27 @@ def build_local_mean_pair(spec: GridSpec, S: int, epsilon: float = 1.0) -> Local
 
     h = spec.spacing ** spec.dimension
     moments = {}
-    if spec.dimension == 1:
-        x = spec.axis_coords()
-        for beta in range(0, max(S, 0) + 2):
-            moments[str(beta)] = float(np.real(np.sum(x ** beta * k.samples) * h))
-    else:
-        c = spec.coords()
-        for b1 in range(0, max(S, 0) + 2):
-            for b2 in range(0, max(S, 0) + 2 - b1):
-                mom = float(np.real(np.sum(c[..., 0] ** b1 * c[..., 1] ** b2 * k.samples) * h))
-                moments[f"{b1},{b2}"] = mom
+    for beta in _multi_indices(spec.dimension, max(S, 0) + 1):
+        mono = math.prod(x ** b for x, b in zip(spec.axes(), beta))
+        moments[",".join(map(str, beta))] = float(np.real(np.sum(mono * k.samples) * h))
 
     cert = {
         "tauberian_k0_min": tauberian_k0,
         "tauberian_k_min": tauberian_k,
         "moments_k": moments,
     }
+    where = (f"{spec.dimension}-D grid, N = {spec.points_per_axis}, "
+             f"L = {spec.box_length:g}, epsilon = {epsilon:g}")
     if tauberian_k0 <= 0 or tauberian_k <= 0:
-        raise ConstructionError(f"Tauberian certification failed: {cert}")
+        raise ConstructionError(f"Tauberian certification failed on the {where}: {cert}")
     for key, mom in moments.items():
         order = sum(int(p) for p in key.split(","))
         if order <= S and abs(mom) > 1e-8:
-            raise ConstructionError(f"moment {key} = {mom:g} exceeds 1e-8")
+            # the spectrum cut at Nyquist wants Nyquist/epsilon large, the
+            # periodic wrap of k wants epsilon*L/2 large; their product is pi*N/2
+            raise ConstructionError(
+                f"moment {key} = {mom:g} exceeds 1e-8 on the {where}; "
+                f"raise N (2-D needs N >= 64 for S >= 1)")
 
     return LocalMeanPair(spec, k0, k, S, epsilon, m, cert)
 

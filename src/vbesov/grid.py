@@ -10,6 +10,7 @@ frequencies 2*pi*k/L.
 from __future__ import annotations
 
 import csv
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple, Union
@@ -70,24 +71,26 @@ class GridSpec:
         X, Y = np.meshgrid(x, x, indexing="ij")
         return np.stack([X, Y], axis=-1)
 
+    def axes(self) -> Tuple[np.ndarray, ...]:
+        """Per-axis node coordinates shaped to broadcast against each other,
+        np.ix_ style: (x,) in 1-D, (x[:, None], x[None, :]) in 2-D."""
+        return np.ix_(*(self.axis_coords(),) * self.dimension)
+
     def radius(self) -> np.ndarray:
         """|x| at every node (plain distance to the origin inside the box)."""
-        if self.dimension == 1:
-            return np.abs(self.axis_coords())
-        c = self.coords()
-        return np.sqrt(c[..., 0] ** 2 + c[..., 1] ** 2)
+        return np.sqrt(sum(a * a for a in self.axes()))
 
     def axis_freqs(self) -> np.ndarray:
         """Angular frequencies 2*pi*k/L along one axis, fftfreq layout."""
         return 2 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
 
+    def freq_axes(self) -> Tuple[np.ndarray, ...]:
+        """Per-axis angular frequencies, broadcastable like `axes`."""
+        return np.ix_(*(self.axis_freqs(),) * self.dimension)
+
     def freq_radius(self) -> np.ndarray:
         """|xi| at every grid frequency."""
-        xi = self.axis_freqs()
-        if self.dimension == 1:
-            return np.abs(xi)
-        KX, KY = np.meshgrid(xi, xi, indexing="ij")
-        return np.sqrt(KX ** 2 + KY ** 2)
+        return np.sqrt(sum(a * a for a in self.freq_axes()))
 
     @property
     def nyquist(self) -> float:
@@ -139,12 +142,9 @@ def same_grid(f: GridFunction, g: GridFunction) -> None:
 
 
 def from_callable(spec: GridSpec, fn, tag: Optional[str] = None) -> GridFunction:
-    """Sample fn at the grid nodes (fn receives the coordinate array)."""
-    if spec.dimension == 1:
-        vals = fn(spec.axis_coords())
-    else:
-        c = spec.coords()
-        vals = fn(c[..., 0], c[..., 1])
+    """Sample fn at the grid nodes; fn receives one dense coordinate array
+    per axis."""
+    vals = fn(*np.meshgrid(*(spec.axis_coords(),) * spec.dimension, indexing="ij"))
     return GridFunction(spec, np.asarray(vals, dtype=np.complex128), tag)
 
 
@@ -163,9 +163,7 @@ def zero_function(spec: GridSpec, tag: Optional[str] = None) -> GridFunction:
 def _phase(spec: GridSpec) -> np.ndarray:
     N = spec.points_per_axis
     p = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
-    if spec.dimension == 1:
-        return p
-    return np.outer(p, p)
+    return functools.reduce(np.multiply.outer, (p,) * spec.dimension)
 
 
 def spectrum(f: GridFunction) -> np.ndarray:
@@ -207,12 +205,8 @@ def spectral_derivative(f: GridFunction, order: Union[int, Sequence[int]]) -> Gr
     if len(orders) != f.spec.dimension or any(o < 0 for o in orders):
         raise ParameterError(f"bad derivative multi-index {order}")
     ft = spectrum(f)
-    xi = f.spec.axis_freqs()
-    if f.spec.dimension == 1:
-        ft = ft * (1j * xi) ** orders[0]
-    else:
-        KX, KY = np.meshgrid(xi, xi, indexing="ij")
-        ft = ft * (1j * KX) ** orders[0] * (1j * KY) ** orders[1]
+    for xi, o in zip(f.spec.freq_axes(), orders):
+        ft = ft * (1j * xi) ** o
     return from_spectrum(f.spec, ft)
 
 
@@ -227,6 +221,11 @@ def integrate(f: GridFunction, weight: Optional[GridFunction] = None) -> float:
             raise ParameterError("weight has negative samples")
         vals = vals * w
     return float(np.real(np.sum(vals)) * h ** f.spec.dimension)
+
+
+def _multi_indices(dimension: int, max_order: int):
+    """Multi-indices b with |b| <= max_order, the last axis varying fastest."""
+    return [b for b in np.ndindex(*(max_order + 1,) * dimension) if sum(b) <= max_order]
 
 
 # -- dyadic cubes -------------------------------------------------------------
@@ -292,14 +291,8 @@ def finest_aligned_level(spec: GridSpec) -> int:
 def cubes_in_box(spec: GridSpec, level: int) -> Iterator[DyadicCube]:
     """Iterate the dyadic cubes at `level` that tile the box."""
     n = cubes_per_axis(spec, level)
-    m0 = -(n // 2)
-    if spec.dimension == 1:
-        for j in range(n):
-            yield DyadicCube(level, (m0 + j,))
-    else:
-        for j in range(n):
-            for k in range(n):
-                yield DyadicCube(level, (m0 + j, m0 + k))
+    for j in np.ndindex(*(n,) * spec.dimension):
+        yield DyadicCube(level, tuple(jj - n // 2 for jj in j))
 
 
 def cube_mask(spec: GridSpec, cube: DyadicCube) -> np.ndarray:
@@ -322,20 +315,14 @@ def cube_mask(spec: GridSpec, cube: DyadicCube) -> np.ndarray:
 
 def write_csv(f: GridFunction, path: str) -> None:
     """CSV columns: coordinate(s), re, im."""
+    n = f.spec.dimension
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if f.spec.dimension == 1:
-            w.writerow(["x", "re", "im"])
-            for x, v in zip(f.spec.axis_coords(), f.samples):
-                w.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
-        else:
-            w.writerow(["x", "y", "re", "im"])
-            c = f.spec.coords()
-            flat_c = c.reshape(-1, 2)
-            flat_v = f.samples.reshape(-1)
-            for (x, y), v in zip(flat_c, flat_v):
-                w.writerow([repr(float(x)), repr(float(y)),
-                            repr(float(v.real)), repr(float(v.imag))])
+        w.writerow(["x", "y"][:n] + ["re", "im"])
+        v = f.samples.reshape(-1)
+        for c, re, im in zip(f.spec.coords().reshape(-1, n).tolist(),
+                             v.real.tolist(), v.imag.tolist()):
+            w.writerow([*map(repr, c), repr(re), repr(im)])
 
 
 def read_csv(path: str, spec: GridSpec) -> GridFunction:

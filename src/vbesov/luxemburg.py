@@ -39,10 +39,9 @@ class ScaleLadder:
     nodes_per_octave: int
     t: np.ndarray
     weights: np.ndarray       # quadrature weights for dt/t
-    octave_of: np.ndarray     # 1-based octave index per node
 
     def __post_init__(self):
-        for name in ("t", "weights", "octave_of"):
+        for name in ("t", "weights"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -60,7 +59,7 @@ def make_ladder(octaves: int = 8, nodes_per_octave: int = 12) -> ScaleLadder:
     if octaves < 1 or nodes_per_octave < 1:
         raise ParameterError("ladder needs octaves >= 1 and nodes_per_octave >= 1")
     x, w = np.polynomial.legendre.leggauss(nodes_per_octave)
-    ts, ws, ovs = [], [], []
+    ts, ws = [], []
     half = 0.5 * math.log(2.0)
     for v in range(1, octaves + 1):
         lo, hi = -v * math.log(2.0), (1 - v) * math.log(2.0)
@@ -69,9 +68,7 @@ def make_ladder(octaves: int = 8, nodes_per_octave: int = 12) -> ScaleLadder:
         order = np.argsort(-u)  # descending t within the octave
         ts.append(np.exp(u[order]))
         ws.append(half * w[order])
-        ovs.append(np.full(nodes_per_octave, v, dtype=int))
-    return ScaleLadder(octaves, nodes_per_octave,
-                       np.concatenate(ts), np.concatenate(ws), np.concatenate(ovs))
+    return ScaleLadder(octaves, nodes_per_octave, np.concatenate(ts), np.concatenate(ws))
 
 
 # -- core solver --------------------------------------------------------------
@@ -234,11 +231,8 @@ def t_norm(g, q: Optional[ExponentField], ladder: ScaleLadder,
     """Norm of a nonnegative scalar profile g(t) over ((0,1], dt/t).
 
     form="variable": Luxemburg norm with exponent q(t); form="q0": the fixed
-    exponent q(0); form="sup": max over nodes.  g may be an array of node
-    values or any profile object exposing `.values`.
+    exponent q(0); form="sup": max over nodes.  g holds the node values.
     """
-    if hasattr(g, "values"):
-        g = g.values
     g = np.asarray(g, dtype=float).reshape(-1)
     if g.shape != ladder.t.shape:
         raise ParameterError(f"profile has {g.size} values, ladder has {ladder.t.size} nodes")

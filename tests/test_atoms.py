@@ -7,6 +7,7 @@ import vbesov as vb
 from vbesov.atoms import (AtomDescriptor, AtomicDecomposition,
                           export_coefficients, import_coefficients)
 from vbesov.errors import HypothesisViolationError, ParameterError
+from vbesov.grid import _multi_indices
 
 from oracles import analyze_eager
 
@@ -279,6 +280,41 @@ def test_export_import_with_atoms(tmp_path, setup2k):
     rec_a = vb.synthesize(dec)
     rec_b = vb.synthesize(back)
     assert np.max(np.abs(rec_a.samples - rec_b.samples)) < 1e-14
+
+
+@pytest.mark.parametrize("rows, match", [
+    ("1,-20,1.0\n", r"line 2: cube \(-20,\) of level 1 lies outside the box"),
+    ("0,0,1.0\n1,-100,1.0\n", r"line 3: cube \(-100,\) of level 1 lies outside"),
+    ("1,3,1.0\n2,5,2.0\n1,3,4.0\n", r"line 4: duplicate cube"),
+    ("-1,0,1.0\n", r"line 2: need a level v >= 0"),
+    ("8,0,1.0\n", r"line 2: level 8 cubes .* do not align"),
+    ("1,1.0\n", r"line 2: need a level v >= 0 and 1 cube indices"),
+    ("1,x,1.0\n", r"line 2: cannot parse row"),
+])
+def test_import_rejects_rows_outside_the_lattice(tmp_path, rows, match):
+    # N = 1024, L = 16: level 1 holds m in [-16, 15], level 7 is the finest
+    spec = vb.make_grid(1, 16.0, 1024)
+    path = tmp_path / "coeffs.csv"
+    path.write_text("v,m0,lambda\n" + rows)
+    with pytest.raises(ParameterError, match=match):
+        import_coefficients(str(path), spec, vb.make_ladder(3, 12))
+
+
+def test_import_accepts_every_cube_of_the_lattice(tmp_path):
+    # L = 1: level 0 is one cube (m = 0), level 1 holds m in [-1, 0]
+    spec = vb.make_grid(1, 1.0, 16)
+    path = tmp_path / "coeffs.csv"
+    path.write_text("v,m0,lambda\n0,0,1.0\n1,-1,2.0\n1,0,3.0\n")
+    dec = import_coefficients(str(path), spec, vb.make_ladder(1, 12))
+    assert list(dec.coefficient_array(0)) == [1.0]
+    assert list(dec.coefficient_array(1)) == [2.0, 3.0]
+
+
+def test_multi_indices_order():
+    assert list(_multi_indices(1, 3)) == [(0,), (1,), (2,), (3,)]
+    for K in range(4):
+        nested = [(b1, b2) for b1 in range(K + 1) for b2 in range(K + 1 - b1)]
+        assert list(_multi_indices(2, K)) == nested
 
 
 # -- lazy atoms against the eager per-cube oracle --------------------------------

@@ -221,3 +221,29 @@ def test_cli_synthesize_rejects_unaligned_levels_up_front(tmp_path, capsys, monk
     assert "V = 8" in err
     assert "grid spacing 0.0078125" in err
     assert "finest aligned level is 7" in err
+
+
+def test_cli_norm_local_means_build_no_frame(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path, "points = 256\noctaves = 4\nmember = gauss_w1\n")
+    argv = ["norm", "--config", cfg, "--form", "local_mean_double_prime"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+
+    def no_frame(*args, **kwargs):
+        raise AssertionError("the local-mean forms read no Calderon frame")
+
+    monkeypatch.setattr(cli, "build_resolution_of_unity", no_frame)
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    docs = []
+    for d in ("a", "b"):
+        doc = json.load(open(tmp_path / d / "norm_gauss_w1_local_mean_double_prime.json"))
+        doc.pop("timestamp", None)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    with pytest.raises(AssertionError):
+        main(["norm", "--config", cfg, "--form", "direct", "--out", str(tmp_path / "c")])
+
+
+def test_config_rejects_removed_profile_order_alt(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "profile_order_alt = 10\n")
+    assert main(["norm", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key 'profile_order_alt'" in capsys.readouterr().err

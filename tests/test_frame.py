@@ -158,3 +158,11 @@ def test_frame_export(tmp_path, frame4k):
     assert doc["residual"] <= 1e-6
     back = read_raw(rpath)
     assert np.max(np.abs(back.samples.real - frame4k.FPhi)) < 1e-15
+
+
+def test_local_mean_pair_2d_below_the_resolution_floor_names_the_grid():
+    # 2-D with S >= 1 needs N >= 64: the spectrum cut at Nyquist and the
+    # periodic wrap of k cannot both be made small at N = 32
+    with pytest.raises(ConstructionError, match=r"2-D grid, N = 32, L = 16, epsilon = 1"):
+        vb.build_local_mean_pair(vb.make_grid(2, 16.0, 32), S=1)
+    assert vb.build_local_mean_pair(vb.make_grid(2, 16.0, 64), S=1).m == 1

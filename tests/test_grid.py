@@ -208,3 +208,22 @@ def test_finest_aligned_level():
     assert vb.grid.finest_aligned_level(vb.make_grid(2, 16.0, 32)) == 1
     # h = 10/1024 divides no dyadic side, so not even level 0 aligns
     assert vb.grid.finest_aligned_level(vb.make_grid(1, 10.0, 1024)) == -1
+
+
+@pytest.mark.parametrize("N", [16, 4096])
+@pytest.mark.parametrize("L", [16.0, 10.0])
+def test_1d_radius_is_abs_bit_for_bit(N, L):
+    # the n-generic sqrt(sum of squares) must reproduce |x| exactly in 1-D
+    spec = vb.make_grid(1, L, N)
+    assert np.array_equal(spec.radius(), np.abs(spec.axis_coords()))
+    assert np.array_equal(spec.freq_radius(), np.abs(spec.axis_freqs()))
+
+
+def test_2d_from_callable_of_one_coordinate_fills_the_grid():
+    spec = vb.make_grid(2, 8.0, 16)
+    f = vb.from_callable(spec, lambda x, y: np.cos(x))
+    x = spec.axis_coords()
+    assert f.samples.shape == (16, 16)
+    assert np.array_equal(f.samples, np.broadcast_to(np.cos(x)[:, None], (16, 16)))
+    p = vb.field_from_callable(spec, lambda x, y: 2.0 + np.cos(x), "p", 2.0)
+    assert np.array_equal(p.grid_values(), np.broadcast_to(2.0 + np.cos(x)[:, None], (16, 16)))
