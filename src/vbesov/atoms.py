@@ -16,6 +16,7 @@ of the band masked to the nonzero cubes; atoms are built only on request.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -128,6 +129,24 @@ def _expand(spec: GridSpec, lattice: np.ndarray) -> np.ndarray:
     return lattice
 
 
+def _check_cubes(spec: GridSpec, v: int, ms) -> None:
+    """Raise ParameterError unless every m in `ms` names a cube of level v:
+    v >= 0, level v aligns with the grid and each m_i is in [-nc/2, nc/2)."""
+    n = spec.dimension
+    try:
+        idx = np.array(ms, dtype=np.int64)
+    except (ValueError, OverflowError):  # unequal lengths, or beyond int64
+        idx = np.empty(0)
+    if v < 0 or idx.shape != (len(ms), n):
+        raise ParameterError(f"need a level v >= 0 and {n} cube indices, got level {v}")
+    nc = cubes_per_axis(spec, v)
+    idx += nc // 2
+    outside = np.flatnonzero(((idx < 0) | (idx >= nc)).any(axis=1))
+    if outside.size:
+        raise ParameterError(f"cube {ms[outside[0]]} of level {v} lies outside the box, "
+                             f"indices run over [{-(nc // 2)}, {nc - nc // 2})")
+
+
 def _level(frame: CalderonFrame, F: np.ndarray, v: int, synthesis: bool = True):
     """Analysis bands, quadrature weights and synthesis multipliers of level v.
 
@@ -172,6 +191,13 @@ class AtomicDecomposition:
     atoms: Dict[Key, AtomDescriptor] = field(default_factory=dict)
     frame: Optional[CalderonFrame] = field(default=None, repr=False, compare=False)
     f_spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        levels: Dict[int, list] = {}
+        for v, m in self.coefficients:
+            levels.setdefault(v, []).append(m)
+        for v, ms in levels.items():
+            _check_cubes(self.spec, v, ms)
 
     def coefficient_array(self, v: int) -> np.ndarray:
         """lambda_{v,.} as an array over the cube lattice of level v."""
@@ -288,9 +314,8 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
             lam2 = cs * w if lam2 is None else lam2 + cs * w
         lam = (C_Phi if v == 0 else C_phi) * np.sqrt(lam2)
         lam[lam < COEFF_FLOOR] = 0.0
-        m0 = -(nc // 2)
-        for j in np.ndindex(*lam.shape):
-            coeffs[(v, tuple(jj + m0 for jj in j))] = float(lam[j])
+        cubes = itertools.product(range(-(nc // 2), nc - nc // 2), repeat=n)
+        coeffs.update(zip([(v, m) for m in cubes], lam.ravel().tolist()))
 
     profile = frame.profile
     frame_id = f"bump{profile.params.order}-V{ladder.octaves}-J{ladder.nodes_per_octave}"
@@ -409,8 +434,7 @@ def import_coefficients(path: str, spec: GridSpec, ladder: ScaleLadder,
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r)
-        n = len(header) - 2
-        if n != spec.dimension:
+        if len(header) - 2 != spec.dimension:
             raise ParameterError("CSV dimensionality does not match the grid")
         for row in r:
             where = f"{path}, line {r.line_num}"
@@ -420,16 +444,10 @@ def import_coefficients(path: str, spec: GridSpec, ladder: ScaleLadder,
                 lam = float(row[-1])
             except (ValueError, IndexError):
                 raise ParameterError(f"{where}: cannot parse row {row}")
-            if v < 0 or len(m) != n:
-                raise ParameterError(f"{where}: need a level v >= 0 and {n} cube indices")
             try:
-                nc = cubes_per_axis(spec, v)
+                _check_cubes(spec, v, [m])
             except ParameterError as exc:
                 raise ParameterError(f"{where}: {exc}")
-            lo = -(nc // 2)
-            if any(not lo <= mi < lo + nc for mi in m):
-                raise ParameterError(f"{where}: cube {m} of level {v} lies outside the "
-                                     f"box, indices run over [{lo}, {lo + nc})")
             if (v, m) in coeffs:
                 raise ParameterError(f"{where}: duplicate cube (v, m) = {(v, m)}")
             coeffs[(v, m)] = lam

@@ -89,14 +89,18 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
+def _analyze(cfg: RunConfig):
+    """The configured member and its atomic decomposition."""
+    spec = cfg.grid()
+    f = _member(cfg, spec)
+    frame = build_resolution_of_unity(spec, cfg.ladder(), BumpParams(cfg.profile_order))
+    return f, atoms_mod.analyze(f, frame, K=cfg.atom_K, L=cfg.atom_L, gamma=cfg.atom_gamma,
+                                target_alpha=cfg.alpha_field(spec))
+
+
 def cmd_decompose(args) -> int:
     cfg = _load_config(args)
-    spec, ladder = cfg.grid(), cfg.ladder()
-    f = _member(cfg, spec)
-    frame = build_resolution_of_unity(spec, ladder, BumpParams(cfg.profile_order))
-    alpha = cfg.alpha_field(spec)
-    dec = atoms_mod.analyze(f, frame, K=cfg.atom_K, L=cfg.atom_L,
-                            gamma=cfg.atom_gamma, target_alpha=alpha)
+    _, dec = _analyze(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, f"coeffs_{cfg.member}.csv")
     atoms_mod.export_coefficients(dec, csv_path)
@@ -111,12 +115,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_synthesize(args) -> int:
     cfg = _load_config(args)
-    spec, ladder = cfg.grid(), cfg.ladder()
-    f = _member(cfg, spec)
-    frame = build_resolution_of_unity(spec, ladder, BumpParams(cfg.profile_order))
-    alpha = cfg.alpha_field(spec)
-    dec = atoms_mod.analyze(f, frame, K=cfg.atom_K, L=cfg.atom_L,
-                            gamma=cfg.atom_gamma, target_alpha=alpha)
+    f, dec = _analyze(cfg)
+    spec = f.spec
     rec = atoms_mod.synthesize(dec)
     resid = np.sqrt(grid_mod.integrate(
         grid_mod.GridFunction(spec, np.abs(rec.samples - f.samples) ** 2)))
@@ -183,41 +183,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "the numerical verification suite.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-bank", help="write the seeded function bank")
-    common(p)
-    p.set_defaults(func=cmd_gen_bank)
-
-    p = sub.add_parser("norm", help="compute a smoothness norm")
-    common(p)
-    p.add_argument("--form", choices=["direct", "discretized", "q0", "peetre",
-                                      "local_mean_prime", "local_mean_double_prime"])
-    p.set_defaults(func=cmd_norm)
-
-    p = sub.add_parser("decompose", help="atomic analysis to coefficient CSV")
-    common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("synthesize", help="atomic round trip and residual")
-    common(p)
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("verify", help="run verification checks")
-    common(p)
+    command("gen-bank", cmd_gen_bank, "write the seeded function bank")
+    command("norm", cmd_norm, "compute a smoothness norm").add_argument(
+        "--form", choices=["direct", "discretized", "q0", "peetre",
+                           "local_mean_prime", "local_mean_double_prime"])
+    command("decompose", cmd_decompose, "atomic analysis to coefficient CSV")
+    command("synthesize", cmd_synthesize, "atomic round trip and residual")
+    p = command("verify", cmd_verify, "run verification checks")
     p.add_argument("--check", action="append",
                    help="check id (repeatable) or 'all'")
     p.add_argument("--quick", action="store_true",
                    help="reduced resolution over the config: points = 1024, "
                         "octaves = 6, nodes_per_octave = 12")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("report", help="roll up prior verify outputs")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    command("report", cmd_report, "roll up prior verify outputs")
     return ap
 
 

@@ -167,7 +167,7 @@ def make_exponent_field(
 
 def field_from_callable(spec: GridSpec, fn, kind: str,
                         limit_value: Optional[float] = None) -> ExponentField:
-    vals = fn(*np.meshgrid(*(spec.axis_coords(),) * spec.dimension, indexing="ij"))
+    vals = fn(*[np.array(a) for a in np.broadcast_arrays(*spec.axes())])
     return make_exponent_field(np.broadcast_to(vals, spec.shape).reshape(-1),
                                kind, limit_value, spec=spec)
 

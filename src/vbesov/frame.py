@@ -266,8 +266,9 @@ def build_local_mean_pair(spec: GridSpec, S: int, epsilon: float = 1.0) -> Local
             # the spectrum cut at Nyquist wants Nyquist/epsilon large, the
             # periodic wrap of k wants epsilon*L/2 large; their product is pi*N/2
             raise ConstructionError(
-                f"moment {key} = {mom:g} exceeds 1e-8 on the {where}; "
-                f"raise N (2-D needs N >= 64 for S >= 1)")
+                f"moment {key} = {mom:g} exceeds 1e-8 on the {where}; raise N, "
+                f"or trade epsilon against L: Nyquist/epsilon and epsilon*L/2 "
+                f"must both be large (README: the 2-D sweep)")
 
     return LocalMeanPair(spec, k0, k, S, epsilon, m, cert)
 

@@ -65,11 +65,9 @@ class GridSpec:
 
     def coords(self) -> np.ndarray:
         """Coordinate array: shape (N,) in 1-D, (N, N, 2) in 2-D."""
-        x = self.axis_coords()
         if self.dimension == 1:
-            return x
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        return np.stack([X, Y], axis=-1)
+            return self.axis_coords()
+        return np.stack(np.broadcast_arrays(*self.axes()), axis=-1)
 
     def axes(self) -> Tuple[np.ndarray, ...]:
         """Per-axis node coordinates shaped to broadcast against each other,
@@ -144,7 +142,7 @@ def same_grid(f: GridFunction, g: GridFunction) -> None:
 def from_callable(spec: GridSpec, fn, tag: Optional[str] = None) -> GridFunction:
     """Sample fn at the grid nodes; fn receives one dense coordinate array
     per axis."""
-    vals = fn(*np.meshgrid(*(spec.axis_coords(),) * spec.dimension, indexing="ij"))
+    vals = fn(*[np.array(a) for a in np.broadcast_arrays(*spec.axes())])
     return GridFunction(spec, np.asarray(vals, dtype=np.complex128), tag)
 
 

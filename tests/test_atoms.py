@@ -310,6 +310,23 @@ def test_import_accepts_every_cube_of_the_lattice(tmp_path):
     assert list(dec.coefficient_array(1)) == [2.0, 3.0]
 
 
+@pytest.mark.parametrize("key, match", [
+    ((1, (16,)), r"cube \(16,\) of level 1 lies outside the box"),
+    ((1, (-17,)), r"cube \(-17,\) of level 1 lies outside the box"),
+    ((-1, (0,)), r"need a level v >= 0 and 1 cube indices"),
+    ((1, (0, 0)), r"need a level v >= 0 and 1 cube indices"),
+    ((1, (2 ** 70,)), r"need a level v >= 0 and 1 cube indices"),
+    ((8, (0,)), r"level 8 cubes .* do not align"),
+])
+def test_hand_built_decomposition_rejects_cubes_outside_the_lattice(key, match):
+    # N = 1024, L = 16: level 1 holds m in [-16, 15]; m = nc/2 = 16 would
+    # wrap onto cube -16 in coefficient_array
+    spec = vb.make_grid(1, 16.0, 1024)
+    with pytest.raises(ParameterError, match=match):
+        AtomicDecomposition(spec, vb.make_ladder(3, 12), 3, 2, 0, 3.0, "manual",
+                            1.0, 1.0, {(1, (0,)): 1.0, key: 1.0})
+
+
 def test_multi_indices_order():
     assert list(_multi_indices(1, 3)) == [(0,), (1,), (2,), (3,)]
     for K in range(4):
