@@ -156,17 +156,16 @@ def _level(frame: CalderonFrame, F: np.ndarray, v: int, synthesis: bool = True):
     synthesis multipliers are None when not asked for.
     """
     spec = frame.spec
-    sr = spec.freq_radius()
-    profile = frame.profile
     if v == 0:
-        ws, analysis = [1.0], [profile.Psi_hat(sr)]
-        synth = [frame.FPhi] if synthesis else None
+        ws, synth = [1.0], [frame.FPhi]
+        analysis = [frame.profile.Psi_hat(spec.freq_radius())]
     else:
         sl = frame.ladder.octave_slice(v)
         ts, ws = frame.ladder.t[sl], frame.ladder.weights[sl]
-        analysis = [profile.psi_hat(t * sr) for t in ts]
-        synth = [profile.phi_hat(t * sr) for t in ts] if synthesis else None
-    return [from_spectrum(spec, A * F).samples for A in analysis], ws, synth
+        synth = [frame.phi_t_spectrum(t) for t in ts]
+        analysis = (phi / frame.profile.c2 for phi in synth)   # Fpsi_t = Fphi_t / c2
+    bands = [from_spectrum(spec, A * F).samples for A in analysis]
+    return bands, ws, synth if synthesis else None
 
 
 @dataclass(frozen=True)

@@ -707,7 +707,7 @@ def check_kernel_decay(bank: FunctionBank, seed: int = 7,
 
     def band_sup(j, dilation):
         # sup of the level-j band of the atom, weighted by decay away from x_Q
-        conv = from_spectrum(spec, frame.profile.phi_hat(2.0 ** (-j) * sr) * Fa)
+        conv = from_spectrum(spec, frame.phi_t_spectrum(2.0 ** (-j)) * Fa)
         return float(np.max(conv.abs_samples()
                             * (1 + dilation * np.abs(x - xQ)) ** N_poly))
 

@@ -127,13 +127,28 @@ class CalderonFrame:
     annulus: Tuple[float, float]   # support of the Fphi profile
     residual: float                # measured identity residual on the band
     resolved_xi_max: float
+    radius_order: np.ndarray       # stable argsort of the flattened |xi|
+    radius_sorted: np.ndarray      # the flattened |xi| in that order
 
     def phi_t_spectrum(self, t: float) -> np.ndarray:
-        return self.profile.phi_hat(t * self.spec.freq_radius())
+        """Fphi(t xi) at the grid frequencies, evaluated only where t|xi|
+        can lie in the annulus; every other sample is exactly 0."""
+        lo, hi = _support_slice(self.radius_sorted, t)
+        out = np.zeros(self.spec.size)
+        out[self.radius_order[lo:hi]] = self.profile.phi_hat(t * self.radius_sorted[lo:hi])
+        return out.reshape(self.spec.shape)
 
     def level0_transform(self, f: GridFunction) -> GridFunction:
         """Phi * f."""
         return from_spectrum(f.spec, self.FPhi * spectrum(f))
+
+
+def _support_slice(radii: np.ndarray, t: float) -> Tuple[int, int]:
+    """Bounds [lo, hi) of the ascending radii s with t*s possibly inside the
+    annulus 1/2 < t|xi| < 2; the slice is a superset, padded against the
+    rounding of t*s, and Fphi vanishes exactly outside it."""
+    lo, hi = np.searchsorted(radii, (0.5 * (1 - 1e-9) / t, 2.0 * (1 + 1e-9) / t))
+    return int(lo), int(hi)
 
 
 def identity_residual(profile: RadialProfile, ladder: ScaleLadder,
@@ -142,7 +157,8 @@ def identity_residual(profile: RadialProfile, ladder: ScaleLadder,
     s = np.geomspace(xi_max * 1e-4, xi_max, n_samples)
     total = profile.Phi_hat(s)
     for t, w in zip(ladder.t, ladder.weights):
-        total = total + w * profile.phi_hat(t * s)
+        i, j = _support_slice(s, t)
+        total[i:j] += w * profile.phi_hat(t * s[i:j])
     return float(np.max(np.abs(total - 1.0)))
 
 
@@ -167,8 +183,10 @@ def build_resolution_of_unity(spec: GridSpec, ladder: ScaleLadder,
             f"frame identity residual {res:.3e} exceeds {RESIDUAL_TOL:g} on the "
             f"resolved band |xi| <= {resolved:.3g}; increase nodes_per_octave"
         )
-    FPhi = profile.Phi_hat(spec.freq_radius())
-    return CalderonFrame(spec, profile, ladder, FPhi, (0.5, 2.0), res, resolved)
+    radius = spec.freq_radius().reshape(-1)
+    order = np.argsort(radius, kind="stable")
+    return CalderonFrame(spec, profile, ladder, profile.Phi_hat(radius).reshape(spec.shape),
+                         (0.5, 2.0), res, resolved, order, radius[order])
 
 
 def synthesize_phi_t(frame: CalderonFrame, t: float) -> GridFunction:

@@ -159,9 +159,17 @@ def zero_function(spec: GridSpec, tag: Optional[str] = None) -> GridFunction:
 
 
 def _phase(spec: GridSpec) -> np.ndarray:
-    N = spec.points_per_axis
+    return _phase_of(spec.points_per_axis, spec.dimension)
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_of(N: int, dimension: int) -> np.ndarray:
+    """The (-1)^j sign pattern of an N^dimension grid, built once per grid
+    shape and shared read-only."""
     p = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
-    return functools.reduce(np.multiply.outer, (p,) * spec.dimension)
+    out = functools.reduce(np.multiply.outer, (p,) * dimension)
+    out.flags.writeable = False
+    return out
 
 
 def spectrum(f: GridFunction) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Modulars, Luxemburg norms, and the mixed sequence norms built from them.
 
-Every norm here is the infimum of lambda with modular(f/lambda) <= 1, found
-by bisection on the (nonincreasing) modular.  The initial bracket
-[min(R^{1/e-}, R^{1/e+}), max(R^{1/e-}, R^{1/e+})], R = modular(f), always
-contains the root; for a constant exponent it collapses and the closed form
-R^{1/p} is returned without iterating.
+Every norm here is the infimum of lambda with modular(f/lambda) <= 1.  The
+bracket [min(R^{1/e-}, R^{1/e+}), max(R^{1/e-}, R^{1/e+})], R = modular(f),
+always contains the root; for a constant exponent it collapses and the
+closed form R^{1/p} is returned without iterating.  Otherwise the root is
+found by safeguarded Newton in mu = log lambda: log modular(mu) =
+log sum w v^e exp(-e mu) is convex and decreasing, so Newton started at the
+lower end of the bracket climbs to the root monotonically, and a step that
+leaves the bracket falls back to bisection.
 """
 
 from __future__ import annotations
@@ -126,16 +129,37 @@ def solve_luxemburg(vals, expo, weights, rtol: float = RTOL,
     while modular_at(hi) > 1.0 and guard < 8:
         hi *= 1.0 + 1e-12 * 2 ** guard
         guard += 1
-    iters = 0
-    blo, bhi = lo, hi
-    while (bhi - blo) > rtol * bhi and iters < max_iter:
-        mid = 0.5 * (blo + bhi)
-        if modular_at(mid) > 1.0:
-            blo = mid
-        else:
-            bhi = mid
-        iters += 1
-    return NormResult(scale * bhi, modular_at(bhi), iters, (scale * lo, scale * hi))
+    if hi - lo <= rtol * hi:
+        return NormResult(scale * hi, modular_at(hi), 0, (scale * lo, scale * hi))
+
+    # Newton from the lower end (module docstring).  Where rho overflows,
+    # near lo when e+/e- is large, the step is not finite; a step that
+    # leaves the bracket, which tightens with every evaluation, is replaced
+    # by a bisection step.
+    live = terms > 0.0      # a zero term times an overflowed power is NaN
+    terms, expo = terms[live], expo[live]
+    blo, bhi = math.log(lo), math.log(hi)
+    mu, iters = blo, 0
+    with np.errstate(over="ignore"):
+        while iters < max_iter:
+            a = terms * np.exp(-expo * mu)
+            rho = float(a.sum())
+            if rho > 1.0:
+                blo = mu
+            else:
+                bhi = mu
+            slope = float(np.dot(expo, a))     # -d rho / d mu
+            finite = 0.0 < rho and slope < math.inf
+            nxt = mu + math.log(rho) * rho / slope if finite else math.nan
+            if not blo <= nxt <= bhi:
+                nxt = 0.5 * (blo + bhi)
+            iters += 1
+            done = abs(nxt - mu) <= rtol or bhi - blo <= rtol
+            mu = nxt
+            if done:
+                break
+        lam = math.exp(mu)
+        return NormResult(scale * lam, modular_at(lam), iters, (scale * lo, scale * hi))
 
 
 # -- grid-space operations ----------------------------------------------------
@@ -164,7 +188,7 @@ def modular(f: GridFunction, p: ExponentField,
 
 def luxemburg_norm(f: GridFunction, p: ExponentField,
                    w: Optional[GridFunction] = None) -> NormResult:
-    """inf{lam > 0 : rho(f/lam) <= 1} by bisection."""
+    """inf{lam > 0 : rho(f/lam) <= 1} by safeguarded Newton in log lam."""
     wv = _check_spatial(f, p, w)
     h = f.spec.spacing ** f.spec.dimension
     return solve_luxemburg(np.abs(f.samples), p.grid_values(), wv * h)

@@ -3,15 +3,77 @@ tested against.  They are kept here, not in the library, on purpose."""
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 import numpy as np
 
 from vbesov.atoms import (COEFF_FLOOR, AtomDescriptor, AtomicDecomposition,
                           Key, measured_kernel_constant)
-from vbesov.frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
+from vbesov.errors import ParameterError
+from vbesov.frame import (CalderonFrame, RadialProfile, synthesize_Phi,
+                          synthesize_phi_t)
 from vbesov.grid import (GridFunction, GridSpec, cubes_per_axis, from_spectrum,
                          spectrum, zero_function)
+from vbesov.luxemburg import MAX_ITER, RTOL, NormResult, ScaleLadder
+
+
+def solve_luxemburg_bisection(vals, expo, weights, rtol: float = RTOL,
+                              max_iter: int = MAX_ITER) -> NormResult:
+    """inf{lam > 0 : sum w * (v/lam)^e <= 1} for nonnegative v, positive e.
+
+    Returns 0 when the modular of the raw values vanishes.  The root is found
+    for v / max|v| and scaled back (the norm is homogeneous), so the powers
+    neither overflow nor underflow at any magnitude float64 holds.
+    """
+    vals = np.abs(np.asarray(vals, dtype=float))
+    # broadcast against the grid shape before flattening (2-D fields are (N, N))
+    expo = np.broadcast_to(np.asarray(expo, dtype=float), vals.shape).reshape(-1)
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), vals.shape).reshape(-1)
+    vals = vals.reshape(-1)
+    if np.any(expo <= 0):
+        raise ParameterError("exponents must be positive")
+
+    scale = float(vals.max(initial=0.0))
+    if scale == 0.0:
+        return NormResult(0.0, 0.0, 0, (0.0, 0.0))
+    terms = weights * (vals / scale) ** expo
+    R = float(terms.sum())
+    if R == 0.0:
+        return NormResult(0.0, 0.0, 0, (0.0, 0.0))
+
+    emin, emax = float(expo.min()), float(expo.max())
+    lo = min(R ** (1.0 / emin), R ** (1.0 / emax))
+    hi = max(R ** (1.0 / emin), R ** (1.0 / emax))
+
+    def modular_at(lam: float) -> float:
+        return float(np.sum(terms * np.exp(-expo * math.log(lam))))
+
+    # roundoff safety: the analytic bracket can miss by an ulp
+    guard = 0
+    while modular_at(hi) > 1.0 and guard < 8:
+        hi *= 1.0 + 1e-12 * 2 ** guard
+        guard += 1
+    iters = 0
+    blo, bhi = lo, hi
+    while (bhi - blo) > rtol * bhi and iters < max_iter:
+        mid = 0.5 * (blo + bhi)
+        if modular_at(mid) > 1.0:
+            blo = mid
+        else:
+            bhi = mid
+        iters += 1
+    return NormResult(scale * bhi, modular_at(bhi), iters, (scale * lo, scale * hi))
+
+
+def identity_residual_full_grid(profile: RadialProfile, ladder: ScaleLadder,
+                                xi_max: float, n_samples: int = 6000) -> float:
+    """max over the band of |FPhi(xi) + sum_k Fphi(t_k xi) w_k - 1|."""
+    s = np.geomspace(xi_max * 1e-4, xi_max, n_samples)
+    total = profile.Phi_hat(s)
+    for t, w in zip(ladder.t, ladder.weights):
+        total = total + w * profile.phi_hat(t * s)
+    return float(np.max(np.abs(total - 1.0)))
 
 
 def peetre_maximal_bruteforce(spec: GridSpec, g: np.ndarray, t: float,

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import vbesov as vb
+from oracles import identity_residual_full_grid
 from vbesov.errors import ConstructionError, ParameterError
-from vbesov.frame import BumpParams
+from vbesov.frame import BumpParams, build_radial_profile, identity_residual
 from vbesov.grid import from_spectrum, spectrum
 
 
@@ -166,3 +167,22 @@ def test_local_mean_pair_2d_below_the_resolution_floor_names_the_grid():
     with pytest.raises(ConstructionError, match=r"2-D grid, N = 32, L = 16, epsilon = 1"):
         vb.build_local_mean_pair(vb.make_grid(2, 16.0, 32), S=1)
     assert vb.build_local_mean_pair(vb.make_grid(2, 16.0, 64), S=1).m == 1
+
+
+@pytest.mark.parametrize("dimension, L, N", [(1, 16.0, 16), (1, 16.0, 2048), (1, 16.0, 4096),
+                                             (1, 10.0, 1024), (2, 16.0, 32), (2, 16.0, 64)])
+def test_phi_t_spectrum_on_the_annulus_equals_the_full_grid_bit_for_bit(dimension, L, N, ladder):
+    spec = vb.make_grid(dimension, L, N)
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    sr = spec.freq_radius()
+    for t in (1.0, *ladder.t):
+        assert np.array_equal(frame.phi_t_spectrum(t), frame.profile.phi_hat(t * sr))
+    assert np.array_equal(frame.FPhi, frame.profile.Phi_hat(sr))
+
+
+@pytest.mark.parametrize("octaves, nodes, xi_max", [(8, 12, 115.2), (4, 12, 7.2), (6, 5, 28.8)])
+def test_identity_residual_equals_the_full_grid_loop(octaves, nodes, xi_max):
+    profile = build_radial_profile(BumpParams())
+    ladder = vb.make_ladder(octaves, nodes)
+    assert (identity_residual(profile, ladder, xi_max)
+            == identity_residual_full_grid(profile, ladder, xi_max))

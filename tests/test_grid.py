@@ -227,3 +227,15 @@ def test_2d_from_callable_of_one_coordinate_fills_the_grid():
     assert np.array_equal(f.samples, np.broadcast_to(np.cos(x)[:, None], (16, 16)))
     p = vb.field_from_callable(spec, lambda x, y: 2.0 + np.cos(x), "p", 2.0)
     assert np.array_equal(p.grid_values(), np.broadcast_to(2.0 + np.cos(x)[:, None], (16, 16)))
+
+
+@pytest.mark.parametrize("dimension, N", [(1, 16), (1, 4096), (2, 32)])
+def test_phase_is_cached_read_only_and_matches_the_formula(dimension, N):
+    spec = vb.make_grid(dimension, 16.0, N)
+    sign = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
+    formula = sign if dimension == 1 else np.multiply.outer(sign, sign)
+    phase = vb.grid._phase(spec)
+    assert phase.shape == spec.shape and np.array_equal(phase, formula)
+    assert vb.grid._phase(vb.make_grid(dimension, 10.0, N)) is phase  # shared per shape
+    with pytest.raises(ValueError):
+        phase[0] = 2.0

@@ -1,12 +1,18 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vbesov as vb
+from oracles import solve_luxemburg_bisection
+from vbesov.atoms import analyze, sequence_norm_b
+from vbesov.bank import make_member, weierstrass
+from vbesov.config import RunConfig
 from vbesov.errors import ParameterError, UnsupportedFeatureError
-from vbesov.luxemburg import octave_block_norm, solve_luxemburg
+from vbesov.grid import from_spectrum, spectrum
+from vbesov.luxemburg import RTOL, octave_block_norm, solve_luxemburg
 
 # frozen from a 1e6-node trapezoid quadrature of int_0^1 x^(1+x) dx
 INT_X_POW_1PX = 0.40303444442160025
@@ -249,3 +255,130 @@ def test_homogeneity_at_any_magnitude(unit_box, log10_c):
     v = np.array([1.0, 2.0, 3.0])
     one = solve_luxemburg(v, [4.0, 4.0, 5.0], 1.0).value
     assert solve_luxemburg(c * v, [4.0, 4.0, 5.0], 1.0).value == pytest.approx(c * one, rel=1e-9)
+
+
+# -- Newton against the bisection oracle ----------------------------------------
+
+# the two exponent configurations of the benchmark workloads
+EXPONENT_CONFIGS = {
+    "const": RunConfig(p="2", alpha="1 / 2", q="2"),
+    "variable": RunConfig(p="3 + sin(2 * pi * x / 16)",
+                          alpha="3 / 10 + 3 / 5 * sin(2 * pi * x / 16)",
+                          q="2 + 1 / log(e + 1 / t)"),
+}
+
+
+def _inputs(spec):
+    """Bank members in 1-D; in 2-D (the bank is 1-D) members of the same
+    kinds built on the plane: localized, oscillating, rough."""
+    if spec.dimension == 1:
+        return [make_member(spec, name) for name in
+                ("gauss_w05", "modgauss_f16", "smoothstep_w1", "weier_s03",
+                 "weier_s12", "tone_k40", "bandnoise_a", "bandnoise_c")]
+    w0 = 2 * np.pi / spec.box_length
+    return [vb.from_callable(spec, fn) for fn in (
+        lambda x, y: np.exp(-(x ** 2 + y ** 2) / 0.5),
+        lambda x, y: np.cos(4 * x + 3 * y) * np.exp(-(x ** 2 + y ** 2) / 2),
+        lambda x, y: weierstrass(x, 0.3, w0, 5) * np.exp(-y ** 2 / 2))]
+
+
+@pytest.mark.parametrize("dimension, N", [(1, 4096), (2, 64)])
+@pytest.mark.parametrize("config", sorted(EXPONENT_CONFIGS))
+def test_newton_matches_bisection_oracle_on_band_profiles(dimension, N, config):
+    spec = vb.make_grid(dimension, 16.0, N)
+    ladder = vb.make_ladder()
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    cfg = EXPONENT_CONFIGS[config]
+    pv, av = cfg.p_field(spec).grid_values(), cfg.alpha_field(spec).grid_values()
+    h = spec.spacing ** dimension
+    rng = np.random.default_rng(N + len(config))
+    for f in _inputs(spec):
+        F = spectrum(f)
+        for t in ladder.t[::5]:
+            g = np.abs(from_spectrum(spec, frame.phi_t_spectrum(t) * F).samples) * t ** (-av)
+            g *= 10.0 ** rng.uniform(-300.0, 300.0)
+            new, old = solve_luxemburg(g, pv, h), solve_luxemburg_bisection(g, pv, h)
+            assert abs(new.value - old.value) <= 2 * RTOL * old.value
+            if config == "const":
+                assert new.iterations == 0
+            elif N == 4096:
+                assert 1 <= new.iterations <= 6
+
+
+def _skewed_inputs(count, seed=3):
+    """Random modulars with e+/e- up to 80 and terms over 14 decades; some
+    overflow float64 at the lower end of the bracket."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 50))
+        yield (10.0 ** rng.uniform(-6, 0, n), rng.uniform(1, rng.uniform(1.5, 80), n),
+               10.0 ** rng.uniform(-12, 2, n))
+
+
+def test_newton_climbs_from_the_lower_end_in_few_steps():
+    # from lo the iterates climb monotonically: at most 7 steps on all of
+    # these; started from hi, the first steps overshoot below the bracket
+    # and dozens of bisection steps follow
+    worst = 0
+    for v, e, w in _skewed_inputs(1000):
+        new, old = solve_luxemburg(v, e, w), solve_luxemburg_bisection(v, e, w)
+        assert abs(new.value - old.value) <= 2 * RTOL * old.value
+        worst = max(worst, new.iterations)
+    assert worst <= 8
+
+
+def test_newton_falls_back_to_bisection_where_the_modular_overflows():
+    # rho(lo) = 1e-180 * (1e-12)^-60 overflows: the first Newton step is not
+    # finite and only the bracket safeguard keeps the iterate in range
+    v, e, w = [1.0, 1e-3], [1.0, 60.0], [1e-12, 1.0]
+    new, old = solve_luxemburg(v, e, w), solve_luxemburg_bisection(v, e, w)
+    assert math.isfinite(new.value)
+    assert abs(new.value - old.value) <= 2 * RTOL * old.value
+    assert new.iterations <= 8 < old.iterations
+
+
+def test_vanishing_terms_do_not_stop_the_solver():
+    # zero values with the largest exponent: 0 * an overflowed power is NaN
+    v, e, w = [1.0, 0.0, 1e-3], [1.0, 60.0, 30.0], [1e-12, 1.0, 1.0]
+    new, old = solve_luxemburg(v, e, w), solve_luxemburg_bisection(v, e, w)
+    assert abs(new.value - old.value) <= 2 * RTOL * old.value
+
+
+def _use_bisection(monkeypatch):
+    """Replace the solver at every vbesov module attribute holding it."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("vbesov") and getattr(mod, "solve_luxemburg", None) is solve_luxemburg:
+            monkeypatch.setattr(mod, "solve_luxemburg", solve_luxemburg_bisection)
+
+
+@pytest.mark.parametrize("config", sorted(EXPONENT_CONFIGS))
+def test_every_form_matches_the_bisection_oracle(monkeypatch, config):
+    spec = vb.make_grid(1, 16.0, 256)
+    ladder = vb.make_ladder(4, 12)
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    pair = vb.build_local_mean_pair(spec, S=2)
+    cfg = EXPONENT_CONFIGS[config]
+    p, alpha, q = cfg.p_field(spec), cfg.alpha_field(spec), cfg.q_field(ladder)
+
+    def values():
+        out = {}
+        for name in ("gauss_w05", "weier_s03", "bandnoise_a"):
+            f = make_member(spec, name)
+            for form in ("direct", "discretized", "q0", "peetre"):
+                out[name, form] = vb.besov_norm(f, frame, alpha, p, q, form).value
+            for variant in ("prime", "double_prime"):
+                out[name, variant] = vb.local_mean_norm(f, pair, alpha, p, q, 2.0,
+                                                        variant, ladder).value
+            prof = vb.lp_profile(f, frame, alpha, p)
+            out[name, "octave_block"] = octave_block_norm(prof.values, ladder, q)
+            dec = analyze(f, frame, V=4)
+            for form in ("continuous", "discrete"):
+                out[name, form] = sequence_norm_b(dec, alpha, p, q, form)
+        return out
+
+    new = values()
+    _use_bisection(monkeypatch)
+    old = values()
+    assert new.keys() == old.keys()
+    for key, ref in old.items():
+        assert new[key] == pytest.approx(ref, rel=1e-9, abs=0.0), key
