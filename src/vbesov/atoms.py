@@ -27,9 +27,9 @@ from .errors import HypothesisViolationError, ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
 from .grid import (GridFunction, GridSpec, _multi_indices, cubes_per_axis,
-                   finest_aligned_level, from_spectrum, spectral_derivative,
-                   spectrum, zero_function)
-from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg
+                   band_rows, finest_aligned_level, from_spectrum_rows, spectral_derivative,
+                   spectrum, spectrum_rows, zero_function)
+from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg, solve_luxemburg_rows
 
 COEFF_FLOOR = 1e-14
 SUPPORT_TOL = 1e-6
@@ -152,20 +152,48 @@ def _level(frame: CalderonFrame, F: np.ndarray, v: int, synthesis: bool = True):
 
     Level 0 is the Psi/Phi pair with unit weight and no t-integral; level
     v >= 1 runs psi_t/phi_t over the nodes of octave v.  The bands are
-    g = ifft(A F) for the analysis multipliers A and f's spectrum F; the
-    synthesis multipliers are None when not asked for.
+    g = ifft(A F) for the analysis multipliers A and f's spectrum F, one
+    row per node in a (nodes, *grid) block, as are the synthesis
+    multipliers, which are None when not asked for.
     """
     spec = frame.spec
     if v == 0:
-        ws, synth = [1.0], [frame.FPhi]
-        analysis = [frame.profile.Psi_hat(spec.freq_radius())]
+        ws, synth = np.ones(1), frame.FPhi[None]
+        analysis = frame.profile.Psi_hat(spec.freq_radius())[None]
     else:
         sl = frame.ladder.octave_slice(v)
-        ts, ws = frame.ladder.t[sl], frame.ladder.weights[sl]
-        synth = [frame.phi_t_spectrum(t) for t in ts]
-        analysis = (phi / frame.profile.c2 for phi in synth)   # Fpsi_t = Fphi_t / c2
-    bands = [from_spectrum(spec, A * F).samples for A in analysis]
-    return bands, ws, synth if synthesis else None
+        ws, synth = frame.ladder.weights[sl], frame.phi_block(frame.ladder.t[sl])
+        # Fpsi_t = Fphi_t / c2, in place when the synthesis side is not kept
+        analysis = np.divide(synth, frame.profile.c2, out=None if synthesis else synth)
+    return band_rows(spec, analysis, F), ws, synth if synthesis else None
+
+
+def _cube_energy(frame: CalderonFrame, F: np.ndarray, v: int) -> np.ndarray:
+    """sum over the nodes of level v of w * int_Q |band|^2 for every cube Q
+    of the level, the nodes added node after node."""
+    spec = frame.spec
+    n = spec.dimension
+    nc = cubes_per_axis(spec, v)
+    bands, ws, _ = _level(frame, F, v, synthesis=False)
+    abs2 = np.abs(bands)
+    abs2 **= 2
+    cs = abs2.reshape((-1,) + (nc, spec.points_per_axis // nc) * n) \
+        .sum(axis=tuple(range(2, 2 * n + 1, 2))) * spec.spacing ** n
+    lam2 = cs[0] * ws[0]
+    for c, w in zip(cs[1:], ws[1:]):
+        lam2 = lam2 + c * w
+    return lam2
+
+
+def _add_synthesis(out: np.ndarray, spec: GridSpec, level, mask: np.ndarray) -> None:
+    """out += sum over the nodes of w * ifft(S fft(band masked to `mask`)),
+    node after node, for a level (bands, weights, synthesis multipliers)."""
+    bands, ws, synth = level
+    parts = np.where(mask, bands, 0.0)
+    spectrum_rows(spec, parts, out=parts)
+    parts *= synth
+    for w, part in zip(ws, from_spectrum_rows(spec, parts, out=parts)):
+        out += w * part
 
 
 @dataclass(frozen=True)
@@ -239,12 +267,10 @@ class AtomicDecomposition:
             if bands is None:
                 bands = _level(self.frame, self.f_spectrum, v)
             # cube m spans lattice index m + nc/2 along each axis
-            sl = tuple(slice((mm + nc // 2) * spc, (mm + nc // 2 + 1) * spc) for mm in m)
+            cube = np.zeros(spec.shape, dtype=bool)
+            cube[tuple(slice((mm + nc // 2) * spc, (mm + nc // 2 + 1) * spc) for mm in m)] = True
             acc = np.zeros(spec.shape, dtype=np.complex128)
-            for g, w, S in zip(*bands):
-                masked = np.zeros(spec.shape, dtype=np.complex128)
-                masked[sl] = g[sl]
-                acc += w * from_spectrum(spec, S * spectrum(GridFunction(spec, masked))).samples
+            _add_synthesis(acc, spec, bands, cube)
             out.append(AtomDescriptor(v, m, GridFunction(spec, acc / lam),
                                       self.K, self.L, self.gamma))
         return out
@@ -296,22 +322,14 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
         _check_target(K, L, target_alpha)
 
     n = spec.dimension
-    h = spec.spacing ** n
     C_phi = measured_kernel_constant(synthesize_phi_t(frame, 1.0), K)
     C_Phi = measured_kernel_constant(synthesize_Phi(frame), K)
     F = spectrum(f)
 
     coeffs: Dict[Key, float] = {}
     for v in range(V + 1):
-        gs, ws, _ = _level(frame, F, v, synthesis=False)
         nc = cubes_per_axis(spec, v)
-        spc = spec.points_per_axis // nc
-        lam2 = None
-        for g, w in zip(gs, ws):
-            abs2 = np.abs(g) ** 2
-            cs = abs2.reshape((nc, spc) * n).sum(axis=tuple(range(1, 2 * n, 2))) * h
-            lam2 = cs * w if lam2 is None else lam2 + cs * w
-        lam = (C_Phi if v == 0 else C_phi) * np.sqrt(lam2)
+        lam = (C_Phi if v == 0 else C_phi) * np.sqrt(_cube_energy(frame, F, v))
         lam[lam < COEFF_FLOOR] = 0.0
         cubes = itertools.product(range(-(nc // 2), nc - nc // 2), repeat=n)
         coeffs.update(zip([(v, m) for m in cubes], lam.ravel().tolist()))
@@ -343,9 +361,7 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
         mask = _expand(spec, dec.coefficient_array(v) != 0.0)
         if not mask.any():
             continue
-        for g, w, S in zip(*_level(dec.frame, dec.f_spectrum, v)):
-            masked = GridFunction(spec, np.where(mask, g, 0.0))
-            out += w * from_spectrum(spec, S * spectrum(masked)).samples
+        _add_synthesis(out, spec, _level(dec.frame, dec.f_spectrum, v), mask)
     return GridFunction(spec, out, tag="synthesized")
 
 
@@ -389,8 +405,8 @@ def sequence_norm_b(dec: AtomicDecomposition, alpha: ExponentField,
     node_norms = np.zeros(ladder.t.size)  # octaves beyond V stay zero
     for v, S in enumerate(levels, start=1):
         sl = ladder.octave_slice(v)
-        node_norms[sl] = [solve_luxemburg(t ** (-(av + half)) * S, pv, h).value
-                          for t in ladder.t[sl]]
+        ts = ladder.t[sl].reshape((-1,) + (1,) * n)
+        node_norms[sl] = solve_luxemburg_rows(ts ** (-(av + half)) * S, pv, h).values
     return level0 + octave_block_norm(node_norms, ladder, q)
 
 

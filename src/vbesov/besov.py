@@ -4,7 +4,9 @@ Every form is a level-0 term plus a t-norm of one scale profile, and every
 profile comes from the same pipeline (`_scale_profile`): per ladder node t,
 a kernel multiplier at scale t times the spectrum of f, then |.| t^-alpha(x),
 then, for the maximal forms, the Peetre maximal function of order a, then
-the Luxemburg norm in L^p(.).  The level-0 term runs the same steps with the
+the Luxemburg norm in L^p(.).  The unit of work is the octave: its nodes
+form one (nodes, *grid) block, with one batched inverse FFT and one
+row-wise Luxemburg solve.  The level-0 term runs the same steps with the
 level-0 multiplier and no weight.  Only the kernel pair and the maximal
 switch change between forms:
 
@@ -27,8 +29,8 @@ import numpy as np
 from .errors import HypothesisViolationError, ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, LocalMeanPair
-from .grid import GridFunction, GridSpec, from_spectrum, spectrum
-from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg, t_norm
+from .grid import GridFunction, GridSpec, band_rows, spectrum
+from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg_rows, t_norm
 
 FORMS = ("direct", "discretized", "q0", "peetre",
          "local_mean_prime", "local_mean_double_prime")
@@ -75,11 +77,12 @@ def _field_echo(field: Optional[ExponentField]) -> object:
             "limit": field.limit_value}
 
 
-def _scale_weight(t: float, alpha: ExponentField) -> np.ndarray:
-    """t^{-alpha(x)} on the grid (scalar for constant alpha)."""
+def _scale_weights(ts: np.ndarray, alpha: ExponentField, n: int) -> np.ndarray:
+    """t^{-alpha(x)} for every t in ts, one row per t (one value per row for
+    constant alpha, each a scalar power as in a per-node call)."""
     if alpha.is_constant:
-        return np.asarray(t ** (-alpha.cached_min))
-    return np.power(t, -alpha.grid_values())
+        return np.array([t ** (-alpha.cached_min) for t in ts]).reshape((-1,) + (1,) * n)
+    return np.power(ts.reshape((-1,) + (1,) * n), -alpha.grid_values())
 
 
 # -- Peetre maximal function ---------------------------------------------------
@@ -197,37 +200,44 @@ def _check_peetre_order(a: float, p: ExponentField, spec: GridSpec) -> None:
 # -- the profile pipeline ------------------------------------------------------
 
 
-def _scale_profile(spec: GridSpec, F: np.ndarray, band: Callable[[float], np.ndarray],
-                   level0: np.ndarray, ladder: ScaleLadder, alpha: ExponentField,
-                   p: ExponentField, a: Optional[float] = None) -> ScaleProfile:
-    """The pipeline of the module docstring for f with spectrum F; the
-    maximal step runs when a Peetre order a is given (t = 1 at level 0)."""
+def _scale_profile(spec: GridSpec, F: np.ndarray,
+                   band: Callable[[np.ndarray], np.ndarray], level0: np.ndarray,
+                   ladder: ScaleLadder, alpha: ExponentField, p: ExponentField,
+                   a: Optional[float] = None) -> ScaleProfile:
+    """The pipeline of the module docstring for f with spectrum F, one
+    octave of ladder nodes at a time: `band(ts)` gives the multipliers of
+    the nodes ts as one (nodes, *grid) block.  The maximal step runs, row
+    by row, when a Peetre order a is given (t = 1 at level 0)."""
     if a is not None:
         _check_peetre_order(a, p, spec)
     h = spec.spacing ** spec.dimension
-    pv = p.grid_values()
+    # a constant exponent takes numpy's scalar-power path
+    pv = p.cached_min if p.is_constant else p.grid_values()
 
-    def norm(multiplier: np.ndarray, t: float, weight) -> float:
-        g = from_spectrum(spec, multiplier * F).abs_samples() * weight
+    def norms(multipliers: np.ndarray, ts, weights) -> np.ndarray:
+        g = np.abs(band_rows(spec, multipliers, F))
+        g *= weights
         if a is not None:
-            g = peetre_maximal(spec, g, t, a)
-        return solve_luxemburg(g, pv, h).value
+            g = np.stack([peetre_maximal(spec, row, t, a) for row, t in zip(g, ts)])
+        return solve_luxemburg_rows(g, pv, h).values
 
-    vals = np.array([norm(band(t), t, _scale_weight(t, alpha)) for t in ladder.t])
-    return ScaleProfile(ladder, vals, norm(level0, 1.0, 1.0))
+    octaves = [ladder.t[ladder.octave_slice(v)] for v in range(1, ladder.octaves + 1)]
+    vals = np.concatenate([norms(band(ts), ts, _scale_weights(ts, alpha, spec.dimension))
+                           for ts in octaves])
+    return ScaleProfile(ladder, vals, float(norms(level0[None], [1.0], 1.0)[0]))
 
 
 def lp_profile(f: GridFunction, frame: CalderonFrame, alpha: ExponentField,
                p: ExponentField) -> ScaleProfile:
     """Profile t -> Luxemburg norm of t^{-alpha(.)} (phi_t * f)."""
-    return _scale_profile(f.spec, spectrum(f), frame.phi_t_spectrum, frame.FPhi,
+    return _scale_profile(f.spec, spectrum(f), frame.phi_block, frame.FPhi,
                           frame.ladder, alpha, p)
 
 
 def peetre_profile(f: GridFunction, frame: CalderonFrame, alpha: ExponentField,
                    a: float, p: ExponentField) -> ScaleProfile:
     """Profile of Luxemburg norms of the Peetre maximal functions."""
-    return _scale_profile(f.spec, spectrum(f), frame.phi_t_spectrum, frame.FPhi,
+    return _scale_profile(f.spec, spectrum(f), frame.phi_block, frame.FPhi,
                           frame.ladder, alpha, p, a)
 
 
@@ -279,9 +289,8 @@ def local_mean_norm(f: GridFunction, pair: LocalMeanPair, alpha: ExponentField,
         raise HypothesisViolationError(
             f"alpha+ = {alpha.cached_max:g} must be below S+1 = {pair.S + 1} "
             "for the local-means characterization")
-    sr = f.spec.freq_radius()
-    prof = _scale_profile(f.spec, spectrum(f), lambda t: pair.k_spectrum_at(t * sr),
-                          pair.k0_spectrum_at(sr), ladder, alpha, p,
+    prof = _scale_profile(f.spec, spectrum(f), pair.k_block,
+                          pair.k0_spectrum_at(f.spec.freq_radius()), ladder, alpha, p,
                           a if variant == "prime" else None)
     tpart = t_norm(prof.values, q, ladder, "variable")
     form = "local_mean_prime" if variant == "prime" else "local_mean_double_prime"

@@ -24,10 +24,10 @@ from .exponents import (field_from_callable, log_holder_constants,
                         make_exponent_field, reciprocal_constants)
 from .frame import (BumpParams, build_local_mean_pair,
                     build_resolution_of_unity, eta_kernel)
-from .grid import (GridFunction, GridSpec, convolve, cubes_per_axis,
+from .grid import (GridFunction, GridSpec, band_rows, convolve, cubes_per_axis,
                    from_callable, from_spectrum, integrate, make_grid,
                    spectral_derivative, spectrum)
-from .luxemburg import octave_block_norm, solve_luxemburg, t_norm
+from .luxemburg import octave_block_norm, solve_luxemburg, solve_luxemburg_rows, t_norm
 
 HUGE = 1e12  # constants above this count as "no finite constant"
 
@@ -594,8 +594,8 @@ def check_mixed_equivalence(bank: FunctionBank,
         j = nc // 2  # cube just right of the origin
         masked = np.zeros(spec.shape)
         masked[j * spc:(j + 1) * spc] = np.abs(f.samples[j * spc:(j + 1) * spc])
-        node_vals += [solve_luxemburg(t ** (-alpha) * masked, p, h).value
-                      for t in ladder.t[ladder.octave_slice(v)]]
+        ts = ladder.t[ladder.octave_slice(v)]
+        node_vals += solve_luxemburg_rows(ts[:, None] ** (-alpha) * masked, p, h).values.tolist()
         rhs_acc += solve_luxemburg(2.0 ** (v * alpha) * masked, p, h).value ** q0
     lhs = octave_block_norm(np.array(node_vals), ladder, ql)
     rhs = rhs_acc ** (1.0 / q0)
@@ -684,16 +684,13 @@ def check_kernel_decay(bank: FunctionBank, seed: int = 7,
     x = spec.axis_coords()
     rho = from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
     Frho = spectrum(rho)
-    sr = spec.freq_radius()
     constants: Dict[str, float] = {}
     slopes: Dict[str, float] = {}
     t_list = 2.0 ** (-np.arange(2, 7, dtype=float))
     for M in moment_orders:
         pair = build_local_mean_pair(spec, S=M)
-        sups = []
-        for t in t_list:
-            conv = from_spectrum(spec, pair.k_spectrum_at(t * sr) * Frho)
-            sups.append(float(np.max(conv.abs_samples() * (1 + np.abs(x)) ** N_poly)))
+        conv = band_rows(spec, pair.k_block(t_list), Frho)
+        sups = [float(np.max(np.abs(c) * (1 + np.abs(x)) ** N_poly)) for c in conv]
         slope = float(np.polyfit(np.log(t_list), np.log(sups), 1)[0])
         slopes[f"M={M}"] = slope
         constants[f"M={M}_sup_at_tmin"] = sups[-1] / t_list[-1] ** max(M + 1, 0)
@@ -705,17 +702,17 @@ def check_kernel_decay(bank: FunctionBank, seed: int = 7,
     Fa = spectrum(atom)
     xQ = 2.0 ** (-v) * mloc
 
-    def band_sup(j, dilation):
-        # sup of the level-j band of the atom, weighted by decay away from x_Q
-        conv = from_spectrum(spec, frame.phi_t_spectrum(2.0 ** (-j)) * Fa)
-        return float(np.max(conv.abs_samples()
-                            * (1 + dilation * np.abs(x - xQ)) ** N_poly))
+    def band_sups(js, dilations):
+        # sup of the level-j bands of the atom, weighted by decay away from x_Q
+        conv = band_rows(spec, frame.phi_block(2.0 ** (-js)), Fa)
+        return [float(np.max(np.abs(c) * (1 + d * np.abs(x - xQ)) ** N_poly))
+                for c, d in zip(conv, dilations)]
 
     fine_j = np.arange(v, v + 5)
-    fine_sups = [band_sup(j, 2.0 ** v) for j in fine_j]
+    fine_sups = band_sups(fine_j, np.full(fine_j.shape, 2.0 ** v))
     slope_K = float(-np.polyfit(fine_j, np.log2(fine_sups), 1)[0])
     coarse_j = np.arange(0, v + 1)
-    coarse_sups = [band_sup(j, 2.0 ** j) for j in coarse_j]
+    coarse_sups = band_sups(coarse_j, 2.0 ** coarse_j)
     slope_L = float(np.polyfit(coarse_j, np.log2(coarse_sups), 1)[0])
     slopes["fj_fine_scale"] = slope_K
     slopes["fj_coarse_scale"] = slope_L

@@ -130,35 +130,49 @@ class CalderonFrame:
     radius_order: np.ndarray       # stable argsort of the flattened |xi|
     radius_sorted: np.ndarray      # the flattened |xi| in that order
 
+    def phi_block(self, ts) -> np.ndarray:
+        """Fphi(t xi) at the grid frequencies for every t in ts, one row per
+        t: a (len(ts), *grid) array from one `phi_hat` call over the annulus
+        slices; every sample outside a row's slice is exactly 0."""
+        rows, idx, vals = _annulus_values(self.profile, self.radius_sorted, ts)
+        out = np.zeros((np.size(ts), self.spec.size))
+        out[rows, self.radius_order[idx]] = vals
+        return out.reshape(out.shape[:1] + self.spec.shape)
+
     def phi_t_spectrum(self, t: float) -> np.ndarray:
-        """Fphi(t xi) at the grid frequencies, evaluated only where t|xi|
-        can lie in the annulus; every other sample is exactly 0."""
-        lo, hi = _support_slice(self.radius_sorted, t)
-        out = np.zeros(self.spec.size)
-        out[self.radius_order[lo:hi]] = self.profile.phi_hat(t * self.radius_sorted[lo:hi])
-        return out.reshape(self.spec.shape)
+        """Fphi(t xi) at the grid frequencies: one row of `phi_block`."""
+        return self.phi_block([t])[0]
 
     def level0_transform(self, f: GridFunction) -> GridFunction:
         """Phi * f."""
         return from_spectrum(f.spec, self.FPhi * spectrum(f))
 
 
-def _support_slice(radii: np.ndarray, t: float) -> Tuple[int, int]:
-    """Bounds [lo, hi) of the ascending radii s with t*s possibly inside the
-    annulus 1/2 < t|xi| < 2; the slice is a superset, padded against the
-    rounding of t*s, and Fphi vanishes exactly outside it."""
-    lo, hi = np.searchsorted(radii, (0.5 * (1 - 1e-9) / t, 2.0 * (1 + 1e-9) / t))
-    return int(lo), int(hi)
+def _annulus_values(profile: RadialProfile, radii: np.ndarray, ts):
+    """Fphi(t s) for every t in ts on the slice of the ascending radii s
+    where t*s can lie in the annulus 1/2 < t|xi| < 2, from one `phi_hat`
+    call.  The slices are supersets, padded against the rounding of t*s, and
+    Fphi vanishes exactly outside them.  Returns, per value, its node (the
+    position in ts) and its radius index, node after node, plus the values."""
+    ts = np.asarray(ts, dtype=float)
+    lo = np.searchsorted(radii, 0.5 * (1 - 1e-9) / ts)
+    hi = np.searchsorted(radii, 2.0 * (1 + 1e-9) / ts)
+    counts = hi - lo
+    rows = np.repeat(np.arange(ts.size), counts)
+    idx = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return rows, idx, profile.phi_hat(ts[rows] * radii[idx])
 
 
 def identity_residual(profile: RadialProfile, ladder: ScaleLadder,
                       xi_max: float, n_samples: int = 6000) -> float:
-    """max over the band of |FPhi(xi) + sum_k Fphi(t_k xi) w_k - 1|."""
+    """max over the band of |FPhi(xi) + sum_k Fphi(t_k xi) w_k - 1|, one
+    `phi_hat` call per octave and the node terms added node after node."""
     s = np.geomspace(xi_max * 1e-4, xi_max, n_samples)
     total = profile.Phi_hat(s)
-    for t, w in zip(ladder.t, ladder.weights):
-        i, j = _support_slice(s, t)
-        total[i:j] += w * profile.phi_hat(t * s[i:j])
+    for v in range(1, ladder.octaves + 1):
+        sl = ladder.octave_slice(v)
+        rows, idx, vals = _annulus_values(profile, s, ladder.t[sl])
+        np.add.at(total, idx, ladder.weights[sl][rows] * vals)
     return float(np.max(np.abs(total - 1.0)))
 
 
@@ -204,9 +218,11 @@ def synthesize_Phi(frame: CalderonFrame) -> GridFunction:
 
 
 def _k0_hat(s, epsilon: float) -> np.ndarray:
-    """Fk0(s) = exp(-s^2 / (2 eps^2))."""
-    s = np.asarray(s, dtype=float)
-    return np.exp(-s ** 2 / (2 * epsilon ** 2))
+    """Fk0(s) = exp(-s^2 / (2 eps^2)), formed in one buffer."""
+    out = np.square(np.asarray(s, dtype=float))
+    np.negative(out, out=out)
+    out /= 2 * epsilon ** 2
+    return np.exp(out, out=out)
 
 
 def _k_hat(s, epsilon: float, m: int) -> np.ndarray:
@@ -215,7 +231,10 @@ def _k_hat(s, epsilon: float, m: int) -> np.ndarray:
         return _k0_hat(s, epsilon)
     s = np.asarray(s, dtype=float)
     peak = (2 * m) ** m * epsilon ** (2 * m) * math.exp(-m)
-    return s ** (2 * m) * np.exp(-s ** 2 / (2 * epsilon ** 2)) / peak
+    out = _k0_hat(s, epsilon)
+    out *= s ** (2 * m)
+    out /= peak
+    return out
 
 
 @dataclass(frozen=True)
@@ -242,6 +261,10 @@ class LocalMeanPair:
 
     def k_spectrum_at(self, s) -> np.ndarray:
         return _k_hat(s, self.epsilon, self.m)
+
+    def k_block(self, ts) -> np.ndarray:
+        """Fk(t xi) at the grid frequencies for every t in ts, one row per t."""
+        return self.k_spectrum_at(np.multiply.outer(ts, self.spec.freq_radius()))
 
 
 def build_local_mean_pair(spec: GridSpec, S: int, epsilon: float = 1.0) -> LocalMeanPair:

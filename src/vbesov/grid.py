@@ -172,17 +172,51 @@ def _phase_of(N: int, dimension: int) -> np.ndarray:
     return out
 
 
+def _grid_axes(spec: GridSpec) -> Tuple[int, ...]:
+    return tuple(range(-spec.dimension, 0))
+
+
+def spectrum_rows(spec: GridSpec, samples: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """`spectrum` of every grid array stacked along the leading axes of
+    `samples`: one batched transform, row for row bit-identical to the
+    single call (a scalar times the phase times the FFT).  `out`, a complex
+    array of the same shape, may be `samples` itself."""
+    out = np.fft.fftn(samples, axes=_grid_axes(spec), out=out)
+    out *= (spec.spacing ** spec.dimension) * _phase(spec)
+    return out
+
+
+def from_spectrum_rows(spec: GridSpec, ft: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Inverse of `spectrum_rows`: (ft * phase), transformed in place, then
+    divided by h^n, so each row equals `from_spectrum(spec, ft[j]).samples`.
+    `out`, a complex array of the same shape, may be `ft` itself."""
+    ft = np.asarray(ft)
+    if out is None:
+        out = np.empty(ft.shape, dtype=np.complex128)
+    np.multiply(ft, _phase(spec), out=out)
+    np.fft.ifftn(out, axes=_grid_axes(spec), out=out)
+    out /= spec.spacing ** spec.dimension
+    return out
+
+
+def band_rows(spec: GridSpec, multipliers: np.ndarray, ft: np.ndarray) -> np.ndarray:
+    """`from_spectrum(spec, A * ft).samples` for every row A of a block of
+    multipliers, in one complex buffer: (A * ft) * phase, then the batched
+    inverse transform in place."""
+    out = multipliers * ft
+    return from_spectrum_rows(spec, out, out=out)
+
+
 def spectrum(f: GridFunction) -> np.ndarray:
     """Continuous-FT samples at the grid frequencies (fftfreq layout)."""
-    h = f.spec.spacing
-    return (h ** f.spec.dimension) * _phase(f.spec) * np.fft.fftn(f.samples)
+    return spectrum_rows(f.spec, f.samples)
 
 
 def from_spectrum(spec: GridSpec, ft: np.ndarray, tag: Optional[str] = None) -> GridFunction:
     """Inverse of `spectrum`."""
-    h = spec.spacing
-    samples = np.fft.ifftn(np.asarray(ft) * _phase(spec)) / (h ** spec.dimension)
-    return GridFunction(spec, samples, tag)
+    return GridFunction(spec, from_spectrum_rows(spec, ft), tag)
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -7,7 +7,9 @@ closed form R^{1/p} is returned without iterating.  Otherwise the root is
 found by safeguarded Newton in mu = log lambda: log modular(mu) =
 log sum w v^e exp(-e mu) is convex and decreasing, so Newton started at the
 lower end of the bracket climbs to the root monotonically, and a step that
-leaves the bracket falls back to bisection.
+leaves the bracket falls back to bisection.  One solver does this for a
+block of rows at once (an octave of ladder nodes); a single norm is its
+one-row call.
 """
 
 from __future__ import annotations
@@ -93,73 +95,170 @@ class NormResult:
         }
 
 
-def solve_luxemburg(vals, expo, weights, rtol: float = RTOL,
-                    max_iter: int = MAX_ITER) -> NormResult:
-    """inf{lam > 0 : sum w * (v/lam)^e <= 1} for nonnegative v, positive e.
+@dataclass(frozen=True)
+class RowNorms:
+    """The Luxemburg norms of the rows of one block."""
 
-    Returns 0 when the modular of the raw values vanishes.  The root is found
-    for v / max|v| and scaled back (the norm is homogeneous), so the powers
-    neither overflow nor underflow at any magnitude float64 holds.
+    values: np.ndarray
+    iterations: np.ndarray
+    brackets: np.ndarray                # (rows, 2), the exact bracket of each row
+    modulars: Optional[np.ndarray]      # modular at each value, when asked for
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    """math.log per entry (np.log can differ in the last bit)."""
+    return np.fromiter(map(math.log, x), float, len(x))
+
+
+def solve_luxemburg_rows(vals, expo, weights, rtol: float = RTOL,
+                         max_iter: int = MAX_ITER, report: bool = False) -> RowNorms:
+    """inf{lam > 0 : sum w * (v/lam)^e <= 1} for every row v of a block.
+
+    vals holds one row per norm along its first axis; expo and weights
+    broadcast against one row or against the whole block.  A scalar expo
+    takes numpy's scalar-power path.  The rows share every array operation
+    but never mix: each row takes the steps, and gets the bits, of a
+    one-row call.  The modular at each value only feeds a report, so it is
+    computed only when `report` is set.
     """
     vals = np.abs(np.asarray(vals, dtype=float))
-    # broadcast against the grid shape before flattening (2-D fields are (N, N))
-    expo = np.broadcast_to(np.asarray(expo, dtype=float), vals.shape).reshape(-1)
-    weights = np.broadcast_to(np.asarray(weights, dtype=float), vals.shape).reshape(-1)
-    vals = vals.reshape(-1)
-    if np.any(expo <= 0):
+    expo, weights = np.asarray(expo, dtype=float), np.asarray(weights, dtype=float)
+    J = vals.shape[0]
+    V = vals.reshape(J, -1)
+    # broadcast against the block before flattening each row (2-D grids)
+    E = np.broadcast_to(expo, vals.shape).reshape(J, -1)
+    if expo.ndim == 0:
+        emin = emax = np.full(J, float(expo))
+    else:
+        emin, emax = E.min(axis=1, initial=math.inf), E.max(axis=1, initial=0.0)
+    scale = V.max(axis=1, initial=0.0)
+    if not (np.isfinite(scale).all() and np.isfinite(emax).all()
+            and np.isfinite(weights).all()):
+        raise ParameterError("values, exponents and weights must be finite")
+    if not np.all(emin > 0):
         raise ParameterError("exponents must be positive")
 
-    scale = float(vals.max(initial=0.0))
-    if scale == 0.0:
-        return NormResult(0.0, 0.0, 0, (0.0, 0.0))
-    terms = weights * (vals / scale) ** expo
-    R = float(terms.sum())
-    if R == 0.0:
-        return NormResult(0.0, 0.0, 0, (0.0, 0.0))
+    values, iterations = np.zeros(J), np.zeros(J, dtype=np.int64)
+    lo, hi = np.zeros(J), np.zeros(J)
+    modulars = np.zeros(J) if report else None
+    # The root is found for v / max|v| and scaled back (the norm is
+    # homogeneous), so the powers neither overflow nor underflow at any
+    # magnitude float64 holds.  An all-zero row gives NaN terms here and
+    # the norm 0, as does a row whose modular vanishes.
+    W = weights if weights.ndim == 0 else np.broadcast_to(weights, vals.shape).reshape(J, -1)
+    P = expo if expo.ndim == 0 else E
+    terms = V      # |vals| is a fresh array: the terms are formed in its buffer
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms /= scale[:, None]
+        terms **= P
+        terms *= W
+    R = terms.sum(axis=1)
+    rows = np.flatnonzero(R > 0)
+    for i in rows:
+        a, b = float(R[i]) ** (1.0 / float(emin[i])), float(R[i]) ** (1.0 / float(emax[i]))
+        lo[i], hi[i] = min(a, b), max(a, b)
 
-    emin, emax = float(expo.min()), float(expo.max())
-    lo = min(R ** (1.0 / emin), R ** (1.0 / emax))
-    hi = max(R ** (1.0 / emin), R ** (1.0 / emax))
-
-    def modular_at(lam: float) -> float:
-        return float(np.sum(terms * np.exp(-expo * math.log(lam))))
+    def modular_at(sel, log_lam):
+        whole = sel.size == J
+        return _scaled_terms(terms if whole else terms[sel],
+                             P if P.ndim == 0 or whole else P[sel], log_lam).sum(axis=1)
 
     # roundoff safety: the analytic bracket can miss by an ulp
-    guard = 0
-    while modular_at(hi) > 1.0 and guard < 8:
-        hi *= 1.0 + 1e-12 * 2 ** guard
+    sel, guard = rows, 0
+    while sel.size and guard < 8:
+        sel = sel[modular_at(sel, _logs(hi[sel])) > 1.0]
+        hi[sel] *= 1.0 + 1e-12 * 2 ** guard
         guard += 1
-    if hi - lo <= rtol * hi:
-        return NormResult(scale * hi, modular_at(hi), 0, (scale * lo, scale * hi))
+    shut = hi[rows] - lo[rows] <= rtol * hi[rows]
+    closed, newton = rows[shut], rows[~shut]
+    values[closed] = scale[closed] * hi[closed]
+    if report:
+        modulars[closed] = modular_at(closed, _logs(hi[closed]))
+    if newton.size:
+        whole = newton.size == J
+        lam, iterations[newton], mods = _newton_rows(
+            terms if whole else terms[newton], E if whole else E[newton],
+            lo[newton], hi[newton], rtol, max_iter, report)
+        values[newton] = scale[newton] * lam
+        if report:
+            modulars[newton] = mods
+    return RowNorms(values, iterations, np.stack([scale * lo, scale * hi], axis=1), modulars)
 
-    # Newton from the lower end (module docstring).  Where rho overflows,
-    # near lo when e+/e- is large, the step is not finite; a step that
-    # leaves the bracket, which tightens with every evaluation, is replaced
-    # by a bisection step.
-    live = terms > 0.0      # a zero term times an overflowed power is NaN
-    terms, expo = terms[live], expo[live]
-    blo, bhi = math.log(lo), math.log(hi)
-    mu, iters = blo, 0
-    with np.errstate(over="ignore"):
-        while iters < max_iter:
-            a = terms * np.exp(-expo * mu)
-            rho = float(a.sum())
-            if rho > 1.0:
-                blo = mu
-            else:
-                bhi = mu
-            slope = float(np.dot(expo, a))     # -d rho / d mu
-            finite = 0.0 < rho and slope < math.inf
-            nxt = mu + math.log(rho) * rho / slope if finite else math.nan
-            if not blo <= nxt <= bhi:
-                nxt = 0.5 * (blo + bhi)
-            iters += 1
-            done = abs(nxt - mu) <= rtol or bhi - blo <= rtol
-            mu = nxt
-            if done:
-                break
-        lam = math.exp(mu)
-        return NormResult(scale * lam, modular_at(lam), iters, (scale * lo, scale * hi))
+
+def _scaled_terms(T, E, log_lam, dead=None):
+    """The terms T * exp(-E log(lam)) of the modular at one lam per row,
+    with the products at `dead` set to 0."""
+    a = np.multiply(E, -log_lam[:, None])
+    np.exp(a, out=a)
+    a = np.multiply(a, T, out=a if a.shape == T.shape else None)
+    if dead is not None:
+        a[dead] = 0.0
+    return a
+
+
+def _rho_slope(T, E, mu, dead):
+    """rho and -d rho / d mu per row at mu = log lam."""
+    a = _scaled_terms(T, E, mu, dead)
+    return a.sum(axis=1), np.vecdot(E, a)
+
+
+def _newton_rows(T, E, lo, hi, rtol, max_iter, report):
+    """Safeguarded Newton (module docstring) on the rows of T, the root of
+    each row bracketed by [lo, hi]; returns lam and the step count per row,
+    and the modular at lam when `report` is set.
+
+    Where rho overflows, near lo when e+/e- is large, the step is not
+    finite; a step that leaves the bracket [blo, bhi], which tightens with
+    every evaluation, is replaced by a bisection step.
+    """
+    # a zero term times an overflowed power is NaN: drop the columns that
+    # are zero in every row and zero the products of the remaining ones
+    dead = T <= 0.0
+    if dead.any():
+        cols = ~dead.all(axis=0)
+        T, E, dead = T[:, cols], E[:, cols], dead[:, cols]
+    dead = dead if dead.any() else None
+    full = (T, E, dead)
+    blo, bhi = _logs(lo).tolist(), _logs(hi).tolist()
+    mu, steps = list(blo), [0] * len(blo)
+    act = np.arange(len(blo))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while act.size:
+            rho, slope = _rho_slope(T, E, np.array([mu[k] for k in act]), dead)
+            # the step itself runs per row on Python floats with math.log,
+            # as a one-row call does, so each row keeps its bits
+            keep = np.ones(act.size, dtype=bool)
+            for j, k in enumerate(act.tolist()):
+                r, s = float(rho[j]), float(slope[j])
+                if r > 1.0:
+                    blo[k] = mu[k]
+                else:
+                    bhi[k] = mu[k]
+                finite = 0.0 < r and s < math.inf
+                nxt = mu[k] + math.log(r) * r / s if finite else math.nan
+                if not blo[k] <= nxt <= bhi[k]:
+                    nxt = 0.5 * (blo[k] + bhi[k])
+                steps[k] += 1
+                done = abs(nxt - mu[k]) <= rtol or bhi[k] - blo[k] <= rtol
+                mu[k] = nxt
+                keep[j] = not done and steps[k] < max_iter
+            if not keep.all():
+                act, T, E = act[keep], T[keep], E[keep]
+                dead = None if dead is None else dead[keep]
+        lam = np.array([math.exp(m) for m in mu])
+        mods = _scaled_terms(*full[:2], _logs(lam), full[2]).sum(axis=1) if report else None
+    return lam, steps, mods
+
+
+def solve_luxemburg(vals, expo, weights, rtol: float = RTOL,
+                    max_iter: int = MAX_ITER) -> NormResult:
+    """inf{lam > 0 : sum w * (v/lam)^e <= 1} for nonnegative v, positive e:
+    the one-row call of `solve_luxemburg_rows`, with the modular at the
+    value.  Returns 0 when the modular of the raw values vanishes."""
+    r = solve_luxemburg_rows(np.asarray(vals, dtype=float)[None], expo, weights,
+                             rtol, max_iter, report=True)
+    return NormResult(float(r.values[0]), float(r.modulars[0]), int(r.iterations[0]),
+                      (float(r.brackets[0, 0]), float(r.brackets[0, 1])))
 
 
 # -- grid-space operations ----------------------------------------------------
@@ -212,13 +311,14 @@ def _check_q(q: Optional[ExponentField]) -> None:
 
 def mixed_core(inner_terms: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
                q_levels: Sequence[float]) -> float:
-    """Mixed norm from per-level (values, pointwise exponent, weights) terms."""
-    A = []
+    """Mixed norm from per-level (values, pointwise exponent, weights) terms
+    of one size; the inner norms of all levels are one row solve."""
+    rows = []
     for (vals, expo, weights), qv in zip(inner_terms, q_levels):
-        vals = np.abs(np.asarray(vals, dtype=float))
-        A.append(solve_luxemburg(vals ** qv, np.asarray(expo, dtype=float) / qv,
-                                 weights).value)
-    A = np.asarray(A)
+        vals = np.abs(np.asarray(vals, dtype=float)) ** qv
+        rows.append((vals, np.broadcast_to(np.asarray(expo, dtype=float) / qv, vals.shape),
+                     np.broadcast_to(np.asarray(weights, dtype=float), vals.shape)))
+    A = solve_luxemburg_rows(*(np.stack(x) for x in zip(*rows))).values
     if A.sum() == 0:
         return 0.0
     qs = np.asarray(q_levels, dtype=float)
@@ -260,8 +360,8 @@ def t_norm(g, q: Optional[ExponentField], ladder: ScaleLadder,
     g = np.asarray(g, dtype=float).reshape(-1)
     if g.shape != ladder.t.shape:
         raise ParameterError(f"profile has {g.size} values, ladder has {ladder.t.size} nodes")
-    if np.any(g < 0):
-        raise ParameterError("profile values must be nonnegative")
+    if not (np.all(np.isfinite(g)) and np.all(g >= 0)):
+        raise ParameterError("profile values must be finite and nonnegative")
     if form == "sup":
         return float(g.max()) if g.size else 0.0
     _check_q(q)

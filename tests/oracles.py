@@ -15,7 +15,7 @@ from vbesov.frame import (CalderonFrame, RadialProfile, synthesize_Phi,
                           synthesize_phi_t)
 from vbesov.grid import (GridFunction, GridSpec, cubes_per_axis, from_spectrum,
                          spectrum, zero_function)
-from vbesov.luxemburg import MAX_ITER, RTOL, NormResult, ScaleLadder
+from vbesov.luxemburg import MAX_ITER, RTOL, NormResult, RowNorms, ScaleLadder
 
 
 def solve_luxemburg_bisection(vals, expo, weights, rtol: float = RTOL,
@@ -64,6 +64,59 @@ def solve_luxemburg_bisection(vals, expo, weights, rtol: float = RTOL,
             bhi = mid
         iters += 1
     return NormResult(scale * bhi, modular_at(bhi), iters, (scale * lo, scale * hi))
+
+
+def solve_luxemburg_rows_bisection(vals, expo, weights, rtol: float = RTOL,
+                                   max_iter: int = MAX_ITER, report: bool = False) -> RowNorms:
+    """The rows of a block one by one through `solve_luxemburg_bisection`;
+    expo and weights broadcast against one row or the whole block."""
+    vals = np.asarray(vals, dtype=float)
+    expo = np.broadcast_to(np.asarray(expo, dtype=float), vals.shape)
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), vals.shape)
+    res = [solve_luxemburg_bisection(v, e, w, rtol, max_iter)
+           for v, e, w in zip(vals, expo, weights)]
+    return RowNorms(np.array([r.value for r in res]), np.array([r.iterations for r in res]),
+                    np.array([r.bracket for r in res]).reshape(-1, 2),
+                    np.array([r.modular_at_value for r in res]) if report else None)
+
+
+def identity_residual_per_node(profile: RadialProfile, ladder: ScaleLadder,
+                               xi_max: float, n_samples: int = 6000) -> float:
+    """max over the band of |FPhi(xi) + sum_k Fphi(t_k xi) w_k - 1|, one
+    `phi_hat` call per ladder node on its slice of the annulus."""
+    s = np.geomspace(xi_max * 1e-4, xi_max, n_samples)
+    total = profile.Phi_hat(s)
+    for t, w in zip(ladder.t, ladder.weights):
+        i, j = np.searchsorted(s, (0.5 * (1 - 1e-9) / t, 2.0 * (1 + 1e-9) / t))
+        total[i:j] += w * profile.phi_hat(t * s[i:j])
+    return float(np.max(np.abs(total - 1.0)))
+
+
+def scale_profile_per_node(spec: GridSpec, F: np.ndarray, band, level0: np.ndarray,
+                           ladder: ScaleLadder, alpha, p, a: Optional[float] = None):
+    """(node values, level-0 value) of a scale profile, one ladder node at a
+    time: multiplier band(t) times F, |.| t^-alpha(x), the Peetre maximal
+    function when a is given, then the Luxemburg norm with the exponent as
+    an array."""
+    from vbesov.besov import peetre_maximal
+    from vbesov.luxemburg import solve_luxemburg
+
+    h = spec.spacing ** spec.dimension
+    pv = p.grid_values()
+
+    def norm(multiplier, t, weight):
+        g = from_spectrum(spec, multiplier * F).abs_samples() * weight
+        if a is not None:
+            g = peetre_maximal(spec, g, t, a)
+        return solve_luxemburg(g, pv, h).value
+
+    def weight(t):
+        if alpha.is_constant:
+            return np.asarray(t ** (-alpha.cached_min))
+        return np.power(t, -alpha.grid_values())
+
+    return (np.array([norm(band(t), t, weight(t)) for t in ladder.t]),
+            norm(level0, 1.0, 1.0))
 
 
 def identity_residual_full_grid(profile: RadialProfile, ladder: ScaleLadder,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vbesov as vb
-from oracles import identity_residual_full_grid
+from oracles import identity_residual_full_grid, identity_residual_per_node
 from vbesov.errors import ConstructionError, ParameterError
 from vbesov.frame import BumpParams, build_radial_profile, identity_residual
 from vbesov.grid import from_spectrum, spectrum
@@ -182,7 +182,10 @@ def test_phi_t_spectrum_on_the_annulus_equals_the_full_grid_bit_for_bit(dimensio
 
 @pytest.mark.parametrize("octaves, nodes, xi_max", [(8, 12, 115.2), (4, 12, 7.2), (6, 5, 28.8)])
 def test_identity_residual_equals_the_full_grid_loop(octaves, nodes, xi_max):
+    # one phi_hat call per octave, terms added node after node: the same
+    # bits as the per-node loop on the annulus slices and on the full grid
     profile = build_radial_profile(BumpParams())
     ladder = vb.make_ladder(octaves, nodes)
-    assert (identity_residual(profile, ladder, xi_max)
-            == identity_residual_full_grid(profile, ladder, xi_max))
+    res = identity_residual(profile, ladder, xi_max)
+    assert res == identity_residual_per_node(profile, ladder, xi_max)
+    assert res == identity_residual_full_grid(profile, ladder, xi_max)

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vbesov as vb
-from oracles import solve_luxemburg_bisection
+from oracles import solve_luxemburg_bisection, solve_luxemburg_rows_bisection
 from vbesov.atoms import analyze, sequence_norm_b
 from vbesov.bank import make_member, weierstrass
 from vbesov.config import RunConfig
 from vbesov.errors import ParameterError, UnsupportedFeatureError
 from vbesov.grid import from_spectrum, spectrum
-from vbesov.luxemburg import RTOL, octave_block_norm, solve_luxemburg
+from vbesov.luxemburg import RTOL, octave_block_norm, solve_luxemburg, solve_luxemburg_rows
 
 # frozen from a 1e6-node trapezoid quadrature of int_0^1 x^(1+x) dx
 INT_X_POW_1PX = 0.40303444442160025
@@ -345,40 +345,137 @@ def test_vanishing_terms_do_not_stop_the_solver():
 
 
 def _use_bisection(monkeypatch):
-    """Replace the solver at every vbesov module attribute holding it."""
+    """Replace both solvers, the one-row call and the row solver of the
+    octave blocks, at every vbesov module attribute holding them; returns a
+    list that grows by the number of rows of each oracle call."""
+    solved = []
+
+    def one_row(*args, **kwargs):
+        solved.append(1)
+        return solve_luxemburg_bisection(*args, **kwargs)
+
+    def rows(*args, **kwargs):
+        out = solve_luxemburg_rows_bisection(*args, **kwargs)
+        solved.append(len(out.values))
+        return out
+
+    swaps = {"solve_luxemburg": (solve_luxemburg, one_row),
+             "solve_luxemburg_rows": (solve_luxemburg_rows, rows)}
     for name, mod in list(sys.modules.items()):
-        if name.startswith("vbesov") and getattr(mod, "solve_luxemburg", None) is solve_luxemburg:
-            monkeypatch.setattr(mod, "solve_luxemburg", solve_luxemburg_bisection)
+        if name.startswith("vbesov"):
+            for attr, (fn, oracle) in swaps.items():
+                if getattr(mod, attr, None) is fn:
+                    monkeypatch.setattr(mod, attr, oracle)
+    return solved
 
 
 @pytest.mark.parametrize("config", sorted(EXPONENT_CONFIGS))
 def test_every_form_matches_the_bisection_oracle(monkeypatch, config):
     spec = vb.make_grid(1, 16.0, 256)
     ladder = vb.make_ladder(4, 12)
+    V = 4
     frame = vb.build_resolution_of_unity(spec, ladder)
     pair = vb.build_local_mean_pair(spec, S=2)
     cfg = EXPONENT_CONFIGS[config]
     p, alpha, q = cfg.p_field(spec), cfg.alpha_field(spec), cfg.q_field(ladder)
 
-    def values():
-        out = {}
+    def values(solved):
+        out, rows = {}, {}
+
+        def run(key, fn):
+            before = sum(solved)
+            out[key] = fn()
+            rows[key] = sum(solved) - before
+
         for name in ("gauss_w05", "weier_s03", "bandnoise_a"):
             f = make_member(spec, name)
             for form in ("direct", "discretized", "q0", "peetre"):
-                out[name, form] = vb.besov_norm(f, frame, alpha, p, q, form).value
+                run((name, form), lambda: vb.besov_norm(f, frame, alpha, p, q, form).value)
             for variant in ("prime", "double_prime"):
-                out[name, variant] = vb.local_mean_norm(f, pair, alpha, p, q, 2.0,
-                                                        variant, ladder).value
-            prof = vb.lp_profile(f, frame, alpha, p)
-            out[name, "octave_block"] = octave_block_norm(prof.values, ladder, q)
-            dec = analyze(f, frame, V=4)
+                run((name, variant), lambda: vb.local_mean_norm(f, pair, alpha, p, q, 2.0,
+                                                                variant, ladder).value)
+            run((name, "octave_block"), lambda: octave_block_norm(
+                vb.lp_profile(f, frame, alpha, p).values, ladder, q))
+            dec = analyze(f, frame, V=V)
             for form in ("continuous", "discrete"):
-                out[name, form] = sequence_norm_b(dec, alpha, p, q, form)
-        return out
+                run((name, form), lambda: sequence_norm_b(dec, alpha, p, q, form))
+        return out, rows
 
-    new = values()
-    _use_bisection(monkeypatch)
-    old = values()
+    new, _ = values([])
+    old, rows = values(_use_bisection(monkeypatch))
     assert new.keys() == old.keys()
     for key, ref in old.items():
         assert new[key] == pytest.approx(ref, rel=1e-9, abs=0.0), key
+        # the oracle really ran: for every ladder node, or per level for
+        # the discrete coefficient norm, which has no t-axis
+        assert rows[key] > (V if key[1] == "discrete" else ladder.t.size), key
+
+
+# -- the row solver of the octave blocks ----------------------------------------
+
+
+def test_rows_of_one_block_do_not_interact():
+    # one call over rows that take every branch of the solver: the all-zero
+    # closed form, normalization at both ends of float64, the overflowing
+    # modular that forces bisection steps, and a constant exponent
+    v, e = [1.0, 0.5], [2.0, 3.0]
+    rows = [([0.0, 0.0], e, [1.0, 1.0]),
+            (v, e, [0.3, 0.7]),
+            ([1e-300, 5e-301], e, [0.3, 0.7]),
+            ([1e300, 5e299], e, [0.3, 0.7]),
+            ([1.0, 1e-3], [1.0, 60.0], [1e-12, 1.0]),
+            (v, [2.0, 2.0], [0.3, 0.7])]
+    vals, expo, weights = (np.array(x) for x in zip(*rows))
+    block = solve_luxemburg_rows(vals, expo, weights)
+    assert block.modulars is None
+    steps = []
+    for j, (vj, ej, wj) in enumerate(rows):
+        one, old = solve_luxemburg(vj, ej, wj), solve_luxemburg_bisection(vj, ej, wj)
+        assert abs(block.values[j] - one.value) <= 2 * RTOL * one.value, j
+        assert abs(block.values[j] - old.value) <= 2 * RTOL * old.value, j
+        assert block.iterations[j] == one.iterations, j
+        assert tuple(block.brackets[j]) == one.bracket, j
+        steps.append(one.iterations)
+    assert block.values[0] == 0.0
+    assert steps[0] == steps[5] == 0 < min(steps[1:5])
+    reported = solve_luxemburg_rows(vals, expo, weights, report=True).modulars
+    assert reported[0] == 0.0 and np.allclose(reported[1:], 1.0, rtol=1e-8)
+
+
+def test_a_zero_term_beside_an_overflowing_power_stays_zero_in_a_block():
+    # row 1 has a zero where the power overflows at its lower bracket end
+    # (lo ~ 1e-6, root ~ 1e-3); 0 * inf would be NaN, and the block cannot
+    # drop the column, which row 0 needs
+    vals = np.array([[1.0, 1e-3, 1e-3], [1.0, 0.0, 1e-3]])
+    expo, weights = np.array([1.0, 60.0, 2.0]), np.array([1e-12, 1.0, 1.0])
+    block = solve_luxemburg_rows(vals, expo, weights)
+    for j in range(2):
+        with np.errstate(over="ignore", invalid="ignore"):   # the oracle's own NaN
+            old = solve_luxemburg_bisection(vals[j], expo, weights)
+        assert abs(block.values[j] - old.value) <= 2 * RTOL * old.value, j
+
+
+@pytest.mark.parametrize("vals, expo, weights", [
+    ([1.0, math.nan], [2.0, 3.0], 1.0),
+    ([1.0, math.inf], [2.0, 3.0], 1.0),
+    ([1.0, 0.5], [2.0, math.nan], 1.0),
+    ([1.0, 0.5], [2.0, math.inf], 1.0),
+    ([1.0, 0.5], [2.0, 3.0], [1.0, math.nan]),
+    ([1.0, 0.5], [2.0, 3.0], math.inf),
+    ([0.0, 0.0], [2.0, math.nan], 1.0),
+])
+def test_non_finite_input_is_rejected_before_iterating(vals, expo, weights):
+    with pytest.raises(ParameterError, match="finite"):
+        solve_luxemburg(vals, expo, weights)
+    with pytest.raises(ParameterError, match="finite"):
+        solve_luxemburg_rows(np.array([vals, vals]), expo, weights)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("form", ["variable", "q0", "sup"])
+def test_t_norm_rejects_a_non_finite_profile(ladder, bad, form):
+    q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
+    g = np.ones(ladder.t.size)
+    g[7] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        vb.t_norm(g, q, ladder, form)

@@ -1,0 +1,145 @@
+"""The octave block against the per-node computation it replaces.
+
+Each octave's ladder nodes run as one (nodes, *grid) array: multipliers from
+one kernel call, one batched inverse FFT, one row-wise Luxemburg solve.  The
+byte-identical decompose/synthesize outputs rest on every block row equal,
+bit for bit, to the per-node `from_spectrum(spec, A * F).samples`; these
+tests hold that for every ladder node and level 0, in 1-D and 2-D.
+"""
+
+import numpy as np
+import pytest
+
+import vbesov as vb
+from oracles import identity_residual_per_node, scale_profile_per_node
+from vbesov.atoms import _level
+from vbesov.besov import _scale_profile
+from vbesov.config import RunConfig
+from vbesov.grid import _phase, band_rows, from_spectrum, spectrum
+
+GRIDS = [(1, 2048), (1, 4096), (2, 32), (2, 64)]
+
+
+def _input(spec):
+    if spec.dimension == 1:
+        return vb.from_callable(spec, lambda x: np.cos(5 * x) * np.exp(-x ** 2 / 2)
+                                + 0.3 * np.exp(-8 * (x - 1) ** 2))
+    return vb.from_callable(spec, lambda x, y: np.exp(-(x ** 2 + 2 * y ** 2) / 2)
+                            * (1 + 0.5 * np.cos(3 * x)))
+
+
+@pytest.fixture(scope="module", params=GRIDS, ids=lambda g: f"{g[0]}d-N{g[1]}")
+def setup(request):
+    dimension, N = request.param
+    spec = vb.make_grid(dimension, 16.0, N)
+    ladder = vb.make_ladder()
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    # S >= 1 does not certify in 2-D below N = 64 (README, the 2-D sweep)
+    pair = vb.build_local_mean_pair(spec, S=2 if dimension == 1 or N >= 64 else -1)
+    return spec, ladder, frame, pair, spectrum(_input(spec))
+
+
+def _octaves(ladder):
+    return [ladder.t[ladder.octave_slice(v)] for v in range(1, ladder.octaves + 1)]
+
+
+def test_from_spectrum_is_the_textbook_inverse(setup):
+    spec, _, frame, _, F = setup
+    ft = frame.FPhi * F
+    want = np.fft.ifftn(ft * _phase(spec)) / spec.spacing ** spec.dimension
+    assert np.array_equal(from_spectrum(spec, ft).samples, want)
+
+
+def test_frame_block_rows_equal_the_per_node_multipliers(setup):
+    spec, ladder, frame, _, F = setup
+    sr = spec.freq_radius()
+    for ts in _octaves(ladder):
+        block = frame.phi_block(ts)
+        bands = band_rows(spec, block, F)
+        for t, A, g in zip(ts, block, bands):
+            want = frame.profile.phi_hat(t * sr)
+            assert np.array_equal(A, want), t
+            assert np.array_equal(g, from_spectrum(spec, want * F).samples), t
+    assert np.array_equal(band_rows(spec, frame.FPhi[None], F)[0],
+                          from_spectrum(spec, frame.FPhi * F).samples)
+
+
+def test_local_mean_block_rows_equal_the_per_node_multipliers(setup):
+    spec, ladder, _, pair, F = setup
+    sr = spec.freq_radius()
+    for ts in _octaves(ladder):
+        block = pair.k_block(ts)
+        bands = band_rows(spec, block, F)
+        for t, A, g in zip(ts, block, bands):
+            want = pair.k_spectrum_at(t * sr)
+            assert np.array_equal(A, want), t
+            assert np.array_equal(g, from_spectrum(spec, want * F).samples), t
+    k0 = pair.k0_spectrum_at(sr)
+    assert np.array_equal(band_rows(spec, k0[None], F)[0], from_spectrum(spec, k0 * F).samples)
+
+
+def test_atoms_level_rows_equal_the_per_node_bands(setup):
+    spec, ladder, frame, _, F = setup
+    sr = spec.freq_radius()
+    for v in range(ladder.octaves + 1):
+        bands, ws, synth = _level(frame, F, v)
+        if v == 0:
+            nodes, weights = [None], [1.0]
+            analysis, synthesis = [frame.profile.Psi_hat(sr)], [frame.FPhi]
+        else:
+            sl = ladder.octave_slice(v)
+            nodes, weights = ladder.t[sl], ladder.weights[sl]
+            analysis = [frame.profile.psi_hat(t * sr) for t in nodes]
+            synthesis = [frame.profile.phi_hat(t * sr) for t in nodes]
+        assert np.array_equal(ws, weights)
+        for g, S, A, B in zip(bands, synth, analysis, synthesis):
+            assert np.array_equal(g, from_spectrum(spec, A * F).samples), v
+            assert np.array_equal(S, B), v
+        assert len(bands) == len(synth) == len(analysis)
+        assert _level(frame, F, v, synthesis=False)[2] is None
+        assert np.array_equal(_level(frame, F, v, synthesis=False)[0], bands)
+
+
+def test_frame_residual_equals_the_per_node_loop(setup):
+    _, ladder, frame, _, _ = setup
+    assert frame.residual == identity_residual_per_node(frame.profile, ladder,
+                                                        frame.resolved_xi_max)
+
+
+EXPONENTS = {
+    "const": RunConfig(p="2", alpha="1 / 2", q="2"),
+    "variable": RunConfig(p="3 + sin(2 * pi * x / 16)",
+                          alpha="3 / 10 + 3 / 5 * sin(2 * pi * x / 16)",
+                          q="2 + 1 / log(e + 1 / t)"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(EXPONENTS))
+@pytest.mark.parametrize("kernel", ["frame", "local_mean"])
+@pytest.mark.parametrize("maximal", [None, 2.0])
+def test_block_profile_equals_the_per_node_pipeline(config, kernel, maximal):
+    # the row solver gives each row the bits of a one-row call; only a
+    # constant exponent differs, through numpy's scalar-power path: its
+    # last-bit changes can flip the ulp guard on the bracket, which moves
+    # the closed form R^(1/p) by 1e-12 relative
+    spec = vb.make_grid(1, 16.0, 512)
+    ladder = vb.make_ladder(6, 12)
+    cfg = EXPONENTS[config]
+    p, alpha = cfg.p_field(spec), cfg.alpha_field(spec)
+    F = spectrum(_input(spec))
+    sr = spec.freq_radius()
+    if kernel == "frame":
+        frame = vb.build_resolution_of_unity(spec, ladder)
+        block, band = frame.phi_block, lambda t: frame.profile.phi_hat(t * sr)
+        level0 = frame.FPhi
+    else:
+        pair = vb.build_local_mean_pair(spec, S=2)
+        block, band = pair.k_block, lambda t: pair.k_spectrum_at(t * sr)
+        level0 = pair.k0_spectrum_at(sr)
+    prof = _scale_profile(spec, F, block, level0, ladder, alpha, p, maximal)
+    vals, lev0 = scale_profile_per_node(spec, F, band, level0, ladder, alpha, p, maximal)
+    if config == "variable":
+        assert np.array_equal(prof.values, vals) and prof.level0 == lev0
+    else:
+        assert np.allclose(prof.values, vals, rtol=1e-11, atol=0.0)
+        assert prof.level0 == pytest.approx(lev0, rel=1e-11)
