@@ -20,9 +20,11 @@ switch change between forms:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -95,11 +97,60 @@ def _scale_weights(ts: np.ndarray, alpha: ExponentField, n: int) -> np.ndarray:
 # block bound is the product of maxima of the very K and g values the dense
 # step multiplies; rounding is monotone, so no pruned product can exceed the
 # result and the pruning is exact in floating point.
+#
+# - Geometry.  The offset windows, the block-pair offsets and the near
+#   offsets depend on (n, N) only; `_geometry` builds them once per grid,
+#   as read-only integer arrays.
+# - Lower bound.  The products of every offset in the near cube
+#   |s_i| <= _NEAR and of the largest sample of each of the _TOP blocks with
+#   the largest maxima.  With K and g tiled twice along each axis, each of
+#   these rows is a slice.
+# - Block bound.  The lower bound already holds every near-cube product, so
+#   a pair's bound takes the kernel maximum over its offset window minus
+#   that cube: the max over the n slabs |s_i| > _NEAR, each separable.  Self
+#   and neighbour pairs go when nothing outside the cube can beat the lower
+#   bound.
+# - Dense stage.  A pair's kernel block depends on y - x only (it is
+#   Toeplitz): 2 _BLOCK - 1 window values per axis, gathered per kept pair.
+#   A running maximum over (x, pairs) follows y through its block, and one
+#   maximum.reduceat per X block finishes.
 
 _BLOCK = 16        # block side per axis (16 points in 1-D, 16x16 tiles in 2-D)
-_NEAR = 2          # lower bound: offsets up to this many nodes along each axis
-_TOP = 8           # lower bound: this many largest samples
-_CHUNK = 1 << 18   # products per dense chunk
+_NEAR = 4          # lower bound: offsets up to this many nodes along each axis
+_TOP = 8           # lower bound: the largest samples of this many blocks
+_CHUNK = 1 << 18   # gathered kernel values per dense chunk
+
+
+class _Geometry(NamedTuple):
+    """Read-only integer arrays of one grid shape; nothing of K or g."""
+
+    near: np.ndarray    # (count, n): the nonzero near-cube offsets mod N
+    win: np.ndarray     # (2, 2 _BLOCK - 1, nb): per axis, win[0][r, o] is the
+                        # offset r of the window joining blocks o apart;
+                        # win[1] repeats a far offset in place of near ones
+    rel: np.ndarray     # (nb^n, nb^n): block-offset code of the pair (X, Y)
+
+
+@functools.lru_cache(maxsize=8)
+def _geometry(n: int, N: int) -> _Geometry:
+    nb, mask = N // _BLOCK, N - 1  # N is a power of two: & mask is mod N
+    near = [s for s in itertools.product(range(-_NEAR, _NEAR + 1), repeat=n) if any(s)]
+    # the offsets joining block X to block Y, per axis, are the window
+    # _BLOCK * ((Y - X) mod nb) + [-(_BLOCK - 1), _BLOCK - 1]  (mod N),
+    # here in descending order: win[r, o] = _BLOCK (o + 1) - 1 - r
+    win = (_BLOCK * np.arange(1, nb + 1) - 1 - np.arange(2 * _BLOCK - 1)[:, None]) & mask
+    # 2 _NEAR + 1 < _BLOCK, so every window holds an offset outside the near
+    # range; repeating it in place of the near ones leaves the rest's maximum
+    is_near = ((win + _NEAR) & mask) <= 2 * _NEAR
+    far = win[np.argmin(is_near, axis=0), np.arange(nb)]
+    code = np.indices((nb,) * n).reshape(n, -1)
+    rel = 0
+    for ax in range(n):
+        rel = rel * nb + ((code[ax][None, :] - code[ax][:, None]) & (nb - 1))
+    geo = _Geometry(np.array(near) & mask, np.stack([win, np.where(is_near, far, win)]), rel)
+    for arr in geo:
+        arr.flags.writeable = False
+    return geo
 
 
 def _offset_kernel(spec: GridSpec, t: float, a: float) -> np.ndarray:
@@ -110,20 +161,19 @@ def _offset_kernel(spec: GridSpec, t: float, a: float) -> np.ndarray:
     return (1.0 + r / t) ** (-a)
 
 
-def _lower_bound(K: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Max of a subset of the products: the point itself, its nearest
-    offsets and the largest samples."""
-    n, N = g.ndim, g.shape[0]
-    axes = tuple(range(n))
+def _lower_bound(K: np.ndarray, g: np.ndarray, near: np.ndarray,
+                 top: np.ndarray) -> np.ndarray:
+    """Max of a subset of the products: each point's offsets in the near
+    cube and the samples at `top` (grid coordinates, one column each)."""
+    N, n = g.shape[0], g.ndim
+    # tiled twice along each axis, every row is a slice:
+    # g2[x + s] = g[(x + s) mod N] and K2[c + N - x] = K[(c - x) mod N]
+    g2, K2 = np.tile(g, (2,) * n), np.tile(K, (2,) * n)
     lb = K[(0,) * n] * g
-    for s in np.ndindex(*(2 * _NEAR + 1,) * n):
-        s = tuple(si - _NEAR for si in s)
-        if any(s):
-            np.maximum(lb, K[s] * np.roll(g, [-si for si in s], axis=axes), out=lb)
-    ar = np.arange(N)
-    for y in np.argpartition(g, -_TOP, axis=None)[-_TOP:]:
-        yc = np.unravel_index(y, g.shape)
-        np.maximum(lb, K[np.ix_(*[(c - ar) & (N - 1) for c in yc])] * g[yc], out=lb)
+    for s in near.tolist():
+        np.maximum(lb, K[tuple(s)] * g2[tuple(slice(si, si + N) for si in s)], out=lb)
+    for c in top.T.tolist():
+        np.maximum(lb, K2[tuple(slice(ci + N, ci, -1) for ci in c)] * g[tuple(c)], out=lb)
     return lb
 
 
@@ -133,6 +183,13 @@ def _tiles(v: np.ndarray, nb: int) -> np.ndarray:
     split = v.reshape((nb, _BLOCK) * n)
     return split.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))) \
         .reshape(nb ** n, _BLOCK ** n)
+
+
+def _window_table(K: np.ndarray, wins) -> np.ndarray:
+    """T[r_0, o_0, r_1, o_1, ..] = K[wins[0][r_0, o_0], wins[1][r_1, o_1], ..]."""
+    for ax, w in enumerate(wins):
+        K = np.take(K, w, axis=2 * ax)
+    return K
 
 
 def peetre_maximal(spec: GridSpec, g: np.ndarray, t: float, a: float) -> np.ndarray:
@@ -145,46 +202,47 @@ def peetre_maximal(spec: GridSpec, g: np.ndarray, t: float, a: float) -> np.ndar
     g = np.asarray(g, dtype=float).reshape(spec.shape)
     if not g.min() >= 0.0:
         raise ParameterError("the Peetre maximal function needs nonnegative samples")
-    n, N = spec.dimension, spec.points_per_axis
-    nb = N // _BLOCK
-    mask = N - 1  # N is a power of two: & mask is mod N, also for negatives
+    n, N, B = spec.dimension, spec.points_per_axis, _BLOCK
+    nb = N // B
+    geo = _geometry(n, N)
     K = _offset_kernel(spec, t, a)
-    out = _tiles(_lower_bound(K, g), nb)
     G = _tiles(g, nb)
+    Gmax = G.max(axis=1)
+    top = np.argpartition(Gmax, -min(_TOP, nb ** n))[-_TOP:]
+    top = B * np.array(np.unravel_index(top, (nb,) * n)) \
+        + np.array(np.unravel_index(G[top].argmax(axis=1), (B,) * n))
+    out = _tiles(_lower_bound(K, g, geo.near, top), nb)
 
-    # the offsets joining block X to block Y, per axis, are the window
-    # _BLOCK * ((Y - X) mod nb) + [-(_BLOCK - 1), _BLOCK - 1]  (mod N)
-    win = (_BLOCK * np.arange(nb)[:, None] + np.arange(1 - _BLOCK, _BLOCK)) & mask
-    Kb = K
-    for ax in range(n):
-        Kb = np.take(Kb, win, axis=ax).max(axis=ax + 1)
-    tc = np.indices((nb,) * n).reshape(n, -1)
-    rel = np.zeros((nb ** n,) * 2, dtype=np.int64)
-    for ax in range(n):
-        rel = rel * nb + ((tc[ax][None, :] - tc[ax][:, None]) & (nb - 1))
-    bound = Kb.reshape(-1)[rel] * G.max(axis=1)[None, :]
-    X, Y = np.nonzero(bound > out.min(axis=1)[:, None])
+    r_axes, o_axes = tuple(range(0, 2 * n, 2)), tuple(range(1, 2 * n, 2))
+    Kb = functools.reduce(np.maximum, (
+        _window_table(K, [geo.win[int(ax == slab)] for ax in range(n)]).max(axis=r_axes)
+        for slab in range(n)))
+    keep = Kb.reshape(-1)[geo.rel] * Gmax > out.min(axis=1)[:, None]
+    X, Y = np.divmod(np.flatnonzero(keep), nb ** n)
 
-    # W[pair, y, x] = K[(y - x) mod N] * g[y] over the two blocks of a pair
-    loc = np.indices((_BLOCK,) * n).reshape(n, -1)
-    dloc = [loc[ax][:, None] - loc[ax][None, :] for ax in range(n)]
-    Kf = K.reshape(-1)
-    step = max(1, _CHUNK // _BLOCK ** (2 * n))
+    # Kwin[r.., code]: the window values of every block offset; the row of
+    # y = j over x = 0 .. B-1 is the slice r = B-1-j .. 2B-2-j of them
+    Kwin = _window_table(K, [geo.win[0]] * n).transpose(r_axes + o_axes) \
+        .reshape((2 * B - 1,) * n + (-1,))
+    Gt = np.ascontiguousarray(G.T).reshape((B,) * n + (-1,))
+    step = max(1, _CHUNK // (2 * B - 1) ** n)
     for start in range(0, X.size, step):
         xs, ys = X[start:start + step], Y[start:start + step]
-        # the kernel block of a pair depends only on the block offset Y - X
-        uo, inv = np.unique(rel[xs, ys], return_inverse=True)
-        idx = 0
-        for ax in range(n):
-            shift = _BLOCK * (uo // nb ** (n - 1 - ax) % nb)
-            idx = idx * N + ((shift[:, None, None] + dloc[ax]) & mask)
-        W = Kf[idx][inv]
-        W *= G[ys][:, :, None]
-        # X is sorted (row-major nonzero), so each block's rows are contiguous
+        R = np.take(Kwin, geo.rel[xs, ys], axis=-1)
+        gy = np.take(Gt, ys, axis=-1)
+        # acc[x.., pair] = max over y of K[(y - x) mod N] * g[y]
+        acc = prod = None
+        for j in itertools.product(range(B), repeat=n):
+            rows = R[tuple(slice(B - 1 - i, 2 * B - 1 - i) for i in j)]
+            if acc is None:
+                acc, prod = rows * gy[j], np.empty(rows.shape)
+            else:
+                np.maximum(acc, np.multiply(rows, gy[j], out=prod), out=acc)
+        # X is sorted, so each block's pairs are contiguous
         first = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
         ux = xs[first]
-        out[ux] = np.maximum(out[ux], np.maximum.reduceat(W.max(axis=1), first, axis=0))
-    return out.reshape((nb,) * n + (_BLOCK,) * n) \
+        out[ux] = np.maximum(out[ux], np.maximum.reduceat(acc.reshape(B ** n, -1), first, axis=1).T)
+    return out.reshape((nb,) * n + (B,) * n) \
         .transpose(tuple(i for ax in range(n) for i in (ax, n + ax))).reshape(spec.shape)
 
 

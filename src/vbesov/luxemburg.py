@@ -20,12 +20,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedFeatureError
+from .errors import ConstructionError, ParameterError, UnsupportedFeatureError
 from .exponents import ExponentField
 from .grid import GridFunction, same_grid
 
 RTOL = 1e-10
 MAX_ITER = 200
+_GUARD_STEPS = 8   # ulp steps of the bracket's upper end, 4^k ulps each
 
 
 # -- scale ladder -------------------------------------------------------------
@@ -163,12 +164,18 @@ def solve_luxemburg_rows(vals, expo, weights, rtol: float = RTOL,
         return _scaled_terms(terms if whole else terms[sel],
                              P if P.ndim == 0 or whole else P[sel], log_lam).sum(axis=1)
 
-    # roundoff safety: the analytic bracket can miss by an ulp
-    sel, guard = rows, 0
-    while sel.size and guard < 8:
+    # roundoff safety: the analytic bracket can miss by an ulp, so hi steps
+    # up by 1, 4, 16, .. ulps until the modular there is at most 1
+    sel = rows
+    for guard in range(_GUARD_STEPS + 1):
         sel = sel[modular_at(sel, _logs(hi[sel])) > 1.0]
-        hi[sel] *= 1.0 + 1e-12 * 2 ** guard
-        guard += 1
+        if not sel.size:
+            break
+        if guard == _GUARD_STEPS:
+            raise ConstructionError(
+                f"Luxemburg bracket: the modular stays above 1 at the upper end of "
+                f"row(s) {sel.tolist()} after {_GUARD_STEPS} ulp steps")
+        hi[sel] += np.spacing(hi[sel]) * 4.0 ** guard
     shut = hi[rows] - lo[rows] <= rtol * hi[rows]
     closed, newton = rows[shut], rows[~shut]
     values[closed] = scale[closed] * hi[closed]

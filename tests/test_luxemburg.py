@@ -10,7 +10,8 @@ from oracles import solve_luxemburg_bisection, solve_luxemburg_rows_bisection
 from vbesov.atoms import analyze, sequence_norm_b
 from vbesov.bank import make_member, weierstrass
 from vbesov.config import RunConfig
-from vbesov.errors import ParameterError, UnsupportedFeatureError
+from vbesov import luxemburg
+from vbesov.errors import ConstructionError, ParameterError, UnsupportedFeatureError
 from vbesov.grid import from_spectrum, spectrum
 from vbesov.luxemburg import RTOL, octave_block_norm, solve_luxemburg, solve_luxemburg_rows
 
@@ -479,3 +480,23 @@ def test_t_norm_rejects_a_non_finite_profile(ladder, bad, form):
     g[7] = bad
     with pytest.raises(ParameterError, match="finite"):
         vb.t_norm(g, q, ladder, form)
+
+
+def test_bracket_guard_steps_by_ulps():
+    # a constant exponent returns the closed form scale * R^(1/p); for these
+    # values the modular at R^(1/2) rounds above 1, and the guard moves the
+    # result by ulps (a relative 1e-12 step moved it by about 4500)
+    v = np.random.default_rng(0).random(64)
+    scale = v.max()
+    closed = scale * float(np.sum(0.01 * (v / scale) ** 2.0)) ** 0.5
+    res = solve_luxemburg(v, 2.0, 0.01)
+    assert res.value != closed
+    assert abs(res.value - closed) <= 4 * np.spacing(closed)
+    assert solve_luxemburg_rows(np.stack([v, v]), 2.0, 0.01).values.tolist() == [res.value] * 2
+
+
+def test_bracket_guard_raises_when_the_modular_stays_above_one(monkeypatch):
+    real = luxemburg._scaled_terms
+    monkeypatch.setattr(luxemburg, "_scaled_terms", lambda *args: 2.0 * real(*args))
+    with pytest.raises(ConstructionError, match="bracket"):
+        solve_luxemburg([1.0, 0.5], [2.0, 3.0], [0.3, 0.7])

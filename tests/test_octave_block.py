@@ -120,8 +120,8 @@ EXPONENTS = {
 def test_block_profile_equals_the_per_node_pipeline(config, kernel, maximal):
     # the row solver gives each row the bits of a one-row call; only a
     # constant exponent differs, through numpy's scalar-power path: its
-    # last-bit changes can flip the ulp guard on the bracket, which moves
-    # the closed form R^(1/p) by 1e-12 relative
+    # last-bit changes move the closed form R^(1/p), and can flip the guard
+    # on the bracket, which steps it by a few ulps (2 ulps measured)
     spec = vb.make_grid(1, 16.0, 512)
     ladder = vb.make_ladder(6, 12)
     cfg = EXPONENTS[config]
@@ -141,5 +141,5 @@ def test_block_profile_equals_the_per_node_pipeline(config, kernel, maximal):
     if config == "variable":
         assert np.array_equal(prof.values, vals) and prof.level0 == lev0
     else:
-        assert np.allclose(prof.values, vals, rtol=1e-11, atol=0.0)
-        assert prof.level0 == pytest.approx(lev0, rel=1e-11)
+        assert np.allclose(prof.values, vals, rtol=1e-15, atol=0.0)
+        assert prof.level0 == pytest.approx(lev0, rel=1e-15)
