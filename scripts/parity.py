@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Write every CLI output of a fixed request set into one directory.
+
+Run it in two checkouts, say a parent commit and a change, each into its own
+directory, and compare the two with `diff -r`: an empty diff shows that the
+change kept every output byte.  The volatile `timestamp` block of each JSON
+document is emptied first, and every path inside a document is relative to
+the output directory, so nothing else differs between runs.
+
+    PYTHONPATH=src python scripts/parity.py --out /tmp/parity_change
+
+The request set:
+- `norm` for the six forms x the 20 bank members x the `const` and
+  `variable` exponents, at N = 4096 (N = 2048 for the two maximal forms);
+- `decompose` (N = 4096, 8 octaves) and `synthesize` (N = 2048, 7 octaves)
+  on DECOMPOSE_MEMBERS and SYNTHESIZE_MEMBERS, with the variable exponents;
+- `verify --quick --check all`, with its `checks.csv`;
+- the text of `vbesov norm --help`.
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+
+from vbesov import cli
+from vbesov.bank import MEMBER_NAMES
+from vbesov.besov import FORMS
+from vbesov.reporting import strip_timestamp
+
+EXPONENTS = {
+    "const": {"p": "2", "alpha": "1 / 2", "q": "2"},
+    "variable": {"p": "3 + sin(2 * pi * x / 16)",
+                 "alpha": "3 / 10 + 3 / 5 * sin(2 * pi * x / 16)",
+                 "q": "2 + 1 / log(e + 1 / t)"},
+}
+MAXIMAL_FORMS = ("peetre", "local_mean_prime")
+DECOMPOSE_MEMBERS = ("gauss_w05", "modgauss_f16", "smoothstep_w1", "weier_s03",
+                     "weier_s12", "tone_k40", "bandnoise_a", "bandnoise_c")
+SYNTHESIZE_MEMBERS = ("gauss_w1", "tone_k40", "bandnoise_a")
+SEED = 7
+
+
+def _config(name: str, exponents: str, out: str, **grid) -> str:
+    """Write a config under configs/ and return its path."""
+    lines = [f"{k} = {v}" for k, v in {**EXPONENTS[exponents], **grid}.items()]
+    path = os.path.join("configs", f"{name}.cfg")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines + [f"out = {out}"]) + "\n")
+    return path
+
+
+def _run(argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--seed", str(SEED)])
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"vbesov {' '.join(argv)} exited with {code}")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="output directory (created)")
+    args = ap.parse_args()
+    os.makedirs(args.out, exist_ok=True)
+    os.chdir(args.out)
+    os.makedirs("configs", exist_ok=True)
+
+    os.environ["COLUMNS"] = "80"
+    with open("norm_help.txt", "w") as fh, contextlib.redirect_stdout(fh):
+        with contextlib.suppress(SystemExit):
+            cli.main(["norm", "--help"])
+
+    for exponents in EXPONENTS:
+        for member in MEMBER_NAMES:
+            for form in FORMS:
+                points = 2048 if form in MAXIMAL_FORMS else 4096
+                cfg = _config(f"norm_{exponents}_{member}_{points}", exponents,
+                              os.path.join("norm", exponents), member=member, points=points)
+                _run(["norm", "--config", cfg, "--form", form])
+    for member in DECOMPOSE_MEMBERS:
+        _run(["decompose", "--config",
+              _config(f"decompose_{member}", "variable", "decompose", member=member)])
+    for member in SYNTHESIZE_MEMBERS:
+        _run(["synthesize", "--config",
+              _config(f"synthesize_{member}", "variable", "synthesize",
+                      member=member, points=2048, octaves=7)])
+    with contextlib.redirect_stdout(io.StringIO()):   # its lines carry runtimes
+        cli.main(["verify", "--quick", "--check", "all", "--out", "verify",
+                  "--seed", str(SEED)])
+
+    for root, _, files in os.walk("."):
+        for name in files:
+            if name.endswith(".json"):
+                path = os.path.join(root, name)
+                masked = strip_timestamp(path)
+                with open(path, "wb") as fh:
+                    fh.write(masked)
+    print(f"wrote the outputs to {os.getcwd()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

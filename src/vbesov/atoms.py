@@ -23,13 +23,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .besov import _scale_profile
 from .errors import HypothesisViolationError, ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
 from .grid import (GridFunction, GridSpec, _multi_indices, cubes_per_axis,
                    band_rows, finest_aligned_level, from_spectrum_rows, spectral_derivative,
                    spectrum, spectrum_rows, zero_function)
-from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg, solve_luxemburg_rows
+from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg_rows
 
 COEFF_FLOOR = 1e-14
 SUPPORT_TOL = 1e-6
@@ -158,11 +159,11 @@ def _level(frame: CalderonFrame, F: np.ndarray, v: int, synthesis: bool = True):
     """
     spec = frame.spec
     if v == 0:
-        ws, synth = np.ones(1), frame.FPhi[None]
+        ws, synth = np.ones(1), frame.level0[None]
         analysis = frame.profile.Psi_hat(spec.freq_radius())[None]
     else:
         sl = frame.ladder.octave_slice(v)
-        ws, synth = frame.ladder.weights[sl], frame.phi_block(frame.ladder.t[sl])
+        ws, synth = frame.ladder.weights[sl], frame.multipliers(frame.ladder.t[sl])
         # Fpsi_t = Fphi_t / c2, in place when the synthesis side is not kept
         analysis = np.divide(synth, frame.profile.c2, out=None if synthesis else synth)
     return band_rows(spec, analysis, F), ws, synth if synthesis else None
@@ -370,11 +371,11 @@ def sequence_norm_b(dec: AtomicDecomposition, alpha: ExponentField,
                     half_dim_sign: float = 1.0) -> float:
     """Coefficient-space norm of the decomposition.
 
-    form="continuous" runs the ladder mixed norm of the octave blocks
-    t^{-(alpha(.)+n/2)-1/q(t)} sum_m lambda chi; form="discrete" collapses to
-    the fixed exponent q(0) with weights 2^{v(alpha(.)+n/2)}.  half_dim_sign
-    flips the n/2 term's sign for the alternative normalization.  The
-    continuous form needs V <= the ladder's octave count.
+    form="continuous" runs the profile pipeline of `besov` on the level sums
+    sum_m lambda chi (level v on every node of octave v) with weights
+    t^{-(alpha(.)+n/2)}, then the octave-block t-norm, and needs V <= the
+    ladder's octaves; form="discrete" collapses to the fixed exponent q(0)
+    with weights 2^{v(alpha(.)+n/2)}.  half_dim_sign flips the n/2 term's sign.
     """
     if form not in ("continuous", "discrete"):
         raise ParameterError(f"unknown sequence-norm form {form!r}")
@@ -383,31 +384,19 @@ def sequence_norm_b(dec: AtomicDecomposition, alpha: ExponentField,
         raise ParameterError(f"V = {dec.V} levels but the ladder has only "
                              f"{ladder.octaves} octaves")
     spec = dec.spec
-    n = spec.dimension
-    h = spec.spacing ** n
-    pv = p.grid_values()
-    half = half_dim_sign * n / 2.0
-
-    level0 = solve_luxemburg(dec.indicator_sum(0), pv, h).value
-    levels = [dec.indicator_sum(v) for v in range(1, dec.V + 1)]
-    if all(S.max() == 0 for S in levels):
-        return level0
-
-    av = alpha.grid_values()
+    s = alpha.grid_values() + half_dim_sign * spec.dimension / 2.0
+    pv, h = p.grid_values(), spec.spacing ** spec.dimension
+    sums = [dec.indicator_sum(v) for v in range(dec.V + 1)]
     if form == "discrete":
+        # one solve per level: a row solve over levels with different zero
+        # patterns would not give each level the bits of its own solve
+        level0, *norms = [float(solve_luxemburg_rows((2.0 ** (v * s) * S)[None], pv, h).values[0])
+                          for v, S in enumerate(sums)]
         q0 = float(q.limit_value)
-        acc = 0.0
-        for v, S in enumerate(levels, start=1):
-            weight = 2.0 ** (v * (av + half))
-            acc += solve_luxemburg(weight * S, pv, h).value ** q0
-        return level0 + acc ** (1.0 / q0)
-
-    node_norms = np.zeros(ladder.t.size)  # octaves beyond V stay zero
-    for v, S in enumerate(levels, start=1):
-        sl = ladder.octave_slice(v)
-        ts = ladder.t[sl].reshape((-1,) + (1,) * n)
-        node_norms[sl] = solve_luxemburg_rows(ts ** (-(av + half)) * S, pv, h).values
-    return level0 + octave_block_norm(node_norms, ladder, q)
+        return level0 + sum(x ** q0 for x in norms) ** (1.0 / q0)
+    rows = (np.repeat(S[None], ladder.nodes_per_octave, axis=0) for S in sums[1:])
+    prof = _scale_profile(spec, rows, sums[0][None], ladder, s, pv)
+    return prof.level0 + octave_block_norm(prof.values, ladder, q)
 
 
 # -- import / export ------------------------------------------------------------

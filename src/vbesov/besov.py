@@ -1,21 +1,16 @@
 """Scale profiles and the smoothness norm in its equivalent forms.
 
 Every form is a level-0 term plus a t-norm of one scale profile, and every
-profile comes from the same pipeline (`_scale_profile`): per ladder node t,
-a kernel multiplier at scale t times the spectrum of f, then |.| t^-alpha(x),
-then, for the maximal forms, the Peetre maximal function of order a, then
-the Luxemburg norm in L^p(.).  The unit of work is the octave: its nodes
-form one (nodes, *grid) block, with one batched inverse FFT and one
-row-wise Luxemburg solve.  The level-0 term runs the same steps with the
-level-0 multiplier and no weight.  Only the kernel pair and the maximal
-switch change between forms:
-
-  direct, discretized, q0   resolution of unity (Phi, phi_t), no maximal;
-                            the t-norm is variable-q over dt/t, octave
-                            blocks, or the fixed exponent q(0)
-  peetre                    resolution of unity, maximal
-  local_mean_double_prime   local-mean pair (k0, k_t), no maximal
-  local_mean_prime          local-mean pair, maximal
+profile comes from one pipeline (`_scale_profile`): per ladder node t,
+nonnegative rows times t^-s(x), then, for the maximal forms, the Peetre
+maximal function of order a, then the Luxemburg norm in L^p(.).  The unit
+of work is the octave: its nodes form one (nodes, *grid) block with one
+row-wise Luxemburg solve.  For a norm the rows are |kernel multiplier at t
+times the spectrum of f|, one batched inverse FFT per octave, and s = alpha;
+`atoms.sequence_norm_b` feeds the level indicator sums with s = alpha + n/2.
+A kernel (a resolution of unity or a local-mean pair) gives the pipeline
+`multipliers(ts)`, `level0` and `ladder`.  `FORMS` names each form's kernel
+class, maximal step and t-norm, and `besov_norm` computes all six.
 """
 
 from __future__ import annotations
@@ -24,18 +19,41 @@ import functools
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import HypothesisViolationError, ParameterError
+from .errors import ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, LocalMeanPair
 from .grid import GridFunction, GridSpec, band_rows, spectrum
-from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg_rows, t_norm
+from .luxemburg import (ScaleLadder, _check_q, octave_block_norm, solve_luxemburg_rows,
+                        t_norm)
 
-FORMS = ("direct", "discretized", "q0", "peetre",
-         "local_mean_prime", "local_mean_double_prime")
+Kernel = CalderonFrame | LocalMeanPair
+
+
+class Form(NamedTuple):
+    kernel: type        # CalderonFrame (Phi, phi_t) or LocalMeanPair (k0, k_t)
+    maximal: bool       # whether the Peetre maximal step runs
+    t_norm: Callable[[np.ndarray, ExponentField, ScaleLadder], float]
+
+
+def _t_norm(form: str):
+    return lambda g, q, ladder: t_norm(g, q, ladder, form)
+
+
+# direct, discretized and q0 are three t-norms of one profile: variable q over
+# dt/t, the octave blocks, and the fixed exponent q(0)
+FORMS: Dict[str, Form] = {
+    "direct": Form(CalderonFrame, False, _t_norm("variable")),
+    "discretized": Form(CalderonFrame, False,
+                        lambda g, q, ladder: octave_block_norm(g, ladder, q)),
+    "q0": Form(CalderonFrame, False, _t_norm("q0")),
+    "peetre": Form(CalderonFrame, True, _t_norm("variable")),
+    "local_mean_prime": Form(LocalMeanPair, True, _t_norm("variable")),
+    "local_mean_double_prime": Form(LocalMeanPair, False, _t_norm("variable")),
+}
 
 
 @dataclass(frozen=True)
@@ -79,12 +97,16 @@ def _field_echo(field: Optional[ExponentField]) -> object:
             "limit": field.limit_value}
 
 
-def _scale_weights(ts: np.ndarray, alpha: ExponentField, n: int) -> np.ndarray:
-    """t^{-alpha(x)} for every t in ts, one row per t (one value per row for
-    constant alpha, each a scalar power as in a per-node call)."""
-    if alpha.is_constant:
-        return np.array([t ** (-alpha.cached_min) for t in ts]).reshape((-1,) + (1,) * n)
-    return np.power(ts.reshape((-1,) + (1,) * n), -alpha.grid_values())
+def _exponent(field: ExponentField):
+    """A field's samples; a constant one as a scalar (numpy's scalar-power path)."""
+    return field.cached_min if field.is_constant else field.grid_values()
+
+
+def _scale_weights(ts: np.ndarray, s, n: int) -> np.ndarray:
+    """t^{-s(x)} for every t in ts, one row per t; a scalar s gives one scalar power per row."""
+    if np.ndim(s) == 0:
+        return np.array([t ** (-s) for t in ts]).reshape((-1,) + (1,) * n)
+    return np.power(ts.reshape((-1,) + (1,) * n), -s)
 
 
 # -- Peetre maximal function ---------------------------------------------------
@@ -153,12 +175,20 @@ def _geometry(n: int, N: int) -> _Geometry:
     return geo
 
 
-def _offset_kernel(spec: GridSpec, t: float, a: float) -> np.ndarray:
-    """(1 + d/t)^-a indexed by the per-axis offset (y - x) mod N."""
+@functools.lru_cache(maxsize=8)
+def _distances(spec: GridSpec) -> np.ndarray:
+    """The periodic distance d of every per-axis offset (y - x) mod N, built
+    once per grid and shared read-only."""
     off = np.arange(spec.points_per_axis) * spec.spacing
     d = np.minimum(off, spec.box_length - off)
     r = np.sqrt(sum(da * da for da in np.ix_(*(d,) * spec.dimension)))
-    return (1.0 + r / t) ** (-a)
+    r.flags.writeable = False
+    return r
+
+
+def _offset_kernel(spec: GridSpec, t: float, a: float) -> np.ndarray:
+    """(1 + d/t)^-a indexed by the per-axis offset (y - x) mod N."""
+    return (1.0 + _distances(spec) / t) ** (-a)
 
 
 def _lower_bound(K: np.ndarray, g: np.ndarray, near: np.ndarray,
@@ -246,116 +276,101 @@ def peetre_maximal(spec: GridSpec, g: np.ndarray, t: float, a: float) -> np.ndar
         .transpose(tuple(i for ax in range(n) for i in (ax, n + ax))).reshape(spec.shape)
 
 
-def _check_peetre_order(a: float, p: ExponentField, spec: GridSpec) -> None:
+def _warn_peetre_order(a: float, p: ExponentField, spec: GridSpec) -> None:
+    """Warn, at the caller of the function that calls this, when a <= n/p-."""
     if a <= spec.dimension / p.cached_min:
         warnings.warn(
             f"Peetre order a = {a} is not above n/p- = {spec.dimension / p.cached_min:g}; "
             "the maximal-function equivalence is outside its hypothesis",
-            stacklevel=4,
+            stacklevel=3,
         )
 
 
 # -- the profile pipeline ------------------------------------------------------
 
 
-def _scale_profile(spec: GridSpec, F: np.ndarray,
-                   band: Callable[[np.ndarray], np.ndarray], level0: np.ndarray,
-                   ladder: ScaleLadder, alpha: ExponentField, p: ExponentField,
-                   a: Optional[float] = None) -> ScaleProfile:
-    """The pipeline of the module docstring for f with spectrum F, one
-    octave of ladder nodes at a time: `band(ts)` gives the multipliers of
-    the nodes ts as one (nodes, *grid) block.  The maximal step runs, row
-    by row, when a Peetre order a is given (t = 1 at level 0)."""
-    if a is not None:
-        _check_peetre_order(a, p, spec)
+def _scale_profile(spec: GridSpec, rows: Iterable[np.ndarray], level0: np.ndarray,
+                   ladder: ScaleLadder, s, p, a: Optional[float] = None) -> ScaleProfile:
+    """The pipeline of the module docstring.  `rows` gives each octave's
+    nonnegative (nodes, *grid) block, which the weights t^{-s(x)} multiply in
+    place, and octaves it does not reach stay zero; `level0` is the (1, *grid)
+    row of the level-0 term.  s and p are samples, or scalars when constant.
+    The maximal step runs row by row when a is given (t = 1 at level 0)."""
     h = spec.spacing ** spec.dimension
-    # a constant exponent takes numpy's scalar-power path
-    pv = p.cached_min if p.is_constant else p.grid_values()
 
-    def norms(multipliers: np.ndarray, ts, weights) -> np.ndarray:
-        g = np.abs(band_rows(spec, multipliers, F))
-        g *= weights
+    def norms(g: np.ndarray, ts) -> np.ndarray:
         if a is not None:
             g = np.stack([peetre_maximal(spec, row, t, a) for row, t in zip(g, ts)])
-        return solve_luxemburg_rows(g, pv, h).values
+        return solve_luxemburg_rows(g, p, h).values
 
-    octaves = [ladder.t[ladder.octave_slice(v)] for v in range(1, ladder.octaves + 1)]
-    vals = np.concatenate([norms(band(ts), ts, _scale_weights(ts, alpha, spec.dimension))
-                           for ts in octaves])
-    return ScaleProfile(ladder, vals, float(norms(level0[None], [1.0], 1.0)[0]))
-
-
-def lp_profile(f: GridFunction, frame: CalderonFrame, alpha: ExponentField,
-               p: ExponentField) -> ScaleProfile:
-    """Profile t -> Luxemburg norm of t^{-alpha(.)} (phi_t * f)."""
-    return _scale_profile(f.spec, spectrum(f), frame.phi_block, frame.FPhi,
-                          frame.ladder, alpha, p)
+    vals = np.zeros(ladder.t.size)
+    for v, g in enumerate(rows, start=1):
+        sl = ladder.octave_slice(v)
+        g *= _scale_weights(ladder.t[sl], s, spec.dimension)
+        vals[sl] = norms(g, ladder.t[sl])
+    return ScaleProfile(ladder, vals, float(norms(level0, [1.0])[0]))
 
 
-def peetre_profile(f: GridFunction, frame: CalderonFrame, alpha: ExponentField,
-                   a: float, p: ExponentField) -> ScaleProfile:
-    """Profile of Luxemburg norms of the Peetre maximal functions."""
-    return _scale_profile(f.spec, spectrum(f), frame.phi_block, frame.FPhi,
-                          frame.ladder, alpha, p, a)
+def _kernel_profile(f: GridFunction, kernel: Kernel, alpha: ExponentField,
+                    p: ExponentField, a: Optional[float] = None) -> ScaleProfile:
+    """The profile of f with the kernel's multipliers, one batched transform per octave."""
+    spec, F, ladder = f.spec, spectrum(f), kernel.ladder
+    rows = (np.abs(band_rows(spec, kernel.multipliers(ladder.t[ladder.octave_slice(v)]), F))
+            for v in range(1, ladder.octaves + 1))
+    return _scale_profile(spec, rows, np.abs(band_rows(spec, kernel.level0[None], F)),
+                          ladder, _exponent(alpha), _exponent(p), a)
 
 
-# -- the norm forms -------------------------------------------------------------
+# -- the norm ------------------------------------------------------------------
 
 
-def besov_norm(f: GridFunction, frame: CalderonFrame, alpha: ExponentField,
+def besov_norm(f: GridFunction, kernel: Kernel, alpha: ExponentField,
                p: ExponentField, q: ExponentField, form: str = "direct",
                a: float = 2.0, profile: Optional[ScaleProfile] = None) -> BesovNormReport:
-    """Smoothness norm of f in the requested form (level-0 term + t-norm).
-
-    A precomputed profile for the same (f, frame, alpha, p) may be passed to
-    avoid recomputing band transforms when evaluating several forms.
-    """
-    if form in ("local_mean_prime", "local_mean_double_prime"):
-        raise ParameterError("local-mean forms go through local_mean_norm()")
+    """Smoothness norm of f in `form` (level-0 term + t-norm) with the kernel
+    class, maximal step and t-norm of its row in FORMS.  Every input is
+    checked before any transform; a precomputed profile for the same (f,
+    kernel, alpha, p, maximal step) saves the band transforms."""
     if form not in FORMS:
         raise ParameterError(f"unknown form {form!r}")
-    if profile is not None:
-        prof = profile
-    elif form == "peetre":
-        prof = peetre_profile(f, frame, alpha, a, p)
-    else:
-        prof = lp_profile(f, frame, alpha, p)
-    if form == "discretized":
-        tpart = octave_block_norm(prof.values, frame.ladder, q)
-    elif form == "q0":
-        tpart = t_norm(prof.values, q, frame.ladder, "q0")
-    else:
-        tpart = t_norm(prof.values, q, frame.ladder, "variable")
+    row = FORMS[form]
+    if not isinstance(kernel, row.kernel):
+        raise ParameterError(f"form {form!r} needs a {row.kernel.__name__}, "
+                             f"got a {type(kernel).__name__}")
+    kernel.check_alpha(alpha)
+    _check_q(q)
+    if row.maximal:
+        _warn_peetre_order(a, p, f.spec)
+    a = a if row.maximal else None
+    prof = profile if profile is not None else _kernel_profile(f, kernel, alpha, p, a)
     params = {"alpha": _field_echo(alpha), "p": _field_echo(p), "q": _field_echo(q),
-              "a": a if form == "peetre" else None,
-              "frame": {"profile_order": frame.profile.params.order,
-                        "octaves": frame.ladder.octaves,
-                        "nodes_per_octave": frame.ladder.nodes_per_octave}}
-    return BesovNormReport(form, prof.level0 + tpart, prof, params)
+              "a": a, **kernel.echo()}
+    return BesovNormReport(form, prof.level0 + row.t_norm(prof.values, q, kernel.ladder),
+                           prof, params)
+
+
+# perfbench/tracer.py patches the next three names; each is one call into
+# the pipeline above
+
+
+def lp_profile(f: GridFunction, frame: Kernel, alpha: ExponentField,
+               p: ExponentField) -> ScaleProfile:
+    """Profile t -> Luxemburg norm of t^{-alpha(.)} (phi_t * f)."""
+    return _kernel_profile(f, frame, alpha, p)
+
+
+def peetre_profile(f: GridFunction, frame: Kernel, alpha: ExponentField,
+                   a: float, p: ExponentField) -> ScaleProfile:
+    """Profile of Luxemburg norms of the Peetre maximal functions."""
+    _warn_peetre_order(a, p, f.spec)
+    return _kernel_profile(f, frame, alpha, p, a)
 
 
 def local_mean_norm(f: GridFunction, pair: LocalMeanPair, alpha: ExponentField,
                     p: ExponentField, q: ExponentField, a: float,
-                    variant: str, ladder: ScaleLadder) -> BesovNormReport:
-    """Local-means norm: "double_prime" plain, "prime" Peetre-maximalized.
-
-    Requires alpha+ < S+1 (hypothesis of the local-means characterization).
-    """
-    if variant not in ("prime", "double_prime"):
-        raise ParameterError(f"unknown local-mean variant {variant!r}")
-    if alpha.cached_max >= pair.S + 1:
-        raise HypothesisViolationError(
-            f"alpha+ = {alpha.cached_max:g} must be below S+1 = {pair.S + 1} "
-            "for the local-means characterization")
-    prof = _scale_profile(f.spec, spectrum(f), pair.k_block,
-                          pair.k0_spectrum_at(f.spec.freq_radius()), ladder, alpha, p,
-                          a if variant == "prime" else None)
-    tpart = t_norm(prof.values, q, ladder, "variable")
-    form = "local_mean_prime" if variant == "prime" else "local_mean_double_prime"
-    params = {"alpha": _field_echo(alpha), "p": _field_echo(p), "q": _field_echo(q),
-              "a": a if variant == "prime" else None,
-              "kernel": {"S": pair.S, "m": pair.m, "epsilon": pair.epsilon}}
-    return BesovNormReport(form, prof.level0 + tpart, prof, params)
+                    form: str) -> BesovNormReport:
+    """`besov_norm` with a local-mean pair."""
+    return besov_norm(f, pair, alpha, p, q, form, a)
 
 
 def write_profile_csv(profile: ScaleProfile, path: str) -> None:

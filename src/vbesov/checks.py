@@ -18,7 +18,7 @@ import numpy as np
 
 from .atoms import validate_atom
 from .bank import FunctionBank, make_bank
-from .besov import besov_norm, local_mean_norm, lp_profile
+from .besov import FORMS, ScaleProfile, besov_norm, lp_profile
 from .errors import ParameterError
 from .exponents import (field_from_callable, log_holder_constants,
                         make_exponent_field, reciprocal_constants)
@@ -163,7 +163,6 @@ def check_subconvolution(bank: FunctionBank, m: float = 4.0,
     members = ["gauss_w1", "modgauss_f4", "weier_s05", "bandnoise_a",
                "smoothstep_w1", "tone_k8"]
     sr = spec.freq_radius()
-    h = spec.spacing ** spec.dimension
     constants: Dict[str, float] = {}
     for r in (1.0, 0.5):
         for N in scales:
@@ -433,7 +432,7 @@ def check_key_modular(bank: FunctionBank, m: float = 2.0,
     # interval variants on a (0, b] axis
     rng = np.random.default_rng(seed)
 
-    def run_interval(mode: str, t, wleb, pvals, p0, gamma, phi_of, g_term):
+    def run_interval(t, wleb, pvals, p0, gamma, phi_of, g_term):
         worst, worst_share = 0.0, 0.0
         profiles = [t ** 0.2, 1.5 + np.sin(np.log(t)),
                     np.exp(0.4 * np.sin(3 * np.log(np.e + 1 / t)))]
@@ -477,7 +476,7 @@ def check_key_modular(bank: FunctionBank, m: float = 2.0,
             mean_gy = float(np.sum(((np.e + 1.0 / t[sl]) ** (-m)) * wleb[sl]) / wQ)
             return min(b ** m, 1.0) * ((np.e + 1.0 / tx) ** (-m) + mean_gy)
 
-        c, share = run_interval("interval_p", t, wleb, pvals, p0, gamma, phi_p, g_p)
+        c, share = run_interval(t, wleb, pvals, p0, gamma, phi_p, g_p)
         constants[f"interval_p_{pname}"] = c
         tail_share[f"interval_p_{pname}"] = share
 
@@ -488,7 +487,7 @@ def check_key_modular(bank: FunctionBank, m: float = 2.0,
             chi = (px < p0).astype(float)
             return min(b ** m, 1.0) * (np.e + 1.0 / tx) ** (-m) * chi
 
-        c, share = run_interval("interval_p0", t, wleb, pvals, p0, gamma, phi_p0, g_p0)
+        c, share = run_interval(t, wleb, pvals, p0, gamma, phi_p0, g_p0)
         constants[f"interval_p0_{pname}"] = c
         tail_share[f"interval_p0_{pname}"] = share
 
@@ -508,7 +507,7 @@ def check_key_modular(bank: FunctionBank, m: float = 2.0,
             chi = (px < pinf).astype(float)
             return (np.e + tx) ** (-m) * chi
 
-        c, share = run_interval("interval_pinf", tb, wlebb, pvals, pinf, gamma,
+        c, share = run_interval(tb, wlebb, pvals, pinf, gamma,
                                 phi_pi, g_pi)
         constants[f"interval_pinf_{pname}"] = c
         tail_share[f"interval_pinf_{pname}"] = share
@@ -688,8 +687,8 @@ def check_kernel_decay(bank: FunctionBank, seed: int = 7,
     slopes: Dict[str, float] = {}
     t_list = 2.0 ** (-np.arange(2, 7, dtype=float))
     for M in moment_orders:
-        pair = build_local_mean_pair(spec, S=M)
-        conv = band_rows(spec, pair.k_block(t_list), Frho)
+        pair = build_local_mean_pair(spec, bank.ladder, S=M)
+        conv = band_rows(spec, pair.multipliers(t_list), Frho)
         sups = [float(np.max(np.abs(c) * (1 + np.abs(x)) ** N_poly)) for c in conv]
         slope = float(np.polyfit(np.log(t_list), np.log(sups), 1)[0])
         slopes[f"M={M}"] = slope
@@ -704,7 +703,7 @@ def check_kernel_decay(bank: FunctionBank, seed: int = 7,
 
     def band_sups(js, dilations):
         # sup of the level-j bands of the atom, weighted by decay away from x_Q
-        conv = band_rows(spec, frame.phi_block(2.0 ** (-js)), Fa)
+        conv = band_rows(spec, frame.multipliers(2.0 ** (-js)), Fa)
         return [float(np.max(np.abs(c) * (1 + d * np.abs(x - xQ)) ** N_poly))
                 for c, d in zip(conv, dilations)]
 
@@ -741,7 +740,6 @@ def check_kernel_decay(bank: FunctionBank, seed: int = 7,
 
 def _scaled_profile(base, s: float):
     """Profile for constant smoothness s from the alpha = 0 base profile."""
-    from .besov import ScaleProfile
     return ScaleProfile(base.ladder, base.values * base.ladder.t ** (-s), base.level0)
 
 
@@ -902,7 +900,11 @@ def check_norm_equivalences(bank: FunctionBank, seed: int = 7,
     spec, ladder = bank.spec, bank.ladder
     frame1 = build_resolution_of_unity(spec, ladder, BumpParams(6))
     frame2 = build_resolution_of_unity(spec, ladder, BumpParams(10))
-    pair = build_local_mean_pair(spec, S=S)
+    pair = build_local_mean_pair(spec, ladder, S=S)
+    forms = [("direct", frame1, "direct"), ("direct_frame2", frame2, "direct"),
+             ("q0", frame1, "q0"), ("discretized", frame1, "discretized"),
+             ("peetre", frame1, "peetre"), ("local_prime", pair, "local_mean_prime"),
+             ("local_double_prime", pair, "local_mean_double_prime")]
     if members is None:
         members = bank.names()
     configs = [
@@ -920,19 +922,13 @@ def check_norm_equivalences(bank: FunctionBank, seed: int = 7,
         per_member = {}
         for name in members:
             f = bank[name]
-            prof1 = lp_profile(f, frame1, alpha, p)
-            vals = {
-                "direct": besov_norm(f, frame1, alpha, p, q, "direct", profile=prof1).value,
-                "direct_frame2": besov_norm(f, frame2, alpha, p, q, "direct").value,
-                "q0": besov_norm(f, frame1, alpha, p, q, "q0", profile=prof1).value,
-                "discretized": besov_norm(f, frame1, alpha, p, q, "discretized",
-                                          profile=prof1).value,
-                "peetre": besov_norm(f, frame1, alpha, p, q, "peetre", a=peetre_a).value,
-                "local_prime": local_mean_norm(f, pair, alpha, p, q, peetre_a,
-                                               "prime", ladder).value,
-                "local_double_prime": local_mean_norm(f, pair, alpha, p, q, peetre_a,
-                                                      "double_prime", ladder).value,
-            }
+            # one profile per (kernel, maximal step), shared by its t-norms
+            profiles, vals = {}, {}
+            for entry, kernel, form in forms:
+                key = (id(kernel), FORMS[form].maximal)
+                rep = besov_norm(f, kernel, alpha, p, q, form, a=peetre_a,
+                                 profile=profiles.get(key))
+                profiles[key], vals[entry] = rep.profile, rep.value
             if all(v == 0 for v in vals.values()):
                 continue
             names_f = list(vals)

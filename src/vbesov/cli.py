@@ -16,11 +16,13 @@ import numpy as np
 from . import atoms as atoms_mod
 from . import grid as grid_mod
 from .bank import make_bank, make_member
-from .besov import besov_norm, local_mean_norm
+from .besov import FORMS, besov_norm
 from .checks import run_checks
 from .config import ConfigError, RunConfig, emit_config, parse_config
-from .errors import AdmissibilityError, HypothesisViolationError, VbesovError
-from .frame import BumpParams, build_local_mean_pair, build_resolution_of_unity
+from .errors import (AdmissibilityError, HypothesisViolationError, ParameterError,
+                     VbesovError)
+from .frame import (BumpParams, LocalMeanPair, build_local_mean_pair,
+                    build_resolution_of_unity)
 from .luxemburg import luxemburg_norm
 from .reporting import dump_json, write_rollup_csv
 
@@ -72,17 +74,16 @@ def cmd_norm(args) -> int:
     p = cfg.p_field(spec)
     alpha = cfg.alpha_field(spec)
     q = cfg.q_field(ladder)
-    if cfg.form in ("local_mean_prime", "local_mean_double_prime"):
-        pair = build_local_mean_pair(spec, cfg.kernel_S, cfg.kernel_epsilon)
-        report = local_mean_norm(f, pair, alpha, p, q, cfg.peetre_a,
-                                 cfg.form.removeprefix("local_mean_"), ladder)
+    if cfg.form not in FORMS:
+        raise ParameterError(f"unknown form {cfg.form!r}")
+    if FORMS[cfg.form].kernel is LocalMeanPair:
+        kernel = build_local_mean_pair(spec, ladder, cfg.kernel_S, cfg.kernel_epsilon)
     else:
-        frame = build_resolution_of_unity(spec, ladder, BumpParams(cfg.profile_order))
-        report = besov_norm(f, frame, alpha, p, q, cfg.form, a=cfg.peetre_a)
+        kernel = build_resolution_of_unity(spec, ladder, BumpParams(cfg.profile_order))
+    report = besov_norm(f, kernel, alpha, p, q, cfg.form, a=cfg.peetre_a)
     lux = luxemburg_norm(f, p)
-    doc = {"member": cfg.member, "form": report.form, "value": report.value,
-           "level0": report.profile.level0, "parameters": report.parameters,
-           "lebesgue_norm": lux.to_dict(), "seed": cfg.seed}
+    doc = {"member": cfg.member, **report.to_dict(), "lebesgue_norm": lux.to_dict(),
+           "seed": cfg.seed}
     out_path = os.path.join(cfg.out, f"norm_{os.path.basename(cfg.member)}_{cfg.form}.json")
     dump_json(doc, out_path)
     print(f"{cfg.member} {cfg.form} norm = {report.value!r} -> {out_path}")
@@ -193,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("gen-bank", cmd_gen_bank, "write the seeded function bank")
     command("norm", cmd_norm, "compute a smoothness norm").add_argument(
-        "--form", choices=["direct", "discretized", "q0", "peetre",
-                           "local_mean_prime", "local_mean_double_prime"])
+        "--form", choices=list(FORMS))
     command("decompose", cmd_decompose, "atomic analysis to coefficient CSV")
     command("synthesize", cmd_synthesize, "atomic round trip and residual")
     p = command("verify", cmd_verify, "run verification checks")

@@ -23,7 +23,8 @@ from typing import Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, HypothesisViolationError, ParameterError
+from .exponents import ExponentField
 from .grid import GridFunction, GridSpec, _multi_indices, from_spectrum, spectrum
 from .luxemburg import ScaleLadder
 
@@ -123,14 +124,14 @@ class CalderonFrame:
     spec: GridSpec
     profile: RadialProfile
     ladder: ScaleLadder
-    FPhi: np.ndarray               # FPhi at the grid frequencies
+    level0: np.ndarray             # the level-0 multiplier FPhi at the grid frequencies
     annulus: Tuple[float, float]   # support of the Fphi profile
     residual: float                # measured identity residual on the band
     resolved_xi_max: float
     radius_order: np.ndarray       # stable argsort of the flattened |xi|
     radius_sorted: np.ndarray      # the flattened |xi| in that order
 
-    def phi_block(self, ts) -> np.ndarray:
+    def multipliers(self, ts) -> np.ndarray:
         """Fphi(t xi) at the grid frequencies for every t in ts, one row per
         t: a (len(ts), *grid) array from one `phi_hat` call over the annulus
         slices; every sample outside a row's slice is exactly 0."""
@@ -140,12 +141,20 @@ class CalderonFrame:
         return out.reshape(out.shape[:1] + self.spec.shape)
 
     def phi_t_spectrum(self, t: float) -> np.ndarray:
-        """Fphi(t xi) at the grid frequencies: one row of `phi_block`."""
-        return self.phi_block([t])[0]
+        """Fphi(t xi) at the grid frequencies: one row of `multipliers`."""
+        return self.multipliers([t])[0]
 
     def level0_transform(self, f: GridFunction) -> GridFunction:
         """Phi * f."""
-        return from_spectrum(f.spec, self.FPhi * spectrum(f))
+        return from_spectrum(f.spec, self.level0 * spectrum(f))
+
+    def check_alpha(self, alpha: ExponentField) -> None:
+        """Every alpha is admissible: Fphi vanishes near the origin to every order."""
+
+    def echo(self) -> dict:
+        ladder = self.ladder
+        return {"frame": {"profile_order": self.profile.params.order,
+                          "octaves": ladder.octaves, "nodes_per_octave": ladder.nodes_per_octave}}
 
 
 def _annulus_values(profile: RadialProfile, radii: np.ndarray, ts):
@@ -211,7 +220,7 @@ def synthesize_phi_t(frame: CalderonFrame, t: float) -> GridFunction:
 
 
 def synthesize_Phi(frame: CalderonFrame) -> GridFunction:
-    return from_spectrum(frame.spec, frame.FPhi, tag="Phi")
+    return from_spectrum(frame.spec, frame.level0, tag="Phi")
 
 
 # -- local means ---------------------------------------------------------------
@@ -249,7 +258,8 @@ class LocalMeanPair:
     """
 
     spec: GridSpec
-    k0: GridFunction
+    ladder: ScaleLadder
+    level0: np.ndarray      # the level-0 multiplier Fk0 at the grid frequencies
     k: GridFunction
     S: int
     epsilon: float
@@ -262,12 +272,23 @@ class LocalMeanPair:
     def k_spectrum_at(self, s) -> np.ndarray:
         return _k_hat(s, self.epsilon, self.m)
 
-    def k_block(self, ts) -> np.ndarray:
+    def multipliers(self, ts) -> np.ndarray:
         """Fk(t xi) at the grid frequencies for every t in ts, one row per t."""
         return self.k_spectrum_at(np.multiply.outer(ts, self.spec.freq_radius()))
 
+    def check_alpha(self, alpha: ExponentField) -> None:
+        """The local-means characterization needs alpha+ < S+1."""
+        if alpha.cached_max >= self.S + 1:
+            raise HypothesisViolationError(
+                f"alpha+ = {alpha.cached_max:g} must be below S+1 = {self.S + 1} "
+                "for the local-means characterization")
 
-def build_local_mean_pair(spec: GridSpec, S: int, epsilon: float = 1.0) -> LocalMeanPair:
+    def echo(self) -> dict:
+        return {"kernel": {"S": self.S, "m": self.m, "epsilon": self.epsilon}}
+
+
+def build_local_mean_pair(spec: GridSpec, ladder: ScaleLadder, S: int,
+                          epsilon: float = 1.0) -> LocalMeanPair:
     """Gaussian-family local means with 2m >= S+1 vanishing moments on k."""
     if S < -1:
         raise ParameterError(f"moment order S must be >= -1, got {S}")
@@ -277,7 +298,6 @@ def build_local_mean_pair(spec: GridSpec, S: int, epsilon: float = 1.0) -> Local
     m = max(0, math.ceil((S + 1) / 2))
 
     sr = spec.freq_radius()
-    k0 = from_spectrum(spec, _k0_hat(sr, epsilon), tag="k0")
     k = from_spectrum(spec, _k_hat(sr, epsilon, m), tag="k")
 
     # certification: Tauberian lower bounds on dense radial samples + moments
@@ -311,7 +331,7 @@ def build_local_mean_pair(spec: GridSpec, S: int, epsilon: float = 1.0) -> Local
                 f"or trade epsilon against L: Nyquist/epsilon and epsilon*L/2 "
                 f"must both be large (README: the 2-D sweep)")
 
-    return LocalMeanPair(spec, k0, k, S, epsilon, m, cert)
+    return LocalMeanPair(spec, ladder, _k0_hat(sr, epsilon), k, S, epsilon, m, cert)
 
 
 # -- eta kernels ---------------------------------------------------------------
@@ -354,4 +374,4 @@ def export_frame(frame: CalderonFrame, json_path: str, raw_path: str) -> None:
                  "points_per_axis": frame.spec.points_per_axis},
         "spectral_samples": raw_path,
     }, json_path)
-    write_raw(GridFunction(frame.spec, frame.FPhi.astype(np.complex128)), raw_path)
+    write_raw(GridFunction(frame.spec, frame.level0.astype(np.complex128)), raw_path)

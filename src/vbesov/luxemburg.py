@@ -330,7 +330,7 @@ def mixed_core(inner_terms: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         return 0.0
     qs = np.asarray(q_levels, dtype=float)
     live = A > 0
-    return solve_luxemburg(A[live] ** (1.0 / qs[live]), qs[live], 1.0).value
+    return float(solve_luxemburg_rows((A[live] ** (1.0 / qs[live]))[None], qs[live], 1.0).values[0])
 
 
 def mixed_sequence_norm(fs: Sequence[GridFunction], p: ExponentField,
@@ -373,7 +373,7 @@ def t_norm(g, q: Optional[ExponentField], ladder: ScaleLadder,
         return float(g.max()) if g.size else 0.0
     _check_q(q)
     if form == "variable":
-        return solve_luxemburg(g, q.value_at(ladder.t), ladder.weights).value
+        return float(solve_luxemburg_rows(g[None], q.value_at(ladder.t), ladder.weights).values[0])
     if form == "q0":
         q0 = float(q.limit_value)
         return float(np.sum(g ** q0 * ladder.weights) ** (1.0 / q0))

@@ -225,7 +225,7 @@ def analyze_eager(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None
 
     # level 0: Psi / Phi pair, no t-integral
     emit_level(0, [1.0], [1.0],
-               [profile.Psi_hat(sr)], [frame.FPhi], C_Phi)
+               [profile.Psi_hat(sr)], [frame.level0], C_Phi)
     # levels 1..V: psi_t / phi_t over the octave nodes
     for v in range(1, V + 1):
         sl = ladder.octave_slice(v)
@@ -237,3 +237,39 @@ def analyze_eager(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None
     frame_id = f"bump{profile.params.order}-V{ladder.octaves}-J{ladder.nodes_per_octave}"
     return AtomicDecomposition(spec, ladder, V, K, L, gamma, frame_id,
                                C_phi, C_Phi, coeffs, atoms)
+
+
+def sequence_norm_b_loop(dec: AtomicDecomposition, alpha, p, q, form: str = "continuous",
+                         half_dim_sign: float = 1.0) -> float:
+    """The coefficient-space norm by hand: per level a one-row Luxemburg
+    solve (discrete), or per octave the weights t^{-(alpha+n/2)} times the
+    level's indicator sum, one row solve, then the octave-block t-norm
+    (continuous)."""
+    from vbesov.luxemburg import octave_block_norm, solve_luxemburg, solve_luxemburg_rows
+
+    ladder, spec = dec.ladder, dec.spec
+    n = spec.dimension
+    h = spec.spacing ** n
+    pv = p.grid_values()
+    half = half_dim_sign * n / 2.0
+
+    level0 = solve_luxemburg(dec.indicator_sum(0), pv, h).value
+    levels = [dec.indicator_sum(v) for v in range(1, dec.V + 1)]
+    if all(S.max() == 0 for S in levels):
+        return level0
+
+    av = alpha.grid_values()
+    if form == "discrete":
+        q0 = float(q.limit_value)
+        acc = 0.0
+        for v, S in enumerate(levels, start=1):
+            weight = 2.0 ** (v * (av + half))
+            acc += solve_luxemburg(weight * S, pv, h).value ** q0
+        return level0 + acc ** (1.0 / q0)
+
+    node_norms = np.zeros(ladder.t.size)  # octaves beyond V stay zero
+    for v, S in enumerate(levels, start=1):
+        sl = ladder.octave_slice(v)
+        ts = ladder.t[sl].reshape((-1,) + (1,) * n)
+        node_norms[sl] = solve_luxemburg_rows(ts ** (-(av + half)) * S, pv, h).values
+    return level0 + octave_block_norm(node_norms, ladder, q)

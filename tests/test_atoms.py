@@ -9,7 +9,7 @@ from vbesov.atoms import (AtomDescriptor, AtomicDecomposition,
 from vbesov.errors import HypothesisViolationError, ParameterError
 from vbesov.grid import _multi_indices
 
-from oracles import analyze_eager
+from oracles import analyze_eager, sequence_norm_b_loop
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +256,29 @@ def test_sequence_norm_rejects_levels_beyond_the_ladder(tmp_path, setup2k):
     q5 = vb.q_field_from_callable(deep.t, lambda t: 2.0 + 0 * t, 2.0)
     full = vb.sequence_norm_b(import_coefficients(str(path), spec, deep), a05, p2, q5)
     assert full > vb.sequence_norm_b(shallow, a05, p2, q2)
+
+
+@pytest.mark.parametrize("dimension, L, N, octaves, V", [
+    (1, 16.0, 2048, 7, 7), (1, 16.0, 2048, 7, 4), (2, 8.0, 64, 3, 3), (2, 8.0, 64, 3, 2),
+], ids=["1d-V=octaves", "1d-V<octaves", "2d-V=octaves", "2d-V<octaves"])
+@pytest.mark.parametrize("exponents", ["const", "variable"])
+def test_sequence_norm_equals_the_hand_loop(dimension, L, N, octaves, V, exponents):
+    spec = vb.make_grid(dimension, L, N)
+    ladder = vb.make_ladder(octaves, 12)
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    f = vb.from_callable(spec, lambda *x: np.cos(3 * x[0]) * np.exp(-sum(c * c for c in x) / 2))
+    dec = vb.analyze(f, frame, V=V)
+    q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 1.0 / np.log(np.e + 1.0 / t), 2.0)
+    if exponents == "const":
+        alpha, p = vb.constant_field(spec, 0.5, "alpha"), vb.constant_field(spec, 2.0)
+    else:
+        alpha = vb.field_from_callable(
+            spec, lambda *x: 0.3 + 0.6 * np.sin(2 * np.pi * x[0] / L), "alpha", 0.3)
+        p = vb.field_from_callable(spec, lambda *x: 3 + np.sin(2 * np.pi * x[0] / L), "p", 3.0)
+    for form in ("continuous", "discrete"):
+        for sign in (1.0, -1.0):
+            assert (vb.sequence_norm_b(dec, alpha, p, q, form, sign)
+                    == sequence_norm_b_loop(dec, alpha, p, q, form, sign)), (form, sign)
 
 
 def test_export_import_roundtrip(tmp_path, setup2k):

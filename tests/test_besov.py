@@ -1,9 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import vbesov as vb
-from vbesov.besov import peetre_maximal
-from vbesov.errors import HypothesisViolationError, ParameterError
+from vbesov import besov
+from vbesov.besov import FORMS, peetre_maximal
+from vbesov.errors import HypothesisViolationError, ParameterError, UnsupportedFeatureError
 from vbesov.grid import from_spectrum, spectrum
 
 
@@ -29,10 +33,10 @@ def test_zero_function_all_forms(setup2k):
     for form in ("direct", "discretized", "q0", "peetre"):
         rep = vb.besov_norm(zero, frame, F["a05"], F["p2"], F["qlog"], form)
         assert rep.value == 0.0
-    pair = vb.build_local_mean_pair(spec, S=2)
-    for variant in ("prime", "double_prime"):
+    pair = vb.build_local_mean_pair(spec, ladder, S=2)
+    for form in ("local_mean_prime", "local_mean_double_prime"):
         rep = vb.local_mean_norm(zero, pair, F["a05"], F["p2"], F["qlog"],
-                                 2.0, variant, ladder)
+                                 2.0, form)
         assert rep.value == 0.0
 
 
@@ -57,15 +61,15 @@ def _all_forms(f, frame, pair, alpha, p, q, ladder):
     """The six forms of the norm of f, keyed by form name."""
     out = {form: vb.besov_norm(f, frame, alpha, p, q, form).value
            for form in ("direct", "discretized", "q0", "peetre")}
-    for variant in ("prime", "double_prime"):
-        out["local_mean_" + variant] = vb.local_mean_norm(
-            f, pair, alpha, p, q, 2.0, variant, ladder).value
+    for form in ("local_mean_prime", "local_mean_double_prime"):
+        out[form] = vb.local_mean_norm(
+            f, pair, alpha, p, q, 2.0, form).value
     return out
 
 
 def test_scaling_all_forms(setup2k):
     spec, ladder, frame, F = setup2k
-    pair = vb.build_local_mean_pair(spec, S=1)
+    pair = vb.build_local_mean_pair(spec, ladder, S=1)
     f = vb.from_callable(spec, lambda x: np.cos(4 * x) * np.exp(-x ** 2 / 2))
     g = f.with_samples(17.0 * f.samples)
     a = _all_forms(f, frame, pair, F["a05"], F["p2"], F["qlog"], ladder)
@@ -79,7 +83,7 @@ def test_all_forms_2d_swap_and_scaling():
     spec = vb.make_grid(2, 8.0, 16)
     ladder = vb.make_ladder(4, 12)
     frame = vb.build_resolution_of_unity(spec, ladder)
-    pair = vb.build_local_mean_pair(spec, S=0)  # S = 1 fails moment certification this coarse
+    pair = vb.build_local_mean_pair(spec, ladder, S=0)  # S = 1 fails moment certification this coarse
     # exponents symmetric in (x, y), so swapping the axes of f is an isometry
     p = vb.field_from_callable(spec, lambda x, y: 2.5 + 0.5 * np.sin(x) * np.sin(y), "p", 2.5)
     alpha = vb.field_from_callable(
@@ -137,28 +141,28 @@ def test_peetre_warns_below_np(setup2k):
 
 def test_local_mean_hypothesis_violation(setup2k):
     spec, ladder, frame, F = setup2k
-    pair = vb.build_local_mean_pair(spec, S=1)
+    pair = vb.build_local_mean_pair(spec, ladder, S=1)
     alpha_high = vb.constant_field(spec, 2.5, "alpha")
     f = vb.from_callable(spec, lambda x: np.exp(-x ** 2))
     with pytest.raises(HypothesisViolationError):
         vb.local_mean_norm(f, pair, alpha_high, F["p2"], F["q2"], 2.0,
-                           "double_prime", ladder)
+                           "local_mean_double_prime")
 
 
 def test_local_mean_vs_direct(setup2k):
     spec, ladder, frame, F = setup2k
-    pair = vb.build_local_mean_pair(spec, S=1)
+    pair = vb.build_local_mean_pair(spec, ladder, S=1)
     f = vb.from_callable(spec, lambda x: np.cos(6 * x) * np.exp(-x ** 2 / 2))
     direct = vb.besov_norm(f, frame, F["a05"], F["p2"], F["q2"], "direct").value
     double = vb.local_mean_norm(f, pair, F["a05"], F["p2"], F["q2"], 2.0,
-                                "double_prime", ladder).value
+                                "local_mean_double_prime").value
     ratio = double / direct
     assert 1 / 10 <= ratio <= 10
 
 
 def test_form_chain_small(setup2k):
     spec, ladder, frame, F = setup2k
-    pair = vb.build_local_mean_pair(spec, S=2)
+    pair = vb.build_local_mean_pair(spec, ladder, S=2)
     f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
     vals = [
         vb.besov_norm(f, frame, F["a05"], F["p2"], F["qlog"], "direct").value,
@@ -166,9 +170,9 @@ def test_form_chain_small(setup2k):
         vb.besov_norm(f, frame, F["a05"], F["p2"], F["qlog"], "discretized").value,
         vb.besov_norm(f, frame, F["a05"], F["p2"], F["qlog"], "peetre", a=2.0).value,
         vb.local_mean_norm(f, pair, F["a05"], F["p2"], F["qlog"], 2.0,
-                           "prime", ladder).value,
+                           "local_mean_prime").value,
         vb.local_mean_norm(f, pair, F["a05"], F["p2"], F["qlog"], 2.0,
-                           "double_prime", ladder).value,
+                           "local_mean_double_prime").value,
     ]
     for v in vals:
         assert v > 0
@@ -205,6 +209,65 @@ def test_unknown_form_rejected(setup2k):
         vb.besov_norm(f, frame, F["a05"], F["p2"], F["q2"], "nonsense")
     with pytest.raises(ParameterError):
         vb.besov_norm(f, frame, F["a05"], F["p2"], F["q2"], "local_mean_prime")
+
+
+@pytest.mark.parametrize("form", list(FORMS))
+def test_one_entry_point_for_every_form(setup2k, form):
+    spec, ladder, frame, F = setup2k
+    pair = vb.build_local_mean_pair(spec, ladder, S=2)
+    f = vb.from_callable(spec, lambda x: np.cos(4 * x) * np.exp(-x ** 2 / 2))
+    need = FORMS[form].kernel
+    right, wrong = (frame, pair) if need is vb.CalderonFrame else (pair, frame)
+    assert vb.besov_norm(f, right, F["a05"], F["p2"], F["qlog"], form).value > 0
+    with pytest.raises(ParameterError, match=f"form '{form}' needs a {need.__name__}"):
+        vb.besov_norm(f, wrong, F["a05"], F["p2"], F["qlog"], form)
+
+
+class _Transformed(Exception):
+    pass
+
+
+def test_bad_inputs_fail_before_any_transform(setup2k, monkeypatch):
+    spec, ladder, frame, F = setup2k
+    pair = vb.build_local_mean_pair(spec, ladder, S=1)
+    f = vb.from_callable(spec, lambda x: np.exp(-x ** 2))
+
+    def transform(*args, **kwargs):
+        raise _Transformed
+
+    monkeypatch.setattr(besov, "band_rows", transform)
+    monkeypatch.setattr(besov, "spectrum", transform)
+    q_unbounded = dataclasses.replace(F["q2"], cached_max=math.inf)
+    cases = [
+        (frame, F["a05"], F["q2"], "nonsense", ParameterError, "unknown form"),
+        (pair, F["a05"], F["q2"], "direct", ParameterError, "needs a CalderonFrame"),
+        (frame, F["a05"], F["q2"], "local_mean_prime", ParameterError, "needs a LocalMeanPair"),
+        (pair, vb.constant_field(spec, 2.5, "alpha"), F["q2"], "local_mean_double_prime",
+         HypothesisViolationError, r"below S\+1 = 2"),
+        (frame, F["a05"], None, "direct", UnsupportedFeatureError, "q = infinity"),
+        (frame, F["a05"], F["p2"], "q0", ParameterError, "q_of_t"),
+        (frame, F["a05"], q_unbounded, "discretized", UnsupportedFeatureError, "q. must be finite"),
+    ]
+    for kernel, alpha, q, form, error, match in cases:
+        with pytest.raises(error, match=match):
+            vb.besov_norm(f, kernel, alpha, F["p2"], q, form)
+    # a valid request reaches the transform, after the Peetre order warning
+    with pytest.warns(UserWarning, match="Peetre order"), pytest.raises(_Transformed):
+        vb.besov_norm(f, pair, F["a05"], F["p2"], F["q2"], "local_mean_prime", a=0.25)
+
+
+def test_peetre_warning_points_at_the_caller():
+    spec, ladder = vb.make_grid(1, 16.0, 256), vb.make_ladder(4, 12)
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    f = vb.from_callable(spec, lambda x: np.exp(-x ** 2))
+    p, alpha = vb.constant_field(spec, 2.0), vb.constant_field(spec, 0.5, "alpha")
+    q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
+    with pytest.warns(UserWarning) as record:
+        vb.besov_norm(f, frame, alpha, p, q, "peetre", a=0.25)
+    assert record[0].filename == __file__
+    with pytest.warns(UserWarning) as record:
+        vb.peetre_profile(f, frame, alpha, a=0.25, p=p)
+    assert record[0].filename == __file__
 
 
 def test_profile_csv(tmp_path, setup2k):

@@ -88,14 +88,15 @@ def test_analysis_pair_identity(frame4k):
     assert np.max(np.abs(total - 1.0)) < 1e-4
 
 
-def test_local_mean_pair_gaussian_case(spec4k):
-    pair = vb.build_local_mean_pair(spec4k, S=-1)
+def test_local_mean_pair_gaussian_case(spec4k, ladder):
+    pair = vb.build_local_mean_pair(spec4k, ladder, S=-1)
     assert pair.m == 0
-    assert np.max(np.abs(pair.k.samples - pair.k0.samples)) < 1e-12
+    k0 = from_spectrum(spec4k, pair.level0)
+    assert np.max(np.abs(pair.k.samples - k0.samples)) < 1e-12
 
 
-def test_local_mean_pair_moments(spec4k):
-    pair = vb.build_local_mean_pair(spec4k, S=1)
+def test_local_mean_pair_moments(spec4k, ladder):
+    pair = vb.build_local_mean_pair(spec4k, ladder, S=1)
     assert pair.m == 1
     moments = pair.certification["moments_k"]
     assert abs(moments["0"]) < 1e-10
@@ -103,17 +104,17 @@ def test_local_mean_pair_moments(spec4k):
     assert abs(moments["2"]) > 1e-4  # first non-vanishing moment
 
 
-def test_local_mean_tauberian(spec4k):
-    pair = vb.build_local_mean_pair(spec4k, S=1, epsilon=1.0)
+def test_local_mean_tauberian(spec4k, ladder):
+    pair = vb.build_local_mean_pair(spec4k, ladder, S=1, epsilon=1.0)
     assert pair.certification["tauberian_k0_min"] > 0
     assert pair.certification["tauberian_k_min"] > 0
     s = np.linspace(0.5, 2.0, 64)
     assert np.all(pair.k_spectrum_at(s) > 0)
 
 
-def test_local_mean_epsilon_guard(spec4k):
+def test_local_mean_epsilon_guard(spec4k, ladder):
     with pytest.raises(ParameterError):
-        vb.build_local_mean_pair(spec4k, S=1, epsilon=1e6)
+        vb.build_local_mean_pair(spec4k, ladder, S=1, epsilon=1e6)
 
 
 def test_eta_kernel_mass(spec4k):
@@ -158,15 +159,15 @@ def test_frame_export(tmp_path, frame4k):
     assert doc["profile_order"] == 6
     assert doc["residual"] <= 1e-6
     back = read_raw(rpath)
-    assert np.max(np.abs(back.samples.real - frame4k.FPhi)) < 1e-15
+    assert np.max(np.abs(back.samples.real - frame4k.level0)) < 1e-15
 
 
-def test_local_mean_pair_2d_below_the_resolution_floor_names_the_grid():
+def test_local_mean_pair_2d_below_the_resolution_floor_names_the_grid(ladder):
     # 2-D with S >= 1 needs N >= 64: the spectrum cut at Nyquist and the
     # periodic wrap of k cannot both be made small at N = 32
     with pytest.raises(ConstructionError, match=r"2-D grid, N = 32, L = 16, epsilon = 1"):
-        vb.build_local_mean_pair(vb.make_grid(2, 16.0, 32), S=1)
-    assert vb.build_local_mean_pair(vb.make_grid(2, 16.0, 64), S=1).m == 1
+        vb.build_local_mean_pair(vb.make_grid(2, 16.0, 32), ladder, S=1)
+    assert vb.build_local_mean_pair(vb.make_grid(2, 16.0, 64), ladder, S=1).m == 1
 
 
 @pytest.mark.parametrize("dimension, L, N", [(1, 16.0, 16), (1, 16.0, 2048), (1, 16.0, 4096),
@@ -177,7 +178,7 @@ def test_phi_t_spectrum_on_the_annulus_equals_the_full_grid_bit_for_bit(dimensio
     sr = spec.freq_radius()
     for t in (1.0, *ladder.t):
         assert np.array_equal(frame.phi_t_spectrum(t), frame.profile.phi_hat(t * sr))
-    assert np.array_equal(frame.FPhi, frame.profile.Phi_hat(sr))
+    assert np.array_equal(frame.level0, frame.profile.Phi_hat(sr))
 
 
 @pytest.mark.parametrize("octaves, nodes, xi_max", [(8, 12, 115.2), (4, 12, 7.2), (6, 5, 28.8)])

@@ -376,7 +376,7 @@ def test_every_form_matches_the_bisection_oracle(monkeypatch, config):
     ladder = vb.make_ladder(4, 12)
     V = 4
     frame = vb.build_resolution_of_unity(spec, ladder)
-    pair = vb.build_local_mean_pair(spec, S=2)
+    pair = vb.build_local_mean_pair(spec, ladder, S=2)
     cfg = EXPONENT_CONFIGS[config]
     p, alpha, q = cfg.p_field(spec), cfg.alpha_field(spec), cfg.q_field(ladder)
 
@@ -392,9 +392,9 @@ def test_every_form_matches_the_bisection_oracle(monkeypatch, config):
             f = make_member(spec, name)
             for form in ("direct", "discretized", "q0", "peetre"):
                 run((name, form), lambda: vb.besov_norm(f, frame, alpha, p, q, form).value)
-            for variant in ("prime", "double_prime"):
-                run((name, variant), lambda: vb.local_mean_norm(f, pair, alpha, p, q, 2.0,
-                                                                variant, ladder).value)
+            for form in ("local_mean_prime", "local_mean_double_prime"):
+                run((name, form), lambda: vb.local_mean_norm(f, pair, alpha, p, q, 2.0,
+                                                             form).value)
             run((name, "octave_block"), lambda: octave_block_norm(
                 vb.lp_profile(f, frame, alpha, p).values, ladder, q))
             dec = analyze(f, frame, V=V)

@@ -13,7 +13,7 @@ import pytest
 import vbesov as vb
 from oracles import identity_residual_per_node, scale_profile_per_node
 from vbesov.atoms import _level
-from vbesov.besov import _scale_profile
+from vbesov.besov import _kernel_profile
 from vbesov.config import RunConfig
 from vbesov.grid import _phase, band_rows, from_spectrum, spectrum
 
@@ -35,7 +35,7 @@ def setup(request):
     ladder = vb.make_ladder()
     frame = vb.build_resolution_of_unity(spec, ladder)
     # S >= 1 does not certify in 2-D below N = 64 (README, the 2-D sweep)
-    pair = vb.build_local_mean_pair(spec, S=2 if dimension == 1 or N >= 64 else -1)
+    pair = vb.build_local_mean_pair(spec, ladder, S=2 if dimension == 1 or N >= 64 else -1)
     return spec, ladder, frame, pair, spectrum(_input(spec))
 
 
@@ -45,7 +45,7 @@ def _octaves(ladder):
 
 def test_from_spectrum_is_the_textbook_inverse(setup):
     spec, _, frame, _, F = setup
-    ft = frame.FPhi * F
+    ft = frame.level0 * F
     want = np.fft.ifftn(ft * _phase(spec)) / spec.spacing ** spec.dimension
     assert np.array_equal(from_spectrum(spec, ft).samples, want)
 
@@ -54,27 +54,28 @@ def test_frame_block_rows_equal_the_per_node_multipliers(setup):
     spec, ladder, frame, _, F = setup
     sr = spec.freq_radius()
     for ts in _octaves(ladder):
-        block = frame.phi_block(ts)
+        block = frame.multipliers(ts)
         bands = band_rows(spec, block, F)
         for t, A, g in zip(ts, block, bands):
             want = frame.profile.phi_hat(t * sr)
             assert np.array_equal(A, want), t
             assert np.array_equal(g, from_spectrum(spec, want * F).samples), t
-    assert np.array_equal(band_rows(spec, frame.FPhi[None], F)[0],
-                          from_spectrum(spec, frame.FPhi * F).samples)
+    assert np.array_equal(band_rows(spec, frame.level0[None], F)[0],
+                          from_spectrum(spec, frame.level0 * F).samples)
 
 
 def test_local_mean_block_rows_equal_the_per_node_multipliers(setup):
     spec, ladder, _, pair, F = setup
     sr = spec.freq_radius()
     for ts in _octaves(ladder):
-        block = pair.k_block(ts)
+        block = pair.multipliers(ts)
         bands = band_rows(spec, block, F)
         for t, A, g in zip(ts, block, bands):
             want = pair.k_spectrum_at(t * sr)
             assert np.array_equal(A, want), t
             assert np.array_equal(g, from_spectrum(spec, want * F).samples), t
-    k0 = pair.k0_spectrum_at(sr)
+    k0 = pair.level0
+    assert np.array_equal(k0, pair.k0_spectrum_at(sr))
     assert np.array_equal(band_rows(spec, k0[None], F)[0], from_spectrum(spec, k0 * F).samples)
 
 
@@ -85,7 +86,7 @@ def test_atoms_level_rows_equal_the_per_node_bands(setup):
         bands, ws, synth = _level(frame, F, v)
         if v == 0:
             nodes, weights = [None], [1.0]
-            analysis, synthesis = [frame.profile.Psi_hat(sr)], [frame.FPhi]
+            analysis, synthesis = [frame.profile.Psi_hat(sr)], [frame.level0]
         else:
             sl = ladder.octave_slice(v)
             nodes, weights = ladder.t[sl], ladder.weights[sl]
@@ -126,17 +127,18 @@ def test_block_profile_equals_the_per_node_pipeline(config, kernel, maximal):
     ladder = vb.make_ladder(6, 12)
     cfg = EXPONENTS[config]
     p, alpha = cfg.p_field(spec), cfg.alpha_field(spec)
-    F = spectrum(_input(spec))
+    f = _input(spec)
+    F = spectrum(f)
     sr = spec.freq_radius()
     if kernel == "frame":
         frame = vb.build_resolution_of_unity(spec, ladder)
-        block, band = frame.phi_block, lambda t: frame.profile.phi_hat(t * sr)
-        level0 = frame.FPhi
+        band = lambda t: frame.profile.phi_hat(t * sr)
+        kern, level0 = frame, frame.level0
     else:
-        pair = vb.build_local_mean_pair(spec, S=2)
-        block, band = pair.k_block, lambda t: pair.k_spectrum_at(t * sr)
-        level0 = pair.k0_spectrum_at(sr)
-    prof = _scale_profile(spec, F, block, level0, ladder, alpha, p, maximal)
+        pair = vb.build_local_mean_pair(spec, ladder, S=2)
+        band = lambda t: pair.k_spectrum_at(t * sr)
+        kern, level0 = pair, pair.k0_spectrum_at(sr)
+    prof = _kernel_profile(f, kern, alpha, p, maximal)
     vals, lev0 = scale_profile_per_node(spec, F, band, level0, ladder, alpha, p, maximal)
     if config == "variable":
         assert np.array_equal(prof.values, vals) and prof.level0 == lev0

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import vbesov as vb
 from vbesov import besov
-from vbesov.besov import _NEAR, _TOP, _offset_kernel, peetre_maximal
+from vbesov.besov import _NEAR, _TOP, _distances, _offset_kernel, peetre_maximal
 from vbesov.errors import ParameterError
 from oracles import peetre_maximal_bruteforce
 
@@ -211,3 +211,15 @@ def test_peetre_maximal_property(case, t, a):
     spec, g = case
     assert np.array_equal(peetre_maximal(spec, g, t, a),
                           peetre_maximal_bruteforce(spec, g, t, a))
+
+
+def test_distance_array_is_held_once_per_grid_and_read_only():
+    spec = vb.make_grid(1, 16.0, 256)
+    r = _distances(spec)
+    assert r is _distances(vb.make_grid(1, 16.0, 256))
+    # the distances depend on the box length as well as on (n, N)
+    assert np.array_equal(_distances(vb.make_grid(1, 8.0, 256)), r / 2)
+    with pytest.raises(ValueError):
+        r[1] = 0.0
+    with pytest.raises(ValueError):
+        _distances(vb.make_grid(2, 16.0, 32))[0, 1] = 0.0
