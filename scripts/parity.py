@@ -15,18 +15,24 @@ The request set:
 - `decompose` (N = 4096, 8 octaves) and `synthesize` (N = 2048, 7 octaves)
   on DECOMPOSE_MEMBERS and SYNTHESIZE_MEMBERS, with the variable exponents;
 - `verify --quick --check all`, with its `checks.csv`;
-- the text of `vbesov norm --help`.
+- the text of `vbesov norm --help`;
+- `sequence_norms.json`, the coefficient norm `sequence_norm_b`, which no
+  command prints, for SYNTHESIZE_MEMBERS at N = 2048 and 7 octaves, both
+  exponent sets, both forms and both signs of the n/2 term.
 """
 
 import argparse
 import contextlib
 import io
+import json
 import os
 import sys
 
 from vbesov import cli
 from vbesov.bank import MEMBER_NAMES
+from vbesov.atoms import sequence_norm_b
 from vbesov.besov import FORMS
+from vbesov.config import RunConfig
 from vbesov.reporting import strip_timestamp
 
 EXPONENTS = {
@@ -56,6 +62,22 @@ def _run(argv) -> None:
         code = cli.main(argv + ["--seed", str(SEED)])
     if code != cli.EXIT_OK:
         raise SystemExit(f"vbesov {' '.join(argv)} exited with {code}")
+
+
+def _sequence_norms() -> dict:
+    """repr of sequence_norm_b per (exponents, member, form, sign)."""
+    out = {}
+    for exponents in EXPONENTS:
+        for member in SYNTHESIZE_MEMBERS:
+            cfg = RunConfig(**EXPONENTS[exponents], member=member, points=2048, octaves=7,
+                            seed=SEED)
+            _, dec = cli._analyze(cfg)
+            fields = cfg.alpha_field(dec.spec), cfg.p_field(dec.spec), cfg.q_field(dec.ladder)
+            for form in ("continuous", "discrete"):
+                for sign in (1.0, -1.0):
+                    out[f"{exponents} {member} {form} {sign:+g}"] = repr(
+                        sequence_norm_b(dec, *fields, form, sign))
+    return out
 
 
 def main() -> int:
@@ -96,6 +118,9 @@ def main() -> int:
                 masked = strip_timestamp(path)
                 with open(path, "wb") as fh:
                     fh.write(masked)
+    with open("sequence_norms.json", "w") as fh:
+        json.dump(_sequence_norms(), fh, indent=1)
+        fh.write("\n")
     print(f"wrote the outputs to {os.getcwd()}")
     return 0
 

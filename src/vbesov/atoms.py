@@ -27,9 +27,9 @@ from .besov import _scale_profile
 from .errors import HypothesisViolationError, ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
-from .grid import (GridFunction, GridSpec, _multi_indices, cubes_per_axis,
-                   band_rows, finest_aligned_level, from_spectrum_rows, spectral_derivative,
-                   spectrum, spectrum_rows, zero_function)
+from .grid import (DyadicCube, GridFunction, GridSpec, _multi_indices, band_rows, cube_mask,
+                   cubes_per_axis, finest_aligned_level, from_spectrum_rows,
+                   spectral_derivative, spectrum, spectrum_rows, zero_function)
 from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg_rows
 
 COEFF_FLOOR = 1e-14
@@ -250,8 +250,6 @@ class AtomicDecomposition:
         """Atoms of the level-v cubes `keys`; the level's bands are built at
         most once."""
         spec = self.spec
-        nc = cubes_per_axis(spec, v)
-        spc = spec.points_per_axis // nc
         out, bands = [], None
         for key in keys:
             lam = self.coefficients[key]
@@ -267,11 +265,8 @@ class AtomicDecomposition:
                 raise ParameterError(f"no atom stored for cube {key}")
             if bands is None:
                 bands = _level(self.frame, self.f_spectrum, v)
-            # cube m spans lattice index m + nc/2 along each axis
-            cube = np.zeros(spec.shape, dtype=bool)
-            cube[tuple(slice((mm + nc // 2) * spc, (mm + nc // 2 + 1) * spc) for mm in m)] = True
             acc = np.zeros(spec.shape, dtype=np.complex128)
-            _add_synthesis(acc, spec, bands, cube)
+            _add_synthesis(acc, spec, bands, cube_mask(spec, DyadicCube(v, m)))
             out.append(AtomDescriptor(v, m, GridFunction(spec, acc / lam),
                                       self.K, self.L, self.gamma))
         return out
@@ -369,33 +364,39 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
 def sequence_norm_b(dec: AtomicDecomposition, alpha: ExponentField,
                     p: ExponentField, q: ExponentField, form: str = "continuous",
                     half_dim_sign: float = 1.0) -> float:
-    """Coefficient-space norm of the decomposition.
-
-    form="continuous" runs the profile pipeline of `besov` on the level sums
-    sum_m lambda chi (level v on every node of octave v) with weights
-    t^{-(alpha(.)+n/2)}, then the octave-block t-norm, and needs V <= the
-    ladder's octaves; form="discrete" collapses to the fixed exponent q(0)
-    with weights 2^{v(alpha(.)+n/2)}.  half_dim_sign flips the n/2 term's sign.
-    """
+    """Coefficient-space norm of the decomposition: `level_sequence_norm` of
+    its level sums sum_m lambda chi with s = alpha(.) + n/2; half_dim_sign
+    flips the n/2 term's sign."""
     if form not in ("continuous", "discrete"):
         raise ParameterError(f"unknown sequence-norm form {form!r}")
-    ladder = dec.ladder
-    if form == "continuous" and dec.V > ladder.octaves:
-        raise ParameterError(f"V = {dec.V} levels but the ladder has only "
-                             f"{ladder.octaves} octaves")
     spec = dec.spec
     s = alpha.grid_values() + half_dim_sign * spec.dimension / 2.0
-    pv, h = p.grid_values(), spec.spacing ** spec.dimension
-    sums = [dec.indicator_sum(v) for v in range(dec.V + 1)]
+    return level_sequence_norm(spec, dec.ladder, [dec.indicator_sum(v) for v in range(dec.V + 1)],
+                               s, p.grid_values(), q, form)
+
+
+def level_sequence_norm(spec: GridSpec, ladder: ScaleLadder, levels: List[np.ndarray],
+                        s: np.ndarray, p: np.ndarray, q: ExponentField, form: str) -> float:
+    """The level-0 term plus the t-norm of levels[1..V], nonnegative grid
+    functions, in L^{p(.)} with smoothness s(.) (samples both).
+
+    form="continuous" runs the profile pipeline of `besov` with level v on
+    every node of octave v and weights t^{-s(.)}, then the octave-block
+    t-norm, and needs V <= the ladder's octaves; form="discrete" weighs
+    level v by 2^{v s(.)}, solves all levels as one row block, and collapses
+    the t-norm to the fixed exponent q(0).
+    """
+    h = spec.spacing ** spec.dimension
     if form == "discrete":
-        # one solve per level: a row solve over levels with different zero
-        # patterns would not give each level the bits of its own solve
-        level0, *norms = [float(solve_luxemburg_rows((2.0 ** (v * s) * S)[None], pv, h).values[0])
-                          for v, S in enumerate(sums)]
+        level0, *norms = solve_luxemburg_rows(
+            np.stack([2.0 ** (v * s) * S for v, S in enumerate(levels)]), p, h).values.tolist()
         q0 = float(q.limit_value)
         return level0 + sum(x ** q0 for x in norms) ** (1.0 / q0)
-    rows = (np.repeat(S[None], ladder.nodes_per_octave, axis=0) for S in sums[1:])
-    prof = _scale_profile(spec, rows, sums[0][None], ladder, s, pv)
+    if len(levels) - 1 > ladder.octaves:
+        raise ParameterError(f"V = {len(levels) - 1} levels but the ladder has only "
+                             f"{ladder.octaves} octaves")
+    rows = (np.repeat(S[None], ladder.nodes_per_octave, axis=0) for S in levels[1:])
+    prof = _scale_profile(spec, rows, levels[0][None], ladder, s, p)
     return prof.level0 + octave_block_norm(prof.values, ladder, q)
 
 

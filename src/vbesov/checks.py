@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .atoms import validate_atom
+from .atoms import level_sequence_norm, validate_atom
 from .bank import FunctionBank, make_bank
 from .besov import FORMS, ScaleProfile, besov_norm, lp_profile
 from .errors import ParameterError
@@ -24,10 +24,10 @@ from .exponents import (field_from_callable, log_holder_constants,
                         make_exponent_field, reciprocal_constants)
 from .frame import (BumpParams, build_local_mean_pair,
                     build_resolution_of_unity, eta_kernel)
-from .grid import (GridFunction, GridSpec, band_rows, convolve, cubes_per_axis,
-                   from_callable, from_spectrum, integrate, make_grid,
+from .grid import (DyadicCube, GridFunction, GridSpec, band_rows, convolve, cube_mask,
+                   cubes_per_axis, from_callable, from_spectrum, integrate, make_grid,
                    spectral_derivative, spectrum)
-from .luxemburg import octave_block_norm, solve_luxemburg, solve_luxemburg_rows, t_norm
+from .luxemburg import octave_block_norm, solve_luxemburg, t_norm
 
 HUGE = 1e12  # constants above this count as "no finite constant"
 
@@ -229,15 +229,12 @@ def check_eta_algebra(bank: FunctionBank, m: float = 4.0,
     h = spec.spacing
     for v in (0, 2, 4):
         eta = etas[v]
-        nc = cubes_per_axis(spec, v)
-        spc = spec.points_per_axis // nc
         for mi in (0, -2, 3):
-            j = mi + nc // 2
-            maskQ = np.zeros(spec.shape)
-            maskQ[j * spc:(j + 1) * spc] = 1.0 / (2.0 ** (-v))
-            conv = convolve(eta, GridFunction(spec, maskQ)).samples.real
+            maskQ = cube_mask(spec, DyadicCube(v, (mi,)))
+            conv = convolve(eta, GridFunction(spec, maskQ / 2.0 ** (-v))).samples.real
+            inQ = np.flatnonzero(maskQ)
             for frac in (0.25, 0.75):
-                y = x[j * spc + int(frac * spc)]
+                y = x[inQ[int(frac * inQ.size)]]
                 shift = 2.0 ** v * np.abs(x - y)
                 ref = 2.0 ** v * (1.0 + shift) ** (-m)
                 ratio = (conv / ref)[sel]
@@ -578,26 +575,19 @@ def check_mixed_equivalence(bank: FunctionBank,
     sweep = np.asarray(sweep)
     constants["single_level_spread"] = float(sweep.max() / sweep.min())
 
-    # part B: cube-masked grid functions with t^-alpha weights
+    # part B: cube-masked grid functions with t^-alpha weights, against
+    # the discrete coefficient norm; level 0 is zero
     spec = bank.spec
-    h = spec.spacing
-    alpha = bank.exponents["alpha_signchange"].grid_values()
-    p = bank.exponents["p_sin"].grid_values()
     member_cycle = ["gauss_w1", "modgauss_f4", "bandnoise_a", "smoothstep_w1"]
-    node_vals, rhs_acc = [], 0.0
-    q0 = float(ql.limit_value)
+    levels = [np.zeros(spec.shape)]
     for v in range(1, V + 1):
         f = bank[member_cycle[(v - 1) % len(member_cycle)]]
-        nc = cubes_per_axis(spec, v)
-        spc = spec.points_per_axis // nc
-        j = nc // 2  # cube just right of the origin
-        masked = np.zeros(spec.shape)
-        masked[j * spc:(j + 1) * spc] = np.abs(f.samples[j * spc:(j + 1) * spc])
-        ts = ladder.t[ladder.octave_slice(v)]
-        node_vals += solve_luxemburg_rows(ts[:, None] ** (-alpha) * masked, p, h).values.tolist()
-        rhs_acc += solve_luxemburg(2.0 ** (v * alpha) * masked, p, h).value ** q0
-    lhs = octave_block_norm(np.array(node_vals), ladder, ql)
-    rhs = rhs_acc ** (1.0 / q0)
+        # the cube just right of the origin
+        levels.append(np.where(cube_mask(spec, DyadicCube(v, (0,))), np.abs(f.samples), 0.0))
+    alpha = bank.exponents["alpha_signchange"].grid_values()
+    p = bank.exponents["p_sin"].grid_values()
+    lhs, rhs = (level_sequence_norm(spec, ladder, levels, alpha, p, ql, form)
+                for form in ("continuous", "discrete"))
     constants["masked_cube_ratio"] = lhs / rhs
 
     # part C: smoothing map contracts up to a constant

@@ -117,10 +117,10 @@ def solve_luxemburg_rows(vals, expo, weights, rtol: float = RTOL,
 
     vals holds one row per norm along its first axis; expo and weights
     broadcast against one row or against the whole block.  A scalar expo
-    takes numpy's scalar-power path.  The rows share every array operation
-    but never mix: each row takes the steps, and gets the bits, of a
-    one-row call.  The modular at each value only feeds a report, so it is
-    computed only when `report` is set.
+    takes numpy's scalar-power path.  The rows share every array operation,
+    Newton's in one block per zero pattern, but never mix: each row takes
+    the steps, and gets the bits, of a one-row call.  The modular at each
+    value only feeds a report, so it is computed only when `report` is set.
     """
     vals = np.abs(np.asarray(vals, dtype=float))
     expo, weights = np.asarray(expo, dtype=float), np.asarray(weights, dtype=float)
@@ -181,57 +181,55 @@ def solve_luxemburg_rows(vals, expo, weights, rtol: float = RTOL,
     values[closed] = scale[closed] * hi[closed]
     if report:
         modulars[closed] = modular_at(closed, _logs(hi[closed]))
-    if newton.size:
-        whole = newton.size == J
-        lam, iterations[newton], mods = _newton_rows(
-            terms if whole else terms[newton], E if whole else E[newton],
-            lo[newton], hi[newton], rtol, max_iter, report)
-        values[newton] = scale[newton] * lam
+    # one Newton block per zero pattern, compacted to its nonzero columns in
+    # C order: no block holds a zero term (zero times an overflowed power is
+    # NaN), and each row sums the terms of its one-row call in the same order
+    live, blocks = terms > 0.0, {}
+    for i in newton.tolist():
+        blocks.setdefault(live[i].tobytes(), []).append(i)
+    for sel in map(np.array, blocks.values()):
+        cols = live[sel[0]]
+        if sel.size == J and cols.all():
+            block = terms, E
+        else:
+            ix = np.ix_(sel, np.flatnonzero(cols))
+            block = terms[ix], E[ix]
+        lam, iterations[sel], mods = _newton_rows(*block, lo[sel], hi[sel], rtol, max_iter, report)
+        values[sel] = scale[sel] * lam
         if report:
-            modulars[newton] = mods
+            modulars[sel] = mods
     return RowNorms(values, iterations, np.stack([scale * lo, scale * hi], axis=1), modulars)
 
 
-def _scaled_terms(T, E, log_lam, dead=None):
-    """The terms T * exp(-E log(lam)) of the modular at one lam per row,
-    with the products at `dead` set to 0."""
+def _scaled_terms(T, E, log_lam):
+    """The terms T * exp(-E log(lam)) of the modular at one lam per row."""
     a = np.multiply(E, -log_lam[:, None])
     np.exp(a, out=a)
-    a = np.multiply(a, T, out=a if a.shape == T.shape else None)
-    if dead is not None:
-        a[dead] = 0.0
-    return a
+    return np.multiply(a, T, out=a if a.shape == T.shape else None)
 
 
-def _rho_slope(T, E, mu, dead):
+def _rho_slope(T, E, mu):
     """rho and -d rho / d mu per row at mu = log lam."""
-    a = _scaled_terms(T, E, mu, dead)
+    a = _scaled_terms(T, E, mu)
     return a.sum(axis=1), np.vecdot(E, a)
 
 
 def _newton_rows(T, E, lo, hi, rtol, max_iter, report):
-    """Safeguarded Newton (module docstring) on the rows of T, the root of
-    each row bracketed by [lo, hi]; returns lam and the step count per row,
-    and the modular at lam when `report` is set.
+    """Safeguarded Newton (module docstring) on the rows of T, which holds
+    no zero term, the root of each row bracketed by [lo, hi]; returns lam
+    and the step count per row, and the modular at lam when `report` is set.
 
     Where rho overflows, near lo when e+/e- is large, the step is not
     finite; a step that leaves the bracket [blo, bhi], which tightens with
     every evaluation, is replaced by a bisection step.
     """
-    # a zero term times an overflowed power is NaN: drop the columns that
-    # are zero in every row and zero the products of the remaining ones
-    dead = T <= 0.0
-    if dead.any():
-        cols = ~dead.all(axis=0)
-        T, E, dead = T[:, cols], E[:, cols], dead[:, cols]
-    dead = dead if dead.any() else None
-    full = (T, E, dead)
+    full = (T, E)
     blo, bhi = _logs(lo).tolist(), _logs(hi).tolist()
     mu, steps = list(blo), [0] * len(blo)
     act = np.arange(len(blo))
     with np.errstate(over="ignore", invalid="ignore"):
         while act.size:
-            rho, slope = _rho_slope(T, E, np.array([mu[k] for k in act]), dead)
+            rho, slope = _rho_slope(T, E, np.array([mu[k] for k in act]))
             # the step itself runs per row on Python floats with math.log,
             # as a one-row call does, so each row keeps its bits
             keep = np.ones(act.size, dtype=bool)
@@ -251,9 +249,8 @@ def _newton_rows(T, E, lo, hi, rtol, max_iter, report):
                 keep[j] = not done and steps[k] < max_iter
             if not keep.all():
                 act, T, E = act[keep], T[keep], E[keep]
-                dead = None if dead is None else dead[keep]
         lam = np.array([math.exp(m) for m in mu])
-        mods = _scaled_terms(*full[:2], _logs(lam), full[2]).sum(axis=1) if report else None
+        mods = _scaled_terms(*full, _logs(lam)).sum(axis=1) if report else None
     return lam, steps, mods
 
 
@@ -362,15 +359,13 @@ def t_norm(g, q: Optional[ExponentField], ladder: ScaleLadder,
     """Norm of a nonnegative scalar profile g(t) over ((0,1], dt/t).
 
     form="variable": Luxemburg norm with exponent q(t); form="q0": the fixed
-    exponent q(0); form="sup": max over nodes.  g holds the node values.
+    exponent q(0).  g holds the node values.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
     if g.shape != ladder.t.shape:
         raise ParameterError(f"profile has {g.size} values, ladder has {ladder.t.size} nodes")
     if not (np.all(np.isfinite(g)) and np.all(g >= 0)):
         raise ParameterError("profile values must be finite and nonnegative")
-    if form == "sup":
-        return float(g.max()) if g.size else 0.0
     _check_q(q)
     if form == "variable":
         return float(solve_luxemburg_rows(g[None], q.value_at(ladder.t), ladder.weights).values[0])

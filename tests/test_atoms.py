@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vbesov as vb
+from vbesov import atoms
 from vbesov.atoms import (AtomDescriptor, AtomicDecomposition,
                           export_coefficients, import_coefficients)
 from vbesov.errors import HypothesisViolationError, ParameterError
@@ -279,6 +280,20 @@ def test_sequence_norm_equals_the_hand_loop(dimension, L, N, octaves, V, exponen
         for sign in (1.0, -1.0):
             assert (vb.sequence_norm_b(dec, alpha, p, q, form, sign)
                     == sequence_norm_b_loop(dec, alpha, p, q, form, sign)), (form, sign)
+
+
+def test_discrete_sequence_norm_is_one_row_solve(monkeypatch, setup2k):
+    spec, ladder, frame = setup2k
+    f = vb.from_callable(spec, lambda x: np.cos(3 * x) * np.exp(-x * x / 2))
+    dec = vb.analyze(f, frame, V=5)
+    blocks = []
+    solve = atoms.solve_luxemburg_rows
+    monkeypatch.setattr(atoms, "solve_luxemburg_rows",
+                        lambda vals, *args: blocks.append(len(vals)) or solve(vals, *args))
+    q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 1.0 / np.log(np.e + 1.0 / t), 2.0)
+    vb.sequence_norm_b(dec, vb.constant_field(spec, 0.5, "alpha"), vb.constant_field(spec, 3.0),
+                       q, form="discrete")
+    assert blocks == [dec.V + 1]
 
 
 def test_export_import_roundtrip(tmp_path, setup2k):

@@ -13,6 +13,7 @@ import pytest
 import vbesov as vb
 from oracles import identity_residual_per_node, scale_profile_per_node
 from vbesov.atoms import _level
+from vbesov.bank import make_member
 from vbesov.besov import _kernel_profile
 from vbesov.config import RunConfig
 from vbesov.grid import _phase, band_rows, from_spectrum, spectrum
@@ -115,19 +116,30 @@ EXPONENTS = {
 }
 
 
-@pytest.mark.parametrize("config", sorted(EXPONENTS))
-@pytest.mark.parametrize("kernel", ["frame", "local_mean"])
-@pytest.mark.parametrize("maximal", [None, 2.0])
-def test_block_profile_equals_the_per_node_pipeline(config, kernel, maximal):
+# (maximal step, kernel, exponents, bank member or None for _input at N = 512)
+PROFILE_CASES = [(maximal, kernel, config, None) for maximal in (None, 2.0)
+                 for kernel in ("frame", "local_mean") for config in sorted(EXPONENTS)]
+# the norm-light request `norm --form local_mean_double_prime` with the
+# variable exponents: one zero sample in row 8 of octave 1
+PROFILE_CASES.append((None, "local_mean", "variable", "gauss_w05"))
+
+
+@pytest.mark.parametrize("maximal, kernel, config, member", PROFILE_CASES,
+                         ids=["-".join(map(str, c[:3])) + (f"-{c[3]}" if c[3] else "")
+                              for c in PROFILE_CASES])
+def test_block_profile_equals_the_per_node_pipeline(config, kernel, maximal, member):
     # the row solver gives each row the bits of a one-row call; only a
     # constant exponent differs, through numpy's scalar-power path: its
     # last-bit changes move the closed form R^(1/p), and can flip the guard
     # on the bracket, which steps it by a few ulps (2 ulps measured)
-    spec = vb.make_grid(1, 16.0, 512)
-    ladder = vb.make_ladder(6, 12)
+    if member is None:
+        spec, ladder = vb.make_grid(1, 16.0, 512), vb.make_ladder(6, 12)
+        f = _input(spec)
+    else:
+        spec, ladder = vb.make_grid(1, 16.0, 4096), vb.make_ladder(8, 12)
+        f = make_member(spec, member)
     cfg = EXPONENTS[config]
     p, alpha = cfg.p_field(spec), cfg.alpha_field(spec)
-    f = _input(spec)
     F = spectrum(f)
     sr = spec.freq_radius()
     if kernel == "frame":
