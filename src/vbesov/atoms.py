@@ -10,16 +10,21 @@ lambda (zero branch when lambda = 0).  Summing atoms over all cubes
 reproduces the ladder-quadratured reproducing identity exactly, so the
 round-trip error is the frame residual plus deep-scale truncation.  The cubes
 of a level tile the box, so that sum is one spectral product per ladder node
-of the band masked to the nonzero cubes; atoms are built only on request.
+of the band masked to the nonzero cubes, and the products of every node and
+level share one inverse FFT; atoms are built only on request.  The
+coefficients of level v are one read-only lattice of shape (nc_v,)^n, cube m
+at position m + nc_v/2.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -27,9 +32,9 @@ from .besov import _scale_profile
 from .errors import HypothesisViolationError, ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
-from .grid import (DyadicCube, GridFunction, GridSpec, _multi_indices, band_rows, cube_mask,
-                   cubes_per_axis, finest_aligned_level, from_spectrum_rows,
-                   spectral_derivative, spectrum, spectrum_rows, zero_function)
+from .grid import (GridFunction, GridSpec, _multi_indices, band_rows, cubes_per_axis,
+                   finest_aligned_level, from_spectrum_rows, spectral_derivative, spectrum,
+                   spectrum_rows, zero_function)
 from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg_rows
 
 COEFF_FLOOR = 1e-14
@@ -186,24 +191,28 @@ def _cube_energy(frame: CalderonFrame, F: np.ndarray, v: int) -> np.ndarray:
     return lam2
 
 
-def _add_synthesis(out: np.ndarray, spec: GridSpec, level, mask: np.ndarray) -> None:
-    """out += sum over the nodes of w * ifft(S fft(band masked to `mask`)),
-    node after node, for a level (bands, weights, synthesis multipliers)."""
-    bands, ws, synth = level
-    parts = np.where(mask, bands, 0.0)
-    spectrum_rows(spec, parts, out=parts)
-    parts *= synth
-    for w, part in zip(ws, from_spectrum_rows(spec, parts, out=parts)):
-        out += w * part
+def _synthesis_spectra(spec: GridSpec, level, weight: np.ndarray) -> np.ndarray:
+    """S spectrum(band * weight) for every node of a level (bands, weights,
+    synthesis multipliers), one (nodes, *grid) block formed in place of the
+    bands; `weight` is a lattice of the level's cubes, each cube's value
+    taken on its grid points."""
+    bands, _, synth = level
+    bands *= _expand(spec, weight)
+    spectrum_rows(spec, bands, out=bands)
+    bands *= synth
+    return bands
 
 
 @dataclass(frozen=True)
 class AtomicDecomposition:
-    """Coefficients indexed by dyadic cubes, levels 0..V, and their atoms.
+    """Coefficients over the dyadic cubes of levels 0..V, and their atoms.
 
-    An analysed decomposition keeps the frame and f's spectrum instead of
-    atoms, and builds an atom only when `atom(key)` asks for it; an imported
-    one holds its atoms in `atoms`.
+    `levels[v]` is the read-only lattice of lambda_{v,.}, shape (nc_v,)^n,
+    cube m at position m + nc_v/2; `from_coefficients` builds one from a
+    {(v, m): lambda} dict, and `coefficients` is that dict view over every
+    cube.  An analysed decomposition keeps the frame and f's spectrum
+    instead of atoms, and builds an atom only when `atom(key)` asks for it;
+    an imported one holds the atoms of its nonzero coefficients in `atoms`.
     """
 
     spec: GridSpec
@@ -215,44 +224,95 @@ class AtomicDecomposition:
     frame_id: str
     C_phi: float
     C_Phi: float
-    coefficients: Dict[Key, float]
+    levels: Tuple[np.ndarray, ...]
     atoms: Dict[Key, AtomDescriptor] = field(default_factory=dict)
     frame: Optional[CalderonFrame] = field(default=None, repr=False, compare=False)
     f_spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        levels: Dict[int, list] = {}
-        for v, m in self.coefficients:
-            levels.setdefault(v, []).append(m)
-        for v, ms in levels.items():
-            _check_cubes(self.spec, v, ms)
+        if len(self.levels) <= self.V:
+            raise ParameterError(f"V = {self.V} needs {self.V + 1} coefficient levels, "
+                                 f"got {len(self.levels)}")
+        levels = []
+        for v, lat in enumerate(self.levels):
+            shape = (cubes_per_axis(self.spec, v),) * self.spec.dimension
+            lat = np.asarray(lat, dtype=float)
+            if lat.shape != shape:
+                raise ParameterError(f"level {v} needs a coefficient lattice of shape "
+                                     f"{shape}, got {lat.shape}")
+            if lat.flags.writeable:
+                lat = lat.copy()
+                lat.flags.writeable = False
+            levels.append(lat)
+        object.__setattr__(self, "levels", tuple(levels))
 
-    def coefficient_array(self, v: int) -> np.ndarray:
-        """lambda_{v,.} as an array over the cube lattice of level v."""
-        nc = cubes_per_axis(self.spec, v)
-        out = np.zeros((nc,) * self.spec.dimension)
-        for (lv, m), lam in self.coefficients.items():
-            if lv == v:
-                out[m] = lam
-        # cube m sits at m mod nc; the shift by nc // 2 puts it at m + nc // 2
-        return np.fft.fftshift(out)
+    @classmethod
+    def from_coefficients(cls, spec: GridSpec, ladder: ScaleLadder, V: int, K: int, L: int,
+                          gamma: float, frame_id: str, C_phi: float, C_Phi: float,
+                          coefficients: Mapping[Key, float],
+                          atoms: Optional[Dict[Key, AtomDescriptor]] = None,
+                          frame: Optional[CalderonFrame] = None,
+                          f_spectrum: Optional[np.ndarray] = None) -> "AtomicDecomposition":
+        """A decomposition from a {(v, m): lambda} dict over levels 0..V and
+        any deeper level it names; a cube the dict leaves out holds 0.  A key
+        that names no cube of the box raises ParameterError."""
+        by_level: Dict[int, list] = {}
+        for (v, m), lam in coefficients.items():
+            by_level.setdefault(v, []).append((m, lam))
+        for v, items in by_level.items():
+            _check_cubes(spec, v, [m for m, _ in items])
+        levels = [np.zeros((cubes_per_axis(spec, v),) * spec.dimension)
+                  for v in range(max([V, *by_level]) + 1)]
+        for v, items in by_level.items():
+            ms, lams = zip(*items)
+            levels[v][tuple(np.transpose(ms) + levels[v].shape[0] // 2)] = lams
+        return cls(spec, ladder, V, K, L, gamma, frame_id, C_phi, C_Phi, tuple(levels),
+                   {} if atoms is None else atoms, frame, f_spectrum)
+
+    @functools.cached_property
+    def coefficients(self) -> Mapping[Key, float]:
+        """Read-only {(v, m): lambda} over every cube of every level."""
+        out: Dict[Key, float] = {}
+        for v, lat in enumerate(self.levels):
+            nc = lat.shape[0]
+            cubes = itertools.product(range(-(nc // 2), nc - nc // 2), repeat=lat.ndim)
+            out.update(zip([(v, m) for m in cubes], lat.ravel().tolist()))
+        return types.MappingProxyType(out)
 
     def indicator_sum(self, v: int) -> np.ndarray:
         """sum_m lambda_{v,m} chi_{v,m} sampled on the grid."""
-        return _expand(self.spec, self.coefficient_array(v))
+        return _expand(self.spec, self.levels[v])
+
+    def _nonzero_keys(self, v: int) -> List[Key]:
+        """The (v, m) keys of the nonzero coefficients of level v, sorted."""
+        lat = self.levels[v]
+        return [(v, tuple(m)) for m in (np.argwhere(lat) - lat.shape[0] // 2).tolist()]
 
     def atom(self, key: Key) -> AtomDescriptor:
         """The atom of cube `key`: the stored one if there is one, the zero
         atom for a zero coefficient, otherwise built from the level's bands."""
         return self._level_atoms(key[0], [key])[0]
 
+    def _position(self, key: Key) -> Tuple[int, ...]:
+        """Lattice position of cube `key`; KeyError when no level holds it."""
+        v, m = key
+        if not 0 <= v < len(self.levels):
+            raise KeyError(key)
+        nc = self.levels[v].shape[0]
+        pos = tuple(int(x) + nc // 2 for x in m)
+        if len(pos) != self.spec.dimension or not all(0 <= j < nc for j in pos):
+            raise KeyError(key)
+        return pos
+
     def _level_atoms(self, v: int, keys) -> List[AtomDescriptor]:
         """Atoms of the level-v cubes `keys`; the level's bands are built at
-        most once."""
+        most once.  Each atom adds its nodes' inverse FFTs node after node,
+        as the per-cube construction does."""
         spec = self.spec
-        out, bands = [], None
+        out, level = [], None
         for key in keys:
-            lam = self.coefficients[key]
+            pos = self._position(key)
+            lam = float(self.levels[v][pos])
             m = key[1]
             if key in self.atoms:
                 out.append(self.atoms[key])
@@ -263,10 +323,14 @@ class AtomicDecomposition:
                 continue
             if self.f_spectrum is None:
                 raise ParameterError(f"no atom stored for cube {key}")
-            if bands is None:
-                bands = _level(self.frame, self.f_spectrum, v)
+            if level is None:
+                level = _level(self.frame, self.f_spectrum, v)
+            cube = np.zeros(self.levels[v].shape)
+            cube[pos] = 1.0
             acc = np.zeros(spec.shape, dtype=np.complex128)
-            _add_synthesis(acc, spec, bands, cube_mask(spec, DyadicCube(v, m)))
+            parts = _synthesis_spectra(spec, (level[0].copy(), *level[1:]), cube)
+            for w, part in zip(level[1], from_spectrum_rows(spec, parts, out=parts)):
+                acc += w * part
             out.append(AtomDescriptor(v, m, GridFunction(spec, acc / lam),
                                       self.K, self.L, self.gamma))
         return out
@@ -317,23 +381,21 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
     if target_alpha is not None:
         _check_target(K, L, target_alpha)
 
-    n = spec.dimension
     C_phi = measured_kernel_constant(synthesize_phi_t(frame, 1.0), K)
     C_Phi = measured_kernel_constant(synthesize_Phi(frame), K)
     F = spectrum(f)
 
-    coeffs: Dict[Key, float] = {}
+    levels = []
     for v in range(V + 1):
-        nc = cubes_per_axis(spec, v)
         lam = (C_Phi if v == 0 else C_phi) * np.sqrt(_cube_energy(frame, F, v))
         lam[lam < COEFF_FLOOR] = 0.0
-        cubes = itertools.product(range(-(nc // 2), nc - nc // 2), repeat=n)
-        coeffs.update(zip([(v, m) for m in cubes], lam.ravel().tolist()))
+        lam.flags.writeable = False
+        levels.append(lam)
 
     profile = frame.profile
     frame_id = f"bump{profile.params.order}-V{ladder.octaves}-J{ladder.nodes_per_octave}"
     return AtomicDecomposition(spec, ladder, V, K, L, gamma, frame_id,
-                               C_phi, C_Phi, coeffs, frame=frame, f_spectrum=F)
+                               C_phi, C_Phi, tuple(levels), frame=frame, f_spectrum=F)
 
 
 def synthesize(dec: AtomicDecomposition) -> GridFunction:
@@ -342,23 +404,28 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
     For an analysed decomposition lambda_{v,m} rho_{v,m} is the level's
     bands masked to cube Q_{v,m} and synthesized, so the sum over the cubes
     of a level collapses to one spectral product per ladder node with the
-    mask of the nonzero cubes.  Stored atoms are summed one by one.
+    mask of the nonzero cubes; the products of every node and level are
+    added as spectra and share one inverse FFT.  Stored atoms are summed
+    one by one, and every nonzero coefficient needs one.
     """
     spec = dec.spec
     out = np.zeros(spec.shape, dtype=np.complex128)
     if dec.f_spectrum is None:
-        if set(dec.coefficients) != set(dec.atoms):
-            raise ParameterError("coefficient/atom key sets disagree")
-        for key, lam in dec.coefficients.items():
-            if lam != 0.0:
+        for v, lat in enumerate(dec.levels):
+            for key, lam in zip(dec._nonzero_keys(v), lat[lat != 0.0].tolist()):
+                if key not in dec.atoms:
+                    raise ParameterError(f"no atom stored for cube {key}, whose "
+                                         f"coefficient is {lam!r}")
                 out += lam * dec.atoms[key].samples.samples
         return GridFunction(spec, out, tag="synthesized")
     for v in range(dec.V + 1):
-        mask = _expand(spec, dec.coefficient_array(v) != 0.0)
+        mask = dec.levels[v] != 0.0
         if not mask.any():
             continue
-        _add_synthesis(out, spec, _level(dec.frame, dec.f_spectrum, v), mask)
-    return GridFunction(spec, out, tag="synthesized")
+        level = _level(dec.frame, dec.f_spectrum, v)
+        for w, part in zip(level[1], _synthesis_spectra(spec, level, mask)):
+            out += w * part
+    return GridFunction(spec, from_spectrum_rows(spec, out, out=out), tag="synthesized")
 
 
 def sequence_norm_b(dec: AtomicDecomposition, alpha: ExponentField,
@@ -409,22 +476,25 @@ def _atom_filename(v: int, m: Tuple[int, ...]) -> str:
 
 def export_coefficients(dec: AtomicDecomposition, path: str,
                         atoms_dir: Optional[str] = None) -> None:
-    """CSV of (v, m..., lambda), rows sorted by key; optionally one raw
-    GridFunction file per nonzero atom under atoms_dir."""
+    """CSV of (v, m..., lambda) over every cube, rows sorted by key, with
+    `repr` floats and CRLF line ends as `csv.writer` writes them, one
+    formatted block per level; optionally one raw GridFunction file per
+    nonzero atom under atoms_dir."""
     import os
     from .grid import write_raw
     n = dec.spec.dimension
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["v"] + [f"m{i}" for i in range(n)] + ["lambda"])
-        for (v, m) in sorted(dec.coefficients):
-            w.writerow([v, *m, repr(dec.coefficients[(v, m)])])
+        fh.write(",".join(["v"] + [f"m{i}" for i in range(n)] + ["lambda"]) + "\r\n")
+        for v, lat in enumerate(dec.levels):
+            nc = lat.shape[0]
+            ms = [str(m) for m in range(-(nc // 2), nc - nc // 2)]
+            keys = map(",".join, itertools.product([str(v)], *[ms] * n))
+            fields = itertools.chain.from_iterable(zip(keys, lat.ravel().tolist()))
+            fh.write("%s,%r\r\n" * lat.size % tuple(fields))
     if atoms_dir is not None:
         os.makedirs(atoms_dir, exist_ok=True)
-        for v in sorted({v for v, _ in dec.coefficients}):
-            keys = sorted(k for k, lam in dec.coefficients.items()
-                          if k[0] == v and lam != 0.0)
-            for desc in dec._level_atoms(v, keys):
+        for v in range(len(dec.levels)):
+            for desc in dec._level_atoms(v, dec._nonzero_keys(v)):
                 write_raw(desc.samples, os.path.join(atoms_dir, _atom_filename(v, desc.m)))
 
 
@@ -468,5 +538,5 @@ def import_coefficients(path: str, spec: GridSpec, ladder: ScaleLadder,
                 atoms[(v, m)] = AtomDescriptor(v, m, read_raw(fname), K, L, gamma)
             else:
                 raise ParameterError(f"missing atom file {fname}")
-    return AtomicDecomposition(spec, ladder, V, K, L, gamma, "imported",
-                               float("nan"), float("nan"), coeffs, atoms)
+    return AtomicDecomposition.from_coefficients(spec, ladder, V, K, L, gamma, "imported",
+                                                 float("nan"), float("nan"), coeffs, atoms)

@@ -17,7 +17,6 @@ from . import atoms as atoms_mod
 from . import grid as grid_mod
 from .bank import make_bank, make_member
 from .besov import FORMS, besov_norm
-from .checks import run_checks
 from .config import ConfigError, RunConfig, emit_config, parse_config
 from .errors import (AdmissibilityError, HypothesisViolationError, ParameterError,
                      VbesovError)
@@ -105,7 +104,7 @@ def cmd_decompose(args) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, f"coeffs_{cfg.member}.csv")
     atoms_mod.export_coefficients(dec, csv_path)
-    lam = np.array(list(dec.coefficients.values()))
+    lam = np.concatenate([lat.ravel() for lat in dec.levels])
     dump_json({"member": cfg.member, "levels": dec.V, "n_coefficients": lam.size,
                "nonzero": int((lam > 0).sum()), "max_lambda": float(lam.max()),
                "C_phi": dec.C_phi, "seed": cfg.seed, "csv": csv_path},
@@ -138,6 +137,7 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     if args.quick:
         cfg.points, cfg.octaves, cfg.nodes_per_octave = 1024, 6, 12
+    from .checks import run_checks   # checks.py is large; only verify needs it
     bank = make_bank(cfg.grid(), cfg.ladder(), cfg.seed)
     reports = run_checks(args.check or ["all"], bank, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)

@@ -49,6 +49,19 @@ class BumpParams:
             raise ParameterError("bump order must be an integer >= 2")
 
 
+def _even_polyval(z: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """`npoly.polyval(z, coef)` for finite z and a nonzero constant term, by
+    the same Horner steps in place, with the adds of zero coefficients left
+    out: they can only flip the sign of a zero that the next nonzero
+    coefficient's add erases, so the bits are polyval's."""
+    acc = np.full_like(z, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= z
+        if c:
+            acc += c
+    return acc
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """The normalized bump with closed-form tail integrals.
@@ -79,7 +92,7 @@ class RadialProfile:
         z = self._z(s)
         inside = np.abs(z) < 1.0
         out = np.zeros_like(s)
-        out[inside] = npoly.polyval(z[inside], self.coef) / self.c_b
+        out[inside] = _even_polyval(z[inside], self.coef) / self.c_b
         return out
 
     def Phi_hat(self, s) -> np.ndarray:

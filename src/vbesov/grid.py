@@ -354,15 +354,15 @@ def cube_mask(spec: GridSpec, cube: DyadicCube) -> np.ndarray:
 
 
 def write_csv(f: GridFunction, path: str) -> None:
-    """CSV columns: coordinate(s), re, im."""
+    """CSV columns: coordinate(s), re, im, with `repr` floats and CRLF line
+    ends as `csv.writer` writes them, formatted as one block."""
     n = f.spec.dimension
+    v = f.samples.reshape(-1)
+    table = np.column_stack([f.spec.coords().reshape(-1, n), v.real, v.imag])
+    row = ",".join(["%r"] * (n + 2)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y"][:n] + ["re", "im"])
-        v = f.samples.reshape(-1)
-        for c, re, im in zip(f.spec.coords().reshape(-1, n).tolist(),
-                             v.real.tolist(), v.imag.tolist()):
-            w.writerow([*map(repr, c), repr(re), repr(im)])
+        fh.write(",".join(["x", "y"][:n] + ["re", "im"]) + "\r\n")
+        fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def read_csv(path: str, spec: GridSpec) -> GridFunction:

@@ -3,6 +3,7 @@ tested against.  They are kept here, not in the library, on purpose."""
 
 from __future__ import annotations
 
+import csv
 import math
 from typing import Dict, Optional
 
@@ -235,8 +236,53 @@ def analyze_eager(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None
                    [profile.phi_hat(t * sr) for t in ts], C_phi)
 
     frame_id = f"bump{profile.params.order}-V{ladder.octaves}-J{ladder.nodes_per_octave}"
-    return AtomicDecomposition(spec, ladder, V, K, L, gamma, frame_id,
-                               C_phi, C_Phi, coeffs, atoms)
+    return AtomicDecomposition.from_coefficients(spec, ladder, V, K, L, gamma, frame_id,
+                                                 C_phi, C_Phi, coeffs, atoms)
+
+
+def synthesize_spatial(dec: AtomicDecomposition) -> GridFunction:
+    """The collapsed sum of an analysed decomposition in the spatial domain:
+    per level one batched inverse FFT of the masked node products, then the
+    nodes added node after node."""
+    from vbesov.atoms import _expand, _level
+    from vbesov.grid import from_spectrum_rows, spectrum_rows
+
+    spec = dec.spec
+    out = np.zeros(spec.shape, dtype=np.complex128)
+    for v in range(dec.V + 1):
+        mask = _expand(spec, dec.levels[v] != 0.0)
+        if not mask.any():
+            continue
+        bands, ws, synth = _level(dec.frame, dec.f_spectrum, v)
+        parts = np.where(mask, bands, 0.0)
+        spectrum_rows(spec, parts, out=parts)
+        parts *= synth
+        for w, part in zip(ws, from_spectrum_rows(spec, parts, out=parts)):
+            out += w * part
+    return GridFunction(spec, out, tag="synthesized")
+
+
+def write_csv_rows(f: GridFunction, path: str) -> None:
+    """`grid.write_csv` one `csv.writer` row per sample."""
+    n = f.spec.dimension
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y"][:n] + ["re", "im"])
+        v = f.samples.reshape(-1)
+        for c, re, im in zip(f.spec.coords().reshape(-1, n).tolist(),
+                             v.real.tolist(), v.imag.tolist()):
+            w.writerow([*map(repr, c), repr(re), repr(im)])
+
+
+def export_coefficients_rows(dec: AtomicDecomposition, path: str) -> None:
+    """`atoms.export_coefficients` without atoms, one `csv.writer` row per
+    cube of the `coefficients` view, sorted by key."""
+    n = dec.spec.dimension
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["v"] + [f"m{i}" for i in range(n)] + ["lambda"])
+        for (v, m) in sorted(dec.coefficients):
+            w.writerow([v, *m, repr(dec.coefficients[(v, m)])])
 
 
 def sequence_norm_b_loop(dec: AtomicDecomposition, alpha, p, q, form: str = "continuous",

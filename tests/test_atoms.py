@@ -10,7 +10,7 @@ from vbesov.atoms import (AtomDescriptor, AtomicDecomposition,
 from vbesov.errors import HypothesisViolationError, ParameterError
 from vbesov.grid import _multi_indices
 
-from oracles import analyze_eager, sequence_norm_b_loop
+from oracles import analyze_eager, sequence_norm_b_loop, synthesize_spatial
 
 
 @pytest.fixture(scope="module")
@@ -156,8 +156,8 @@ def test_synthesize_single_atom(setup2k):
     spec, ladder, frame = setup2k
     a, _ = _bump_atom(spec, 3, 2, K=2)
     desc = AtomDescriptor(3, (2,), a, 2, -1, 3.0)
-    dec = AtomicDecomposition(spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0,
-                              {(3, (2,)): 1.0}, {(3, (2,)): desc})
+    dec = AtomicDecomposition.from_coefficients(
+        spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0, {(3, (2,)): 1.0}, {(3, (2,)): desc})
     rec = vb.synthesize(dec)
     assert np.array_equal(rec.samples, a.samples)
 
@@ -166,8 +166,9 @@ def test_synthesize_key_mismatch(setup2k):
     spec, ladder, frame = setup2k
     a, _ = _bump_atom(spec, 3, 2, K=2)
     desc = AtomDescriptor(3, (2,), a, 2, -1, 3.0)
-    dec = AtomicDecomposition(spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0,
-                              {(3, (2,)): 1.0, (3, (3,)): 0.5}, {(3, (2,)): desc})
+    dec = AtomicDecomposition.from_coefficients(
+        spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0,
+        {(3, (2,)): 1.0, (3, (3,)): 0.5}, {(3, (2,)): desc})
     with pytest.raises(ParameterError):
         vb.synthesize(dec)
 
@@ -177,13 +178,13 @@ def test_sequence_norm_trivials(setup2k):
     p2 = vb.constant_field(spec, 2.0)
     a0 = vb.constant_field(spec, 0.0, "alpha")
     q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
-    empty = AtomicDecomposition(spec, ladder, 2, 2, 0, 3.0, "manual", 1.0, 1.0,
-                                {(v, (m,)): 0.0 for v in range(3)
-                                 for m in range(-2, 2)}, {})
+    empty = AtomicDecomposition.from_coefficients(
+        spec, ladder, 2, 2, 0, 3.0, "manual", 1.0, 1.0,
+        {(v, (m,)): 0.0 for v in range(3) for m in range(-2, 2)}, {})
     assert vb.sequence_norm_b(empty, a0, p2, q2) == 0.0
 
-    one = AtomicDecomposition(spec, ladder, 1, 2, 0, 3.0, "manual", 1.0, 1.0,
-                              {(0, (0,)): 1.0}, {})
+    one = AtomicDecomposition.from_coefficients(
+        spec, ladder, 1, 2, 0, 3.0, "manual", 1.0, 1.0, {(0, (0,)): 1.0}, {})
     val = vb.sequence_norm_b(one, a0, p2, q2, form="continuous")
     assert val == pytest.approx(1.0, rel=1e-9)  # |chi_{0,0}|_2 on the unit cube
 
@@ -197,8 +198,8 @@ def test_sequence_norm_rejects_unknown_form(setup2k, coefficients):
     p2 = vb.constant_field(spec, 2.0)
     a0 = vb.constant_field(spec, 0.0, "alpha")
     q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
-    dec = AtomicDecomposition(spec, ladder, 3, 2, 0, 3.0, "manual", 1.0, 1.0,
-                              coefficients, {})
+    dec = AtomicDecomposition.from_coefficients(
+        spec, ladder, 3, 2, 0, 3.0, "manual", 1.0, 1.0, coefficients, {})
     with pytest.raises(ParameterError, match="unknown sequence-norm form 'bogus'"):
         vb.sequence_norm_b(dec, a0, p2, q2, form="bogus")
 
@@ -211,8 +212,8 @@ def test_sequence_norm_forms_comparable(setup2k):
         n = 16 * 2 ** v
         for j, m in enumerate(range(-(n // 2), n // 2)):
             coeffs[(v, (m,))] = float(rng.random() * 2.0 ** (-v))
-    dec = AtomicDecomposition(spec, ladder, 4, 2, 0, 3.0, "manual", 1.0, 1.0,
-                              coeffs, {})
+    dec = AtomicDecomposition.from_coefficients(
+        spec, ladder, 4, 2, 0, 3.0, "manual", 1.0, 1.0, coeffs, {})
     p2 = vb.constant_field(spec, 2.0)
     a05 = vb.constant_field(spec, 0.5, "alpha")
     ql = vb.q_field_from_callable(
@@ -225,8 +226,8 @@ def test_sequence_norm_forms_comparable(setup2k):
 
 def test_sequence_norm_sign_switch(setup2k):
     spec, ladder, frame = setup2k
-    dec = AtomicDecomposition(spec, ladder, 2, 2, 0, 3.0, "manual", 1.0, 1.0,
-                              {(1, (0,)): 1.0, (2, (1,)): 0.5}, {})
+    dec = AtomicDecomposition.from_coefficients(
+        spec, ladder, 2, 2, 0, 3.0, "manual", 1.0, 1.0, {(1, (0,)): 1.0, (2, (1,)): 0.5}, {})
     p2 = vb.constant_field(spec, 2.0)
     a0 = vb.constant_field(spec, 0.0, "alpha")
     q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
@@ -320,6 +321,25 @@ def test_export_import_with_atoms(tmp_path, setup2k):
     assert np.max(np.abs(rec_a.samples - rec_b.samples)) < 1e-14
 
 
+@pytest.mark.parametrize("dimension, L, N, V", [(1, 16.0, 256, 4), (2, 8.0, 32, 2)])
+def test_export_bytes_equal_the_row_writer(tmp_path, dimension, L, N, V):
+    from oracles import export_coefficients_rows
+
+    spec = vb.make_grid(dimension, L, N)
+    frame = vb.build_resolution_of_unity(spec, vb.make_ladder(4, 12))
+    dec = vb.analyze(vb.from_callable(spec, lambda *x: np.exp(-sum(c * c for c in x))),
+                     frame, V=V)
+    coefficients = _thinned(dec, 3)
+    coefficients[(V, (0,) * dimension)] = 1e-300
+    dec = _rebuilt(dec, coefficients)
+    assert 0.0 in dec.coefficients.values()
+    export_coefficients(dec, str(tmp_path / "block.csv"))
+    export_coefficients_rows(dec, str(tmp_path / "rows.csv"))
+    got = (tmp_path / "block.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    assert got.count(b"\r\n") == len(dec.coefficients) + 1
+
+
 @pytest.mark.parametrize("rows, match", [
     ("1,-20,1.0\n", r"line 2: cube \(-20,\) of level 1 lies outside the box"),
     ("0,0,1.0\n1,-100,1.0\n", r"line 3: cube \(-100,\) of level 1 lies outside"),
@@ -344,8 +364,8 @@ def test_import_accepts_every_cube_of_the_lattice(tmp_path):
     path = tmp_path / "coeffs.csv"
     path.write_text("v,m0,lambda\n0,0,1.0\n1,-1,2.0\n1,0,3.0\n")
     dec = import_coefficients(str(path), spec, vb.make_ladder(1, 12))
-    assert list(dec.coefficient_array(0)) == [1.0]
-    assert list(dec.coefficient_array(1)) == [2.0, 3.0]
+    assert list(dec.levels[0]) == [1.0]
+    assert list(dec.levels[1]) == [2.0, 3.0]
 
 
 @pytest.mark.parametrize("key, match", [
@@ -358,11 +378,32 @@ def test_import_accepts_every_cube_of_the_lattice(tmp_path):
 ])
 def test_hand_built_decomposition_rejects_cubes_outside_the_lattice(key, match):
     # N = 1024, L = 16: level 1 holds m in [-16, 15]; m = nc/2 = 16 would
-    # wrap onto cube -16 in coefficient_array
+    # wrap onto cube -16 of the level's lattice
     spec = vb.make_grid(1, 16.0, 1024)
     with pytest.raises(ParameterError, match=match):
-        AtomicDecomposition(spec, vb.make_ladder(3, 12), 3, 2, 0, 3.0, "manual",
-                            1.0, 1.0, {(1, (0,)): 1.0, key: 1.0})
+        AtomicDecomposition.from_coefficients(
+            spec, vb.make_ladder(3, 12), 3, 2, 0, 3.0, "manual", 1.0, 1.0,
+            {(1, (0,)): 1.0, key: 1.0})
+
+
+def test_levels_are_read_only_lattices_of_their_level(setup2k):
+    spec, ladder, frame = setup2k
+    dec = vb.analyze(vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2)), frame, V=3)
+    assert [lat.shape for lat in dec.levels] == [(16,), (32,), (64,), (128,)]
+    with pytest.raises(ValueError):
+        dec.levels[1][0] = 1.0
+    with pytest.raises(TypeError):
+        dec.coefficients[(1, (0,))] = 1.0
+    # a writeable lattice passed in is copied, so the caller cannot change it later
+    mine = [np.ones(16)]
+    built = AtomicDecomposition(spec, ladder, 0, 2, 0, 3.0, "manual", 1.0, 1.0, mine)
+    mine[0][:] = 2.0
+    assert not built.levels[0].flags.writeable and (built.levels[0] == 1.0).all()
+    with pytest.raises(ParameterError, match=r"level 1 needs a coefficient lattice of shape"):
+        AtomicDecomposition(spec, ladder, 1, 2, 0, 3.0, "manual", 1.0, 1.0,
+                            (np.zeros(16), np.zeros(16)))
+    with pytest.raises(ParameterError, match=r"V = 2 needs 3 coefficient levels, got 2"):
+        AtomicDecomposition(spec, ladder, 2, 2, 0, 3.0, "manual", 1.0, 1.0, dec.levels[:2])
 
 
 def test_multi_indices_order():
@@ -396,12 +437,24 @@ def _check_against_oracle(f, frame, V):
     assert np.max(np.abs(rec.samples - rec_ref.samples)) <= 1e-13 * scale
     # with every other nonzero coefficient zeroed, the dropped cubes must
     # leave the collapsed sum exactly as they leave the atom-by-atom sum
-    thinned = {k: (0.0 if k in nonzero[::2] else lam)
-               for k, lam in dec.coefficients.items()}
-    rec = vb.synthesize(dataclasses.replace(dec, coefficients=thinned))
-    rec_ref = vb.synthesize(dataclasses.replace(ref, coefficients=thinned))
+    thinned = _thinned(dec)
+    rec = vb.synthesize(_rebuilt(dec, thinned))
+    rec_ref = vb.synthesize(_rebuilt(ref, thinned))
     assert np.max(np.abs(rec_ref.samples)) > 0.1 * scale
     assert np.max(np.abs(rec.samples - rec_ref.samples)) <= 1e-13 * scale
+
+
+def _thinned(dec, step=2):
+    """dec's coefficients with every `step`-th nonzero one set to zero."""
+    nonzero = [k for k, lam in dec.coefficients.items() if lam != 0.0]
+    dropped = set(nonzero[::step])
+    return {k: (0.0 if k in dropped else lam) for k, lam in dec.coefficients.items()}
+
+
+def _rebuilt(dec, coefficients):
+    """dec with other coefficients, through the dict constructor."""
+    kept = {f.name: getattr(dec, f.name) for f in dataclasses.fields(dec) if f.name != "levels"}
+    return AtomicDecomposition.from_coefficients(coefficients=coefficients, **kept)
 
 
 def test_lazy_atoms_match_oracle_1d():
@@ -421,6 +474,24 @@ def test_lazy_atoms_match_oracle_2d():
     _check_against_oracle(f, frame, V=2)
 
 
+@pytest.mark.parametrize("dimension, L, N, octaves, V", [
+    (1, 16.0, 512, 5, 5), (2, 8.0, 32, 4, 2),
+], ids=["1d", "2d"])
+def test_synthesis_matches_the_spatial_sum(dimension, L, N, octaves, V):
+    # one inverse FFT of the summed node spectra against per-level inverse
+    # FFTs added node after node, on the full and on thinned cube masks
+    spec = vb.make_grid(dimension, L, N)
+    frame = vb.build_resolution_of_unity(spec, vb.make_ladder(octaves, 12))
+    f = vb.from_callable(spec, lambda *x: np.cos(3 * x[0]) * np.exp(-sum(c * c for c in x) / 2))
+    dec = vb.analyze(f, frame, V=V)
+    scale = np.max(np.abs(f.samples))
+    for step in (None, 2, 3):
+        d = dec if step is None else _rebuilt(dec, _thinned(dec, step))
+        rec, ref = vb.synthesize(d), synthesize_spatial(d)
+        assert np.max(np.abs(ref.samples)) > 0.1 * scale
+        assert np.max(np.abs(rec.samples - ref.samples)) <= 1e-13 * scale, step
+
+
 def test_atom_rejects_unknown_cube(setup2k):
     spec, ladder, frame = setup2k
     f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
@@ -433,13 +504,14 @@ def test_atom_returns_stored_descriptor(setup2k):
     spec, ladder, frame = setup2k
     a, _ = _bump_atom(spec, 3, 2, K=2)
     desc = AtomDescriptor(3, (2,), a, 2, -1, 3.0)
-    dec = AtomicDecomposition(spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0,
-                              {(3, (2,)): 1.0, (3, (3,)): 0.0}, {(3, (2,)): desc})
+    dec = AtomicDecomposition.from_coefficients(
+        spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0,
+        {(3, (2,)): 1.0, (3, (3,)): 0.0}, {(3, (2,)): desc})
     assert dec.atom((3, (2,))) is desc
     assert np.max(np.abs(dec.atom((3, (3,))).samples.samples)) == 0.0
     with pytest.raises(ParameterError):
-        AtomicDecomposition(spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0,
-                            {(3, (2,)): 1.0}, {}).atom((3, (2,)))
+        AtomicDecomposition.from_coefficients(
+            spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0, {(3, (2,)): 1.0}, {}).atom((3, (2,)))
 
 
 def test_export_atoms_match_oracle(tmp_path):

@@ -165,6 +165,34 @@ def test_cli_decompose_synthesize(tmp_path):
     assert doc["l2_relative_residual"] <= 0.05
 
 
+def test_cli_decompose_synthesize_build_no_cube_keys(tmp_path, monkeypatch):
+    # the per-cube {(v, m): lambda} view is for callers; the commands read
+    # the level lattices, so a view that raises leaves every output byte
+    cfg = _write_cfg(tmp_path, "points = 512\noctaves = 5\nmember = tone_k40\n")
+    runs = {}
+    for label in ("plain", "no-keys"):
+        if label == "no-keys":
+            def no_keys(dec):
+                raise AssertionError("a command built the per-cube coefficient dict")
+            monkeypatch.setattr(vb.AtomicDecomposition, "coefficients", property(no_keys))
+        out = tmp_path / label
+        for command in ("decompose", "synthesize"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        runs[label] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(runs["plain"]) == ["coeffs_tone_k40.csv", "decompose_tone_k40.json",
+                                     "reconstruction_tone_k40.csv", "synthesize_tone_k40.json"]
+    for name, data in runs["plain"].items():
+        if name.endswith(".json"):  # the volatile block and the output paths differ
+            a, b = json.loads(data), json.loads(runs["no-keys"][name])
+            for doc in (a, b):
+                doc.pop("timestamp", None)
+                doc.pop("csv", None)
+                doc.pop("reconstruction", None)
+            assert a == b, name
+        else:
+            assert data == runs["no-keys"][name], name
+
+
 def test_cli_verify_single_and_report(tmp_path):
     cfg = _write_cfg(tmp_path, FAST_CONFIG)
     out = str(tmp_path / "out")
@@ -182,7 +210,7 @@ def test_cli_verify_quick_reaches_the_runner_with_the_reduced_grid(tmp_path, mon
         seen["bank"] = bank
         return []
 
-    monkeypatch.setattr(cli, "run_checks", capture)
+    monkeypatch.setattr("vbesov.checks.run_checks", capture)
     assert main(["verify", "--quick", "--out", str(tmp_path / "out")]) == 0
     assert seen["bank"].spec.points_per_axis == 1024
     assert seen["bank"].ladder.octaves == 6

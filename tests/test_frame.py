@@ -190,3 +190,21 @@ def test_identity_residual_equals_the_full_grid_loop(octaves, nodes, xi_max):
     res = identity_residual(profile, ladder, xi_max)
     assert res == identity_residual_per_node(profile, ladder, xi_max)
     assert res == identity_residual_full_grid(profile, ladder, xi_max)
+
+
+@pytest.mark.parametrize("order", range(2, 10))
+def test_phi_hat_horner_is_polyval_bit_for_bit(order):
+    from numpy.polynomial import polynomial as npoly
+
+    from vbesov.frame import _even_polyval
+
+    profile = build_radial_profile(BumpParams(order))
+    rng = np.random.default_rng(order)
+    z = np.concatenate([[0.0, -0.0, 1.0, -1.0], rng.uniform(-1.0, 1.0, 20000)])
+    got, want = _even_polyval(z, profile.coef), npoly.polyval(z, profile.coef)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    s = 2.0 ** z
+    zs = np.log2(s)
+    inside = np.abs(zs) < 1.0
+    assert np.array_equal(profile.phi_hat(s)[inside],
+                          npoly.polyval(zs[inside], profile.coef) / profile.c_b)

@@ -182,6 +182,23 @@ def test_csv_roundtrip(tmp_path, spec1k):
     assert np.max(np.abs(back.samples - f.samples)) < 1e-15
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_write_csv_bytes_equal_the_row_writer(tmp_path, dimension):
+    from oracles import write_csv_rows
+
+    spec = vb.make_grid(dimension, 8.0, 16)
+    rng = np.random.default_rng(dimension)
+    z = (rng.standard_normal(spec.size) + 1j * rng.standard_normal(spec.size)) * 1e3
+    z[:6] = [-0.0, 1e-300, -1e-300j, complex(-0.0, -0.0), 1.0, 0.1 + 0.2j]
+    f = vb.GridFunction(spec, z.reshape(spec.shape))
+    write_csv(f, str(tmp_path / "block.csv"))
+    write_csv_rows(f, str(tmp_path / "rows.csv"))
+    got = (tmp_path / "block.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    assert got.count(b"\r\n") == spec.size + 1
+    assert b"-0.0" in got and b"1e-300" in got
+
+
 def test_raw_roundtrip(tmp_path, spec1k):
     f = vb.from_callable(spec1k, lambda x: np.exp(1j * x))
     path = tmp_path / "f.vbgf"
