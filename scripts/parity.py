@@ -9,6 +9,11 @@ the output directory, so nothing else differs between runs.
 
     PYTHONPATH=src python scripts/parity.py --out /tmp/parity_change
 
+With `--against DIR`, the outputs are then compared with those of an earlier
+run in DIR: for each file that differs, the largest absolute difference of
+its numeric CSV columns and JSON numbers (a string that parses as a float
+counts as one), and after them the files that are byte-identical.
+
 The request set:
 - `norm` for the six forms x the 20 bank members x the `const` and
   `variable` exponents, at N = 4096 (N = 2048 for the two maximal forms);
@@ -23,10 +28,12 @@ The request set:
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
 import sys
+from typing import Dict, List, Optional
 
 from vbesov import cli
 from vbesov.bank import MEMBER_NAMES
@@ -44,7 +51,8 @@ EXPONENTS = {
 MAXIMAL_FORMS = ("peetre", "local_mean_prime")
 DECOMPOSE_MEMBERS = ("gauss_w05", "modgauss_f16", "smoothstep_w1", "weier_s03",
                      "weier_s12", "tone_k40", "bandnoise_a", "bandnoise_c")
-SYNTHESIZE_MEMBERS = ("gauss_w1", "tone_k40", "bandnoise_a")
+# smoothstep_w1's level 7 is only partly nonzero: it covers the masked synthesis
+SYNTHESIZE_MEMBERS = ("gauss_w1", "tone_k40", "bandnoise_a", "smoothstep_w1")
 SEED = 7
 
 
@@ -80,10 +88,86 @@ def _sequence_norms() -> dict:
     return out
 
 
+def _as_float(x) -> Optional[float]:
+    """x as a float when it is a number or a string of one, else None."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def _json_numbers(doc, path: str, out: Dict[str, List[float]]) -> None:
+    """The numbers of a JSON document by key path, lists flattened."""
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            _json_numbers(val, f"{path}.{key}" if path else key, out)
+    elif isinstance(doc, list):
+        for val in doc:
+            _json_numbers(val, path, out)
+    elif _as_float(doc) is not None:
+        out.setdefault(path, []).append(float(doc))
+
+
+def _numbers(path: str) -> Dict[str, List[float]]:
+    """Numeric CSV columns by header name, or JSON numbers by key path."""
+    out: Dict[str, List[float]] = {}
+    if path.endswith(".json"):
+        with open(path) as fh:
+            _json_numbers(json.load(fh), "", out)
+    elif path.endswith(".csv"):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for j, name in enumerate(rows[0]):
+            col = [_as_float(row[j]) for row in rows[1:]]
+            if None not in col:
+                out[name] = col
+    return out
+
+
+def _files(root: str) -> List[str]:
+    return sorted(os.path.relpath(os.path.join(d, name), root)
+                  for d, _, names in os.walk(root) for name in names)
+
+
+def compare(here: str, there: str) -> None:
+    """Print, for each file of `here` that differs from `there`, the largest
+    absolute difference per numeric column or key, then the byte-identical
+    files."""
+    mine, theirs = _files(here), _files(there)
+    identical = []
+    for rel in sorted(set(mine) - set(theirs)):
+        print(f"only here: {rel}")
+    for rel in sorted(set(theirs) - set(mine)):
+        print(f"only in {there}: {rel}")
+    for rel in sorted(set(mine) & set(theirs)):
+        a, b = os.path.join(here, rel), os.path.join(there, rel)
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            if fa.read() == fb.read():
+                identical.append(rel)
+                continue
+        na, nb = _numbers(a), _numbers(b)
+        diffs = []
+        for key in sorted(set(na) | set(nb)):
+            if len(na.get(key, ())) != len(nb.get(key, ())):
+                diffs.append(f"{key} differs in count")
+                continue
+            worst = max((abs(x - y) for x, y in zip(na[key], nb[key])), default=0.0)
+            if worst:
+                diffs.append(f"{key} {worst:.3g}")
+        print(f"differs: {rel}: max |diff| " + (", ".join(diffs) or "0 (text only)"))
+    print(f"byte-identical: {len(identical)} files")
+    for rel in identical:
+        print(f"  {rel}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="output directory (created)")
+    ap.add_argument("--against", help="an earlier run's output directory to compare with")
     args = ap.parse_args()
+    against = None if args.against is None else os.path.abspath(args.against)
     os.makedirs(args.out, exist_ok=True)
     os.chdir(args.out)
     os.makedirs("configs", exist_ok=True)
@@ -122,6 +206,8 @@ def main() -> int:
         json.dump(_sequence_norms(), fh, indent=1)
         fh.write("\n")
     print(f"wrote the outputs to {os.getcwd()}")
+    if against is not None:
+        compare(".", against)
     return 0
 
 

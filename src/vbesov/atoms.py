@@ -10,10 +10,21 @@ lambda (zero branch when lambda = 0).  Summing atoms over all cubes
 reproduces the ladder-quadratured reproducing identity exactly, so the
 round-trip error is the frame residual plus deep-scale truncation.  The cubes
 of a level tile the box, so that sum is one spectral product per ladder node
-of the band masked to the nonzero cubes, and the products of every node and
-level share one inverse FFT; atoms are built only on request.  The
-coefficients of level v are one read-only lattice of shape (nc_v,)^n, cube m
-at position m + nc_v/2.
+of the band masked to the nonzero cubes.  When every cube of a level is
+nonzero the mask is the whole band, whose spectrum is A F, and the level
+adds sum_j w_j S_j A_j F with no transform: the discretized continuous
+Calderon formula, synthesis times analysis multiplier.  The products of
+every node and level share one inverse FFT; atoms are built only on request.
+
+By Parseval no lambda of level v exceeds
+    C (sum_j w_j sum_k A_j(k)^2 |F_k|^2 / L^n)^{1/2},
+so a level whose bound lies below half the coefficient floor is stored as
+exact zeros without its band transform.  The multipliers are real and
+radial, so a real f has a real reconstruction: `analyze` records whether
+f's samples are real, and `synthesize` then returns the real part.
+
+The coefficients of level v are one read-only lattice of shape (nc_v,)^n,
+cube m at position m + nc_v/2.
 """
 
 from __future__ import annotations
@@ -153,35 +164,47 @@ def _check_cubes(spec: GridSpec, v: int, ms) -> None:
                              f"indices run over [{-(nc // 2)}, {nc - nc // 2})")
 
 
-def _level(frame: CalderonFrame, F: np.ndarray, v: int, synthesis: bool = True):
-    """Analysis bands, quadrature weights and synthesis multipliers of level v.
+def _level(frame: CalderonFrame, v: int):
+    """(weights, S, A) of level v: the quadrature weights, and the synthesis
+    and analysis multipliers at the grid frequencies, one row per node in
+    (nodes, *grid) blocks.
 
-    Level 0 is the Psi/Phi pair with unit weight and no t-integral; level
-    v >= 1 runs psi_t/phi_t over the nodes of octave v.  The bands are
-    g = ifft(A F) for the analysis multipliers A and f's spectrum F, one
-    row per node in a (nodes, *grid) block, as are the synthesis
-    multipliers, which are None when not asked for.
+    Level 0 is the Phi/Psi pair with unit weight and no t-integral; FPsi is
+    evaluated only where it can be nonzero, |xi| < 2.  Level v >= 1 runs
+    phi_t/psi_t over the nodes of octave v, Fpsi_t = Fphi_t / c2.
     """
     spec = frame.spec
     if v == 0:
-        ws, synth = np.ones(1), frame.level0[None]
-        analysis = frame.profile.Psi_hat(spec.freq_radius())[None]
-    else:
-        sl = frame.ladder.octave_slice(v)
-        ws, synth = frame.ladder.weights[sl], frame.multipliers(frame.ladder.t[sl])
-        # Fpsi_t = Fphi_t / c2, in place when the synthesis side is not kept
-        analysis = np.divide(synth, frame.profile.c2, out=None if synthesis else synth)
-    return band_rows(spec, analysis, F), ws, synth if synthesis else None
+        inner = np.searchsorted(frame.radius_sorted, 2.0)
+        analysis = np.zeros(spec.size)
+        analysis[frame.radius_order[:inner]] = frame.profile.Psi_hat(frame.radius_sorted[:inner])
+        return np.ones(1), frame.level0[None], analysis.reshape((1,) + spec.shape)
+    sl = frame.ladder.octave_slice(v)
+    synth = frame.multipliers(frame.ladder.t[sl])
+    return frame.ladder.weights[sl], synth, synth / frame.profile.c2
 
 
-def _cube_energy(frame: CalderonFrame, F: np.ndarray, v: int) -> np.ndarray:
+def _level_bound(spec: GridSpec, F2: np.ndarray, ws: np.ndarray, analysis: np.ndarray,
+                 const: float) -> float:
+    """An upper bound of every lambda of a level, from the spectrum alone.
+
+    A cube's energy is at most the whole band's, and by Parseval the band
+    g = ifft(A F) has int |g|^2 = sum_k A(k)^2 |F_k|^2 / L^n, so every lambda
+    is at most const * (sum_j w_j sum_k A_j(k)^2 |F_k|^2 / L^n)^{1/2}, for
+    the level's weights w and analysis multipliers A, and F2 = |F|^2.
+    """
+    per_node = (analysis ** 2).reshape(len(ws), -1) @ F2.reshape(-1)
+    return const * math.sqrt(float(ws @ per_node) / spec.box_length ** spec.dimension)
+
+
+def _cube_energy(spec: GridSpec, F: np.ndarray, v: int, ws: np.ndarray,
+                 analysis: np.ndarray) -> np.ndarray:
     """sum over the nodes of level v of w * int_Q |band|^2 for every cube Q
-    of the level, the nodes added node after node."""
-    spec = frame.spec
+    of the level, the nodes added node after node; ws and analysis are the
+    level's weights and analysis multipliers."""
     n = spec.dimension
     nc = cubes_per_axis(spec, v)
-    bands, ws, _ = _level(frame, F, v, synthesis=False)
-    abs2 = np.abs(bands)
+    abs2 = np.abs(band_rows(spec, analysis, F))
     abs2 **= 2
     cs = abs2.reshape((-1,) + (nc, spec.points_per_axis // nc) * n) \
         .sum(axis=tuple(range(2, 2 * n + 1, 2))) * spec.spacing ** n
@@ -191,12 +214,11 @@ def _cube_energy(frame: CalderonFrame, F: np.ndarray, v: int) -> np.ndarray:
     return lam2
 
 
-def _synthesis_spectra(spec: GridSpec, level, weight: np.ndarray) -> np.ndarray:
-    """S spectrum(band * weight) for every node of a level (bands, weights,
-    synthesis multipliers), one (nodes, *grid) block formed in place of the
-    bands; `weight` is a lattice of the level's cubes, each cube's value
-    taken on its grid points."""
-    bands, _, synth = level
+def _masked_synthesis(spec: GridSpec, bands: np.ndarray, synth: np.ndarray,
+                      weight: np.ndarray) -> np.ndarray:
+    """S spectrum(band * weight) for every node of a level, one (nodes, *grid)
+    block formed in place of the bands; `weight` is a lattice of the level's
+    cubes, each cube's value taken on its grid points."""
     bands *= _expand(spec, weight)
     spectrum_rows(spec, bands, out=bands)
     bands *= synth
@@ -213,6 +235,8 @@ class AtomicDecomposition:
     cube.  An analysed decomposition keeps the frame and f's spectrum
     instead of atoms, and builds an atom only when `atom(key)` asks for it;
     an imported one holds the atoms of its nonzero coefficients in `atoms`.
+    `real_input` is set by `analyze` when f's samples are real, and makes
+    `synthesize` return a real reconstruction.
     """
 
     spec: GridSpec
@@ -228,6 +252,7 @@ class AtomicDecomposition:
     atoms: Dict[Key, AtomDescriptor] = field(default_factory=dict)
     frame: Optional[CalderonFrame] = field(default=None, repr=False, compare=False)
     f_spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    real_input: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.levels) <= self.V:
@@ -252,7 +277,8 @@ class AtomicDecomposition:
                           coefficients: Mapping[Key, float],
                           atoms: Optional[Dict[Key, AtomDescriptor]] = None,
                           frame: Optional[CalderonFrame] = None,
-                          f_spectrum: Optional[np.ndarray] = None) -> "AtomicDecomposition":
+                          f_spectrum: Optional[np.ndarray] = None,
+                          real_input: bool = False) -> "AtomicDecomposition":
         """A decomposition from a {(v, m): lambda} dict over levels 0..V and
         any deeper level it names; a cube the dict leaves out holds 0.  A key
         that names no cube of the box raises ParameterError."""
@@ -267,7 +293,7 @@ class AtomicDecomposition:
             ms, lams = zip(*items)
             levels[v][tuple(np.transpose(ms) + levels[v].shape[0] // 2)] = lams
         return cls(spec, ladder, V, K, L, gamma, frame_id, C_phi, C_Phi, tuple(levels),
-                   {} if atoms is None else atoms, frame, f_spectrum)
+                   {} if atoms is None else atoms, frame, f_spectrum, real_input)
 
     @functools.cached_property
     def coefficients(self) -> Mapping[Key, float]:
@@ -309,7 +335,7 @@ class AtomicDecomposition:
         most once.  Each atom adds its nodes' inverse FFTs node after node,
         as the per-cube construction does."""
         spec = self.spec
-        out, level = [], None
+        out, bands = [], None
         for key in keys:
             pos = self._position(key)
             lam = float(self.levels[v][pos])
@@ -323,13 +349,14 @@ class AtomicDecomposition:
                 continue
             if self.f_spectrum is None:
                 raise ParameterError(f"no atom stored for cube {key}")
-            if level is None:
-                level = _level(self.frame, self.f_spectrum, v)
+            if bands is None:
+                ws, synth, analysis = _level(self.frame, v)
+                bands = band_rows(spec, analysis, self.f_spectrum)
             cube = np.zeros(self.levels[v].shape)
             cube[pos] = 1.0
             acc = np.zeros(spec.shape, dtype=np.complex128)
-            parts = _synthesis_spectra(spec, (level[0].copy(), *level[1:]), cube)
-            for w, part in zip(level[1], from_spectrum_rows(spec, parts, out=parts)):
+            parts = _masked_synthesis(spec, bands.copy(), synth, cube)
+            for w, part in zip(ws, from_spectrum_rows(spec, parts, out=parts)):
                 acc += w * part
             out.append(AtomDescriptor(v, m, GridFunction(spec, acc / lam),
                                       self.K, self.L, self.gamma))
@@ -337,12 +364,21 @@ class AtomicDecomposition:
 
 
 def measured_kernel_constant(kernel: GridFunction, K: int) -> float:
-    """max over |beta| <= K of sup |D^beta kernel| (the coefficient constant)."""
-    best = 0.0
-    for beta in _multi_indices(kernel.spec.dimension, K):
-        da = spectral_derivative(kernel, beta)
-        best = max(best, float(np.max(da.abs_samples())))
-    return best
+    """max over |beta| <= K of sup |D^beta kernel| (the coefficient constant).
+
+    The kernel's spectrum is taken once; row beta of one block is it times
+    (i xi)^beta, axis after axis as `spectral_derivative` forms it, and one
+    batched inverse transform gives every derivative with the bits of its
+    own call."""
+    spec = kernel.spec
+    ft = spectrum(kernel)
+    betas = _multi_indices(spec.dimension, K)
+    block = np.empty((len(betas),) + spec.shape, dtype=np.complex128)
+    for row, beta in zip(block, betas):
+        row[...] = ft
+        for xi, order in zip(spec.freq_axes(), beta):
+            row *= (1j * xi) ** order
+    return float(np.max(np.abs(from_spectrum_rows(spec, block, out=block)), initial=0.0))
 
 
 def _check_target(K: int, L: int, alpha: ExponentField) -> None:
@@ -363,9 +399,13 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
 
     When a target smoothness field is supplied, the (K, L) hypotheses of the
     decomposition theorem are enforced up front.  Coefficients below the
-    numerical floor are stored as exact zeros.  No atom is built: the
-    decomposition keeps the frame and f's spectrum, from which `atom(key)`
-    builds one cube's atom and `synthesize` the sum of all of them.
+    numerical floor are stored as exact zeros.  A level whose Parseval
+    bound (`_level_bound`) lies below half the floor is all zeros without
+    its band transform: that proves every coefficient of it below the
+    floor, with room for the rounding of the band path.  No atom is built:
+    the decomposition keeps the frame, f's spectrum and whether f's samples
+    are real, from which `atom(key)` builds one cube's atom and
+    `synthesize` the sum of all of them.
     """
     ladder = frame.ladder
     if V is None:
@@ -384,18 +424,25 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
     C_phi = measured_kernel_constant(synthesize_phi_t(frame, 1.0), K)
     C_Phi = measured_kernel_constant(synthesize_Phi(frame), K)
     F = spectrum(f)
+    F2 = np.abs(F) ** 2
 
     levels = []
     for v in range(V + 1):
-        lam = (C_Phi if v == 0 else C_phi) * np.sqrt(_cube_energy(frame, F, v))
-        lam[lam < COEFF_FLOOR] = 0.0
+        const = C_Phi if v == 0 else C_phi
+        ws, _, analysis = _level(frame, v)
+        if _level_bound(spec, F2, ws, analysis, const) < COEFF_FLOOR / 2:
+            lam = np.zeros((cubes_per_axis(spec, v),) * spec.dimension)
+        else:
+            lam = const * np.sqrt(_cube_energy(spec, F, v, ws, analysis))
+            lam[lam < COEFF_FLOOR] = 0.0
         lam.flags.writeable = False
         levels.append(lam)
 
     profile = frame.profile
     frame_id = f"bump{profile.params.order}-V{ladder.octaves}-J{ladder.nodes_per_octave}"
     return AtomicDecomposition(spec, ladder, V, K, L, gamma, frame_id,
-                               C_phi, C_Phi, tuple(levels), frame=frame, f_spectrum=F)
+                               C_phi, C_Phi, tuple(levels), frame=frame, f_spectrum=F,
+                               real_input=not f.samples.imag.any())
 
 
 def synthesize(dec: AtomicDecomposition) -> GridFunction:
@@ -403,10 +450,15 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
 
     For an analysed decomposition lambda_{v,m} rho_{v,m} is the level's
     bands masked to cube Q_{v,m} and synthesized, so the sum over the cubes
-    of a level collapses to one spectral product per ladder node with the
-    mask of the nonzero cubes; the products of every node and level are
-    added as spectra and share one inverse FFT.  Stored atoms are summed
-    one by one, and every nonzero coefficient needs one.
+    of a level is one spectral product per ladder node.  A level with every
+    coefficient nonzero keeps whole bands, whose spectra are A F: its sum is
+    sum_j w_j S_j A_j F, with no transform.  A level with some nonzero
+    coefficients transforms its bands, masks them to those cubes and
+    transforms them back; a level with none adds nothing.  The level sums
+    are added as spectra and share one inverse FFT.  The multipliers are
+    real and radial, so a real f has a real reconstruction: for
+    `real_input` the real part is returned.  Stored atoms are summed one by
+    one, and every nonzero coefficient needs one.
     """
     spec = dec.spec
     out = np.zeros(spec.shape, dtype=np.complex128)
@@ -418,14 +470,22 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
                                          f"coefficient is {lam!r}")
                 out += lam * dec.atoms[key].samples.samples
         return GridFunction(spec, out, tag="synthesized")
+    F = dec.f_spectrum
     for v in range(dec.V + 1):
         mask = dec.levels[v] != 0.0
         if not mask.any():
             continue
-        level = _level(dec.frame, dec.f_spectrum, v)
-        for w, part in zip(level[1], _synthesis_spectra(spec, level, mask)):
-            out += w * part
-    return GridFunction(spec, from_spectrum_rows(spec, out, out=out), tag="synthesized")
+        ws, synth, analysis = _level(dec.frame, v)
+        if mask.all():
+            gain = synth * analysis   # synth may be a view of the frame's level0
+            gain *= ws.reshape((-1,) + (1,) * spec.dimension)
+            out += gain.sum(axis=0) * F
+        else:
+            parts = _masked_synthesis(spec, band_rows(spec, analysis, F), synth, mask)
+            for w, part in zip(ws, parts):
+                out += w * part
+    rec = from_spectrum_rows(spec, out, out=out)
+    return GridFunction(spec, rec.real if dec.real_input else rec, tag="synthesized")
 
 
 def sequence_norm_b(dec: AtomicDecomposition, alpha: ExponentField,

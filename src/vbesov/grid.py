@@ -162,6 +162,10 @@ def _phase(spec: GridSpec) -> np.ndarray:
     return _phase_of(spec.points_per_axis, spec.dimension)
 
 
+def _phase_pairs(spec: GridSpec) -> np.ndarray:
+    return _phase_pairs_of(spec.points_per_axis, spec.dimension)
+
+
 @functools.lru_cache(maxsize=8)
 def _phase_of(N: int, dimension: int) -> np.ndarray:
     """The (-1)^j sign pattern of an N^dimension grid, built once per grid
@@ -172,18 +176,35 @@ def _phase_of(N: int, dimension: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _phase_pairs_of(N: int, dimension: int) -> np.ndarray:
+    """`_phase_of` with every sign repeated along the last axis, so that it
+    scales the float64 view of a complex grid array, (re, im) pair by pair;
+    built once per grid shape and shared read-only."""
+    out = np.repeat(_phase_of(N, dimension), 2, axis=-1)
+    out.flags.writeable = False
+    return out
+
+
 def _grid_axes(spec: GridSpec) -> Tuple[int, ...]:
     return tuple(range(-spec.dimension, 0))
+
+
+# A real scalar or sign scales both parts of a complex sample alike, so the
+# scalings below run on the float64 (re, im) views of the complex arrays: the
+# bits of the complex product with a zero imaginary part, without its cross
+# terms (up to the sign of a product that is zero).
 
 
 def spectrum_rows(spec: GridSpec, samples: np.ndarray,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """`spectrum` of every grid array stacked along the leading axes of
     `samples`: one batched transform, row for row bit-identical to the
-    single call (a scalar times the phase times the FFT).  `out`, a complex
-    array of the same shape, may be `samples` itself."""
+    single call (a scalar times the phase times the FFT).  `out`, a
+    C-contiguous complex array of the same shape, may be `samples` itself."""
     out = np.fft.fftn(samples, axes=_grid_axes(spec), out=out)
-    out *= (spec.spacing ** spec.dimension) * _phase(spec)
+    pairs = out.view(np.float64)
+    pairs *= (spec.spacing ** spec.dimension) * _phase_pairs(spec)
     return out
 
 
@@ -191,13 +212,17 @@ def from_spectrum_rows(spec: GridSpec, ft: np.ndarray,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Inverse of `spectrum_rows`: (ft * phase), transformed in place, then
     divided by h^n, so each row equals `from_spectrum(spec, ft[j]).samples`.
-    `out`, a complex array of the same shape, may be `ft` itself."""
-    ft = np.asarray(ft)
+    `out`, a C-contiguous complex array of the same shape, may be `ft`
+    itself."""
+    ft = np.require(ft, np.complex128, "C")
     if out is None:
         out = np.empty(ft.shape, dtype=np.complex128)
-    np.multiply(ft, _phase(spec), out=out)
+    pairs = out.view(np.float64)
+    np.multiply(ft.view(np.float64), _phase_pairs(spec), out=pairs)
     np.fft.ifftn(out, axes=_grid_axes(spec), out=out)
-    out /= spec.spacing ** spec.dimension
+    # numpy divides a complex array by a real scalar as a product with the
+    # reciprocal: the same bits
+    pairs *= 1.0 / spec.spacing ** spec.dimension
     return out
 
 

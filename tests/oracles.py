@@ -240,12 +240,50 @@ def analyze_eager(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None
                                                  C_phi, C_Phi, coeffs, atoms)
 
 
+def level_lattices_unskipped(f: GridFunction, frame: CalderonFrame, V: int,
+                             K: int = 2) -> list:
+    """The coefficient lattices of levels 0..V with no level proven zero from
+    the spectrum: every level's bands transformed and summed over its cubes
+    (`_cube_energy`, multipliers from one profile call per node), then the
+    floor applied."""
+    from vbesov.atoms import _cube_energy
+
+    spec, profile, ladder = f.spec, frame.profile, frame.ladder
+    F = spectrum(f)
+    sr = spec.freq_radius()
+    out = []
+    for v in range(V + 1):
+        if v == 0:
+            ws, analysis, kernel = np.ones(1), profile.Psi_hat(sr)[None], synthesize_Phi(frame)
+        else:
+            sl = ladder.octave_slice(v)
+            ws, kernel = ladder.weights[sl], synthesize_phi_t(frame, 1.0)
+            analysis = np.stack([profile.psi_hat(t * sr) for t in ladder.t[sl]])
+        lam = measured_kernel_constant(kernel, K) * np.sqrt(
+            _cube_energy(spec, F, v, ws, analysis))
+        lam[lam < COEFF_FLOOR] = 0.0
+        out.append(lam)
+    return out
+
+
+def measured_kernel_constant_loop(kernel: GridFunction, K: int) -> float:
+    """`atoms.measured_kernel_constant` one `spectral_derivative` call, and
+    so one FFT pair, per multi-index."""
+    from vbesov.grid import _multi_indices, spectral_derivative
+
+    best = 0.0
+    for beta in _multi_indices(kernel.spec.dimension, K):
+        da = spectral_derivative(kernel, beta)
+        best = max(best, float(np.max(da.abs_samples())))
+    return best
+
+
 def synthesize_spatial(dec: AtomicDecomposition) -> GridFunction:
     """The collapsed sum of an analysed decomposition in the spatial domain:
     per level one batched inverse FFT of the masked node products, then the
     nodes added node after node."""
     from vbesov.atoms import _expand, _level
-    from vbesov.grid import from_spectrum_rows, spectrum_rows
+    from vbesov.grid import band_rows, from_spectrum_rows, spectrum_rows
 
     spec = dec.spec
     out = np.zeros(spec.shape, dtype=np.complex128)
@@ -253,8 +291,8 @@ def synthesize_spatial(dec: AtomicDecomposition) -> GridFunction:
         mask = _expand(spec, dec.levels[v] != 0.0)
         if not mask.any():
             continue
-        bands, ws, synth = _level(dec.frame, dec.f_spectrum, v)
-        parts = np.where(mask, bands, 0.0)
+        ws, synth, analysis = _level(dec.frame, v)
+        parts = np.where(mask, band_rows(spec, analysis, dec.f_spectrum), 0.0)
         spectrum_rows(spec, parts, out=parts)
         parts *= synth
         for w, part in zip(ws, from_spectrum_rows(spec, parts, out=parts)):

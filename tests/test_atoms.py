@@ -10,7 +10,8 @@ from vbesov.atoms import (AtomDescriptor, AtomicDecomposition,
 from vbesov.errors import HypothesisViolationError, ParameterError
 from vbesov.grid import _multi_indices
 
-from oracles import analyze_eager, sequence_norm_b_loop, synthesize_spatial
+from oracles import (analyze_eager, level_lattices_unskipped, measured_kernel_constant_loop,
+                     sequence_norm_b_loop, synthesize_spatial)
 
 
 @pytest.fixture(scope="module")
@@ -528,3 +529,111 @@ def test_export_atoms_match_oracle(tmp_path):
     for v, m in nonzero:
         got = read_raw(str(adir / ("atom_v%d_m%s.vbgf" % (v, "_".join(map(str, m))))))
         assert np.array_equal(got.samples, ref.atoms[(v, m)].samples.samples)
+
+
+# -- zero levels, translation, real and complex input --------------------------
+
+
+@pytest.mark.parametrize("N, octaves", [(2048, 7), (4096, 8)], ids=["N2048", "N4096"])
+def test_zero_levels_proven_from_the_spectrum_are_exact(N, octaves):
+    # every lattice equals the one from transforming every level's bands,
+    # and the Parseval bound that skips a level is at least each lambda of it
+    spec = vb.make_grid(1, 16.0, N)
+    ladder = vb.make_ladder(octaves, 12)
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    bank = vb.make_bank(spec, ladder, seed=7)
+    skipped = set()
+    for name in bank.names():
+        f = bank[name]
+        dec = vb.analyze(f, frame, V=octaves)
+        F2 = np.abs(dec.f_spectrum) ** 2
+        for v, (got, want) in enumerate(zip(dec.levels, level_lattices_unskipped(f, frame,
+                                                                                 octaves))):
+            assert np.array_equal(got, want), (name, v)
+            ws, _, analysis = atoms._level(frame, v)
+            const = dec.C_Phi if v == 0 else dec.C_phi
+            bound = atoms._level_bound(spec, F2, ws, analysis, const)
+            lam = const * np.sqrt(atoms._cube_energy(spec, dec.f_spectrum, v, ws, analysis))
+            assert bound >= lam.max(), (name, v)
+            if bound < atoms.COEFF_FLOOR / 2:
+                skipped.add((name, v))
+    # the zero levels of the atoms-roundtrip benchmark members
+    assert {("gauss_w1", 5), ("gauss_w1", 6), ("gauss_w1", 7), ("tone_k40", 0),
+            ("tone_k40", 1), ("tone_k40", 2), ("tone_k40", 6), ("tone_k40", 7),
+            ("bandnoise_a", 7)} <= skipped
+
+
+def _rolled(f, shift):
+    axes = tuple(range(f.spec.dimension))
+    return vb.GridFunction(f.spec, np.roll(f.samples, (shift,) * len(axes), axis=axes))
+
+
+@pytest.mark.parametrize("dimension, L, N, octaves", [(1, 16.0, 2048, 7), (2, 8.0, 64, 3)],
+                         ids=["1d", "2d"])
+def test_translation_by_a_level0_cube_rolls_every_lattice(dimension, L, N, octaves):
+    # f rolled by one level-0 cube side, N/L points: level v rolls by 2^v
+    # cells, and the reconstruction rolls with f.  In 1-D the top level is
+    # only partly nonzero (as for the bank's smoothstep_w1), so the masked
+    # synthesis path is covered; the 2-D grid is too coarse for one.  The
+    # rolled spectrum rounds at the scale of the largest coefficient, so
+    # each level is also allowed 1e-15 of that: the 1-D top level peaks at
+    # 8e-11 and moves by 3e-19, 1.3e-18 of the largest lambda.
+    spec = vb.make_grid(dimension, L, N)
+    frame = vb.build_resolution_of_unity(spec, vb.make_ladder(octaves, 12))
+    f = vb.from_callable(spec, lambda *x: 0.5 * (np.tanh((x[0] + 1) / 0.25)
+                                                 - np.tanh((x[0] - 1.5) / 0.25))
+                         * np.exp(-sum(c * c for c in x[1:]) / 2))
+    shift = N // int(L)
+    dec, moved = vb.analyze(f, frame), vb.analyze(_rolled(f, shift), frame)
+    axes = tuple(range(dimension))
+    partial, top = 0, max(lat.max() for lat in dec.levels)
+    for v, (lat, got) in enumerate(zip(dec.levels, moved.levels)):
+        want = np.roll(lat, (2 ** v,) * dimension, axis=axes)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max() + 1e-15 * top, v
+        differ = (got == 0.0) != (want == 0.0)
+        assert np.all(np.maximum(got, want)[differ] < 1e-13), v
+        partial += bool(lat.any() and not lat.all())
+    assert partial or dimension == 2, "no level is only partly nonzero"
+    rec, rec_moved = vb.synthesize(dec), vb.synthesize(moved)
+    scale = np.max(np.abs(f.samples))
+    assert np.max(np.abs(rec_moved.samples - _rolled(rec, shift).samples)) <= 1e-13 * scale
+
+
+def test_real_input_gives_a_real_reconstruction_and_complex_input_is_linear(setup2k):
+    spec, ladder, frame = setup2k
+    f = vb.from_callable(spec, lambda x: np.cos(4 * x) * np.exp(-x ** 2 / 2))
+    g = vb.from_callable(spec, lambda x: np.exp(-(x - 1) ** 2 / 0.5) - 0.5 * np.exp(-x ** 2))
+    rec_f = vb.synthesize(vb.analyze(f, frame, V=7))
+    rec_g = vb.synthesize(vb.analyze(g, frame, V=7))
+    assert not rec_f.samples.imag.any() and not rec_g.samples.imag.any()
+    both = vb.GridFunction(spec, f.samples + 1j * g.samples)
+    dec = vb.analyze(both, frame, V=7)
+    assert not dec.real_input
+    rec = vb.synthesize(dec)
+    assert np.abs(rec.samples.imag).max() > 0.1
+    want = rec_f.samples + 1j * rec_g.samples
+    assert np.max(np.abs(rec.samples - want)) <= 1e-13 * np.max(np.abs(both.samples))
+
+
+def test_imported_decomposition_stays_complex(setup2k):
+    spec, ladder, frame = setup2k
+    a, _ = _bump_atom(spec, 3, 2, K=2)
+    atom = vb.GridFunction(spec, a.samples * (1 + 2j))
+    dec = AtomicDecomposition.from_coefficients(
+        spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0, {(3, (2,)): 1.0},
+        {(3, (2,)): AtomDescriptor(3, (2,), atom, 2, -1, 3.0)})
+    assert np.array_equal(vb.synthesize(dec).samples, atom.samples)
+
+
+@pytest.mark.parametrize("dimension, L, N", [(1, 16.0, 256), (1, 16.0, 2048), (2, 8.0, 32)])
+def test_kernel_constant_block_equals_the_per_beta_loop(dimension, L, N):
+    # the frame's two kernels, and an anisotropic one whose largest
+    # derivative is along the last axis
+    spec = vb.make_grid(dimension, L, N)
+    frame = vb.build_resolution_of_unity(spec, vb.make_ladder(4, 12))
+    wave = vb.from_callable(spec, lambda *x: np.cos(3 * x[-1]) * np.exp(
+        -sum((k + 1) * c * c for k, c in enumerate(x))), tag="wave")
+    for kernel in (vb.synthesize_phi_t(frame, 1.0), vb.synthesize_Phi(frame), wave):
+        for K in range(4):
+            assert (atoms.measured_kernel_constant(kernel, K)
+                    == measured_kernel_constant_loop(kernel, K)), (kernel.tag, K)

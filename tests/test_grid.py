@@ -256,3 +256,31 @@ def test_phase_is_cached_read_only_and_matches_the_formula(dimension, N):
     assert vb.grid._phase(vb.make_grid(dimension, 10.0, N)) is phase  # shared per shape
     with pytest.raises(ValueError):
         phase[0] = 2.0
+
+
+@pytest.mark.parametrize("dimension, N", [(1, 16), (1, 2048), (2, 32)])
+def test_float_view_scaling_has_the_bits_of_the_complex_arithmetic(dimension, N):
+    # the sign and h^n scalings run on the float64 views; on samples with no
+    # zero part every bit equals the complex product and quotient
+    spec = vb.make_grid(dimension, 16.0, N)
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((3,) + spec.shape) + 1j * rng.standard_normal((3,) + spec.shape)
+    phase, h = vb.grid._phase(spec), spec.spacing ** dimension
+    axes = tuple(range(-dimension, 0))
+    want = np.fft.ifftn(block * phase, axes=axes)
+    want /= h
+    got = vb.grid.from_spectrum_rows(spec, block)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    want = np.fft.fftn(block, axes=axes)
+    want *= h * phase
+    got = vb.grid.spectrum_rows(spec, block)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a real spectrum is taken as complex
+    assert np.array_equal(vb.grid.from_spectrum_rows(spec, block.real),
+                          vb.grid.from_spectrum_rows(spec, block.real + 0j))
+    pairs = vb.grid._phase_pairs(spec)
+    assert pairs.shape == spec.shape[:-1] + (2 * N,)
+    assert np.array_equal(pairs[..., ::2], phase) and np.array_equal(pairs[..., 1::2], phase)
+    assert vb.grid._phase_pairs(vb.make_grid(dimension, 10.0, N)) is pairs
+    with pytest.raises(ValueError):
+        pairs[..., 0] = 2.0

@@ -84,7 +84,8 @@ def test_atoms_level_rows_equal_the_per_node_bands(setup):
     spec, ladder, frame, _, F = setup
     sr = spec.freq_radius()
     for v in range(ladder.octaves + 1):
-        bands, ws, synth = _level(frame, F, v)
+        ws, synth, block = _level(frame, v)
+        bands = band_rows(spec, block, F)
         if v == 0:
             nodes, weights = [None], [1.0]
             analysis, synthesis = [frame.profile.Psi_hat(sr)], [frame.level0]
@@ -94,12 +95,11 @@ def test_atoms_level_rows_equal_the_per_node_bands(setup):
             analysis = [frame.profile.psi_hat(t * sr) for t in nodes]
             synthesis = [frame.profile.phi_hat(t * sr) for t in nodes]
         assert np.array_equal(ws, weights)
-        for g, S, A, B in zip(bands, synth, analysis, synthesis):
+        for g, row, S, A, B in zip(bands, block, synth, analysis, synthesis):
+            assert np.array_equal(row, A), v
             assert np.array_equal(g, from_spectrum(spec, A * F).samples), v
             assert np.array_equal(S, B), v
-        assert len(bands) == len(synth) == len(analysis)
-        assert _level(frame, F, v, synthesis=False)[2] is None
-        assert np.array_equal(_level(frame, F, v, synthesis=False)[0], bands)
+        assert len(bands) == len(block) == len(synth) == len(analysis)
 
 
 def test_frame_residual_equals_the_per_node_loop(setup):
