@@ -169,16 +169,13 @@ def _level(frame: CalderonFrame, v: int):
     and analysis multipliers at the grid frequencies, one row per node in
     (nodes, *grid) blocks.
 
-    Level 0 is the Phi/Psi pair with unit weight and no t-integral; FPsi is
-    evaluated only where it can be nonzero, |xi| < 2.  Level v >= 1 runs
-    phi_t/psi_t over the nodes of octave v, Fpsi_t = Fphi_t / c2.
+    Level 0 is the Phi/Psi pair with unit weight and no t-integral; level
+    v >= 1 runs phi_t/psi_t over the nodes of octave v, Fpsi_t = Fphi_t / c2.
     """
     spec = frame.spec
     if v == 0:
-        inner = np.searchsorted(frame.radius_sorted, 2.0)
-        analysis = np.zeros(spec.size)
-        analysis[frame.radius_order[:inner]] = frame.profile.Psi_hat(frame.radius_sorted[:inner])
-        return np.ones(1), frame.level0[None], analysis.reshape((1,) + spec.shape)
+        return (np.ones(1), frame.level0[None],
+                frame.profile.Psi_hat(spec.freq_radius())[None])
     sl = frame.ladder.octave_slice(v)
     synth = frame.multipliers(frame.ladder.t[sl])
     return frame.ladder.weights[sl], synth, synth / frame.profile.c2
@@ -277,8 +274,7 @@ class AtomicDecomposition:
                           coefficients: Mapping[Key, float],
                           atoms: Optional[Dict[Key, AtomDescriptor]] = None,
                           frame: Optional[CalderonFrame] = None,
-                          f_spectrum: Optional[np.ndarray] = None,
-                          real_input: bool = False) -> "AtomicDecomposition":
+                          f_spectrum: Optional[np.ndarray] = None) -> "AtomicDecomposition":
         """A decomposition from a {(v, m): lambda} dict over levels 0..V and
         any deeper level it names; a cube the dict leaves out holds 0.  A key
         that names no cube of the box raises ParameterError."""
@@ -293,7 +289,7 @@ class AtomicDecomposition:
             ms, lams = zip(*items)
             levels[v][tuple(np.transpose(ms) + levels[v].shape[0] // 2)] = lams
         return cls(spec, ladder, V, K, L, gamma, frame_id, C_phi, C_Phi, tuple(levels),
-                   {} if atoms is None else atoms, frame, f_spectrum, real_input)
+                   {} if atoms is None else atoms, frame, f_spectrum)
 
     @functools.cached_property
     def coefficients(self) -> Mapping[Key, float]:
@@ -363,22 +359,31 @@ class AtomicDecomposition:
         return out
 
 
+KERNEL_ROWS = 8
+
+
 def measured_kernel_constant(kernel: GridFunction, K: int) -> float:
     """max over |beta| <= K of sup |D^beta kernel| (the coefficient constant).
 
-    The kernel's spectrum is taken once; row beta of one block is it times
+    The kernel's spectrum is taken once; row beta of a block is it times
     (i xi)^beta, axis after axis as `spectral_derivative` forms it, and one
-    batched inverse transform gives every derivative with the bits of its
-    own call."""
+    batched inverse transform per block of at most KERNEL_ROWS rows gives
+    the derivatives with the bits of their own calls.  The block is reused,
+    so memory does not grow with K."""
     spec = kernel.spec
     ft = spectrum(kernel)
     betas = _multi_indices(spec.dimension, K)
-    block = np.empty((len(betas),) + spec.shape, dtype=np.complex128)
-    for row, beta in zip(block, betas):
-        row[...] = ft
-        for xi, order in zip(spec.freq_axes(), beta):
-            row *= (1j * xi) ** order
-    return float(np.max(np.abs(from_spectrum_rows(spec, block, out=block)), initial=0.0))
+    block = np.empty((min(len(betas), KERNEL_ROWS),) + spec.shape, dtype=np.complex128)
+    best = 0.0
+    for start in range(0, len(betas), KERNEL_ROWS):
+        chunk = betas[start:start + KERNEL_ROWS]
+        rows = block[:len(chunk)]
+        for row, beta in zip(rows, chunk):
+            row[...] = ft
+            for xi, order in zip(spec.freq_axes(), beta):
+                row *= (1j * xi) ** order
+        best = max(best, float(np.max(np.abs(from_spectrum_rows(spec, rows, out=rows)))))
+    return best
 
 
 def _check_target(K: int, L: int, alpha: ExponentField) -> None:
@@ -429,7 +434,7 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
     levels = []
     for v in range(V + 1):
         const = C_Phi if v == 0 else C_phi
-        ws, _, analysis = _level(frame, v)
+        ws, analysis = _level(frame, v)[::2]  # hold no S: one multiplier block a level
         if _level_bound(spec, F2, ws, analysis, const) < COEFF_FLOOR / 2:
             lam = np.zeros((cubes_per_axis(spec, v),) * spec.dimension)
         else:

@@ -453,8 +453,10 @@ def _thinned(dec, step=2):
 
 
 def _rebuilt(dec, coefficients):
-    """dec with other coefficients, through the dict constructor."""
-    kept = {f.name: getattr(dec, f.name) for f in dataclasses.fields(dec) if f.name != "levels"}
+    """dec with other coefficients, through the dict constructor, which
+    leaves `real_input` at its default."""
+    kept = {f.name: getattr(dec, f.name) for f in dataclasses.fields(dec)
+            if f.name not in ("levels", "real_input")}
     return AtomicDecomposition.from_coefficients(coefficients=coefficients, **kept)
 
 
@@ -628,7 +630,8 @@ def test_imported_decomposition_stays_complex(setup2k):
 @pytest.mark.parametrize("dimension, L, N", [(1, 16.0, 256), (1, 16.0, 2048), (2, 8.0, 32)])
 def test_kernel_constant_block_equals_the_per_beta_loop(dimension, L, N):
     # the frame's two kernels, and an anisotropic one whose largest
-    # derivative is along the last axis
+    # derivative is along the last axis; in 2-D, K = 3 has 10 derivatives,
+    # more than one block of KERNEL_ROWS
     spec = vb.make_grid(dimension, L, N)
     frame = vb.build_resolution_of_unity(spec, vb.make_ladder(4, 12))
     wave = vb.from_callable(spec, lambda *x: np.cos(3 * x[-1]) * np.exp(
