@@ -629,14 +629,15 @@ def test_imported_decomposition_stays_complex(setup2k):
 
 @pytest.mark.parametrize("dimension, L, N", [(1, 16.0, 256), (1, 16.0, 2048), (2, 8.0, 32)])
 def test_kernel_constant_block_equals_the_per_beta_loop(dimension, L, N):
-    # the frame's two kernels, and an anisotropic one whose largest
-    # derivative is along the last axis; in 2-D, K = 3 has 10 derivatives,
-    # more than one block of KERNEL_ROWS
+    # the frame's two kernels, and two anisotropic ones whose largest
+    # derivative is along the last and along the first axis.  In 2-D, K = 3
+    # has 10 derivatives, more than one block of KERNEL_ROWS, and the
+    # first-axis wave peaks at the last one, beta = (3, 0)
     spec = vb.make_grid(dimension, L, N)
     frame = vb.build_resolution_of_unity(spec, vb.make_ladder(4, 12))
-    wave = vb.from_callable(spec, lambda *x: np.cos(3 * x[-1]) * np.exp(
-        -sum((k + 1) * c * c for k, c in enumerate(x))), tag="wave")
-    for kernel in (vb.synthesize_phi_t(frame, 1.0), vb.synthesize_Phi(frame), wave):
+    waves = [vb.from_callable(spec, lambda *x, ax=ax: np.cos(3 * x[ax]) * np.exp(
+        -sum((k + 1) * c * c for k, c in enumerate(x))), tag=f"wave{ax}") for ax in (-1, 0)]
+    for kernel in (vb.synthesize_phi_t(frame, 1.0), vb.synthesize_Phi(frame), *waves):
         for K in range(4):
             assert (atoms.measured_kernel_constant(kernel, K)
                     == measured_kernel_constant_loop(kernel, K)), (kernel.tag, K)
