@@ -12,7 +12,8 @@ the output directory, so nothing else differs between runs.
 With `--against DIR`, the outputs are then compared with those of an earlier
 run in DIR: for each file that differs, the largest absolute difference of
 its numeric CSV columns and JSON numbers (a string that parses as a float
-counts as one), and after them the files that are byte-identical.
+counts as one), and after them the files that are byte-identical.  The
+script then exits 1 when any file differs or exists on only one side.
 
 The request set:
 - `norm` for the six forms x the 20 bank members x the `const` and
@@ -131,10 +132,11 @@ def _files(root: str) -> List[str]:
                   for d, _, names in os.walk(root) for name in names)
 
 
-def compare(here: str, there: str) -> None:
+def compare(here: str, there: str) -> bool:
     """Print, for each file of `here` that differs from `there`, the largest
     absolute difference per numeric column or key, then the byte-identical
-    files."""
+    files; True when every file of either side is byte-identical to the
+    other's."""
     mine, theirs = _files(here), _files(there)
     identical = []
     for rel in sorted(set(mine) - set(theirs)):
@@ -160,6 +162,7 @@ def compare(here: str, there: str) -> None:
     print(f"byte-identical: {len(identical)} files")
     for rel in identical:
         print(f"  {rel}")
+    return len(identical) == len(set(mine) | set(theirs))
 
 
 def main() -> int:
@@ -206,8 +209,8 @@ def main() -> int:
         json.dump(_sequence_norms(), fh, indent=1)
         fh.write("\n")
     print(f"wrote the outputs to {os.getcwd()}")
-    if against is not None:
-        compare(".", against)
+    if against is not None and not compare(".", against):
+        return 1
     return 0
 
 

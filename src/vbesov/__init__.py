@@ -12,8 +12,8 @@ from .grid import (DyadicCube, GridFunction, GridSpec, convolve, from_callable,
 from .exponents import (ClassReport, ExponentField, check_class,
                         constant_field, field_from_callable,
                         make_exponent_field, q_field_from_callable)
-from .luxemburg import (NormResult, ScaleLadder, luxemburg_norm, make_ladder,
-                        mixed_sequence_norm, modular, t_norm)
+from .luxemburg import (NormResult, ScaleLadder, luxemburg_norm, make_ladder, modular,
+                        t_norm)
 from .frame import (BumpParams, CalderonFrame, LocalMeanPair,
                     build_local_mean_pair, build_resolution_of_unity,
                     eta_kernel, synthesize_Phi, synthesize_phi_t)

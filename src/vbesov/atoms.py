@@ -15,6 +15,8 @@ nonzero the mask is the whole band, whose spectrum is A F, and the level
 adds sum_j w_j S_j A_j F with no transform: the discretized continuous
 Calderon formula, synthesis times analysis multiplier.  The products of
 every node and level share one inverse FFT; atoms are built only on request.
+A decomposition built from coefficients alone has no frame and no spectrum
+of f: its coefficient norm is defined, its atoms and its sum are not.
 
 By Parseval no lambda of level v exceeds
     C (sum_j w_j sum_k A_j(k)^2 |F_k|^2 / L^n)^{1/2},
@@ -29,7 +31,6 @@ cube m at position m + nc_v/2.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -229,11 +230,11 @@ class AtomicDecomposition:
     `levels[v]` is the read-only lattice of lambda_{v,.}, shape (nc_v,)^n,
     cube m at position m + nc_v/2; `from_coefficients` builds one from a
     {(v, m): lambda} dict, and `coefficients` is that dict view over every
-    cube.  An analysed decomposition keeps the frame and f's spectrum
-    instead of atoms, and builds an atom only when `atom(key)` asks for it;
-    an imported one holds the atoms of its nonzero coefficients in `atoms`.
-    `real_input` is set by `analyze` when f's samples are real, and makes
-    `synthesize` return a real reconstruction.
+    cube.  `analyze` also keeps the frame and f's spectrum, from which
+    `atom(key)` builds one cube's atom and `synthesize` the sum of all of
+    them; a decomposition without them has only its coefficients, and both
+    raise ParameterError on it.  `real_input` is set by `analyze` when f's
+    samples are real, and makes `synthesize` return a real reconstruction.
     """
 
     spec: GridSpec
@@ -246,10 +247,13 @@ class AtomicDecomposition:
     C_phi: float
     C_Phi: float
     levels: Tuple[np.ndarray, ...]
-    atoms: Dict[Key, AtomDescriptor] = field(default_factory=dict)
     frame: Optional[CalderonFrame] = field(default=None, repr=False, compare=False)
     f_spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     real_input: bool = field(default=False, repr=False, compare=False)
+
+    # perfbench/tracer.py counts the atoms a decomposition stores; none is
+    # stored, so this stays an empty read-only mapping
+    atoms = types.MappingProxyType({})
 
     def __post_init__(self):
         if len(self.levels) <= self.V:
@@ -272,7 +276,6 @@ class AtomicDecomposition:
     def from_coefficients(cls, spec: GridSpec, ladder: ScaleLadder, V: int, K: int, L: int,
                           gamma: float, frame_id: str, C_phi: float, C_Phi: float,
                           coefficients: Mapping[Key, float],
-                          atoms: Optional[Dict[Key, AtomDescriptor]] = None,
                           frame: Optional[CalderonFrame] = None,
                           f_spectrum: Optional[np.ndarray] = None) -> "AtomicDecomposition":
         """A decomposition from a {(v, m): lambda} dict over levels 0..V and
@@ -289,7 +292,7 @@ class AtomicDecomposition:
             ms, lams = zip(*items)
             levels[v][tuple(np.transpose(ms) + levels[v].shape[0] // 2)] = lams
         return cls(spec, ladder, V, K, L, gamma, frame_id, C_phi, C_Phi, tuple(levels),
-                   {} if atoms is None else atoms, frame, f_spectrum)
+                   frame, f_spectrum)
 
     @functools.cached_property
     def coefficients(self) -> Mapping[Key, float]:
@@ -305,15 +308,31 @@ class AtomicDecomposition:
         """sum_m lambda_{v,m} chi_{v,m} sampled on the grid."""
         return _expand(self.spec, self.levels[v])
 
-    def _nonzero_keys(self, v: int) -> List[Key]:
-        """The (v, m) keys of the nonzero coefficients of level v, sorted."""
-        lat = self.levels[v]
-        return [(v, tuple(m)) for m in (np.argwhere(lat) - lat.shape[0] // 2).tolist()]
+    def _check_analysed(self) -> None:
+        if self.frame is None or self.f_spectrum is None:
+            raise ParameterError("this decomposition holds coefficients only, with no frame "
+                                 "and no spectrum of f; its atoms and its sum need `analyze`")
 
     def atom(self, key: Key) -> AtomDescriptor:
-        """The atom of cube `key`: the stored one if there is one, the zero
-        atom for a zero coefficient, otherwise built from the level's bands."""
-        return self._level_atoms(key[0], [key])[0]
+        """The atom of cube `key`: the zero atom for a zero coefficient,
+        otherwise the level's bands masked to the cube and synthesized, the
+        nodes' inverse FFTs added node after node as the per-cube
+        construction does."""
+        self._check_analysed()
+        spec, (v, m) = self.spec, key
+        pos = self._position(key)
+        lam = float(self.levels[v][pos])
+        if lam == 0.0:
+            return AtomDescriptor(v, m, zero_function(spec, tag="zero-atom"),
+                                  self.K, self.L, self.gamma)
+        ws, synth, analysis = _level(self.frame, v)
+        cube = np.zeros(self.levels[v].shape)
+        cube[pos] = 1.0
+        parts = _masked_synthesis(spec, band_rows(spec, analysis, self.f_spectrum), synth, cube)
+        acc = np.zeros(spec.shape, dtype=np.complex128)
+        for w, part in zip(ws, from_spectrum_rows(spec, parts, out=parts)):
+            acc += w * part
+        return AtomDescriptor(v, m, GridFunction(spec, acc / lam), self.K, self.L, self.gamma)
 
     def _position(self, key: Key) -> Tuple[int, ...]:
         """Lattice position of cube `key`; KeyError when no level holds it."""
@@ -325,38 +344,6 @@ class AtomicDecomposition:
         if len(pos) != self.spec.dimension or not all(0 <= j < nc for j in pos):
             raise KeyError(key)
         return pos
-
-    def _level_atoms(self, v: int, keys) -> List[AtomDescriptor]:
-        """Atoms of the level-v cubes `keys`; the level's bands are built at
-        most once.  Each atom adds its nodes' inverse FFTs node after node,
-        as the per-cube construction does."""
-        spec = self.spec
-        out, bands = [], None
-        for key in keys:
-            pos = self._position(key)
-            lam = float(self.levels[v][pos])
-            m = key[1]
-            if key in self.atoms:
-                out.append(self.atoms[key])
-                continue
-            if lam == 0.0:
-                out.append(AtomDescriptor(v, m, zero_function(spec, tag="zero-atom"),
-                                          self.K, self.L, self.gamma))
-                continue
-            if self.f_spectrum is None:
-                raise ParameterError(f"no atom stored for cube {key}")
-            if bands is None:
-                ws, synth, analysis = _level(self.frame, v)
-                bands = band_rows(spec, analysis, self.f_spectrum)
-            cube = np.zeros(self.levels[v].shape)
-            cube[pos] = 1.0
-            acc = np.zeros(spec.shape, dtype=np.complex128)
-            parts = _masked_synthesis(spec, bands.copy(), synth, cube)
-            for w, part in zip(ws, from_spectrum_rows(spec, parts, out=parts)):
-                acc += w * part
-            out.append(AtomDescriptor(v, m, GridFunction(spec, acc / lam),
-                                      self.K, self.L, self.gamma))
-        return out
 
 
 KERNEL_ROWS = 8
@@ -453,28 +440,20 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
 def synthesize(dec: AtomicDecomposition) -> GridFunction:
     """sum_{v,m} lambda_{v,m} rho_{v,m} pointwise on the grid.
 
-    For an analysed decomposition lambda_{v,m} rho_{v,m} is the level's
-    bands masked to cube Q_{v,m} and synthesized, so the sum over the cubes
-    of a level is one spectral product per ladder node.  A level with every
-    coefficient nonzero keeps whole bands, whose spectra are A F: its sum is
-    sum_j w_j S_j A_j F, with no transform.  A level with some nonzero
-    coefficients transforms its bands, masks them to those cubes and
-    transforms them back; a level with none adds nothing.  The level sums
-    are added as spectra and share one inverse FFT.  The multipliers are
-    real and radial, so a real f has a real reconstruction: for
-    `real_input` the real part is returned.  Stored atoms are summed one by
-    one, and every nonzero coefficient needs one.
+    lambda_{v,m} rho_{v,m} is the level's bands masked to cube Q_{v,m} and
+    synthesized, so the sum over the cubes of a level is one spectral
+    product per ladder node.  A level with every coefficient nonzero keeps
+    whole bands, whose spectra are A F: its sum is sum_j w_j S_j A_j F,
+    with no transform.  A level with some nonzero coefficients transforms
+    its bands, masks them to those cubes and transforms them back; a level
+    with none adds nothing.  The level sums are added as spectra and share
+    one inverse FFT.  The multipliers are real and radial, so a real f has
+    a real reconstruction: for `real_input` the real part is returned.  A
+    decomposition without the frame and f's spectrum raises ParameterError.
     """
+    dec._check_analysed()
     spec = dec.spec
     out = np.zeros(spec.shape, dtype=np.complex128)
-    if dec.f_spectrum is None:
-        for v, lat in enumerate(dec.levels):
-            for key, lam in zip(dec._nonzero_keys(v), lat[lat != 0.0].tolist()):
-                if key not in dec.atoms:
-                    raise ParameterError(f"no atom stored for cube {key}, whose "
-                                         f"coefficient is {lam!r}")
-                out += lam * dec.atoms[key].samples.samples
-        return GridFunction(spec, out, tag="synthesized")
     F = dec.f_spectrum
     for v in range(dec.V + 1):
         mask = dec.levels[v] != 0.0
@@ -532,21 +511,13 @@ def level_sequence_norm(spec: GridSpec, ladder: ScaleLadder, levels: List[np.nda
     return prof.level0 + octave_block_norm(prof.values, ladder, q)
 
 
-# -- import / export ------------------------------------------------------------
+# -- export ---------------------------------------------------------------------
 
 
-def _atom_filename(v: int, m: Tuple[int, ...]) -> str:
-    return "atom_v%d_m%s.vbgf" % (v, "_".join(str(x) for x in m))
-
-
-def export_coefficients(dec: AtomicDecomposition, path: str,
-                        atoms_dir: Optional[str] = None) -> None:
+def export_coefficients(dec: AtomicDecomposition, path: str) -> None:
     """CSV of (v, m..., lambda) over every cube, rows sorted by key, with
     `repr` floats and CRLF line ends as `csv.writer` writes them, one
-    formatted block per level; optionally one raw GridFunction file per
-    nonzero atom under atoms_dir."""
-    import os
-    from .grid import write_raw
+    formatted block per level."""
     n = dec.spec.dimension
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["v"] + [f"m{i}" for i in range(n)] + ["lambda"]) + "\r\n")
@@ -556,52 +527,3 @@ def export_coefficients(dec: AtomicDecomposition, path: str,
             keys = map(",".join, itertools.product([str(v)], *[ms] * n))
             fields = itertools.chain.from_iterable(zip(keys, lat.ravel().tolist()))
             fh.write("%s,%r\r\n" * lat.size % tuple(fields))
-    if atoms_dir is not None:
-        os.makedirs(atoms_dir, exist_ok=True)
-        for v in range(len(dec.levels)):
-            for desc in dec._level_atoms(v, dec._nonzero_keys(v)):
-                write_raw(desc.samples, os.path.join(atoms_dir, _atom_filename(v, desc.m)))
-
-
-def import_coefficients(path: str, spec: GridSpec, ladder: ScaleLadder,
-                        K: int = 2, L: int = 0, gamma: float = 3.0,
-                        atoms_dir: Optional[str] = None) -> AtomicDecomposition:
-    """Rebuild a decomposition from the CSV (plus raw atom files if present)."""
-    import os
-    from .grid import read_raw
-    coeffs: Dict[Key, float] = {}
-    V = 0
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if len(header) - 2 != spec.dimension:
-            raise ParameterError("CSV dimensionality does not match the grid")
-        for row in r:
-            where = f"{path}, line {r.line_num}"
-            try:
-                v = int(row[0])
-                m = tuple(int(x) for x in row[1:-1])
-                lam = float(row[-1])
-            except (ValueError, IndexError):
-                raise ParameterError(f"{where}: cannot parse row {row}")
-            try:
-                _check_cubes(spec, v, [m])
-            except ParameterError as exc:
-                raise ParameterError(f"{where}: {exc}")
-            if (v, m) in coeffs:
-                raise ParameterError(f"{where}: duplicate cube (v, m) = {(v, m)}")
-            coeffs[(v, m)] = lam
-            V = max(V, v)
-    atoms: Dict[Key, AtomDescriptor] = {}
-    if atoms_dir is not None:
-        zero = zero_function(spec, tag="zero-atom")
-        for (v, m), lam in coeffs.items():
-            fname = os.path.join(atoms_dir, _atom_filename(v, m))
-            if lam == 0.0:
-                atoms[(v, m)] = AtomDescriptor(v, m, zero, K, L, gamma)
-            elif os.path.exists(fname):
-                atoms[(v, m)] = AtomDescriptor(v, m, read_raw(fname), K, L, gamma)
-            else:
-                raise ParameterError(f"missing atom file {fname}")
-    return AtomicDecomposition.from_coefficients(spec, ladder, V, K, L, gamma, "imported",
-                                                 float("nan"), float("nan"), coeffs, atoms)

@@ -371,15 +371,3 @@ def local_mean_norm(f: GridFunction, pair: LocalMeanPair, alpha: ExponentField,
                     form: str) -> BesovNormReport:
     """`besov_norm` with a local-mean pair."""
     return besov_norm(f, pair, alpha, p, q, form, a)
-
-
-def write_profile_csv(profile: ScaleProfile, path: str) -> None:
-    """CSV of (t, value) rows for plotting, with the level-0 term at t = inf
-    spelled as a leading comment row."""
-    import csv as _csv
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["t", "value"])
-        w.writerow(["level0", repr(float(profile.level0))])
-        for t, v in zip(profile.ladder.t, profile.values):
-            w.writerow([repr(float(t)), repr(float(v))])

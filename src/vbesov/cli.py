@@ -8,6 +8,7 @@ or inadmissible exponents; 3 theorem-hypothesis violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -177,7 +178,10 @@ def cmd_report(args) -> int:
     return EXIT_OK if all(r["passed"] for r in rows) else EXIT_FAIL
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; parsing keeps
+    no state in it, so every request reuses it."""
     ap = argparse.ArgumentParser(
         prog="vbesov",
         description="Variable-exponent smoothness norms, frames, atoms, and "

@@ -1,8 +1,8 @@
 """Run configuration: plain-text key-value files that round-trip exactly.
 
-Exponent fields are defined either by expression strings over x (spatial) or
-t (scale axis) in the tiny grammar of exprgrammar, or loaded from CSV by the
-CLI.  emit_config(parse_config(text)) reproduces the canonical form.
+Exponent fields are defined by expression strings over x (spatial) or t
+(scale axis) in the tiny grammar of exprgrammar.  emit_config(parse_config(text))
+reproduces the canonical form.
 """
 
 from __future__ import annotations

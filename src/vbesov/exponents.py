@@ -241,52 +241,3 @@ def check_class(g: ExponentField) -> ClassReport:
         }
     ok = bool(finite_local and finite_decay)
     return ClassReport(is_Plog=ok, is_log_holder_at_origin=ok, witnesses=witnesses)
-
-
-# -- import / export ----------------------------------------------------------
-
-
-def write_field_csv(g: ExponentField, path: str, sidecar: Optional[str] = None) -> None:
-    """CSV of (coordinate, value); extrema and constants go to a JSON sidecar."""
-    import csv as _csv
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        if g.coords.ndim == 1:
-            w.writerow(["coord", "value"])
-            for c, v in zip(g.coords, g.samples):
-                w.writerow([repr(float(c)), repr(float(v))])
-        else:
-            w.writerow(["x", "y", "value"])
-            for (x, y), v in zip(g.coords, g.samples):
-                w.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
-    if sidecar is not None:
-        from .reporting import dump_json
-        clog_local, clog_decay, _ = log_holder_constants(g, g.samples, g.limit_value)
-        dump_json({
-            "kind": g.kind,
-            "min": g.cached_min,
-            "max": g.cached_max,
-            "limit_value": g.limit_value,
-            "clog_local": clog_local,
-            "clog_decay": clog_decay,
-        }, sidecar)
-
-
-def read_field_csv(path: str, kind: str, limit_value: Optional[float] = None,
-                   spec: Optional[GridSpec] = None) -> ExponentField:
-    """Rebuild a field from its CSV; spatial kinds need the grid back."""
-    import csv as _csv
-    coords, vals = [], []
-    with open(path, newline="") as fh:
-        r = _csv.reader(fh)
-        header = next(r)
-        for row in r:
-            coords.append([float(x) for x in row[:-1]])
-            vals.append(float(row[-1]))
-    vals = np.asarray(vals)
-    if kind == "q_of_t":
-        return make_exponent_field(vals, kind, limit_value,
-                                   t_coords=np.asarray(coords).reshape(-1))
-    if spec is None:
-        raise ParameterError("spatial fields need the grid to deserialize")
-    return make_exponent_field(vals, kind, limit_value, spec=spec)

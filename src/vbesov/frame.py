@@ -364,27 +364,3 @@ def eta_kernel(spec: GridSpec, t: float, m: float) -> GridFunction:
     r = spec.radius()
     vals = t ** (-spec.dimension) * (1.0 + r / t) ** (-float(m))
     return GridFunction(spec, vals, tag=f"eta(t={t:g},m={m:g})")
-
-
-def export_frame(frame: CalderonFrame, json_path: str, raw_path: str) -> None:
-    """JSON header (profile, ladder, residual) + FPhi spectral samples in the
-    raw grid format."""
-    from .grid import write_raw
-    from .reporting import dump_json
-    dump_json({
-        "profile_order": frame.profile.params.order,
-        "annulus": list(frame.annulus),
-        "residual": frame.residual,
-        "resolved_xi_max": frame.resolved_xi_max,
-        "ladder": {
-            "octaves": frame.ladder.octaves,
-            "nodes_per_octave": frame.ladder.nodes_per_octave,
-            "t": frame.ladder.t.tolist(),
-            "weights": frame.ladder.weights.tolist(),
-        },
-        "grid": {"dimension": frame.spec.dimension,
-                 "box_length": frame.spec.box_length,
-                 "points_per_axis": frame.spec.points_per_axis},
-        "spectral_samples": raw_path,
-    }, json_path)
-    write_raw(GridFunction(frame.spec, frame.level0.astype(np.complex128)), raw_path)

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import csv
 import functools
-import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ParameterError
-
-MAGIC = b"VBGF"
-FORMAT_VERSION = 1
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -353,13 +349,6 @@ def finest_aligned_level(spec: GridSpec) -> int:
         level += 1
 
 
-def cubes_in_box(spec: GridSpec, level: int) -> Iterator[DyadicCube]:
-    """Iterate the dyadic cubes at `level` that tile the box."""
-    n = cubes_per_axis(spec, level)
-    for j in np.ndindex(*(n,) * spec.dimension):
-        yield DyadicCube(level, tuple(jj - n // 2 for jj in j))
-
-
 def cube_mask(spec: GridSpec, cube: DyadicCube) -> np.ndarray:
     """Boolean mask of grid nodes inside the cube (sharp, no smoothing)."""
     sl = []
@@ -404,33 +393,3 @@ def read_csv(path: str, spec: GridSpec) -> GridFunction:
     if arr.size != spec.size:
         raise ParameterError(f"CSV has {arr.size} rows, grid needs {spec.size}")
     return GridFunction(spec, arr.reshape(spec.shape))
-
-
-def write_raw(f: GridFunction, path: str) -> None:
-    """Raw little-endian float64 (re, im) pairs after a small header."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, f.spec.dimension, f.spec.points_per_axis))
-        fh.write(struct.pack("<d", f.spec.box_length))
-        flat = f.samples.reshape(-1)
-        buf = np.empty(2 * flat.size, dtype="<f8")
-        buf[0::2] = flat.real
-        buf[1::2] = flat.imag
-        fh.write(buf.tobytes())
-
-
-def read_raw(path: str) -> GridFunction:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ParameterError(f"bad magic {magic!r}")
-        version, dim, N = struct.unpack("<III", fh.read(12))
-        if version != FORMAT_VERSION:
-            raise ParameterError(f"unsupported format version {version}")
-        (L,) = struct.unpack("<d", fh.read(8))
-        spec = make_grid(dim, L, N)
-        buf = np.frombuffer(fh.read(), dtype="<f8")
-        if buf.size != 2 * spec.size:
-            raise ParameterError("truncated raw grid file")
-        arr = buf[0::2] + 1j * buf[1::2]
-        return GridFunction(spec, arr.reshape(spec.shape))

@@ -330,27 +330,6 @@ def mixed_core(inner_terms: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     return float(solve_luxemburg_rows((A[live] ** (1.0 / qs[live]))[None], qs[live], 1.0).values[0])
 
 
-def mixed_sequence_norm(fs: Sequence[GridFunction], p: ExponentField,
-                        q: Optional[ExponentField]) -> float:
-    """Norm of (f_v)_{v>=1} in the mixed Lebesgue-sequence space.
-
-    Level v uses the scalar q_v = q evaluated at the octave midpoint
-    3 * 2^{-v-1}; the inner space is L^{p(.)} on the grid.
-    """
-    if not fs:
-        return 0.0
-    _check_q(q)
-    terms = []
-    q_levels = []
-    for v, f in enumerate(fs, start=1):
-        if p.spec is None or p.spec != f.spec:
-            raise ParameterError("exponent field lives on a different grid")
-        h = f.spec.spacing ** f.spec.dimension
-        terms.append((np.abs(f.samples).reshape(-1), p.samples, np.full(f.spec.size, h)))
-        q_levels.append(float(q.value_at(ScaleLadder.octave_midpoint(v))))
-    return mixed_core(terms, q_levels)
-
-
 # -- norms on the t-axis ------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -164,12 +164,13 @@ def peetre_maximal_bruteforce(spec: GridSpec, g: np.ndarray, t: float,
 
 
 def analyze_eager(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
-                  K: int = 2, L: int = 0, gamma: float = 3.0) -> AtomicDecomposition:
-    """Atomic analysis that builds every atom as a full-grid array.
+                  K: int = 2, L: int = 0, gamma: float = 3.0
+                  ) -> Tuple[Dict[Key, float], Dict[Key, AtomDescriptor]]:
+    """Atomic analysis that builds every atom as a full-grid array, as the
+    {(v, m): lambda} and {(v, m): atom} dicts over every cube of levels 0..V.
 
-    One FFT pair per ladder node per nonzero cube; the atoms are stored, so
-    `synthesize` takes the atom-by-atom sum.  Coefficients below the
-    numerical floor are stored as exact zeros with zero atoms.
+    One FFT pair per ladder node per nonzero cube.  Coefficients below the
+    numerical floor are exact zeros with zero atoms.
     """
     ladder = frame.ladder
     if V is None:
@@ -235,9 +236,18 @@ def analyze_eager(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None
                    [profile.psi_hat(t * sr) for t in ts],
                    [profile.phi_hat(t * sr) for t in ts], C_phi)
 
-    frame_id = f"bump{profile.params.order}-V{ladder.octaves}-J{ladder.nodes_per_octave}"
-    return AtomicDecomposition.from_coefficients(spec, ladder, V, K, L, gamma, frame_id,
-                                                 C_phi, C_Phi, coeffs, atoms)
+    return coeffs, atoms
+
+
+def synthesize_atoms(spec: GridSpec, coefficients: Dict[Key, float],
+                     atoms: Dict[Key, AtomDescriptor]) -> GridFunction:
+    """sum lambda * atom over the nonzero coefficients, key after key in
+    sorted order: the atom-by-atom sum that `atoms.synthesize` collapses."""
+    out = np.zeros(spec.shape, dtype=np.complex128)
+    for key in sorted(coefficients):
+        if coefficients[key] != 0.0:
+            out += coefficients[key] * atoms[key].samples.samples
+    return GridFunction(spec, out, tag="synthesized")
 
 
 def level_lattices_unskipped(f: GridFunction, frame: CalderonFrame, V: int,

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -5,13 +6,12 @@ import pytest
 
 import vbesov as vb
 from vbesov import atoms
-from vbesov.atoms import (AtomDescriptor, AtomicDecomposition,
-                          export_coefficients, import_coefficients)
+from vbesov.atoms import AtomicDecomposition, export_coefficients
 from vbesov.errors import HypothesisViolationError, ParameterError
 from vbesov.grid import _multi_indices
 
 from oracles import (analyze_eager, level_lattices_unskipped, measured_kernel_constant_loop,
-                     sequence_norm_b_loop, synthesize_spatial)
+                     sequence_norm_b_loop, synthesize_atoms, synthesize_spatial)
 
 
 @pytest.fixture(scope="module")
@@ -153,25 +153,23 @@ def test_zero_coefficient_zero_atom(setup2k):
         assert np.max(np.abs(dec.atom(k).samples.samples)) == 0.0
 
 
-def test_synthesize_single_atom(setup2k):
+def test_synthesize_and_atom_need_an_analysed_decomposition(setup2k):
+    # a hand-built decomposition has coefficients but no frame and no
+    # spectrum of f: its coefficient norm is defined, its atoms and its sum
+    # are not, whether the coefficient is zero or not
     spec, ladder, frame = setup2k
-    a, _ = _bump_atom(spec, 3, 2, K=2)
-    desc = AtomDescriptor(3, (2,), a, 2, -1, 3.0)
     dec = AtomicDecomposition.from_coefficients(
-        spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0, {(3, (2,)): 1.0}, {(3, (2,)): desc})
-    rec = vb.synthesize(dec)
-    assert np.array_equal(rec.samples, a.samples)
-
-
-def test_synthesize_key_mismatch(setup2k):
-    spec, ladder, frame = setup2k
-    a, _ = _bump_atom(spec, 3, 2, K=2)
-    desc = AtomDescriptor(3, (2,), a, 2, -1, 3.0)
-    dec = AtomicDecomposition.from_coefficients(
-        spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0,
-        {(3, (2,)): 1.0, (3, (3,)): 0.5}, {(3, (2,)): desc})
-    with pytest.raises(ParameterError):
-        vb.synthesize(dec)
+        spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0, {(3, (2,)): 1.0, (3, (3,)): 0.0})
+    only = r"holds coefficients only, with no frame and no spectrum of f"
+    for d in (dec, dataclasses.replace(dec, frame=frame)):
+        with pytest.raises(ParameterError, match=only):
+            vb.synthesize(d)
+        for key in ((3, (2,)), (3, (3,)), (9, (0,))):
+            with pytest.raises(ParameterError, match=only):
+                d.atom(key)
+    p2 = vb.constant_field(spec, 2.0)
+    q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
+    assert vb.sequence_norm_b(dec, vb.constant_field(spec, 0.0, "alpha"), p2, q2) > 0.0
 
 
 def test_sequence_norm_trivials(setup2k):
@@ -181,11 +179,11 @@ def test_sequence_norm_trivials(setup2k):
     q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
     empty = AtomicDecomposition.from_coefficients(
         spec, ladder, 2, 2, 0, 3.0, "manual", 1.0, 1.0,
-        {(v, (m,)): 0.0 for v in range(3) for m in range(-2, 2)}, {})
+        {(v, (m,)): 0.0 for v in range(3) for m in range(-2, 2)})
     assert vb.sequence_norm_b(empty, a0, p2, q2) == 0.0
 
     one = AtomicDecomposition.from_coefficients(
-        spec, ladder, 1, 2, 0, 3.0, "manual", 1.0, 1.0, {(0, (0,)): 1.0}, {})
+        spec, ladder, 1, 2, 0, 3.0, "manual", 1.0, 1.0, {(0, (0,)): 1.0})
     val = vb.sequence_norm_b(one, a0, p2, q2, form="continuous")
     assert val == pytest.approx(1.0, rel=1e-9)  # |chi_{0,0}|_2 on the unit cube
 
@@ -200,7 +198,7 @@ def test_sequence_norm_rejects_unknown_form(setup2k, coefficients):
     a0 = vb.constant_field(spec, 0.0, "alpha")
     q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
     dec = AtomicDecomposition.from_coefficients(
-        spec, ladder, 3, 2, 0, 3.0, "manual", 1.0, 1.0, coefficients, {})
+        spec, ladder, 3, 2, 0, 3.0, "manual", 1.0, 1.0, coefficients)
     with pytest.raises(ParameterError, match="unknown sequence-norm form 'bogus'"):
         vb.sequence_norm_b(dec, a0, p2, q2, form="bogus")
 
@@ -214,7 +212,7 @@ def test_sequence_norm_forms_comparable(setup2k):
         for j, m in enumerate(range(-(n // 2), n // 2)):
             coeffs[(v, (m,))] = float(rng.random() * 2.0 ** (-v))
     dec = AtomicDecomposition.from_coefficients(
-        spec, ladder, 4, 2, 0, 3.0, "manual", 1.0, 1.0, coeffs, {})
+        spec, ladder, 4, 2, 0, 3.0, "manual", 1.0, 1.0, coeffs)
     p2 = vb.constant_field(spec, 2.0)
     a05 = vb.constant_field(spec, 0.5, "alpha")
     ql = vb.q_field_from_callable(
@@ -228,7 +226,7 @@ def test_sequence_norm_forms_comparable(setup2k):
 def test_sequence_norm_sign_switch(setup2k):
     spec, ladder, frame = setup2k
     dec = AtomicDecomposition.from_coefficients(
-        spec, ladder, 2, 2, 0, 3.0, "manual", 1.0, 1.0, {(1, (0,)): 1.0, (2, (1,)): 0.5}, {})
+        spec, ladder, 2, 2, 0, 3.0, "manual", 1.0, 1.0, {(1, (0,)): 1.0, (2, (1,)): 0.5})
     p2 = vb.constant_field(spec, 2.0)
     a0 = vb.constant_field(spec, 0.0, "alpha")
     q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
@@ -237,17 +235,19 @@ def test_sequence_norm_sign_switch(setup2k):
     assert plus > minus  # the +n/2 normalization weighs fine levels more
 
 
-def test_sequence_norm_rejects_levels_beyond_the_ladder(tmp_path, setup2k):
+def test_sequence_norm_rejects_levels_beyond_the_ladder(setup2k):
     spec, _, _ = setup2k
-    path = tmp_path / "coeffs.csv"
-    path.write_text("v,m0,lambda\n" + "".join(
-        f"{v},0,{100.0 if v >= 4 else 1.0}\n" for v in range(6)))
+    coefficients = {(v, (0,)): 100.0 if v >= 4 else 1.0 for v in range(6)}
+
+    def built(ladder):
+        return AtomicDecomposition.from_coefficients(
+            spec, ladder, 5, 2, 0, 3.0, "manual", 1.0, 1.0, coefficients)
+
     p2 = vb.constant_field(spec, 2.0)
     a05 = vb.constant_field(spec, 0.5, "alpha")
     short = vb.make_ladder(3, 12)
     q2 = vb.q_field_from_callable(short.t, lambda t: 2.0 + 0 * t, 2.0)
-    dec = import_coefficients(str(path), spec, short)
-    assert dec.V == 5
+    dec = built(short)
     with pytest.raises(ParameterError, match=r"V = 5 .* 3 octaves"):
         vb.sequence_norm_b(dec, a05, p2, q2, form="continuous")
     # the discrete form has no ladder and reads every level
@@ -257,7 +257,7 @@ def test_sequence_norm_rejects_levels_beyond_the_ladder(tmp_path, setup2k):
     # a ladder deep enough for V takes the deep levels into account
     deep = vb.make_ladder(5, 12)
     q5 = vb.q_field_from_callable(deep.t, lambda t: 2.0 + 0 * t, 2.0)
-    full = vb.sequence_norm_b(import_coefficients(str(path), spec, deep), a05, p2, q5)
+    full = vb.sequence_norm_b(built(deep), a05, p2, q5)
     assert full > vb.sequence_norm_b(shallow, a05, p2, q2)
 
 
@@ -299,27 +299,19 @@ def test_discrete_sequence_norm_is_one_row_solve(monkeypatch, setup2k):
 
 
 def test_export_import_roundtrip(tmp_path, setup2k):
+    # the coefficient CSV that `decompose` writes, read back with csv.reader,
+    # recovers every coefficient exactly
     spec, ladder, frame = setup2k
     f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
     dec = vb.analyze(f, frame, V=5)
     path = tmp_path / "coeffs.csv"
     export_coefficients(dec, str(path))
-    back = import_coefficients(str(path), spec, ladder)
-    assert back.coefficients == dec.coefficients
-
-
-def test_export_import_with_atoms(tmp_path, setup2k):
-    spec, ladder, frame = setup2k
-    f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
-    dec = vb.analyze(f, frame, V=4)
-    path = str(tmp_path / "coeffs.csv")
-    adir = str(tmp_path / "atoms")
-    export_coefficients(dec, path, atoms_dir=adir)
-    back = import_coefficients(path, spec, ladder, atoms_dir=adir)
-    assert back.coefficients == dec.coefficients
-    rec_a = vb.synthesize(dec)
-    rec_b = vb.synthesize(back)
-    assert np.max(np.abs(rec_a.samples - rec_b.samples)) < 1e-14
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["v", "m0", "lambda"]
+    back = {(int(r[0]), tuple(map(int, r[1:-1]))): float(r[-1]) for r in rows}
+    assert len(back) == len(rows)
+    assert back == dict(dec.coefficients)
 
 
 @pytest.mark.parametrize("dimension, L, N, V", [(1, 16.0, 256, 4), (2, 8.0, 32, 2)])
@@ -341,30 +333,12 @@ def test_export_bytes_equal_the_row_writer(tmp_path, dimension, L, N, V):
     assert got.count(b"\r\n") == len(dec.coefficients) + 1
 
 
-@pytest.mark.parametrize("rows, match", [
-    ("1,-20,1.0\n", r"line 2: cube \(-20,\) of level 1 lies outside the box"),
-    ("0,0,1.0\n1,-100,1.0\n", r"line 3: cube \(-100,\) of level 1 lies outside"),
-    ("1,3,1.0\n2,5,2.0\n1,3,4.0\n", r"line 4: duplicate cube"),
-    ("-1,0,1.0\n", r"line 2: need a level v >= 0"),
-    ("8,0,1.0\n", r"line 2: level 8 cubes .* do not align"),
-    ("1,1.0\n", r"line 2: need a level v >= 0 and 1 cube indices"),
-    ("1,x,1.0\n", r"line 2: cannot parse row"),
-])
-def test_import_rejects_rows_outside_the_lattice(tmp_path, rows, match):
-    # N = 1024, L = 16: level 1 holds m in [-16, 15], level 7 is the finest
-    spec = vb.make_grid(1, 16.0, 1024)
-    path = tmp_path / "coeffs.csv"
-    path.write_text("v,m0,lambda\n" + rows)
-    with pytest.raises(ParameterError, match=match):
-        import_coefficients(str(path), spec, vb.make_ladder(3, 12))
-
-
-def test_import_accepts_every_cube_of_the_lattice(tmp_path):
+def test_hand_built_decomposition_accepts_every_cube_of_the_lattice():
     # L = 1: level 0 is one cube (m = 0), level 1 holds m in [-1, 0]
     spec = vb.make_grid(1, 1.0, 16)
-    path = tmp_path / "coeffs.csv"
-    path.write_text("v,m0,lambda\n0,0,1.0\n1,-1,2.0\n1,0,3.0\n")
-    dec = import_coefficients(str(path), spec, vb.make_ladder(1, 12))
+    dec = AtomicDecomposition.from_coefficients(
+        spec, vb.make_ladder(1, 12), 1, 2, 0, 3.0, "manual", 1.0, 1.0,
+        {(0, (0,)): 1.0, (1, (-1,)): 2.0, (1, (0,)): 3.0})
     assert list(dec.levels[0]) == [1.0]
     assert list(dec.levels[1]) == [2.0, 3.0]
 
@@ -424,23 +398,23 @@ def _zero_key_sample(dec, count=12):
 
 def _check_against_oracle(f, frame, V):
     dec = vb.analyze(f, frame, V=V)
-    ref = analyze_eager(f, frame, V=V)
-    assert dec.coefficients == ref.coefficients
+    coefficients, ref_atoms = analyze_eager(f, frame, V=V)
+    assert dec.coefficients == coefficients
     assert dec.atoms == {}
     nonzero = [k for k, lam in dec.coefficients.items() if lam != 0.0]
     assert nonzero
     for key in nonzero + _zero_key_sample(dec):
-        got, want = dec.atom(key), ref.atoms[key]
+        got, want = dec.atom(key), ref_atoms[key]
         assert (got.v, got.m) == (want.v, want.m) == key
         assert np.array_equal(got.samples.samples, want.samples.samples), key
     scale = np.max(np.abs(f.samples))
-    rec, rec_ref = vb.synthesize(dec), vb.synthesize(ref)
+    rec, rec_ref = vb.synthesize(dec), synthesize_atoms(f.spec, coefficients, ref_atoms)
     assert np.max(np.abs(rec.samples - rec_ref.samples)) <= 1e-13 * scale
     # with every other nonzero coefficient zeroed, the dropped cubes must
     # leave the collapsed sum exactly as they leave the atom-by-atom sum
     thinned = _thinned(dec)
     rec = vb.synthesize(_rebuilt(dec, thinned))
-    rec_ref = vb.synthesize(_rebuilt(ref, thinned))
+    rec_ref = synthesize_atoms(f.spec, thinned, ref_atoms)
     assert np.max(np.abs(rec_ref.samples)) > 0.1 * scale
     assert np.max(np.abs(rec.samples - rec_ref.samples)) <= 1e-13 * scale
 
@@ -501,36 +475,6 @@ def test_atom_rejects_unknown_cube(setup2k):
     dec = vb.analyze(f, frame, V=2)
     with pytest.raises(KeyError):
         dec.atom((3, (0,)))
-
-
-def test_atom_returns_stored_descriptor(setup2k):
-    spec, ladder, frame = setup2k
-    a, _ = _bump_atom(spec, 3, 2, K=2)
-    desc = AtomDescriptor(3, (2,), a, 2, -1, 3.0)
-    dec = AtomicDecomposition.from_coefficients(
-        spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0,
-        {(3, (2,)): 1.0, (3, (3,)): 0.0}, {(3, (2,)): desc})
-    assert dec.atom((3, (2,))) is desc
-    assert np.max(np.abs(dec.atom((3, (3,))).samples.samples)) == 0.0
-    with pytest.raises(ParameterError):
-        AtomicDecomposition.from_coefficients(
-            spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0, {(3, (2,)): 1.0}, {}).atom((3, (2,)))
-
-
-def test_export_atoms_match_oracle(tmp_path):
-    from vbesov.grid import read_raw
-    spec = vb.make_grid(1, 16.0, 256)
-    frame = vb.build_resolution_of_unity(spec, vb.make_ladder(4, 12))
-    f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
-    dec = vb.analyze(f, frame, V=4)
-    ref = analyze_eager(f, frame, V=4)
-    adir = tmp_path / "atoms"
-    export_coefficients(dec, str(tmp_path / "coeffs.csv"), atoms_dir=str(adir))
-    nonzero = [k for k, lam in dec.coefficients.items() if lam != 0.0]
-    assert len(list(adir.iterdir())) == len(nonzero)
-    for v, m in nonzero:
-        got = read_raw(str(adir / ("atom_v%d_m%s.vbgf" % (v, "_".join(map(str, m))))))
-        assert np.array_equal(got.samples, ref.atoms[(v, m)].samples.samples)
 
 
 # -- zero levels, translation, real and complex input --------------------------
@@ -615,16 +559,6 @@ def test_real_input_gives_a_real_reconstruction_and_complex_input_is_linear(setu
     assert np.abs(rec.samples.imag).max() > 0.1
     want = rec_f.samples + 1j * rec_g.samples
     assert np.max(np.abs(rec.samples - want)) <= 1e-13 * np.max(np.abs(both.samples))
-
-
-def test_imported_decomposition_stays_complex(setup2k):
-    spec, ladder, frame = setup2k
-    a, _ = _bump_atom(spec, 3, 2, K=2)
-    atom = vb.GridFunction(spec, a.samples * (1 + 2j))
-    dec = AtomicDecomposition.from_coefficients(
-        spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0, {(3, (2,)): 1.0},
-        {(3, (2,)): AtomDescriptor(3, (2,), atom, 2, -1, 3.0)})
-    assert np.array_equal(vb.synthesize(dec).samples, atom.samples)
 
 
 @pytest.mark.parametrize("dimension, L, N", [(1, 16.0, 256), (1, 16.0, 2048), (2, 8.0, 32)])

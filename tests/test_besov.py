@@ -270,19 +270,6 @@ def test_peetre_warning_points_at_the_caller():
     assert record[0].filename == __file__
 
 
-def test_profile_csv(tmp_path, setup2k):
-    spec, ladder, frame, F = setup2k
-    from vbesov.besov import write_profile_csv
-    f = vb.from_callable(spec, lambda x: np.exp(-x ** 2))
-    prof = vb.lp_profile(f, frame, F["a0"], F["p2"])
-    path = str(tmp_path / "profile.csv")
-    write_profile_csv(prof, path)
-    rows = open(path).read().strip().splitlines()
-    assert rows[0] == "t,value"
-    assert rows[1].startswith("level0,")
-    assert len(rows) == 2 + ladder.t.size
-
-
 def test_peetre_norm_2d_smoke():
     spec = vb.make_grid(2, 16.0, 32)
     ladder = vb.make_ladder(4, 12)

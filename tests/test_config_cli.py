@@ -10,6 +10,7 @@ from vbesov.cli import main
 from vbesov.config import ConfigError, emit_config, parse_config
 from vbesov.errors import ParameterError
 from vbesov.exprgrammar import ExprError, evaluate_text, parse_expression
+from vbesov.reporting import strip_timestamp
 
 FAST_CONFIG = """
 # scaled-down run for fast tests
@@ -152,6 +153,40 @@ def test_cli_exit_codes(tmp_path):
                                                     "alpha = 2.5\nkernel_S = 1"))
     assert main(["norm", "--config", viol, "--out", str(tmp_path / "o"),
                  "--form", "local_mean_double_prime"]) == 3
+
+
+def test_cli_requests_in_one_process_equal_requests_made_alone(tmp_path, monkeypatch, capsys):
+    # one parser serves every request of a process; options given to one
+    # request (a form, a seed) must not carry over to the next
+    cfg = _write_cfg(tmp_path, FAST_CONFIG)
+    requests = [["norm", "--form", "q0", "--seed", "3"], ["norm"], ["norm", "--seed", "3"],
+                ["norm", "--form", "q0"], ["norm", "--form", "direct", "--seed", "7"]]
+
+    def run(where, fresh_parser):
+        monkeypatch.chdir(tmp_path / where)
+        if not fresh_parser:
+            cli.build_parser.cache_clear()
+        outputs = []
+        for i, argv in enumerate(requests):
+            if fresh_parser:
+                cli.build_parser.cache_clear()
+            assert main(argv + ["--config", cfg, "--out", f"out{i}"]) == 0
+            files = {name: strip_timestamp(os.path.join(f"out{i}", name))
+                     for name in sorted(os.listdir(f"out{i}"))}
+            outputs.append((capsys.readouterr().out, files))
+        return outputs
+
+    (tmp_path / "together").mkdir()
+    (tmp_path / "alone").mkdir()
+    together = run("together", fresh_parser=False)
+    assert cli.build_parser.cache_info().misses == 1
+    alone = run("alone", fresh_parser=True)
+    assert together == alone
+    seeds = [json.loads(next(iter(files.values())))["seed"] for _, files in together]
+    assert seeds == [3, 7, 3, 7, 7]
+    assert [list(files) for _, files in together] == [
+        ["norm_gauss_w1_q0.json"], ["norm_gauss_w1_direct.json"],
+        ["norm_gauss_w1_direct.json"], ["norm_gauss_w1_q0.json"], ["norm_gauss_w1_direct.json"]]
 
 
 def test_cli_decompose_synthesize(tmp_path):

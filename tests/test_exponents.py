@@ -143,28 +143,6 @@ def test_reciprocal_constants_positive(spec1k):
     assert (cl, cd) == _constants(inv)[:2]  # the field constants of 1/p
 
 
-def test_field_csv_roundtrip(tmp_path, spec1k):
-    p = vb.field_from_callable(
-        spec1k, lambda x: 3 + np.sin(2 * np.pi * x / 16), "p", 3.0)
-    from vbesov.exponents import read_field_csv, write_field_csv
-    csv_path, side = str(tmp_path / "p.csv"), str(tmp_path / "p.json")
-    write_field_csv(p, csv_path, sidecar=side)
-    back = read_field_csv(csv_path, "p", 3.0, spec=spec1k)
-    assert np.max(np.abs(back.samples - p.samples)) < 1e-15
-    import json
-    doc = json.load(open(side))
-    assert doc["min"] == p.cached_min and doc["clog_local"] == _constants(p)[0]
-
-
-def test_q_field_csv_roundtrip(tmp_path, ladder):
-    q = vb.q_field_from_callable(ladder.t, lambda t: 2 + t, 2.0)
-    from vbesov.exponents import read_field_csv, write_field_csv
-    path = str(tmp_path / "q.csv")
-    write_field_csv(q, path)
-    back = read_field_csv(path, "q_of_t", 2.0)
-    assert np.max(np.abs(back.samples - q.samples)) < 1e-15
-
-
 # the "variable" exponents of the benchmark workloads, on a small grid
 VARIABLE_EXPONENTS = """
 p = 3 + sin(2 * pi * x / 16)

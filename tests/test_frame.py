@@ -149,19 +149,6 @@ def test_eta_kernel_guards(spec4k):
         vb.eta_kernel(spec4k, -1.0, 4.0)
 
 
-def test_frame_export(tmp_path, frame4k):
-    import json
-    from vbesov.frame import export_frame
-    from vbesov.grid import read_raw
-    jpath, rpath = str(tmp_path / "frame.json"), str(tmp_path / "frame.vbgf")
-    export_frame(frame4k, jpath, rpath)
-    doc = json.load(open(jpath))
-    assert doc["profile_order"] == 6
-    assert doc["residual"] <= 1e-6
-    back = read_raw(rpath)
-    assert np.max(np.abs(back.samples.real - frame4k.level0)) < 1e-15
-
-
 def test_local_mean_pair_2d_below_the_resolution_floor_names_the_grid(ladder):
     # 2-D with S >= 1 needs N >= 64: the spectrum cut at Nyquist and the
     # periodic wrap of k cannot both be made small at N = 32

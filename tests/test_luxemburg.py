@@ -13,7 +13,8 @@ from vbesov.config import RunConfig
 from vbesov import luxemburg
 from vbesov.errors import ConstructionError, ParameterError, UnsupportedFeatureError
 from vbesov.grid import from_spectrum, spectrum
-from vbesov.luxemburg import RTOL, octave_block_norm, solve_luxemburg, solve_luxemburg_rows
+from vbesov.luxemburg import (RTOL, mixed_core, octave_block_norm, solve_luxemburg,
+                              solve_luxemburg_rows)
 
 # frozen from a 1e6-node trapezoid quadrature of int_0^1 x^(1+x) dx
 INT_X_POW_1PX = 0.40303444442160025
@@ -139,38 +140,42 @@ def test_zero_function(unit_box):
     assert r.value == 0.0 and r.iterations == 0
 
 
-def test_mixed_one_term_collapse(unit_box, ladder):
+def _level_term(f, p):
+    """f as one `mixed_core` level in L^{p(.)} on its grid: (values,
+    exponent, weights)."""
+    h = f.spec.spacing ** f.spec.dimension
+    return np.abs(f.samples).reshape(-1), p.samples, np.full(f.spec.size, h)
+
+
+def test_mixed_one_term_collapse(unit_box):
     f = vb.from_callable(unit_box, lambda x: np.exp(-9 * x ** 2))
     p = vb.constant_field(unit_box, 2.0)
-    q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
-    mixed = vb.mixed_sequence_norm([f], p, q)
+    mixed = mixed_core([_level_term(f, p)], [2.0])
     assert mixed == pytest.approx(vb.luxemburg_norm(f, p).value, rel=1e-8)
 
 
-def test_mixed_classical_oracle(unit_box, ladder):
+def test_mixed_classical_oracle(unit_box):
     fs = [vb.from_callable(unit_box, lambda x, k=k: np.cos(k * x) * np.exp(-x ** 2))
           for k in (1, 3, 9, 27)]
     p0, q0 = 2.0, 3.0
     p = vb.constant_field(unit_box, p0)
-    q = vb.q_field_from_callable(ladder.t, lambda t: q0 + 0 * t, q0)
-    mixed = vb.mixed_sequence_norm(fs, p, q)
+    mixed = mixed_core([_level_term(f, p) for f in fs], [q0] * len(fs))
     oracle = sum(vb.luxemburg_norm(f, p).value ** q0 for f in fs) ** (1 / q0)
     assert mixed == pytest.approx(oracle, rel=1e-8)
 
 
 def test_mixed_zero_and_empty(unit_box, ladder):
-    q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
+    # all-zero levels, and an all-zero profile over the t-axis
     p = vb.constant_field(unit_box, 2.0)
     zero = vb.from_callable(unit_box, lambda x: np.zeros_like(x))
-    assert vb.mixed_sequence_norm([], p, q) == 0.0
-    assert vb.mixed_sequence_norm([zero, zero], p, q) == 0.0
+    assert mixed_core([_level_term(zero, p)] * 2, [2.0, 3.0]) == 0.0
+    q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
+    assert octave_block_norm(np.zeros(ladder.t.size), ladder, q) == 0.0
 
 
-def test_mixed_q_infinity_unsupported(unit_box):
-    p = vb.constant_field(unit_box, 2.0)
-    f = vb.from_callable(unit_box, lambda x: np.ones_like(x))
+def test_mixed_q_infinity_unsupported(ladder):
     with pytest.raises(UnsupportedFeatureError):
-        vb.mixed_sequence_norm([f], p, None)
+        octave_block_norm(np.ones(ladder.t.size), ladder, None)
 
 
 def test_t_norm_constant_closed_form():
