@@ -24,7 +24,9 @@ The request set:
 - the text of `vbesov norm --help`;
 - `sequence_norms.json`, the coefficient norm `sequence_norm_b`, which no
   command prints, for SYNTHESIZE_MEMBERS at N = 2048 and 7 octaves, both
-  exponent sets, both forms and both signs of the n/2 term.
+  exponent sets, both forms and both signs of the n/2 term;
+- `errors.txt`, the exit code and the last stderr line of `vbesov norm` on
+  each input of ERROR_CASES, which it must reject.
 """
 
 import argparse
@@ -34,6 +36,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from typing import Dict, List, Optional
 
 from vbesov import cli
@@ -55,6 +58,18 @@ DECOMPOSE_MEMBERS = ("gauss_w05", "modgauss_f16", "smoothstep_w1", "weier_s03",
 # smoothstep_w1's level 7 is only partly nonzero: it covers the masked synthesis
 SYNTHESIZE_MEMBERS = ("gauss_w1", "tone_k40", "bandnoise_a", "smoothstep_w1")
 SEED = 7
+# (name, config text, further arguments) of inputs that `norm` must reject
+ERROR_CASES = (
+    ("q-at-0-differs-from-q0", "q = 3\n", []),
+    ("2d-with-a-bank-member", "dimension = 2\npoints = 64\nbox_length = 8\n", []),
+    ("negative-seed-in-config", "seed = -1\n", []),
+    ("negative-seed-option", "", ["--seed", "-1"]),
+    ("p-below-1", "p = 1 / 2\n", []),
+    ("alpha-at-least-S-plus-1", "alpha = 5 / 2\nkernel_S = 1\n",
+     ["--form", "local_mean_double_prime"]),
+    ("unknown-member", "member = nosuch\n", []),
+    ("bad-expression", "q = 2 + $\n", []),
+)
 
 
 def _config(name: str, exponents: str, out: str, **grid) -> str:
@@ -71,6 +86,26 @@ def _run(argv) -> None:
         code = cli.main(argv + ["--seed", str(SEED)])
     if code != cli.EXIT_OK:
         raise SystemExit(f"vbesov {' '.join(argv)} exited with {code}")
+
+
+def _errors() -> str:
+    """One line per ERROR_CASES entry: its name, the exit code and the last
+    stderr line (argparse writes its usage before it; every other error is
+    one line)."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text, extra in ERROR_CASES:
+            path = os.path.join(tmp, f"{name}.cfg")
+            with open(path, "w") as fh:
+                fh.write(text + f"out = {os.path.join(tmp, 'out')}\n")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(["norm", "--config", path] + extra)
+                except SystemExit as exc:
+                    code = exc.code
+            lines.append(f"{name}\t{code}\t{err.getvalue().splitlines()[-1]}\n")
+    return "".join(lines)
 
 
 def _sequence_norms() -> dict:
@@ -208,6 +243,8 @@ def main() -> int:
     with open("sequence_norms.json", "w") as fh:
         json.dump(_sequence_norms(), fh, indent=1)
         fh.write("\n")
+    with open("errors.txt", "w") as fh:
+        fh.write(_errors())
     print(f"wrote the outputs to {os.getcwd()}")
     if against is not None and not compare(".", against):
         return 1

@@ -15,8 +15,6 @@ nonzero the mask is the whole band, whose spectrum is A F, and the level
 adds sum_j w_j S_j A_j F with no transform: the discretized continuous
 Calderon formula, synthesis times analysis multiplier.  The products of
 every node and level share one inverse FFT; atoms are built only on request.
-A decomposition built from coefficients alone has no frame and no spectrum
-of f: its coefficient norm is defined, its atoms and its sum are not.
 
 By Parseval no lambda of level v exceeds
     C (sum_j w_j sum_k A_j(k)^2 |F_k|^2 / L^n)^{1/2},
@@ -147,24 +145,6 @@ def _expand(spec: GridSpec, lattice: np.ndarray) -> np.ndarray:
     return lattice
 
 
-def _check_cubes(spec: GridSpec, v: int, ms) -> None:
-    """Raise ParameterError unless every m in `ms` names a cube of level v:
-    v >= 0, level v aligns with the grid and each m_i is in [-nc/2, nc/2)."""
-    n = spec.dimension
-    try:
-        idx = np.array(ms, dtype=np.int64)
-    except (ValueError, OverflowError):  # unequal lengths, or beyond int64
-        idx = np.empty(0)
-    if v < 0 or idx.shape != (len(ms), n):
-        raise ParameterError(f"need a level v >= 0 and {n} cube indices, got level {v}")
-    nc = cubes_per_axis(spec, v)
-    idx += nc // 2
-    outside = np.flatnonzero(((idx < 0) | (idx >= nc)).any(axis=1))
-    if outside.size:
-        raise ParameterError(f"cube {ms[outside[0]]} of level {v} lies outside the box, "
-                             f"indices run over [{-(nc // 2)}, {nc - nc // 2})")
-
-
 def _level(frame: CalderonFrame, v: int):
     """(weights, S, A) of level v: the quadrature weights, and the synthesis
     and analysis multipliers at the grid frequencies, one row per node in
@@ -225,31 +205,29 @@ def _masked_synthesis(spec: GridSpec, bands: np.ndarray, synth: np.ndarray,
 
 @dataclass(frozen=True)
 class AtomicDecomposition:
-    """Coefficients over the dyadic cubes of levels 0..V, and their atoms.
+    """Coefficients over the dyadic cubes of levels 0..V, and their atoms:
+    the output of `analyze`, one analysis of f with one frame.
 
     `levels[v]` is the read-only lattice of lambda_{v,.}, shape (nc_v,)^n,
-    cube m at position m + nc_v/2; `from_coefficients` builds one from a
-    {(v, m): lambda} dict, and `coefficients` is that dict view over every
-    cube.  `analyze` also keeps the frame and f's spectrum, from which
-    `atom(key)` builds one cube's atom and `synthesize` the sum of all of
-    them; a decomposition without them has only its coefficients, and both
-    raise ParameterError on it.  `real_input` is set by `analyze` when f's
-    samples are real, and makes `synthesize` return a real reconstruction.
+    cube m at position m + nc_v/2, and `coefficients` is the {(v, m): lambda}
+    view over every cube.  The frame and f's spectrum give `atom(key)`, one
+    cube's atom, and `synthesize`, the sum of all of them; `spec` and
+    `ladder` are the frame's.  `real_input` records that f's samples are
+    real, and makes `synthesize` return a real reconstruction.  Other
+    coefficients over the same analysis are `dataclasses.replace(dec,
+    levels=...)`.
     """
 
-    spec: GridSpec
-    ladder: ScaleLadder
     V: int
     K: int
     L: int
     gamma: float
-    frame_id: str
     C_phi: float
     C_Phi: float
     levels: Tuple[np.ndarray, ...]
-    frame: Optional[CalderonFrame] = field(default=None, repr=False, compare=False)
-    f_spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    real_input: bool = field(default=False, repr=False, compare=False)
+    frame: CalderonFrame = field(repr=False, compare=False)
+    f_spectrum: np.ndarray = field(repr=False, compare=False)
+    real_input: bool = field(repr=False, compare=False)
 
     # perfbench/tracer.py counts the atoms a decomposition stores; none is
     # stored, so this stays an empty read-only mapping
@@ -272,27 +250,13 @@ class AtomicDecomposition:
             levels.append(lat)
         object.__setattr__(self, "levels", tuple(levels))
 
-    @classmethod
-    def from_coefficients(cls, spec: GridSpec, ladder: ScaleLadder, V: int, K: int, L: int,
-                          gamma: float, frame_id: str, C_phi: float, C_Phi: float,
-                          coefficients: Mapping[Key, float],
-                          frame: Optional[CalderonFrame] = None,
-                          f_spectrum: Optional[np.ndarray] = None) -> "AtomicDecomposition":
-        """A decomposition from a {(v, m): lambda} dict over levels 0..V and
-        any deeper level it names; a cube the dict leaves out holds 0.  A key
-        that names no cube of the box raises ParameterError."""
-        by_level: Dict[int, list] = {}
-        for (v, m), lam in coefficients.items():
-            by_level.setdefault(v, []).append((m, lam))
-        for v, items in by_level.items():
-            _check_cubes(spec, v, [m for m, _ in items])
-        levels = [np.zeros((cubes_per_axis(spec, v),) * spec.dimension)
-                  for v in range(max([V, *by_level]) + 1)]
-        for v, items in by_level.items():
-            ms, lams = zip(*items)
-            levels[v][tuple(np.transpose(ms) + levels[v].shape[0] // 2)] = lams
-        return cls(spec, ladder, V, K, L, gamma, frame_id, C_phi, C_Phi, tuple(levels),
-                   frame, f_spectrum)
+    @property
+    def spec(self) -> GridSpec:
+        return self.frame.spec
+
+    @property
+    def ladder(self) -> ScaleLadder:
+        return self.frame.ladder
 
     @functools.cached_property
     def coefficients(self) -> Mapping[Key, float]:
@@ -308,17 +272,11 @@ class AtomicDecomposition:
         """sum_m lambda_{v,m} chi_{v,m} sampled on the grid."""
         return _expand(self.spec, self.levels[v])
 
-    def _check_analysed(self) -> None:
-        if self.frame is None or self.f_spectrum is None:
-            raise ParameterError("this decomposition holds coefficients only, with no frame "
-                                 "and no spectrum of f; its atoms and its sum need `analyze`")
-
     def atom(self, key: Key) -> AtomDescriptor:
         """The atom of cube `key`: the zero atom for a zero coefficient,
         otherwise the level's bands masked to the cube and synthesized, the
         nodes' inverse FFTs added node after node as the per-cube
         construction does."""
-        self._check_analysed()
         spec, (v, m) = self.spec, key
         pos = self._position(key)
         lam = float(self.levels[v][pos])
@@ -405,6 +363,8 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
     if V > ladder.octaves:
         raise ParameterError(f"V = {V} exceeds the ladder's {ladder.octaves} octaves")
     spec = f.spec
+    if spec != frame.spec:
+        raise ParameterError(f"f lives on {spec} but the frame on {frame.spec}")
     finest = finest_aligned_level(spec)
     if V > finest:
         raise ParameterError(
@@ -430,10 +390,7 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
         lam.flags.writeable = False
         levels.append(lam)
 
-    profile = frame.profile
-    frame_id = f"bump{profile.params.order}-V{ladder.octaves}-J{ladder.nodes_per_octave}"
-    return AtomicDecomposition(spec, ladder, V, K, L, gamma, frame_id,
-                               C_phi, C_Phi, tuple(levels), frame=frame, f_spectrum=F,
+    return AtomicDecomposition(V, K, L, gamma, C_phi, C_Phi, tuple(levels), frame, F,
                                real_input=not f.samples.imag.any())
 
 
@@ -448,10 +405,8 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
     its bands, masks them to those cubes and transforms them back; a level
     with none adds nothing.  The level sums are added as spectra and share
     one inverse FFT.  The multipliers are real and radial, so a real f has
-    a real reconstruction: for `real_input` the real part is returned.  A
-    decomposition without the frame and f's spectrum raises ParameterError.
+    a real reconstruction: for `real_input` the real part is returned.
     """
-    dec._check_analysed()
     spec = dec.spec
     out = np.zeros(spec.shape, dtype=np.complex128)
     F = dec.f_spectrum

@@ -86,7 +86,7 @@ MEMBER_NAMES = sorted([*_SMOOTH, *_NOISE])
 
 def _check_spec(spec: GridSpec) -> None:
     if spec.dimension != 1:
-        raise NotImplementedError("the bank is 1-D; build 2-D inputs directly")
+        raise ParameterError("the bank is 1-D; a 2-D run needs a CSV member (member = f.csv)")
 
 
 def _smooth_member(spec: GridSpec, name: str) -> GridFunction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -360,8 +360,15 @@ def _interval_axis(upper: float, n_nodes: int = 512):
     return t, w
 
 
-def _origin_constant_of_reciprocal(t: np.ndarray, p: np.ndarray, p0: float) -> float:
-    return float(np.max(np.abs(1.0 / p - 1.0 / p0) * np.log(np.e + 1.0 / t)))
+def _worst_ratio(gamma: float, A: float, px: np.ndarray, pmin: float, wQ: float,
+                 phi_mean: float, T2: np.ndarray) -> Tuple[float, float]:
+    """max over x of (gamma A)^{p(x)} / (max(1, |Q|^{1 - p(x)/pmin}) phi_mean
+    + T2), and the share of the tail term T2 in that denominator."""
+    lhs = (gamma * A) ** px
+    T1 = np.maximum(1.0, wQ ** (1.0 - px / pmin)) * phi_mean
+    ratio = lhs / (T1 + T2 + 1e-300)
+    k = int(np.argmax(ratio))
+    return float(ratio[k]), float(T2[k] / (T1[k] + T2[k] + 1e-300))
 
 
 def check_key_modular(bank: FunctionBank, m: float = 2.0,
@@ -410,17 +417,12 @@ def check_key_modular(bank: FunctionBank, m: float = 2.0,
                                                * wv[sl]) * h / wQ)
                         pQmin = float(pv[sl].min())
                         xi = np.linspace(0, spc - 1, min(spc, x_per_cube)).astype(int) + j * spc
-                        px = pv[xi]
-                        lhs = (gamma * A) ** px
-                        T1 = np.maximum(1.0, wQ ** (1.0 - px / pQmin)) * meanP
                         T2 = min(sideQ ** m, 1.0) * ((np.e + np.abs(xg[xi])) ** (-m) + mean_ey)
-                        ratio = lhs / (T1 + T2)
-                        i = int(np.argmax(ratio))
-                        if ratio[i] > worst:
-                            worst = float(ratio[i])
-                            worst_share = float(T2[i] / (T1[i] + T2[i]))
+                        ratio, share = _worst_ratio(gamma, A, pv[xi], pQmin, wQ, meanP, T2)
+                        if ratio > worst:
+                            worst, worst_share = ratio, share
                         if mem_i < len(members) // 2:
-                            worst_half = max(worst_half, float(ratio[i]))
+                            worst_half = max(worst_half, ratio)
             key = f"grid_{pname}_{wname}"
             constants[key] = worst
             tail_share[key] = worst_share
@@ -429,7 +431,7 @@ def check_key_modular(bank: FunctionBank, m: float = 2.0,
     # interval variants on a (0, b] axis
     rng = np.random.default_rng(seed)
 
-    def run_interval(t, wleb, pvals, p0, gamma, phi_of, g_term):
+    def run_interval(t, wleb, pvals, gamma, phi_expo, g_term):
         worst, worst_share = 0.0, 0.0
         profiles = [t ** 0.2, 1.5 + np.sin(np.log(t)),
                     np.exp(0.4 * np.sin(3 * np.log(np.e + 1 / t)))]
@@ -441,73 +443,42 @@ def check_key_modular(bank: FunctionBank, m: float = 2.0,
                 if j - i < 4:
                     continue
                 sl = slice(i, j + 1)
-                b = float(t[j])
                 wQ = float(np.sum(wleb[sl]))
                 A = float(np.sum(fa[sl] * wleb[sl]) / wQ)
-                phi_mean = float(np.sum(phi_of(fa[sl], sl) * wleb[sl]) / wQ)
-                pmin = float(pvals.min())
+                expo = phi_expo[sl] if np.ndim(phi_expo) else phi_expo
+                phi_mean = float(np.sum(fa[sl] ** expo * wleb[sl]) / wQ)
                 xsel = np.linspace(i, j, min(j - i + 1, 16)).astype(int)
                 px = pvals[xsel]
-                lhs = (gamma * A) ** px
-                T1 = np.maximum(1.0, wQ ** (1.0 - px / pmin)) * phi_mean
-                T2 = g_term(t[xsel], px, sl, b, wQ)
-                ratio = lhs / (T1 + T2 + 1e-300)
-                k = int(np.argmax(ratio))
-                if ratio[k] > worst:
-                    worst = float(ratio[k])
-                    worst_share = float(T2[k] / (T1[k] + T2[k] + 1e-300))
+                ratio, share = _worst_ratio(gamma, A, px, float(pvals.min()), wQ, phi_mean,
+                                            g_term(t[xsel], px, sl, float(t[j]), wQ))
+                if ratio > worst:
+                    worst, worst_share = ratio, share
         return worst, worst_share
 
+    # (key, axis, weights, p, gamma, exponent of phi, tail term), in rng order
     t, wleb = _interval_axis(1.0)
-    for pname, pvals, p0 in (
-        ("pup", 2.0 + 1.0 / np.log(np.e + 1.0 / t), 2.0),
-        ("pdown", 2.5 - 0.4 / np.log(np.e + 1.0 / t), 2.5),
-    ):
-        c_inv = _origin_constant_of_reciprocal(t, pvals, p0)
-        gamma = math.exp(-4.0 * m * c_inv)
-
-        def phi_p(fa_sl, sl):
-            return fa_sl ** pvals[sl]
-
-        def g_p(tx, px, sl, b, wQ):
-            mean_gy = float(np.sum(((np.e + 1.0 / t[sl]) ** (-m)) * wleb[sl]) / wQ)
-            return min(b ** m, 1.0) * ((np.e + 1.0 / tx) ** (-m) + mean_gy)
-
-        c, share = run_interval(t, wleb, pvals, p0, gamma, phi_p, g_p)
-        constants[f"interval_p_{pname}"] = c
-        tail_share[f"interval_p_{pname}"] = share
-
-        def phi_p0(fa_sl, sl):
-            return fa_sl ** p0
-
-        def g_p0(tx, px, sl, b, wQ):
-            chi = (px < p0).astype(float)
-            return min(b ** m, 1.0) * (np.e + 1.0 / tx) ** (-m) * chi
-
-        c, share = run_interval(t, wleb, pvals, p0, gamma, phi_p0, g_p0)
-        constants[f"interval_p0_{pname}"] = c
-        tail_share[f"interval_p0_{pname}"] = share
-
-    # decay-at-infinity variant on (0, 16]
     tb, wlebb = _interval_axis(16.0)
-    for pname, pvals, pinf in (
-        ("below", 2.0 - 0.8 / np.log(np.e + tb), 2.0),
-        ("above", 2.0 + 0.8 / np.log(np.e + tb), 2.0),
-    ):
+    variants = []
+    for pname, pvals, p0 in (("pup", 2.0 + 1.0 / np.log(np.e + 1.0 / t), 2.0),
+                             ("pdown", 2.5 - 0.4 / np.log(np.e + 1.0 / t), 2.5)):
+        c_inv = float(np.max(np.abs(1.0 / pvals - 1.0 / p0) * np.log(np.e + 1.0 / t)))
+        gamma = math.exp(-4.0 * m * c_inv)
+        variants += [
+            (f"interval_p_{pname}", t, wleb, pvals, gamma, pvals,
+             lambda tx, px, sl, b, wQ: min(b ** m, 1.0) * (
+                 (np.e + 1.0 / tx) ** (-m)
+                 + float(np.sum(((np.e + 1.0 / t[sl]) ** (-m)) * wleb[sl]) / wQ))),
+            (f"interval_p0_{pname}", t, wleb, pvals, gamma, p0, lambda tx, px, sl, b, wQ, p0=p0:
+             min(b ** m, 1.0) * (np.e + 1.0 / tx) ** (-m) * (px < p0).astype(float))]
+    # decay at infinity on (0, 16]
+    for pname, pvals, pinf in (("below", 2.0 - 0.8 / np.log(np.e + tb), 2.0),
+                               ("above", 2.0 + 0.8 / np.log(np.e + tb), 2.0)):
         c_dec = float(np.max(np.abs(1.0 / pvals - 1.0 / pinf) * np.log(np.e + tb)))
-        gamma = math.exp(-m * c_dec)
-
-        def phi_pi(fa_sl, sl):
-            return fa_sl ** pinf
-
-        def g_pi(tx, px, sl, b, wQ):
-            chi = (px < pinf).astype(float)
-            return (np.e + tx) ** (-m) * chi
-
-        c, share = run_interval(tb, wlebb, pvals, pinf, gamma,
-                                phi_pi, g_pi)
-        constants[f"interval_pinf_{pname}"] = c
-        tail_share[f"interval_pinf_{pname}"] = share
+        variants.append((f"interval_pinf_{pname}", tb, wlebb, pvals, math.exp(-m * c_dec), pinf,
+                         lambda tx, px, sl, b, wQ, pinf=pinf:
+                         (np.e + tx) ** (-m) * (px < pinf).astype(float)))
+    for key, *variant in variants:
+        constants[key], tail_share[key] = run_interval(*variant)
 
     jensen_ok = constants["grid_p_const2_w1"] <= 1.0 + 1e-6
     # self-consistency: the max over a member subset never exceeds the max

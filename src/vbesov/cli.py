@@ -188,10 +188,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "the numerical verification suite.")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def seed(text: str) -> int:   # argparse names it in "invalid seed value"
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+        return value
+
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key-value config file")
-        p.add_argument("--seed", type=int, help="override config seed")
+        p.add_argument("--seed", type=seed, help="override config seed")
         p.add_argument("--out", help="output directory")
         p.set_defaults(func=func)
         return p

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
-from .errors import ParameterError
+from .errors import AdmissibilityError, ParameterError
 from .exprgrammar import ExprError, evaluate_text, parse_expression
 from .exponents import ExponentField, make_exponent_field
 from .grid import GridSpec, make_grid
@@ -67,6 +67,13 @@ class RunConfig:
                                    "alpha", None, spec=spec)
 
     def q_field(self, ladder: ScaleLadder) -> ExponentField:
+        # q0 is the limit of q at t = 0; where the expression has a finite
+        # value there, the two must agree (a non-finite one is not decided)
+        with np.errstate(all="ignore"):
+            at0 = float(evaluate_text(self.q, "t", np.zeros(1))[0])
+        if np.isfinite(at0) and abs(at0 - self.q0) > 1e-12 * abs(self.q0):
+            raise AdmissibilityError(f"q = {self.q} is {at0!r} at t = 0 but q0 = {self.q0!r}; "
+                                     f"they must agree")
         vals = evaluate_text(self.q, "t", ladder.t)
         return make_exponent_field(vals, "q_of_t", self.q0, t_coords=ladder.t)
 
@@ -107,6 +114,8 @@ def parse_config(text: str) -> RunConfig:
                 setattr(cfg, key_s, float(value_s))
         except ValueError:
             raise ConfigError(f"cannot parse value {value_s!r} for {key_s}", lineno, col)
+        if key_s == "seed" and cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}", *where[key_s])
     # expressions must at least parse now, not at first use
     for key in ("p", "alpha", "q"):
         try:

@@ -111,8 +111,7 @@ def _logs(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x), float, len(x))
 
 
-def solve_luxemburg_rows(vals, expo, weights, rtol: float = RTOL,
-                         max_iter: int = MAX_ITER, report: bool = False) -> RowNorms:
+def solve_luxemburg_rows(vals, expo, weights, report: bool = False) -> RowNorms:
     """inf{lam > 0 : sum w * (v/lam)^e <= 1} for every row v of a block.
 
     vals holds one row per norm along its first axis; expo and weights
@@ -176,7 +175,7 @@ def solve_luxemburg_rows(vals, expo, weights, rtol: float = RTOL,
                 f"Luxemburg bracket: the modular stays above 1 at the upper end of "
                 f"row(s) {sel.tolist()} after {_GUARD_STEPS} ulp steps")
         hi[sel] += np.spacing(hi[sel]) * 4.0 ** guard
-    shut = hi[rows] - lo[rows] <= rtol * hi[rows]
+    shut = hi[rows] - lo[rows] <= RTOL * hi[rows]
     closed, newton = rows[shut], rows[~shut]
     values[closed] = scale[closed] * hi[closed]
     if report:
@@ -194,7 +193,7 @@ def solve_luxemburg_rows(vals, expo, weights, rtol: float = RTOL,
         else:
             ix = np.ix_(sel, np.flatnonzero(cols))
             block = terms[ix], E[ix]
-        lam, iterations[sel], mods = _newton_rows(*block, lo[sel], hi[sel], rtol, max_iter, report)
+        lam, iterations[sel], mods = _newton_rows(*block, lo[sel], hi[sel], report)
         values[sel] = scale[sel] * lam
         if report:
             modulars[sel] = mods
@@ -214,7 +213,7 @@ def _rho_slope(T, E, mu):
     return a.sum(axis=1), np.vecdot(E, a)
 
 
-def _newton_rows(T, E, lo, hi, rtol, max_iter, report):
+def _newton_rows(T, E, lo, hi, report):
     """Safeguarded Newton (module docstring) on the rows of T, which holds
     no zero term, the root of each row bracketed by [lo, hi]; returns lam
     and the step count per row, and the modular at lam when `report` is set.
@@ -244,9 +243,9 @@ def _newton_rows(T, E, lo, hi, rtol, max_iter, report):
                 if not blo[k] <= nxt <= bhi[k]:
                     nxt = 0.5 * (blo[k] + bhi[k])
                 steps[k] += 1
-                done = abs(nxt - mu[k]) <= rtol or bhi[k] - blo[k] <= rtol
+                done = abs(nxt - mu[k]) <= RTOL or bhi[k] - blo[k] <= RTOL
                 mu[k] = nxt
-                keep[j] = not done and steps[k] < max_iter
+                keep[j] = not done and steps[k] < MAX_ITER
             if not keep.all():
                 act, T, E = act[keep], T[keep], E[keep]
         lam = np.array([math.exp(m) for m in mu])
@@ -254,13 +253,11 @@ def _newton_rows(T, E, lo, hi, rtol, max_iter, report):
     return lam, steps, mods
 
 
-def solve_luxemburg(vals, expo, weights, rtol: float = RTOL,
-                    max_iter: int = MAX_ITER) -> NormResult:
+def solve_luxemburg(vals, expo, weights) -> NormResult:
     """inf{lam > 0 : sum w * (v/lam)^e <= 1} for nonnegative v, positive e:
     the one-row call of `solve_luxemburg_rows`, with the modular at the
     value.  Returns 0 when the modular of the raw values vanishes."""
-    r = solve_luxemburg_rows(np.asarray(vals, dtype=float)[None], expo, weights,
-                             rtol, max_iter, report=True)
+    r = solve_luxemburg_rows(np.asarray(vals, dtype=float)[None], expo, weights, report=True)
     return NormResult(float(r.values[0]), float(r.modulars[0]), int(r.iterations[0]),
                       (float(r.brackets[0, 0]), float(r.brackets[0, 1])))
 

@@ -8,7 +8,7 @@ import vbesov as vb
 from vbesov import atoms
 from vbesov.atoms import AtomicDecomposition, export_coefficients
 from vbesov.errors import HypothesisViolationError, ParameterError
-from vbesov.grid import _multi_indices
+from vbesov.grid import _multi_indices, cubes_per_axis
 
 from oracles import (analyze_eager, level_lattices_unskipped, measured_kernel_constant_loop,
                      sequence_norm_b_loop, synthesize_atoms, synthesize_spatial)
@@ -106,6 +106,10 @@ def test_analyze_level_cap(setup2k):
     f = vb.from_callable(spec, lambda x: np.exp(-x ** 2))
     with pytest.raises(ParameterError):
         vb.analyze(f, frame, V=ladder.octaves + 1)
+    # the decomposition's grid is the frame's, so f must live on it
+    other = vb.from_callable(vb.make_grid(1, 8.0, 2048), lambda x: np.exp(-x ** 2))
+    with pytest.raises(ParameterError, match="but the frame on"):
+        vb.analyze(other, frame, V=2)
 
 
 def test_round_trip_band_limited(setup2k):
@@ -153,37 +157,34 @@ def test_zero_coefficient_zero_atom(setup2k):
         assert np.max(np.abs(dec.atom(k).samples.samples)) == 0.0
 
 
-def test_synthesize_and_atom_need_an_analysed_decomposition(setup2k):
-    # a hand-built decomposition has coefficients but no frame and no
-    # spectrum of f: its coefficient norm is defined, its atoms and its sum
-    # are not, whether the coefficient is zero or not
+@pytest.fixture(scope="module")
+def gauss2k(setup2k):
+    """An analysed decomposition whose coefficients the tests replace."""
     spec, ladder, frame = setup2k
-    dec = AtomicDecomposition.from_coefficients(
-        spec, ladder, 3, 2, -1, 3.0, "manual", 1.0, 1.0, {(3, (2,)): 1.0, (3, (3,)): 0.0})
-    only = r"holds coefficients only, with no frame and no spectrum of f"
-    for d in (dec, dataclasses.replace(dec, frame=frame)):
-        with pytest.raises(ParameterError, match=only):
-            vb.synthesize(d)
-        for key in ((3, (2,)), (3, (3,)), (9, (0,))):
-            with pytest.raises(ParameterError, match=only):
-                d.atom(key)
-    p2 = vb.constant_field(spec, 2.0)
-    q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
-    assert vb.sequence_norm_b(dec, vb.constant_field(spec, 0.0, "alpha"), p2, q2) > 0.0
+    return vb.analyze(vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2)), frame, V=0)
 
 
-def test_sequence_norm_trivials(setup2k):
+def _with_coefficients(dec, V, coefficients):
+    """dec with V and the coefficients of a {(v, m): lambda} dict over levels
+    0..V and any deeper level it names; a cube the dict leaves out holds 0."""
+    spec = dec.spec
+    levels = [np.zeros((cubes_per_axis(spec, v),) * spec.dimension)
+              for v in range(max([V, *(v for v, _ in coefficients)]) + 1)]
+    for (v, m), lam in coefficients.items():
+        levels[v][tuple(np.add(m, levels[v].shape[0] // 2))] = lam
+    return dataclasses.replace(dec, V=V, levels=tuple(levels))
+
+
+def test_sequence_norm_trivials(setup2k, gauss2k):
     spec, ladder, frame = setup2k
     p2 = vb.constant_field(spec, 2.0)
     a0 = vb.constant_field(spec, 0.0, "alpha")
     q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
-    empty = AtomicDecomposition.from_coefficients(
-        spec, ladder, 2, 2, 0, 3.0, "manual", 1.0, 1.0,
-        {(v, (m,)): 0.0 for v in range(3) for m in range(-2, 2)})
+    empty = _with_coefficients(
+        gauss2k, 2, {(v, (m,)): 0.0 for v in range(3) for m in range(-2, 2)})
     assert vb.sequence_norm_b(empty, a0, p2, q2) == 0.0
 
-    one = AtomicDecomposition.from_coefficients(
-        spec, ladder, 1, 2, 0, 3.0, "manual", 1.0, 1.0, {(0, (0,)): 1.0})
+    one = _with_coefficients(gauss2k, 1, {(0, (0,)): 1.0})
     val = vb.sequence_norm_b(one, a0, p2, q2, form="continuous")
     assert val == pytest.approx(1.0, rel=1e-9)  # |chi_{0,0}|_2 on the unit cube
 
@@ -192,18 +193,17 @@ def test_sequence_norm_trivials(setup2k):
     {(0, (0,)): 1.0},                   # levels 1..V all zero
     {(0, (0,)): 1.0, (1, (0,)): 1.0},
 ], ids=["level0-only", "with-level1"])
-def test_sequence_norm_rejects_unknown_form(setup2k, coefficients):
+def test_sequence_norm_rejects_unknown_form(setup2k, gauss2k, coefficients):
     spec, ladder, frame = setup2k
     p2 = vb.constant_field(spec, 2.0)
     a0 = vb.constant_field(spec, 0.0, "alpha")
     q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
-    dec = AtomicDecomposition.from_coefficients(
-        spec, ladder, 3, 2, 0, 3.0, "manual", 1.0, 1.0, coefficients)
+    dec = _with_coefficients(gauss2k, 3, coefficients)
     with pytest.raises(ParameterError, match="unknown sequence-norm form 'bogus'"):
         vb.sequence_norm_b(dec, a0, p2, q2, form="bogus")
 
 
-def test_sequence_norm_forms_comparable(setup2k):
+def test_sequence_norm_forms_comparable(setup2k, gauss2k):
     spec, ladder, frame = setup2k
     rng = np.random.default_rng(11)
     coeffs = {}
@@ -211,8 +211,7 @@ def test_sequence_norm_forms_comparable(setup2k):
         n = 16 * 2 ** v
         for j, m in enumerate(range(-(n // 2), n // 2)):
             coeffs[(v, (m,))] = float(rng.random() * 2.0 ** (-v))
-    dec = AtomicDecomposition.from_coefficients(
-        spec, ladder, 4, 2, 0, 3.0, "manual", 1.0, 1.0, coeffs)
+    dec = _with_coefficients(gauss2k, 4, coeffs)
     p2 = vb.constant_field(spec, 2.0)
     a05 = vb.constant_field(spec, 0.5, "alpha")
     ql = vb.q_field_from_callable(
@@ -223,10 +222,9 @@ def test_sequence_norm_forms_comparable(setup2k):
     assert 1 / 2 <= ratio <= 2
 
 
-def test_sequence_norm_sign_switch(setup2k):
+def test_sequence_norm_sign_switch(setup2k, gauss2k):
     spec, ladder, frame = setup2k
-    dec = AtomicDecomposition.from_coefficients(
-        spec, ladder, 2, 2, 0, 3.0, "manual", 1.0, 1.0, {(1, (0,)): 1.0, (2, (1,)): 0.5})
+    dec = _with_coefficients(gauss2k, 2, {(1, (0,)): 1.0, (2, (1,)): 0.5})
     p2 = vb.constant_field(spec, 2.0)
     a0 = vb.constant_field(spec, 0.0, "alpha")
     q2 = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
@@ -240,8 +238,9 @@ def test_sequence_norm_rejects_levels_beyond_the_ladder(setup2k):
     coefficients = {(v, (0,)): 100.0 if v >= 4 else 1.0 for v in range(6)}
 
     def built(ladder):
-        return AtomicDecomposition.from_coefficients(
-            spec, ladder, 5, 2, 0, 3.0, "manual", 1.0, 1.0, coefficients)
+        f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
+        dec = vb.analyze(f, vb.build_resolution_of_unity(spec, ladder), V=0)
+        return _with_coefficients(dec, 5, coefficients)
 
     p2 = vb.constant_field(spec, 2.0)
     a05 = vb.constant_field(spec, 0.5, "alpha")
@@ -336,29 +335,10 @@ def test_export_bytes_equal_the_row_writer(tmp_path, dimension, L, N, V):
 def test_hand_built_decomposition_accepts_every_cube_of_the_lattice():
     # L = 1: level 0 is one cube (m = 0), level 1 holds m in [-1, 0]
     spec = vb.make_grid(1, 1.0, 16)
-    dec = AtomicDecomposition.from_coefficients(
-        spec, vb.make_ladder(1, 12), 1, 2, 0, 3.0, "manual", 1.0, 1.0,
-        {(0, (0,)): 1.0, (1, (-1,)): 2.0, (1, (0,)): 3.0})
-    assert list(dec.levels[0]) == [1.0]
-    assert list(dec.levels[1]) == [2.0, 3.0]
-
-
-@pytest.mark.parametrize("key, match", [
-    ((1, (16,)), r"cube \(16,\) of level 1 lies outside the box"),
-    ((1, (-17,)), r"cube \(-17,\) of level 1 lies outside the box"),
-    ((-1, (0,)), r"need a level v >= 0 and 1 cube indices"),
-    ((1, (0, 0)), r"need a level v >= 0 and 1 cube indices"),
-    ((1, (2 ** 70,)), r"need a level v >= 0 and 1 cube indices"),
-    ((8, (0,)), r"level 8 cubes .* do not align"),
-])
-def test_hand_built_decomposition_rejects_cubes_outside_the_lattice(key, match):
-    # N = 1024, L = 16: level 1 holds m in [-16, 15]; m = nc/2 = 16 would
-    # wrap onto cube -16 of the level's lattice
-    spec = vb.make_grid(1, 16.0, 1024)
-    with pytest.raises(ParameterError, match=match):
-        AtomicDecomposition.from_coefficients(
-            spec, vb.make_ladder(3, 12), 3, 2, 0, 3.0, "manual", 1.0, 1.0,
-            {(1, (0,)): 1.0, key: 1.0})
+    frame = vb.build_resolution_of_unity(spec, vb.make_ladder(1, 12))
+    dec = vb.analyze(vb.from_callable(spec, lambda x: np.exp(-x ** 2)), frame, V=1)
+    dec = dataclasses.replace(dec, levels=(np.array([1.0]), np.array([2.0, 3.0])))
+    assert dict(dec.coefficients) == {(0, (0,)): 1.0, (1, (-1,)): 2.0, (1, (0,)): 3.0}
 
 
 def test_levels_are_read_only_lattices_of_their_level(setup2k):
@@ -371,14 +351,17 @@ def test_levels_are_read_only_lattices_of_their_level(setup2k):
         dec.coefficients[(1, (0,))] = 1.0
     # a writeable lattice passed in is copied, so the caller cannot change it later
     mine = [np.ones(16)]
-    built = AtomicDecomposition(spec, ladder, 0, 2, 0, 3.0, "manual", 1.0, 1.0, mine)
+    built = dataclasses.replace(dec, V=0, levels=mine)
     mine[0][:] = 2.0
     assert not built.levels[0].flags.writeable and (built.levels[0] == 1.0).all()
     with pytest.raises(ParameterError, match=r"level 1 needs a coefficient lattice of shape"):
-        AtomicDecomposition(spec, ladder, 1, 2, 0, 3.0, "manual", 1.0, 1.0,
-                            (np.zeros(16), np.zeros(16)))
+        dataclasses.replace(dec, V=1, levels=(np.zeros(16), np.zeros(16)))
     with pytest.raises(ParameterError, match=r"V = 2 needs 3 coefficient levels, got 2"):
-        AtomicDecomposition(spec, ladder, 2, 2, 0, 3.0, "manual", 1.0, 1.0, dec.levels[:2])
+        dataclasses.replace(dec, V=2, levels=dec.levels[:2])
+    # the frame, f's spectrum and real_input come with the coefficients
+    with pytest.raises(TypeError):
+        AtomicDecomposition(0, 2, 0, 3.0, 1.0, 1.0, (np.ones(16),))
+    assert (built.spec, built.ladder) == (frame.spec, frame.ladder)
 
 
 def test_multi_indices_order():
@@ -427,11 +410,8 @@ def _thinned(dec, step=2):
 
 
 def _rebuilt(dec, coefficients):
-    """dec with other coefficients, through the dict constructor, which
-    leaves `real_input` at its default."""
-    kept = {f.name: getattr(dec, f.name) for f in dataclasses.fields(dec)
-            if f.name not in ("levels", "real_input")}
-    return AtomicDecomposition.from_coefficients(coefficients=coefficients, **kept)
+    """dec with other coefficients over its own cubes."""
+    return _with_coefficients(dec, dec.V, coefficients)
 
 
 def test_lazy_atoms_match_oracle_1d():
@@ -465,6 +445,7 @@ def test_synthesis_matches_the_spatial_sum(dimension, L, N, octaves, V):
     for step in (None, 2, 3):
         d = dec if step is None else _rebuilt(dec, _thinned(dec, step))
         rec, ref = vb.synthesize(d), synthesize_spatial(d)
+        assert not rec.samples.imag.any()   # replaced levels keep real_input
         assert np.max(np.abs(ref.samples)) > 0.1 * scale
         assert np.max(np.abs(rec.samples - ref.samples)) <= 1e-13 * scale, step
 

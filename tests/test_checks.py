@@ -93,3 +93,36 @@ def test_embeddings_identity_gate_trips_when_alpha_is_dropped(bank, monkeypatch)
     r = C.check_embeddings(bank=bank)
     assert abs(r.constants["identity_embedding"] - 1.0) > 1e-9
     assert not r.passed
+
+
+def test_mixed_equivalence_const_gate_trips_when_the_log2_factor_is_off(bank, monkeypatch):
+    # with q constant 2 the octave-block norm is (log 2)^{1/2} |a|_2 exactly
+    real = C.octave_block_norm
+    qc = bank.exponents["q_const2"]
+
+    def off_for_const_q(g, ladder, q):
+        return real(g, ladder, q) * (1.001 if q is qc else 1.0)
+
+    monkeypatch.setattr(C, "octave_block_norm", off_for_const_q)
+    r = C.check_mixed_equivalence(bank=bank)
+    assert r.constants["scalar_qconst_normalized_dev"] > 1e-9
+    assert r.constants["single_level_spread"] <= 1.10
+    assert not r.passed
+
+
+def test_kernel_decay_slope_gate_trips_when_the_moments_are_dropped(bank, monkeypatch):
+    real = C.build_local_mean_pair
+    monkeypatch.setattr(C, "build_local_mean_pair",
+                        lambda spec, ladder, S: real(spec, ladder, S=-1))
+    r = C.check_kernel_decay(bank=bank)
+    assert r.details["slopes"]["M=1"] < 1.8 and r.details["slopes"]["M=3"] < 3.8
+    assert not r.passed
+
+
+def test_eta_algebra_mass_gate_trips_when_the_scale_normalization_is_dropped(bank, monkeypatch):
+    real = C.eta_kernel
+    monkeypatch.setattr(C, "eta_kernel", lambda spec, t, m: C.GridFunction(
+        spec, real(spec, t, m).samples * t ** spec.dimension))
+    r = C.check_eta_algebra(bank=bank)
+    assert r.details["mass_t_independence_rel"] >= 1e-2
+    assert not r.passed

@@ -8,7 +8,7 @@ import vbesov as vb
 import vbesov.cli as cli
 from vbesov.cli import main
 from vbesov.config import ConfigError, emit_config, parse_config
-from vbesov.errors import ParameterError
+from vbesov.errors import AdmissibilityError, ParameterError
 from vbesov.exprgrammar import ExprError, evaluate_text, parse_expression
 from vbesov.reporting import strip_timestamp
 
@@ -153,6 +153,45 @@ def test_cli_exit_codes(tmp_path):
                                                     "alpha = 2.5\nkernel_S = 1"))
     assert main(["norm", "--config", viol, "--out", str(tmp_path / "o"),
                  "--form", "local_mean_double_prime"]) == 3
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("points = 256\nq = 3\n", 2,
+     "admissibility error: q = 3 is 3.0 at t = 0 but q0 = 2.0; they must agree"),
+    ("dimension = 2\npoints = 64\nbox_length = 8\n", 1,
+     "error: the bank is 1-D; a 2-D run needs a CSV member (member = f.csv)"),
+    ("points = 256\nseed = -1\n", 2,
+     "config error: line 2, column 8: seed must be >= 0, got -1"),
+], ids=["q-at-0-differs-from-q0", "2d-with-a-bank-member", "negative-seed"])
+def test_cli_rejects_inputs_outside_the_hypotheses(tmp_path, capsys, text, code, message):
+    cfg = _write_cfg(tmp_path, text)
+    assert main(["norm", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_cli_seed_option_must_be_nonnegative(tmp_path, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["norm", "--seed", "-1", "--out", str(tmp_path / "o")])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "vbesov norm: error: argument --seed: seed must be >= 0, got -1"
+    assert "Traceback" not in err
+
+
+def test_config_q_must_equal_q0_where_its_value_at_0_is_finite(tmp_path):
+    ladder = vb.make_ladder(4, 12)
+    with pytest.raises(AdmissibilityError, match=r"is 3\.0 at t = 0 but q0 = 2\.0"):
+        parse_config("q = 3\n").q_field(ladder)
+    assert parse_config("q = 3\nq0 = 3\n").q_field(ladder).limit_value == 3.0
+    # sin(1/t) has no value at t = 0 that the expression can decide
+    assert parse_config("q = 3 + sin(1 / t)\nq0 = 3\n").q_field(ladder).limit_value == 3.0
+    # so a constant q gives one norm in both forms
+    cfg = _write_cfg(tmp_path, "points = 1024\noctaves = 6\nq = 3\nq0 = 3\n")
+    values = []
+    for form in ("direct", "q0"):
+        assert main(["norm", "--config", cfg, "--form", form, "--out", str(tmp_path / "o")]) == 0
+        values.append(json.load(open(tmp_path / "o" / f"norm_gauss_w1_{form}.json"))["value"])
+    assert values[0] == pytest.approx(values[1], rel=1e-12)
 
 
 def test_cli_requests_in_one_process_equal_requests_made_alone(tmp_path, monkeypatch, capsys):

@@ -32,3 +32,12 @@ def test_compare_fails_on_a_changed_or_one_sided_file(tmp_path, capsys):
         assert f"{side}" in capsys.readouterr().out
         (root / "extra.csv").unlink()
     assert parity.compare(str(here), str(there))
+
+
+def test_errors_hold_the_exit_code_and_last_stderr_line_of_each_bad_input():
+    rows = [line.split("\t") for line in _parity()._errors().splitlines()]
+    assert [(name, code) for name, code, _ in rows] == [
+        ("q-at-0-differs-from-q0", "2"), ("2d-with-a-bank-member", "1"),
+        ("negative-seed-in-config", "2"), ("negative-seed-option", "2"), ("p-below-1", "2"),
+        ("alpha-at-least-S-plus-1", "3"), ("unknown-member", "1"), ("bad-expression", "2")]
+    assert all(last and "Traceback" not in last for _, _, last in rows)
