@@ -10,10 +10,16 @@ the output directory, so nothing else differs between runs.
     PYTHONPATH=src python scripts/parity.py --out /tmp/parity_change
 
 With `--against DIR`, the outputs are then compared with those of an earlier
-run in DIR: for each file that differs, the largest absolute difference of
-its numeric CSV columns and JSON numbers (a string that parses as a float
-counts as one), and after them the files that are byte-identical.  The
-script then exits 1 when any file differs or exists on only one side.
+run in DIR: for each file that differs, the largest absolute and relative
+difference of each of its numeric CSV columns and JSON numbers (a string
+that parses as a float counts as one), and after them the files that are
+byte-identical.  The script then exits 1 when any file differs or exists on
+only one side.  With `--rtol R` as well, a file whose text differs only in
+its numbers, each within R relative to DIR's, passes; a difference in the
+text around the numbers, or in how many numbers a key holds, still fails.
+
+    PYTHONPATH=src python scripts/parity.py --out /tmp/parity_change \
+        --against /tmp/parity_parent --rtol 1e-13
 
 The request set:
 - `norm` for the six forms x the 20 bank members x the `const` and
@@ -34,7 +40,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 from typing import Dict, List, Optional
@@ -162,18 +170,35 @@ def _numbers(path: str) -> Dict[str, List[float]]:
     return out
 
 
+# a decimal number as Python, `repr` and `json` write one
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)|-?Infinity|NaN")
+
+
+def _skeleton(data: bytes) -> bytes:
+    """The text with every number replaced by one placeholder."""
+    return _NUMBER.sub("#", data.decode("utf-8", "replace")).encode()
+
+
+def _relative(x: float, y: float) -> float:
+    """|x - y| relative to |y|: 0 for equal values, inf for x != y = 0."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / abs(y) if y else math.inf
+
+
 def _files(root: str) -> List[str]:
     return sorted(os.path.relpath(os.path.join(d, name), root)
                   for d, _, names in os.walk(root) for name in names)
 
 
-def compare(here: str, there: str) -> bool:
+def compare(here: str, there: str, rtol: Optional[float] = None) -> bool:
     """Print, for each file of `here` that differs from `there`, the largest
-    absolute difference per numeric column or key, then the byte-identical
-    files; True when every file of either side is byte-identical to the
-    other's."""
+    absolute and relative difference per numeric column or key, then the
+    byte-identical files.  True when every file of either side is
+    byte-identical to the other's or, with `rtol`, differs only in numbers
+    that are each within rtol of the other side's."""
     mine, theirs = _files(here), _files(there)
-    identical = []
+    identical, tolerated = [], 0
     for rel in sorted(set(mine) - set(theirs)):
         print(f"only here: {rel}")
     for rel in sorted(set(theirs) - set(mine)):
@@ -181,30 +206,46 @@ def compare(here: str, there: str) -> bool:
     for rel in sorted(set(mine) & set(theirs)):
         a, b = os.path.join(here, rel), os.path.join(there, rel)
         with open(a, "rb") as fa, open(b, "rb") as fb:
-            if fa.read() == fb.read():
-                identical.append(rel)
-                continue
+            da, db = fa.read(), fb.read()
+        if da == db:
+            identical.append(rel)
+            continue
         na, nb = _numbers(a), _numbers(b)
-        diffs = []
+        diffs, worst_rel, counts_agree = [], 0.0, True
         for key in sorted(set(na) | set(nb)):
             if len(na.get(key, ())) != len(nb.get(key, ())):
                 diffs.append(f"{key} differs in count")
+                counts_agree = False
                 continue
-            worst = max((abs(x - y) for x, y in zip(na[key], nb[key])), default=0.0)
-            if worst:
-                diffs.append(f"{key} {worst:.3g}")
-        print(f"differs: {rel}: max |diff| " + (", ".join(diffs) or "0 (text only)"))
+            pairs = list(zip(na[key], nb[key]))
+            worst = max((abs(x - y) for x, y in pairs), default=0.0)
+            rel_worst = max((_relative(x, y) for x, y in pairs), default=0.0)
+            worst_rel = max(worst_rel, rel_worst)
+            if worst or rel_worst:
+                diffs.append(f"{key} {worst:.3g} (rel {rel_worst:.3g})")
+        text_differs = _skeleton(da) != _skeleton(db)
+        print(f"differs: {rel}: max |diff| " + (", ".join(diffs) or "0")
+              + (" (text differs)" if text_differs else ""))
+        if rtol is not None and counts_agree and not text_differs and worst_rel <= rtol:
+            tolerated += 1
     print(f"byte-identical: {len(identical)} files")
     for rel in identical:
         print(f"  {rel}")
-    return len(identical) == len(set(mine) | set(theirs))
+    if rtol is not None:
+        print(f"within rtol {rtol:g}: {tolerated} files")
+    return len(identical) + tolerated == len(set(mine) | set(theirs))
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="output directory (created)")
     ap.add_argument("--against", help="an earlier run's output directory to compare with")
+    ap.add_argument("--rtol", type=float,
+                    help="with --against, pass files whose numbers differ within this "
+                         "relative tolerance and whose other text is identical")
     args = ap.parse_args()
+    if args.rtol is not None and (args.against is None or not args.rtol >= 0):
+        ap.error("--rtol needs --against and a nonnegative tolerance")
     against = None if args.against is None else os.path.abspath(args.against)
     os.makedirs(args.out, exist_ok=True)
     os.chdir(args.out)
@@ -246,7 +287,7 @@ def main() -> int:
     with open("errors.txt", "w") as fh:
         fh.write(_errors())
     print(f"wrote the outputs to {os.getcwd()}")
-    if against is not None and not compare(".", against):
+    if against is not None and not compare(".", against, args.rtol):
         return 1
     return 0
 

@@ -43,8 +43,8 @@ from .errors import HypothesisViolationError, ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
 from .grid import (GridFunction, GridSpec, _multi_indices, band_rows, cubes_per_axis,
-                   finest_aligned_level, from_spectrum_rows, spectral_derivative, spectrum,
-                   spectrum_rows, zero_function)
+                   finest_aligned_level, from_spectrum_rows, mirror, spectral_derivative,
+                   spectrum, spectrum_rows, zero_function)
 from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg_rows
 
 COEFF_FLOOR = 1e-14
@@ -147,18 +147,19 @@ def _expand(spec: GridSpec, lattice: np.ndarray) -> np.ndarray:
 
 def _level(frame: CalderonFrame, v: int):
     """(weights, S, A) of level v: the quadrature weights, and the synthesis
-    and analysis multipliers at the grid frequencies, one row per node in
-    (nodes, *grid) blocks.
+    and analysis multipliers at the full grid's frequencies (the mirrors of
+    the frame's half-grid values), one row per node in (nodes, *grid)
+    blocks.
 
     Level 0 is the Phi/Psi pair with unit weight and no t-integral; level
     v >= 1 runs phi_t/psi_t over the nodes of octave v, Fpsi_t = Fphi_t / c2.
     """
     spec = frame.spec
     if v == 0:
-        return (np.ones(1), frame.level0[None],
-                frame.profile.Psi_hat(spec.freq_radius())[None])
+        return (np.ones(1), mirror(spec, frame.level0[None]),
+                mirror(spec, frame.level0_analysis[None]))
     sl = frame.ladder.octave_slice(v)
-    synth = frame.multipliers(frame.ladder.t[sl])
+    synth = mirror(spec, frame.multipliers(frame.ladder.t[sl]))
     return frame.ladder.weights[sl], synth, synth / frame.profile.c2
 
 
@@ -391,7 +392,7 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
         levels.append(lam)
 
     return AtomicDecomposition(V, K, L, gamma, C_phi, C_Phi, tuple(levels), frame, F,
-                               real_input=not f.samples.imag.any())
+                               real_input=f.is_real())
 
 
 def synthesize(dec: AtomicDecomposition) -> GridFunction:
@@ -416,7 +417,7 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
             continue
         ws, synth, analysis = _level(dec.frame, v)
         if mask.all():
-            gain = synth * analysis   # synth may be a view of the frame's level0
+            gain = synth * analysis
             gain *= ws.reshape((-1,) + (1,) * spec.dimension)
             out += gain.sum(axis=0) * F
         else:

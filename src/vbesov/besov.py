@@ -8,9 +8,13 @@ of work is the octave: its nodes form one (nodes, *grid) block with one
 row-wise Luxemburg solve.  For a norm the rows are |kernel multiplier at t
 times the spectrum of f|, one batched inverse FFT per octave, and s = alpha;
 `atoms.sequence_norm_b` feeds the level indicator sums with s = alpha + n/2.
-A kernel (a resolution of unity or a local-mean pair) gives the pipeline
-`multipliers(ts)`, `level0` and `ladder`.  `FORMS` names each form's kernel
-class, maximal step and t-norm, and `besov_norm` computes all six.
+The kernels are radial, so the bands of a real f are real: a real f runs on
+its half (`rfftn`) spectrum, with one batched `irfftn` per octave and |.|
+taken in place, and a complex f on the full spectrum (`grid.band_spectrum`
+picks the layout).  A kernel (a resolution of unity or a local-mean pair)
+gives the pipeline `multipliers(ts)` and `level0` on the half grid, and
+`ladder`.  `FORMS` names each form's kernel class, maximal step and t-norm,
+and `besov_norm` computes all six.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from .errors import ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, LocalMeanPair
-from .grid import GridFunction, GridSpec, band_rows, spectrum
+from .grid import GridFunction, GridSpec, band_rows, band_spectrum
 from .luxemburg import (ScaleLadder, _check_q, octave_block_norm, solve_luxemburg_rows,
                         t_norm)
 
@@ -313,11 +317,18 @@ def _scale_profile(spec: GridSpec, rows: Iterable[np.ndarray], level0: np.ndarra
 
 def _kernel_profile(f: GridFunction, kernel: Kernel, alpha: ExponentField,
                     p: ExponentField, a: Optional[float] = None) -> ScaleProfile:
-    """The profile of f with the kernel's multipliers, one batched transform per octave."""
-    spec, F, ladder = f.spec, spectrum(f), kernel.ladder
-    rows = (np.abs(band_rows(spec, kernel.multipliers(ladder.t[ladder.octave_slice(v)]), F))
+    """The profile of f with the kernel's multipliers, one batched transform
+    per octave, in the layout of f's bands (`grid.band_spectrum`): a real f
+    runs on the half spectrum and its real bands take |.| in place."""
+    spec, F, ladder = f.spec, band_spectrum(f), kernel.ladder
+
+    def magnitudes(multipliers: np.ndarray) -> np.ndarray:
+        g = band_rows(spec, multipliers, F)
+        return np.abs(g, out=g) if np.isrealobj(g) else np.abs(g)
+
+    rows = (magnitudes(kernel.multipliers(ladder.t[ladder.octave_slice(v)]))
             for v in range(1, ladder.octaves + 1))
-    return _scale_profile(spec, rows, np.abs(band_rows(spec, kernel.level0[None], F)),
+    return _scale_profile(spec, rows, magnitudes(kernel.level0[None]),
                           ladder, _exponent(alpha), _exponent(p), a)
 
 

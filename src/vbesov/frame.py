@@ -7,6 +7,13 @@ shift:
     FPhi(xi) = int_{|xi|}^inf Fphi(u) du/u   (= 1 at xi = 0),
 which gives FPhi(xi) + int_0^1 Fphi(t xi) dt/t = 1 for every xi.
 
+Every multiplier here is real and radial, so both kernels evaluate it once
+per point of the half grid (`GridSpec.half_shape`, the `rfftn` layout):
+`multipliers(ts)`, `level0` and the frame's `level0_analysis` are half-grid
+arrays.  The norm profiles use them as they are; the full layout, which the
+atoms, `synthesize_Phi`, `phi_t_spectrum` and `level0_transform` need, is
+their `grid.mirror`, bit for bit the evaluation on the full grid.
+
 The bump is the polynomial (1 - z^2)^order.  Per-octave Gauss-Legendre then
 integrates the profile exactly on every panel interior to the support, the
 domain cut at t = 1 lands on a panel edge, and the only quadrature error of
@@ -25,7 +32,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import ConstructionError, HypothesisViolationError, ParameterError
 from .exponents import ExponentField
-from .grid import GridFunction, GridSpec, _multi_indices, from_spectrum, spectrum
+from .grid import GridFunction, GridSpec, _multi_indices, from_spectrum, mirror, spectrum
 from .luxemburg import ScaleLadder
 
 RESIDUAL_TOL = 1e-6
@@ -137,29 +144,31 @@ class CalderonFrame:
     spec: GridSpec
     profile: RadialProfile
     ladder: ScaleLadder
-    level0: np.ndarray             # the level-0 multiplier FPhi at the grid frequencies
+    level0: np.ndarray             # the level-0 multiplier FPhi on the half grid
+    level0_analysis: np.ndarray    # the level-0 analysis multiplier FPsi on the half grid
     annulus: Tuple[float, float]   # support of the Fphi profile
     residual: float                # measured identity residual on the band
     resolved_xi_max: float
-    radius_order: np.ndarray       # stable argsort of the flattened |xi|
-    radius_sorted: np.ndarray      # the flattened |xi| in that order
+    radius_order: np.ndarray       # stable argsort of the flattened half-grid |xi|
+    radius_sorted: np.ndarray      # the flattened half-grid |xi| in that order
 
     def multipliers(self, ts) -> np.ndarray:
-        """Fphi(t xi) at the grid frequencies for every t in ts, one row per
-        t: a (len(ts), *grid) array from one `phi_hat` call over the annulus
-        slices; every sample outside a row's slice is exactly 0."""
+        """Fphi(t xi) on the half grid for every t in ts, one row per t: a
+        (len(ts), *half_shape) array from one `phi_hat` call over the
+        annulus slices; every sample outside a row's slice is exactly 0."""
         rows, idx, vals = _annulus_values(self.profile, self.radius_sorted, ts)
-        out = np.zeros((np.size(ts), self.spec.size))
+        out = np.zeros((np.size(ts), self.radius_order.size))
         out[rows, self.radius_order[idx]] = vals
-        return out.reshape(out.shape[:1] + self.spec.shape)
+        return out.reshape(out.shape[:1] + self.spec.half_shape)
 
     def phi_t_spectrum(self, t: float) -> np.ndarray:
-        """Fphi(t xi) at the grid frequencies: one row of `multipliers`."""
-        return self.multipliers([t])[0]
+        """Fphi(t xi) at the full grid's frequencies: one row of
+        `multipliers`, mirrored."""
+        return mirror(self.spec, self.multipliers([t])[0])
 
     def level0_transform(self, f: GridFunction) -> GridFunction:
         """Phi * f."""
-        return from_spectrum(f.spec, self.level0 * spectrum(f))
+        return from_spectrum(f.spec, mirror(f.spec, self.level0) * spectrum(f))
 
     def check_alpha(self, alpha: ExponentField) -> None:
         """Every alpha is admissible: Fphi vanishes near the origin to every order."""
@@ -219,10 +228,11 @@ def build_resolution_of_unity(spec: GridSpec, ladder: ScaleLadder,
             f"frame identity residual {res:.3e} exceeds {RESIDUAL_TOL:g} on the "
             f"resolved band |xi| <= {resolved:.3g}; increase nodes_per_octave"
         )
-    radius = spec.freq_radius().reshape(-1)
-    order = np.argsort(radius, kind="stable")
-    return CalderonFrame(spec, profile, ladder, profile.Phi_hat(radius).reshape(spec.shape),
-                         (0.5, 2.0), res, resolved, order, radius[order])
+    radius = spec.half_freq_radius()
+    flat = radius.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    return CalderonFrame(spec, profile, ladder, profile.Phi_hat(radius),
+                         profile.Psi_hat(radius), (0.5, 2.0), res, resolved, order, flat[order])
 
 
 def synthesize_phi_t(frame: CalderonFrame, t: float) -> GridFunction:
@@ -233,7 +243,7 @@ def synthesize_phi_t(frame: CalderonFrame, t: float) -> GridFunction:
 
 
 def synthesize_Phi(frame: CalderonFrame) -> GridFunction:
-    return from_spectrum(frame.spec, frame.level0, tag="Phi")
+    return from_spectrum(frame.spec, mirror(frame.spec, frame.level0), tag="Phi")
 
 
 # -- local means ---------------------------------------------------------------
@@ -272,7 +282,8 @@ class LocalMeanPair:
 
     spec: GridSpec
     ladder: ScaleLadder
-    level0: np.ndarray      # the level-0 multiplier Fk0 at the grid frequencies
+    radius: np.ndarray      # |xi| on the half grid
+    level0: np.ndarray      # the level-0 multiplier Fk0 on the half grid
     k: GridFunction
     S: int
     epsilon: float
@@ -286,8 +297,8 @@ class LocalMeanPair:
         return _k_hat(s, self.epsilon, self.m)
 
     def multipliers(self, ts) -> np.ndarray:
-        """Fk(t xi) at the grid frequencies for every t in ts, one row per t."""
-        return self.k_spectrum_at(np.multiply.outer(ts, self.spec.freq_radius()))
+        """Fk(t xi) on the half grid for every t in ts, one row per t."""
+        return self.k_spectrum_at(np.multiply.outer(ts, self.radius))
 
     def check_alpha(self, alpha: ExponentField) -> None:
         """The local-means characterization needs alpha+ < S+1."""
@@ -310,8 +321,8 @@ def build_local_mean_pair(spec: GridSpec, ladder: ScaleLadder, S: int,
             f"epsilon {epsilon} incompatible with grid Nyquist {spec.nyquist:.3g}")
     m = max(0, math.ceil((S + 1) / 2))
 
-    sr = spec.freq_radius()
-    k = from_spectrum(spec, _k_hat(sr, epsilon, m), tag="k")
+    sr = spec.half_freq_radius()
+    k = from_spectrum(spec, mirror(spec, _k_hat(sr, epsilon, m)), tag="k")
 
     # certification: Tauberian lower bounds on dense radial samples + moments
     ball = np.linspace(0.0, 2 * epsilon * (1 - 1e-9), 512)
@@ -344,7 +355,7 @@ def build_local_mean_pair(spec: GridSpec, ladder: ScaleLadder, S: int,
                 f"or trade epsilon against L: Nyquist/epsilon and epsilon*L/2 "
                 f"must both be large (README: the 2-D sweep)")
 
-    return LocalMeanPair(spec, ladder, _k0_hat(sr, epsilon), k, S, epsilon, m, cert)
+    return LocalMeanPair(spec, ladder, sr, _k0_hat(sr, epsilon), k, S, epsilon, m, cert)
 
 
 # -- eta kernels ---------------------------------------------------------------

@@ -5,6 +5,18 @@ circular with an h^n factor so that discrete results approximate the
 continuous integrals; `spectrum`/`from_spectrum` expose samples of the
 continuous Fourier transform (non-unitary, angular frequency) at the grid
 frequencies 2*pi*k/L.
+
+Spectra come in two layouts, told apart by the length of their last axis.
+The full layout (N) is `fftn`'s; the half layout (N/2 + 1) is `rfftn`'s,
+the spectrum of real samples, whose other half is its Hermitian mirror.
+A real radial multiplier is even, so the half grid holds every value of it
+and `mirror` gives its full layout.  Bands of real samples under such
+multipliers are real: `band_spectrum` takes a real f's spectrum in the half
+layout, and `band_rows` then returns real rows from one `irfftn`.  The
+norm profiles run there.  `atoms.analyze` keeps the full layout: its
+smallest coefficients are rounding noise of the band transform, some 200
+ulps of the largest, which another transform moves far beyond the 1e-12
+relative that the benchmark's references hold them to.
 """
 
 from __future__ import annotations
@@ -87,6 +99,16 @@ class GridSpec:
         return np.sqrt(sum(a * a for a in self.freq_axes()))
 
     @property
+    def half_shape(self) -> Tuple[int, ...]:
+        """Shape of a spectrum in the `rfftn` (half) layout."""
+        return self.shape[:-1] + (self.points_per_axis // 2 + 1,)
+
+    def half_freq_radius(self) -> np.ndarray:
+        """|xi| on the half grid: the first N/2 + 1 columns of `freq_radius`
+        (the Nyquist column holds |-N/2|, the same radius as +N/2)."""
+        return self.freq_radius()[..., :self.points_per_axis // 2 + 1]
+
+    @property
     def nyquist(self) -> float:
         return np.pi / self.spacing
 
@@ -128,6 +150,10 @@ class GridFunction:
 
     def abs_samples(self) -> np.ndarray:
         return np.abs(self.samples)
+
+    def is_real(self) -> bool:
+        """Whether every sample has a zero imaginary part."""
+        return not self.samples.imag.any()
 
 
 def same_grid(f: GridFunction, g: GridFunction) -> None:
@@ -192,24 +218,56 @@ def _grid_axes(spec: GridSpec) -> Tuple[int, ...]:
 # terms (up to the sign of a product that is zero).
 
 
+def _is_half(spec: GridSpec, ft: np.ndarray) -> bool:
+    """Whether ft's last axis is the half grid's (N >= 16, so N/2 + 1 < N)."""
+    return ft.shape[-1] == spec.points_per_axis // 2 + 1
+
+
+def _pairs_of(spec: GridSpec, ft: np.ndarray) -> np.ndarray:
+    """`_phase_pairs` in ft's layout: the half grid's are its first columns."""
+    return _phase_pairs(spec)[..., :2 * ft.shape[-1]]
+
+
+def mirror(spec: GridSpec, half: np.ndarray) -> np.ndarray:
+    """The full layout of real even multipliers given on the half grid, one
+    grid array per leading index: entry k of the full grid is the half
+    grid's entry at -k (mod N along every axis) where k is not on it.  The
+    frequencies at k and -k have the same |xi| to the bit, so this equals
+    the evaluation on the full grid bit for bit."""
+    N = spec.points_per_axis
+    tail = half[..., N // 2 - 1:0:-1]
+    neg = -np.arange(N) % N
+    for ax in range(-spec.dimension, -1):
+        tail = np.take(tail, neg, axis=ax)
+    return np.concatenate([half, tail], axis=-1)
+
+
 def spectrum_rows(spec: GridSpec, samples: np.ndarray,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """`spectrum` of every grid array stacked along the leading axes of
     `samples`: one batched transform, row for row bit-identical to the
-    single call (a scalar times the phase times the FFT).  `out`, a
-    C-contiguous complex array of the same shape, may be `samples` itself."""
-    out = np.fft.fftn(samples, axes=_grid_axes(spec), out=out)
+    single call (a scalar times the phase times the FFT).  Complex samples
+    give the full layout; `out`, a C-contiguous complex array of their
+    shape, may be `samples` itself.  Real (float) samples give the half
+    layout, from one `rfftn`, and take no `out`."""
+    if np.isrealobj(samples):
+        out = np.fft.rfftn(samples, axes=_grid_axes(spec))
+    else:
+        out = np.fft.fftn(samples, axes=_grid_axes(spec), out=out)
     pairs = out.view(np.float64)
-    pairs *= (spec.spacing ** spec.dimension) * _phase_pairs(spec)
+    pairs *= (spec.spacing ** spec.dimension) * _pairs_of(spec, out)
     return out
 
 
 def from_spectrum_rows(spec: GridSpec, ft: np.ndarray,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Inverse of `spectrum_rows`: (ft * phase), transformed in place, then
-    divided by h^n, so each row equals `from_spectrum(spec, ft[j]).samples`.
-    `out`, a C-contiguous complex array of the same shape, may be `ft`
-    itself."""
+    """Inverse of `spectrum_rows`: (ft * phase), transformed, then divided
+    by h^n, so each row equals `from_spectrum(spec, ft[j]).samples`.  A
+    full-layout ft is transformed in place of `out`, a C-contiguous complex
+    array of its shape, which may be `ft` itself; a half-layout ft gives
+    real rows from one `irfftn` and takes no `out`."""
+    if _is_half(spec, ft):
+        return _real_rows(spec, _with_phase(spec, ft))
     ft = np.require(ft, np.complex128, "C")
     if out is None:
         out = np.empty(ft.shape, dtype=np.complex128)
@@ -222,12 +280,41 @@ def from_spectrum_rows(spec: GridSpec, ft: np.ndarray,
     return out
 
 
+def _with_phase(spec: GridSpec, ft: np.ndarray) -> np.ndarray:
+    """ft * phase, formed on the float view: the signs are exact, so a
+    product with them commutes with any other product to the bit."""
+    ft = np.require(ft, np.complex128, "C")
+    out = np.empty(ft.shape, dtype=np.complex128)
+    np.multiply(ft.view(np.float64), _pairs_of(spec, ft), out=out.view(np.float64))
+    return out
+
+
+def _real_rows(spec: GridSpec, ft_phase: np.ndarray) -> np.ndarray:
+    """irfftn of half-layout spectra that already carry the phase, divided
+    by h^n in place."""
+    rows = np.fft.irfftn(ft_phase, s=spec.shape, axes=_grid_axes(spec))
+    rows *= 1.0 / spec.spacing ** spec.dimension
+    return rows
+
+
 def band_rows(spec: GridSpec, multipliers: np.ndarray, ft: np.ndarray) -> np.ndarray:
     """`from_spectrum(spec, A * ft).samples` for every row A of a block of
-    multipliers, in one complex buffer: (A * ft) * phase, then the batched
-    inverse transform in place."""
+    real multipliers, in ft's layout.  Full layout: (A * ft) * phase, then
+    the batched inverse transform in place of one complex buffer; half-grid
+    multipliers are mirrored to it.  Half layout: A * (ft * phase), the
+    same bits as (A * ft) * phase, then one batched `irfftn` to real rows."""
+    if _is_half(spec, ft):
+        return _real_rows(spec, multipliers * _with_phase(spec, ft))
+    if _is_half(spec, multipliers):
+        multipliers = mirror(spec, multipliers)
     out = multipliers * ft
     return from_spectrum_rows(spec, out, out=out)
+
+
+def band_spectrum(f: GridFunction) -> np.ndarray:
+    """`spectrum(f)` in the layout of f's bands: the half layout for real
+    samples (`GridFunction.is_real`), whose bands are real, else the full."""
+    return spectrum_rows(f.spec, f.samples.real if f.is_real() else f.samples)
 
 
 def spectrum(f: GridFunction) -> np.ndarray:

@@ -227,7 +227,7 @@ def analyze_eager(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None
 
     # level 0: Psi / Phi pair, no t-integral
     emit_level(0, [1.0], [1.0],
-               [profile.Psi_hat(sr)], [frame.level0], C_Phi)
+               [profile.Psi_hat(sr)], [profile.Phi_hat(sr)], C_Phi)
     # levels 1..V: psi_t / phi_t over the octave nodes
     for v in range(1, V + 1):
         sl = ladder.octave_slice(v)
@@ -308,6 +308,26 @@ def synthesize_spatial(dec: AtomicDecomposition) -> GridFunction:
         for w, part in zip(ws, from_spectrum_rows(spec, parts, out=parts)):
             out += w * part
     return GridFunction(spec, out, tag="synthesized")
+
+
+def kernel_profile_full(f: GridFunction, kernel, alpha, p, a: Optional[float] = None):
+    """`besov._kernel_profile` in the full complex layout, as every input ran
+    it before real input moved to the half spectrum: the complex `fftn` of
+    f, the multipliers on the full grid, one batched complex `ifftn` per
+    octave, then `np.abs`."""
+    from vbesov.besov import _exponent, _scale_profile
+    from vbesov.grid import band_rows, mirror
+
+    spec, ladder = f.spec, kernel.ladder
+    F = spectrum(f)
+
+    def magnitudes(multipliers):
+        return np.abs(band_rows(spec, mirror(spec, multipliers), F))
+
+    rows = (magnitudes(kernel.multipliers(ladder.t[ladder.octave_slice(v)]))
+            for v in range(1, ladder.octaves + 1))
+    return _scale_profile(spec, rows, magnitudes(kernel.level0[None]), ladder,
+                          _exponent(alpha), _exponent(p), a)
 
 
 def write_csv_rows(f: GridFunction, path: str) -> None:

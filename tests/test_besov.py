@@ -236,7 +236,7 @@ def test_bad_inputs_fail_before_any_transform(setup2k, monkeypatch):
         raise _Transformed
 
     monkeypatch.setattr(besov, "band_rows", transform)
-    monkeypatch.setattr(besov, "spectrum", transform)
+    monkeypatch.setattr(besov, "band_spectrum", transform)
     q_unbounded = dataclasses.replace(F["q2"], cached_max=math.inf)
     cases = [
         (frame, F["a05"], F["q2"], "nonsense", ParameterError, "unknown form"),

@@ -5,7 +5,7 @@ import vbesov as vb
 from oracles import identity_residual_full_grid, identity_residual_per_node
 from vbesov.errors import ConstructionError, ParameterError
 from vbesov.frame import BumpParams, build_radial_profile, identity_residual
-from vbesov.grid import from_spectrum, spectrum
+from vbesov.grid import from_spectrum, mirror, spectrum
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +165,31 @@ def test_phi_t_spectrum_on_the_annulus_equals_the_full_grid_bit_for_bit(dimensio
     sr = spec.freq_radius()
     for t in (1.0, *ladder.t):
         assert np.array_equal(frame.phi_t_spectrum(t), frame.profile.phi_hat(t * sr))
-    assert np.array_equal(frame.level0, frame.profile.Phi_hat(sr))
+    assert np.array_equal(mirror(spec, frame.level0), frame.profile.Phi_hat(sr))
+
+
+@pytest.mark.parametrize("dimension, N", [(1, 2048), (1, 4096), (2, 64), (2, 128)])
+def test_half_grid_multipliers_mirror_to_the_full_evaluation_bit_for_bit(dimension, N, ladder):
+    # both kernels evaluate on the half grid only; the full layout that the
+    # atoms, synthesize_Phi and kernel-decay read is the mirror, and must
+    # keep every bit of the evaluation at every full-grid frequency
+    spec = vb.make_grid(dimension, 16.0, N)
+    sr, hr = spec.freq_radius(), spec.half_freq_radius()
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    pair = vb.build_local_mean_pair(spec, ladder, S=2 if dimension == 1 else 1)
+    assert frame.level0.shape == frame.level0_analysis.shape == pair.level0.shape == hr.shape
+    assert np.array_equal(pair.radius, hr)
+    for v in range(1, ladder.octaves + 1):
+        ts = ladder.t[ladder.octave_slice(v)]
+        for kern, at in ((frame, frame.profile.phi_hat), (pair, pair.k_spectrum_at)):
+            block = kern.multipliers(ts)
+            assert block.shape == (ts.size,) + spec.half_shape
+            assert np.array_equal(block, np.stack([at(t * hr) for t in ts])), v
+            assert np.array_equal(mirror(spec, block), np.stack([at(t * sr) for t in ts])), v
+    for half, at in ((frame.level0, frame.profile.Phi_hat),
+                     (frame.level0_analysis, frame.profile.Psi_hat),
+                     (pair.level0, pair.k0_spectrum_at)):
+        assert np.array_equal(mirror(spec, half), at(sr))
 
 
 @pytest.mark.parametrize("octaves, nodes, xi_max", [(8, 12, 115.2), (4, 12, 7.2), (6, 5, 28.8)])
