@@ -42,10 +42,10 @@ from .besov import _scale_profile
 from .errors import HypothesisViolationError, ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
-from .grid import (GridFunction, GridSpec, _multi_indices, band_rows, cubes_per_axis,
-                   finest_aligned_level, from_spectrum_rows, mirror, spectral_derivative,
-                   spectrum, spectrum_rows, zero_function)
-from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg_rows
+from .grid import (GridFunction, GridSpec, _multi_indices, band_l2_norms, band_rows,
+                   cubes_per_axis, finest_aligned_level, from_spectrum_rows, mirror,
+                   spectral_derivative, spectrum, spectrum_rows, zero_function)
+from .luxemburg import ScaleLadder, lq_norm, octave_block_norm, solve_luxemburg_rows
 
 COEFF_FLOOR = 1e-14
 SUPPORT_TOL = 1e-6
@@ -163,17 +163,16 @@ def _level(frame: CalderonFrame, v: int):
     return frame.ladder.weights[sl], synth, synth / frame.profile.c2
 
 
-def _level_bound(spec: GridSpec, F2: np.ndarray, ws: np.ndarray, analysis: np.ndarray,
+def _level_bound(spec: GridSpec, F: np.ndarray, ws: np.ndarray, analysis: np.ndarray,
                  const: float) -> float:
     """An upper bound of every lambda of a level, from the spectrum alone.
 
-    A cube's energy is at most the whole band's, and by Parseval the band
-    g = ifft(A F) has int |g|^2 = sum_k A(k)^2 |F_k|^2 / L^n, so every lambda
-    is at most const * (sum_j w_j sum_k A_j(k)^2 |F_k|^2 / L^n)^{1/2}, for
-    the level's weights w and analysis multipliers A, and F2 = |F|^2.
+    A cube's energy is at most the whole band's, so every lambda is at most
+    const * (sum_j w_j ||g_j||_2^2)^{1/2} over the level's nodes, with w the
+    weights and g_j = ifft(A_j F) the bands, whose L^2 norms Parseval gives
+    (`grid.band_l2_norms`).
     """
-    per_node = (analysis ** 2).reshape(len(ws), -1) @ F2.reshape(-1)
-    return const * math.sqrt(float(ws @ per_node) / spec.box_length ** spec.dimension)
+    return const * math.sqrt(float(ws @ band_l2_norms(spec, analysis, F) ** 2))
 
 
 def _cube_energy(spec: GridSpec, F: np.ndarray, v: int, ws: np.ndarray,
@@ -377,13 +376,12 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
     C_phi = measured_kernel_constant(synthesize_phi_t(frame, 1.0), K)
     C_Phi = measured_kernel_constant(synthesize_Phi(frame), K)
     F = spectrum(f)
-    F2 = np.abs(F) ** 2
 
     levels = []
     for v in range(V + 1):
         const = C_Phi if v == 0 else C_phi
         ws, analysis = _level(frame, v)[::2]  # hold no S: one multiplier block a level
-        if _level_bound(spec, F2, ws, analysis, const) < COEFF_FLOOR / 2:
+        if _level_bound(spec, F, ws, analysis, const) < COEFF_FLOOR / 2:
             lam = np.zeros((cubes_per_axis(spec, v),) * spec.dimension)
         else:
             lam = const * np.sqrt(_cube_energy(spec, F, v, ws, analysis))
@@ -457,8 +455,7 @@ def level_sequence_norm(spec: GridSpec, ladder: ScaleLadder, levels: List[np.nda
     if form == "discrete":
         level0, *norms = solve_luxemburg_rows(
             np.stack([2.0 ** (v * s) * S for v, S in enumerate(levels)]), p, h).values.tolist()
-        q0 = float(q.limit_value)
-        return level0 + sum(x ** q0 for x in norms) ** (1.0 / q0)
+        return level0 + lq_norm(norms, float(q.limit_value))
     if len(levels) - 1 > ladder.octaves:
         raise ParameterError(f"V = {len(levels) - 1} levels but the ladder has only "
                              f"{ladder.octaves} octaves")

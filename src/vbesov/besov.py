@@ -1,7 +1,8 @@
 """Scale profiles and the smoothness norm in its equivalent forms.
 
 Every form is a level-0 term plus a t-norm of one scale profile, and every
-profile comes from one pipeline (`_scale_profile`): per ladder node t,
+profile but the p = 2 ones (below) comes from one pipeline
+(`_scale_profile`): per ladder node t,
 nonnegative rows times t^-s(x), then, for the maximal forms, the Peetre
 maximal function of order a, then the Luxemburg norm in L^p(.).  The unit
 of work is the octave: its nodes form one (nodes, *grid) block with one
@@ -15,6 +16,14 @@ picks the layout).  A kernel (a resolution of unity or a local-mean pair)
 gives the pipeline `multipliers(ts)` and `level0` on the half grid, and
 `ladder`.  `FORMS` names each form's kernel class, maximal step and t-norm,
 and `besov_norm` computes all six.
+
+At p = 2 the Luxemburg norm of a band is its L^2 norm, and Plancherel gives
+that exactly from the spectrum: h^n sum_x |band|^2 = sum_k |A_k F_k|^2 / L^n.
+So when p is the constant 2, alpha is constant and the form has no maximal
+step (`direct`, `discretized`, `q0` and `local_mean_double_prime`, with
+either kernel, in 1-D and 2-D, for real and complex f), each node is t^-alpha
+times `grid.band_l2_norms` of its multipliers and F, with no inverse FFT
+and no Luxemburg solve.  Every other input takes the pipeline above.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 from .errors import ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, LocalMeanPair
-from .grid import GridFunction, GridSpec, band_rows, band_spectrum
+from .grid import GridFunction, GridSpec, band_l2_norms, band_rows, band_spectrum
 from .luxemburg import (ScaleLadder, _check_q, octave_block_norm, solve_luxemburg_rows,
                         t_norm)
 
@@ -317,18 +326,28 @@ def _scale_profile(spec: GridSpec, rows: Iterable[np.ndarray], level0: np.ndarra
 
 def _kernel_profile(f: GridFunction, kernel: Kernel, alpha: ExponentField,
                     p: ExponentField, a: Optional[float] = None) -> ScaleProfile:
-    """The profile of f with the kernel's multipliers, one batched transform
-    per octave, in the layout of f's bands (`grid.band_spectrum`): a real f
-    runs on the half spectrum and its real bands take |.| in place."""
+    """The profile of f with the kernel's multipliers, one octave block at a
+    time, in the layout of f's bands (`grid.band_spectrum`).  At p = 2 with
+    a constant alpha and no maximal step each node is an L^2 norm, which
+    Parseval gives from the spectrum (`grid.band_l2_norms`); otherwise one
+    batched transform per octave gives the bands, and a real f's real bands
+    take |.| in place."""
     spec, F, ladder = f.spec, band_spectrum(f), kernel.ladder
+    blocks = (kernel.multipliers(ladder.t[ladder.octave_slice(v)])
+              for v in range(1, ladder.octaves + 1))
+    if a is None and p.is_constant and p.cached_min == 2.0 and alpha.is_constant:
+        vals = np.zeros(ladder.t.size)
+        for v, A in enumerate(blocks, start=1):
+            sl = ladder.octave_slice(v)
+            vals[sl] = band_l2_norms(spec, A, F) * _scale_weights(ladder.t[sl],
+                                                                  alpha.cached_min, 0)
+        return ScaleProfile(ladder, vals, float(band_l2_norms(spec, kernel.level0[None], F)[0]))
 
     def magnitudes(multipliers: np.ndarray) -> np.ndarray:
         g = band_rows(spec, multipliers, F)
         return np.abs(g, out=g) if np.isrealobj(g) else np.abs(g)
 
-    rows = (magnitudes(kernel.multipliers(ladder.t[ladder.octave_slice(v)]))
-            for v in range(1, ladder.octaves + 1))
-    return _scale_profile(spec, rows, magnitudes(kernel.level0[None]),
+    return _scale_profile(spec, map(magnitudes, blocks), magnitudes(kernel.level0[None]),
                           ladder, _exponent(alpha), _exponent(p), a)
 
 

@@ -311,6 +311,36 @@ def band_rows(spec: GridSpec, multipliers: np.ndarray, ft: np.ndarray) -> np.nda
     return from_spectrum_rows(spec, out, out=out)
 
 
+def band_l2_norms(spec: GridSpec, multipliers: np.ndarray, ft: np.ndarray) -> np.ndarray:
+    """The L^2 norm of `from_spectrum(spec, A * ft)` for every row A of a
+    block of real multipliers, in ft's layout, from the spectrum alone.
+
+    Parseval: h^n sum_x |band(x)|^2 = sum_k A_k^2 |ft_k|^2 / L^n over the
+    full grid; in the half layout every column but the first and the
+    Nyquist one also stands for its mirror, so its weight is 2.  Full-layout
+    ft takes half-grid multipliers mirrored.  |ft| is divided by its
+    maximum M before it is squared and M multiplies the roots, so the norms
+    scale with ft exactly and no square overflows at any magnitude float64
+    holds.  The multipliers are a kernel's, a few units at most.  A band
+    keeps full relative accuracy while its largest |A_k ft_k| exceeds
+    2^-460 M: the squares that underflow are then under 2^-78 of its own,
+    on grids of up to 2^24 points.
+    """
+    half = _is_half(spec, ft)
+    if not half and _is_half(spec, multipliers):
+        multipliers = mirror(spec, multipliers)
+    w = np.abs(ft)
+    M = float(w.max(initial=0.0))
+    if M == 0.0:
+        return np.zeros(len(multipliers))
+    w /= M
+    w *= w
+    if half:
+        w[..., 1:spec.points_per_axis // 2] *= 2.0
+    squares = np.square(multipliers).reshape(len(multipliers), -1) @ w.reshape(-1)
+    return M * np.sqrt(squares / spec.box_length ** spec.dimension)
+
+
 def band_spectrum(f: GridFunction) -> np.ndarray:
     """`spectrum(f)` in the layout of f's bands: the half layout for real
     samples (`GridFunction.is_real`), whose bands are real, else the full."""

@@ -5,11 +5,11 @@ bracket [min(R^{1/e-}, R^{1/e+}), max(R^{1/e-}, R^{1/e+})], R = modular(f),
 always contains the root; for a constant exponent it collapses and the
 closed form R^{1/p} is returned without iterating.  Otherwise the root is
 found by safeguarded Newton in mu = log lambda: log modular(mu) =
-log sum w v^e exp(-e mu) is convex and decreasing, so Newton started at the
-lower end of the bracket climbs to the root monotonically, and a step that
-leaves the bracket falls back to bisection.  One solver does this for a
-block of rows at once (an octave of ladder nodes); a single norm is its
-one-row call.
+log sum w v^e exp(-e mu) is convex and decreasing, so its tangent at the
+upper end of the bracket meets 0 left of the root, Newton started there
+climbs to the root monotonically, and a step that leaves the bracket falls
+back to bisection.  One solver does this for a block of rows at once (an
+octave of ladder nodes); a single norm is its one-row call.
 """
 
 from __future__ import annotations
@@ -158,16 +158,23 @@ def solve_luxemburg_rows(vals, expo, weights, report: bool = False) -> RowNorms:
         a, b = float(R[i]) ** (1.0 / float(emin[i])), float(R[i]) ** (1.0 / float(emax[i]))
         lo[i], hi[i] = min(a, b), max(a, b)
 
-    def modular_at(sel, log_lam):
+    def scaled_at(sel, log_lam):
         whole = sel.size == J
         return _scaled_terms(terms if whole else terms[sel],
-                             P if P.ndim == 0 or whole else P[sel], log_lam).sum(axis=1)
+                             P if P.ndim == 0 or whole else P[sel], log_lam)
 
     # roundoff safety: the analytic bracket can miss by an ulp, so hi steps
-    # up by 1, 4, 16, .. ulps until the modular there is at most 1
+    # up by 1, 4, 16, .. ulps until the modular there is at most 1.  The
+    # last evaluation keeps rho(hi) and -d rho / d mu there, where Newton
+    # takes its first step (a constant exponent closes the bracket: no slope)
+    rho_hi, slope_hi = np.zeros(J), np.zeros(J)
     sel = rows
     for guard in range(_GUARD_STEPS + 1):
-        sel = sel[modular_at(sel, _logs(hi[sel])) > 1.0]
+        a = scaled_at(sel, _logs(hi[sel]))
+        rho_hi[sel] = a.sum(axis=1)
+        if P.ndim:
+            slope_hi[sel] = np.vecdot(E if sel.size == J else E[sel], a)
+        sel = sel[rho_hi[sel] > 1.0]
         if not sel.size:
             break
         if guard == _GUARD_STEPS:
@@ -179,7 +186,7 @@ def solve_luxemburg_rows(vals, expo, weights, report: bool = False) -> RowNorms:
     closed, newton = rows[shut], rows[~shut]
     values[closed] = scale[closed] * hi[closed]
     if report:
-        modulars[closed] = modular_at(closed, _logs(hi[closed]))
+        modulars[closed] = scaled_at(closed, _logs(hi[closed])).sum(axis=1)
     # one Newton block per zero pattern, compacted to its nonzero columns in
     # C order: no block holds a zero term (zero times an overflowed power is
     # NaN), and each row sums the terms of its one-row call in the same order
@@ -193,7 +200,8 @@ def solve_luxemburg_rows(vals, expo, weights, report: bool = False) -> RowNorms:
         else:
             ix = np.ix_(sel, np.flatnonzero(cols))
             block = terms[ix], E[ix]
-        lam, iterations[sel], mods = _newton_rows(*block, lo[sel], hi[sel], report)
+        lam, iterations[sel], mods = _newton_rows(*block, lo[sel], hi[sel], rho_hi[sel],
+                                                  slope_hi[sel], report)
         values[sel] = scale[sel] * lam
         if report:
             modulars[sel] = mods
@@ -213,10 +221,22 @@ def _rho_slope(T, E, mu):
     return a.sum(axis=1), np.vecdot(E, a)
 
 
-def _newton_rows(T, E, lo, hi, report):
+def _tangent_root(log_lo: float, log_hi: float, rho: float, slope: float) -> float:
+    """Where the tangent of log rho at mu = log hi crosses 0, clamped into
+    the bracket: log rho is convex, so it lies left of the root and Newton
+    climbs from it.  log lo when rho(hi) or the slope is not a positive
+    finite number."""
+    if not (0.0 < rho < math.inf and 0.0 < slope < math.inf):
+        return log_lo
+    return min(max(log_hi + math.log(rho) * rho / slope, log_lo), log_hi)
+
+
+def _newton_rows(T, E, lo, hi, rho_hi, slope_hi, report):
     """Safeguarded Newton (module docstring) on the rows of T, which holds
-    no zero term, the root of each row bracketed by [lo, hi]; returns lam
-    and the step count per row, and the modular at lam when `report` is set.
+    no zero term, the root of each row bracketed by [lo, hi], started at
+    the tangent root at hi from rho(hi) and -d rho / d mu there; returns
+    lam and the step count per row, and the modular at lam when `report`
+    is set.
 
     Where rho overflows, near lo when e+/e- is large, the step is not
     finite; a step that leaves the bracket [blo, bhi], which tightens with
@@ -224,7 +244,8 @@ def _newton_rows(T, E, lo, hi, report):
     """
     full = (T, E)
     blo, bhi = _logs(lo).tolist(), _logs(hi).tolist()
-    mu, steps = list(blo), [0] * len(blo)
+    mu = [_tangent_root(*args) for args in zip(blo, bhi, rho_hi.tolist(), slope_hi.tolist())]
+    steps = [0] * len(blo)
     act = np.arange(len(blo))
     with np.errstate(over="ignore", invalid="ignore"):
         while act.size:
@@ -313,18 +334,33 @@ def _check_q(q: Optional[ExponentField]) -> None:
 def mixed_core(inner_terms: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
                q_levels: Sequence[float]) -> float:
     """Mixed norm from per-level (values, pointwise exponent, weights) terms
-    of one size; the inner norms of all levels are one row solve."""
+    of one size; the inner norms of all levels are one row solve.  The norm
+    is homogeneous, so it is found for the values divided by their largest,
+    and scaled back: the powers |v|^q_v neither overflow nor underflow."""
+    vals = [np.abs(np.asarray(v, dtype=float)) for v, _, _ in inner_terms]
+    scale = float(max(v.max(initial=0.0) for v in vals)) or 1.0
     rows = []
-    for (vals, expo, weights), qv in zip(inner_terms, q_levels):
-        vals = np.abs(np.asarray(vals, dtype=float)) ** qv
-        rows.append((vals, np.broadcast_to(np.asarray(expo, dtype=float) / qv, vals.shape),
-                     np.broadcast_to(np.asarray(weights, dtype=float), vals.shape)))
+    for v, (_, expo, weights), qv in zip(vals, inner_terms, q_levels):
+        v = (v / scale) ** qv
+        rows.append((v, np.broadcast_to(np.asarray(expo, dtype=float) / qv, v.shape),
+                     np.broadcast_to(np.asarray(weights, dtype=float), v.shape)))
     A = solve_luxemburg_rows(*(np.stack(x) for x in zip(*rows))).values
     if A.sum() == 0:
         return 0.0
     qs = np.asarray(q_levels, dtype=float)
     live = A > 0
-    return float(solve_luxemburg_rows((A[live] ** (1.0 / qs[live]))[None], qs[live], 1.0).values[0])
+    return scale * float(solve_luxemburg_rows((A[live] ** (1.0 / qs[live]))[None], qs[live],
+                                              1.0).values[0])
+
+
+def lq_norm(x, q: float, weights=1.0) -> float:
+    """(sum w x^q)^(1/q) of nonnegative x, formed as m (sum w (x/m)^q)^(1/q)
+    with m = max x, so no power overflows or underflows at any magnitude."""
+    x = np.asarray(x, dtype=float)
+    m = float(x.max(initial=0.0))
+    if m == 0.0:
+        return 0.0
+    return m * float(np.sum((x / m) ** q * weights) ** (1.0 / q))
 
 
 # -- norms on the t-axis ------------------------------------------------------
@@ -346,8 +382,7 @@ def t_norm(g, q: Optional[ExponentField], ladder: ScaleLadder,
     if form == "variable":
         return float(solve_luxemburg_rows(g[None], q.value_at(ladder.t), ladder.weights).values[0])
     if form == "q0":
-        q0 = float(q.limit_value)
-        return float(np.sum(g ** q0 * ladder.weights) ** (1.0 / q0))
+        return lq_norm(g, float(q.limit_value), ladder.weights)
     raise ParameterError(f"unknown t-norm form {form!r}")
 
 

@@ -358,8 +358,10 @@ def sequence_norm_b_loop(dec: AtomicDecomposition, alpha, p, q, form: str = "con
     """The coefficient-space norm by hand: per level a one-row Luxemburg
     solve (discrete), or per octave the weights t^{-(alpha+n/2)} times the
     level's indicator sum, one row solve, then the octave-block t-norm
-    (continuous)."""
-    from vbesov.luxemburg import octave_block_norm, solve_luxemburg, solve_luxemburg_rows
+    (continuous).  The level norms collapse to the fixed exponent q(0) with
+    the library's `lq_norm`."""
+    from vbesov.luxemburg import (lq_norm, octave_block_norm, solve_luxemburg,
+                                  solve_luxemburg_rows)
 
     ladder, spec = dec.ladder, dec.spec
     n = spec.dimension
@@ -374,12 +376,9 @@ def sequence_norm_b_loop(dec: AtomicDecomposition, alpha, p, q, form: str = "con
 
     av = alpha.grid_values()
     if form == "discrete":
-        q0 = float(q.limit_value)
-        acc = 0.0
-        for v, S in enumerate(levels, start=1):
-            weight = 2.0 ** (v * (av + half))
-            acc += solve_luxemburg(weight * S, pv, h).value ** q0
-        return level0 + acc ** (1.0 / q0)
+        norms = [solve_luxemburg(2.0 ** (v * (av + half)) * S, pv, h).value
+                 for v, S in enumerate(levels, start=1)]
+        return level0 + lq_norm(norms, float(q.limit_value))
 
     node_norms = np.zeros(ladder.t.size)  # octaves beyond V stay zero
     for v, S in enumerate(levels, start=1):

@@ -473,13 +473,12 @@ def test_zero_levels_proven_from_the_spectrum_are_exact(N, octaves):
     for name in bank.names():
         f = bank[name]
         dec = vb.analyze(f, frame, V=octaves)
-        F2 = np.abs(dec.f_spectrum) ** 2
         for v, (got, want) in enumerate(zip(dec.levels, level_lattices_unskipped(f, frame,
                                                                                  octaves))):
             assert np.array_equal(got, want), (name, v)
             ws, _, analysis = atoms._level(frame, v)
             const = dec.C_Phi if v == 0 else dec.C_phi
-            bound = atoms._level_bound(spec, F2, ws, analysis, const)
+            bound = atoms._level_bound(spec, dec.f_spectrum, ws, analysis, const)
             lam = const * np.sqrt(atoms._cube_energy(spec, dec.f_spectrum, v, ws, analysis))
             assert bound >= lam.max(), (name, v)
             if bound < atoms.COEFF_FLOOR / 2:

@@ -5,7 +5,9 @@
 tests run the `decompose` request of every `norm-light` member, and one
 `norm` request per form and exponent config (of `norm-light`, and of
 `norm-maximal` at its N = 2048 for the maximal forms), on `gauss_w05` and
-`bandnoise_a` in turn, through `cli.main`; each output is checked with
+`bandnoise_a` in turn, and every `norm-light` request of the `const`
+exponents (p = 2, whose profiles come from the spectrum), through
+`cli.main`; each output is checked with
 `References.check`, so a change that moves the pinned numbers fails here and
 not only in the benchmark.  The module is loaded by path and only read.
 """
@@ -49,6 +51,9 @@ def _replayed():
     for i, form in enumerate(forms):
         for j, exponents in enumerate(WL.EXPONENTS):
             out.append(norms[form, exponents, NORM_MEMBERS[(i + j) % 2]])
+    # and every norm-light p = 2 request, all members: the Parseval profiles
+    out += [(NORM_LIGHT, r) for r in NORM_LIGHT.requests
+            if r.command == "norm" and r.exponents == "const" and (NORM_LIGHT, r) not in out]
     return out
 
 

@@ -6,7 +6,9 @@ import pytest
 
 import vbesov as vb
 from vbesov import besov
+from vbesov.bank import make_member
 from vbesov.besov import FORMS, peetre_maximal
+from vbesov.config import RunConfig
 from vbesov.errors import HypothesisViolationError, ParameterError, UnsupportedFeatureError
 from vbesov.grid import from_spectrum, spectrum
 
@@ -77,6 +79,53 @@ def test_scaling_all_forms(setup2k):
     assert len(a) == 6
     for form in a:
         assert b[form] == pytest.approx(17.0 * a[form], rel=1e-8), form
+
+
+# the benchmark's two exponent configs; the 2-D fields vary along both axes
+HOMOGENEITY_CONFIGS = {
+    "const": RunConfig(p="2", alpha="1 / 2", q="2"),
+    "variable": RunConfig(p="3 + sin(2 * pi * x / 16)",
+                          alpha="3 / 10 + 3 / 5 * sin(2 * pi * x / 16)",
+                          q="2 + 1 / log(e + 1 / t)"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(HOMOGENEITY_CONFIGS))
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_every_form_is_homogeneous_at_any_magnitude(dimension, config):
+    # every power of the pipeline is taken of values divided by their
+    # maximum (the Parseval squares of p = 2 where it lies outside
+    # 2^-400 .. 2^400), so ||c f|| = c ||f|| holds to a few ulps (1e-15
+    # relative, 4.5 ulps; 2 measured) wherever c f and the norm are normal
+    # float64 numbers.  Without the division, `discretized` raised and `q0` read
+    # inf from 1e160 up, and both were 0.6 off at 1e-200
+    cfg = HOMOGENEITY_CONFIGS[config]
+    if dimension == 1:
+        spec, ladder = vb.make_grid(1, 16.0, 512), vb.make_ladder(6, 12)
+        f = make_member(spec, "gauss_w05")
+        p, alpha = cfg.p_field(spec), cfg.alpha_field(spec)
+    else:
+        # 3 octaves of 10 nodes: a 2-D maximal profile takes about 0.45 s,
+        # against 1 s at 5 octaves of 12
+        spec, ladder = vb.make_grid(2, 16.0, 64), vb.make_ladder(3, 10)
+        f = vb.from_callable(spec, lambda x, y: np.exp(-(x ** 2 + 2 * y ** 2) / 2)
+                             * (1 + 0.5 * np.cos(3 * x)))
+        if config == "const":
+            p, alpha = vb.constant_field(spec, 2.0, "p"), vb.constant_field(spec, 0.5, "alpha")
+        else:
+            p = vb.field_from_callable(spec, lambda x, y: 3 + np.sin(2 * np.pi * x / 16),
+                                       "p", 3.0)
+            alpha = vb.field_from_callable(spec, lambda x, y: 0.3 + 0.2 * np.cos(y),
+                                           "alpha", 0.3)
+    q = cfg.q_field(ladder)
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    pair = vb.build_local_mean_pair(spec, ladder, S=2 if dimension == 1 else 1)
+    base = _all_forms(f, frame, pair, alpha, p, q, ladder)
+    assert len(base) == 6
+    for c in (1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300):
+        scaled = _all_forms(f.with_samples(c * f.samples), frame, pair, alpha, p, q, ladder)
+        for form, v in base.items():
+            assert scaled[form] == pytest.approx(c * v, rel=1e-15, abs=0.0), (form, c)
 
 
 def test_all_forms_2d_swap_and_scaling():
@@ -254,6 +303,39 @@ def test_bad_inputs_fail_before_any_transform(setup2k, monkeypatch):
     # a valid request reaches the transform, after the Peetre order warning
     with pytest.warns(UserWarning, match="Peetre order"), pytest.raises(_Transformed):
         vb.besov_norm(f, pair, F["a05"], F["p2"], F["q2"], "local_mean_prime", a=0.25)
+
+
+def test_p2_profiles_take_no_band_transform(monkeypatch):
+    # p = 2, a constant alpha and no maximal step: every node is an L^2
+    # norm, summed over f's spectrum (the half layout for a real f, the
+    # full one for a complex f); every other input transforms its bands
+    spec, ladder = vb.make_grid(1, 16.0, 256), vb.make_ladder(4, 12)
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    pair = vb.build_local_mean_pair(spec, ladder, S=2)
+    f = vb.from_callable(spec, lambda x: np.cos(4 * x) * np.exp(-x ** 2 / 2))
+    fc = f.with_samples(f.samples * np.exp(0.5j * spec.axis_coords()))
+    p2, p3 = vb.constant_field(spec, 2.0), vb.constant_field(spec, 3.0)
+    a05 = vb.constant_field(spec, 0.5, "alpha")
+    a_var = vb.field_from_callable(spec, lambda x: 0.5 + 0.2 * np.sin(x), "alpha", 0.5)
+    q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 0 * t, 2.0)
+
+    def norm(g, alpha, p, form):
+        kernel = pair if FORMS[form].kernel is vb.LocalMeanPair else frame
+        return vb.besov_norm(g, kernel, alpha, p, q, form).value
+
+    def transform(*args, **kwargs):
+        raise _Transformed
+
+    monkeypatch.setattr(besov, "band_rows", transform)
+    for g in (f, fc):
+        for form in ("direct", "discretized", "q0", "local_mean_double_prime"):
+            assert norm(g, a05, p2, form) > 0
+    for g, alpha, p, form in [(f, a_var, p2, "direct"), (f, a05, p3, "direct"),
+                              (f, a05, p2, "peetre"), (f, a05, p2, "local_mean_prime"),
+                              (fc, a_var, p2, "local_mean_double_prime"),
+                              (fc, a05, p3, "discretized"), (fc, a05, p2, "peetre")]:
+        with pytest.raises(_Transformed):
+            norm(g, alpha, p, form)
 
 
 def test_peetre_warning_points_at_the_caller():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vbesov as vb
-from oracles import solve_luxemburg_bisection, solve_luxemburg_rows_bisection
+from oracles import (kernel_profile_full, solve_luxemburg_bisection,
+                     solve_luxemburg_rows_bisection)
 from vbesov.atoms import analyze, sequence_norm_b
 from vbesov.bank import make_member, weierstrass
 from vbesov.config import RunConfig
-from vbesov import luxemburg
+from vbesov import besov, luxemburg
 from vbesov.errors import ConstructionError, ParameterError, UnsupportedFeatureError
 from vbesov.grid import from_spectrum, spectrum
 from vbesov.luxemburg import (RTOL, mixed_core, octave_block_norm, solve_luxemburg,
@@ -264,6 +265,16 @@ def test_homogeneity_at_any_magnitude(unit_box, log10_c):
     assert solve_luxemburg(c * v, [4.0, 4.0, 5.0], 1.0).value == pytest.approx(c * one, rel=1e-9)
 
 
+def test_lq_norm_is_the_power_sum_scaled_by_the_maximum():
+    x, w = np.array([0.5, 2.0, 0.0, 1.25]), np.array([0.2, 0.3, 0.1, 0.4])
+    for q in (1.0, 2.0, 2.7):
+        assert luxemburg.lq_norm(x, q, w) == pytest.approx(np.sum(w * x ** q) ** (1 / q),
+                                                             rel=1e-15)
+        assert luxemburg.lq_norm(1e300 * x, q, w) == pytest.approx(
+            1e300 * luxemburg.lq_norm(x, q, w), rel=1e-15)
+    assert luxemburg.lq_norm(np.zeros(3), 2.0) == 0.0
+
+
 # -- Newton against the bisection oracle ----------------------------------------
 
 # the two exponent configurations of the benchmark workloads
@@ -323,9 +334,10 @@ def _skewed_inputs(count, seed=3):
 
 
 def test_newton_climbs_from_the_lower_end_in_few_steps():
-    # from lo the iterates climb monotonically: at most 7 steps on all of
-    # these; started from hi, the first steps overshoot below the bracket
-    # and dozens of bisection steps follow
+    # from below the root (the tangent root at hi, or lo where rho(hi)
+    # gives no tangent) the iterates climb monotonically; started from hi
+    # itself, the first steps overshoot below the bracket and dozens of
+    # bisection steps follow
     worst = 0
     for v, e, w in _skewed_inputs(1000):
         new, old = solve_luxemburg(v, e, w), solve_luxemburg_bisection(v, e, w)
@@ -409,7 +421,12 @@ def test_every_form_matches_the_bisection_oracle(monkeypatch, config):
         return out, rows
 
     new, _ = values([])
-    old, rows = values(_use_bisection(monkeypatch))
+    # the library takes p = 2 profiles from the spectrum, with no solve; the
+    # oracle run computes every profile in the spatial pipeline, so that the
+    # bisection solver runs on every node
+    solved = _use_bisection(monkeypatch)
+    monkeypatch.setattr(besov, "_kernel_profile", kernel_profile_full)
+    old, rows = values(solved)
     assert new.keys() == old.keys()
     for key, ref in old.items():
         assert new[key] == pytest.approx(ref, rel=1e-9, abs=0.0), key

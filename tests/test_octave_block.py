@@ -193,27 +193,34 @@ def _gauss_2d(spec):
                             * (1 + 0.5 * np.cos(3 * x)))
 
 
-# (dimension, kernel, exponents, maximal step, bank member or None)
-HALF_CASES = [(1, kernel, config, maximal, None) for kernel in ("frame", "local_mean")
+# (dimension, kernel, exponents, maximal step, bank member or None, layout)
+HALF_CASES = [(1, kernel, config, maximal, None, "half") for kernel in ("frame", "local_mean")
               for config in sorted(EXPONENTS) for maximal in (None, 2.0)]
-HALF_CASES += [(1, "frame", "variable", None, m) for m in ("smoothstep_w1", "bandnoise_a")]
-HALF_CASES += [(2, kernel, config, None, None) for kernel in ("frame", "local_mean")
+HALF_CASES += [(1, "frame", config, None, m, "half") for config in sorted(EXPONENTS)
+               for m in ("smoothstep_w1", "bandnoise_a")]
+HALF_CASES += [(2, kernel, config, None, None, "half") for kernel in ("frame", "local_mean")
                for config in sorted(EXPONENTS)]
+# a complex f: the p = 2 profile from its full spectrum, against the bands
+HALF_CASES.append((1, "frame", "const", None, None, "full"))
 
 
-@pytest.mark.parametrize("dimension, kernel, config, maximal, member", HALF_CASES,
+@pytest.mark.parametrize("dimension, kernel, config, maximal, member, layout", HALF_CASES,
                          ids=[f"{c[0]}d-{c[1]}-{c[2]}-{c[3]}" + (f"-{c[4]}" if c[4] else "")
-                              for c in HALF_CASES])
+                              + ("-complex" if c[5] == "full" else "") for c in HALF_CASES])
 def test_half_spectrum_profile_is_the_full_layout_within_1e_13(dimension, kernel, config,
-                                                               maximal, member):
+                                                               maximal, member, layout):
     # rfftn and fftn round differently, so the half path moves the bits; a
     # per-node relative bound would read rounding noise where a band is
     # near zero (0.54 measured at a 1.3e-20 node in 2-D at N = 64), so the
-    # bound is relative to the profile's largest node value and to the norm
+    # bound is relative to the profile's largest node value and to the norm.
+    # At p = 2 (const) and no maximal step the library's profile is the
+    # Parseval sum over f's spectrum, and the oracle's the spatial bands.
     if dimension == 1:
         N = 512 if member is None else 4096
         spec, ladder = vb.make_grid(1, 16.0, N), vb.make_ladder(6 if member is None else 8, 12)
         f = _input(spec) if member is None else make_member(spec, member, seed=7)
+        if layout == "full":
+            f = f.with_samples(f.samples + 0.25j * np.roll(f.samples.real, 7))
         cfg = EXPONENTS[config]
         p, alpha, q = cfg.p_field(spec), cfg.alpha_field(spec), cfg.q_field(ladder)
     else:
