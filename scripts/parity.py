@@ -17,6 +17,10 @@ byte-identical.  The script then exits 1 when any file differs or exists on
 only one side.  With `--rtol R` as well, a file whose text differs only in
 its numbers, each within R relative to DIR's, passes; a difference in the
 text around the numbers, or in how many numbers a key holds, still fails.
+Integer-valued keys, such as the solver's `iterations`, are counts: they
+must agree exactly, and every changed count is listed in its own section.
+A `level0` is compared relative to its document's `value`, not to itself:
+where a member has no spectrum at level 0 it is rounding noise of the norm.
 
     PYTHONPATH=src python scripts/parity.py --out /tmp/parity_change \
         --against /tmp/parity_parent --rtol 1e-13
@@ -45,7 +49,7 @@ import os
 import re
 import sys
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from vbesov import cli
 from vbesov.bank import MEMBER_NAMES
@@ -53,6 +57,8 @@ from vbesov.atoms import sequence_norm_b
 from vbesov.besov import FORMS
 from vbesov.config import RunConfig
 from vbesov.reporting import strip_timestamp
+
+Number = Union[int, float]
 
 EXPONENTS = {
     "const": {"p": "2", "alpha": "1 / 2", "q": "2"},
@@ -132,17 +138,23 @@ def _sequence_norms() -> dict:
     return out
 
 
-def _as_float(x) -> Optional[float]:
-    """x as a float when it is a number or a string of one, else None."""
+def _as_number(x) -> Union[int, float, None]:
+    """x as an int when it is an integer or a string of one, as a float when
+    it is another number or a string of one, else None."""
     if isinstance(x, bool):
         return None
+    if isinstance(x, int):
+        return x
+    if isinstance(x, str):
+        with contextlib.suppress(ValueError):
+            return int(x)
     try:
         return float(x)
     except (TypeError, ValueError):
         return None
 
 
-def _json_numbers(doc, path: str, out: Dict[str, List[float]]) -> None:
+def _json_numbers(doc, path: str, out: Dict[str, List[Number]]) -> None:
     """The numbers of a JSON document by key path, lists flattened."""
     if isinstance(doc, dict):
         for key, val in doc.items():
@@ -150,13 +162,13 @@ def _json_numbers(doc, path: str, out: Dict[str, List[float]]) -> None:
     elif isinstance(doc, list):
         for val in doc:
             _json_numbers(val, path, out)
-    elif _as_float(doc) is not None:
-        out.setdefault(path, []).append(float(doc))
+    elif _as_number(doc) is not None:
+        out.setdefault(path, []).append(_as_number(doc))
 
 
-def _numbers(path: str) -> Dict[str, List[float]]:
+def _numbers(path: str) -> Dict[str, List[Number]]:
     """Numeric CSV columns by header name, or JSON numbers by key path."""
-    out: Dict[str, List[float]] = {}
+    out: Dict[str, List[Number]] = {}
     if path.endswith(".json"):
         with open(path) as fh:
             _json_numbers(json.load(fh), "", out)
@@ -164,7 +176,7 @@ def _numbers(path: str) -> Dict[str, List[float]]:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         for j, name in enumerate(rows[0]):
-            col = [_as_float(row[j]) for row in rows[1:]]
+            col = [_as_number(row[j]) for row in rows[1:]]
             if None not in col:
                 out[name] = col
     return out
@@ -179,11 +191,12 @@ def _skeleton(data: bytes) -> bytes:
     return _NUMBER.sub("#", data.decode("utf-8", "replace")).encode()
 
 
-def _relative(x: float, y: float) -> float:
-    """|x - y| relative to |y|: 0 for equal values, inf for x != y = 0."""
+def _relative(x: float, y: float, ref: float) -> float:
+    """|x - y| relative to |ref|: 0 for equal values, inf for x != y and
+    ref = 0."""
     if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
-    return abs(x - y) / abs(y) if y else math.inf
+    return abs(x - y) / abs(ref) if ref else math.inf
 
 
 def _files(root: str) -> List[str]:
@@ -194,11 +207,12 @@ def _files(root: str) -> List[str]:
 def compare(here: str, there: str, rtol: Optional[float] = None) -> bool:
     """Print, for each file of `here` that differs from `there`, the largest
     absolute and relative difference per numeric column or key, then the
-    byte-identical files.  True when every file of either side is
-    byte-identical to the other's or, with `rtol`, differs only in numbers
-    that are each within rtol of the other side's."""
+    changed counts and the byte-identical files.  True when every file of
+    either side is byte-identical to the other's or, with `rtol`, differs
+    only in numbers that are each within rtol of the other side's (a
+    `level0` within rtol of the `value` beside it), with every count equal."""
     mine, theirs = _files(here), _files(there)
-    identical, tolerated = [], 0
+    identical, tolerated, counts = [], 0, []
     for rel in sorted(set(mine) - set(theirs)):
         print(f"only here: {rel}")
     for rel in sorted(set(theirs) - set(mine)):
@@ -211,23 +225,34 @@ def compare(here: str, there: str, rtol: Optional[float] = None) -> bool:
             identical.append(rel)
             continue
         na, nb = _numbers(a), _numbers(b)
-        diffs, worst_rel, counts_agree = [], 0.0, True
+        diffs, worst_rel, exact_parts_agree = [], 0.0, True
         for key in sorted(set(na) | set(nb)):
             if len(na.get(key, ())) != len(nb.get(key, ())):
                 diffs.append(f"{key} differs in count")
-                counts_agree = False
+                exact_parts_agree = False
                 continue
             pairs = list(zip(na[key], nb[key]))
+            if all(isinstance(x, int) and isinstance(y, int) for x, y in pairs):
+                if na[key] != nb[key]:
+                    counts.append(f"{rel}: {key} {nb[key]} -> {na[key]}")
+                    exact_parts_agree = False
+                continue
+            base = nb.get(key[:-len("level0")] + "value", ()) if key.endswith("level0") else ()
+            refs = base if len(base) == len(pairs) else [y for _, y in pairs]
             worst = max((abs(x - y) for x, y in pairs), default=0.0)
-            rel_worst = max((_relative(x, y) for x, y in pairs), default=0.0)
+            rel_worst = max((_relative(x, y, ref) for (x, y), ref in zip(pairs, refs)),
+                            default=0.0)
             worst_rel = max(worst_rel, rel_worst)
             if worst or rel_worst:
                 diffs.append(f"{key} {worst:.3g} (rel {rel_worst:.3g})")
         text_differs = _skeleton(da) != _skeleton(db)
         print(f"differs: {rel}: max |diff| " + (", ".join(diffs) or "0")
               + (" (text differs)" if text_differs else ""))
-        if rtol is not None and counts_agree and not text_differs and worst_rel <= rtol:
+        if rtol is not None and exact_parts_agree and not text_differs and worst_rel <= rtol:
             tolerated += 1
+    print(f"changed counts: {len(counts)}")
+    for line in counts:
+        print(f"  {line}")
     print(f"byte-identical: {len(identical)} files")
     for rel in identical:
         print(f"  {rel}")

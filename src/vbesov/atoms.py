@@ -45,7 +45,7 @@ from .frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
 from .grid import (GridFunction, GridSpec, _multi_indices, band_l2_norms, band_rows,
                    cubes_per_axis, finest_aligned_level, from_spectrum_rows, mirror,
                    spectral_derivative, spectrum, spectrum_rows, zero_function)
-from .luxemburg import ScaleLadder, lq_norm, octave_block_norm, solve_luxemburg_rows
+from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg_rows
 
 COEFF_FLOOR = 1e-14
 SUPPORT_TOL = 1e-6
@@ -455,7 +455,8 @@ def level_sequence_norm(spec: GridSpec, ladder: ScaleLadder, levels: List[np.nda
     if form == "discrete":
         level0, *norms = solve_luxemburg_rows(
             np.stack([2.0 ** (v * s) * S for v, S in enumerate(levels)]), p, h).values.tolist()
-        return level0 + lq_norm(norms, float(q.limit_value))
+        return level0 + float(solve_luxemburg_rows(np.array([norms]), float(q.limit_value),
+                                                   1.0).values[0])
     if len(levels) - 1 > ladder.octaves:
         raise ParameterError(f"V = {len(levels) - 1} levels but the ladder has only "
                              f"{ladder.octaves} octaves")

@@ -10,6 +10,13 @@ upper end of the bracket meets 0 left of the root, Newton started there
 climbs to the root monotonically, and a step that leaves the bracket falls
 back to bisection.  One solver does this for a block of rows at once (an
 octave of ladder nodes); a single norm is its one-row call.
+
+The solver takes each term once as its log, e log(v / max v) + log w, and
+evaluates the modular and its slope in one pass of exp(log term - e mu).
+A zero value or a zero weight is the log term -inf, whose term is 0 at
+every lambda, so every row keeps all its columns: the open rows of a block
+run as one Newton block, and each row still sums the terms of its one-row
+call in the same order.
 """
 
 from __future__ import annotations
@@ -115,18 +122,21 @@ def solve_luxemburg_rows(vals, expo, weights, report: bool = False) -> RowNorms:
     """inf{lam > 0 : sum w * (v/lam)^e <= 1} for every row v of a block.
 
     vals holds one row per norm along its first axis; expo and weights
-    broadcast against one row or against the whole block.  A scalar expo
-    takes numpy's scalar-power path.  The rows share every array operation,
-    Newton's in one block per zero pattern, but never mix: each row takes
-    the steps, and gets the bits, of a one-row call.  The modular at each
-    value only feeds a report, so it is computed only when `report` is set.
+    broadcast against one row or against the whole block.  The rows share
+    every array operation, the open ones in one Newton block, but never
+    mix: each row takes the steps, and gets the bits, of a one-row call.
+    The modular at each value only feeds a report, so it is computed only
+    when `report` is set.
     """
     vals = np.abs(np.asarray(vals, dtype=float))
     expo, weights = np.asarray(expo, dtype=float), np.asarray(weights, dtype=float)
     J = vals.shape[0]
-    V = vals.reshape(J, -1)
-    # broadcast against the block before flattening each row (2-D grids)
-    E = np.broadcast_to(expo, vals.shape).reshape(J, -1)
+
+    def rows_of(x):
+        # broadcast against the block before flattening each row (2-D grids)
+        return x if x.ndim == 0 else np.broadcast_to(x, vals.shape).reshape(J, -1)
+
+    V, E = vals.reshape(J, -1), rows_of(expo)
     if expo.ndim == 0:
         emin = emax = np.full(J, float(expo))
     else:
@@ -135,45 +145,45 @@ def solve_luxemburg_rows(vals, expo, weights, report: bool = False) -> RowNorms:
     if not (np.isfinite(scale).all() and np.isfinite(emax).all()
             and np.isfinite(weights).all()):
         raise ParameterError("values, exponents and weights must be finite")
+    if np.any(weights < 0):
+        raise ParameterError("weights must be nonnegative")
     if not np.all(emin > 0):
         raise ParameterError("exponents must be positive")
 
-    values, iterations = np.zeros(J), np.zeros(J, dtype=np.int64)
-    lo, hi = np.zeros(J), np.zeros(J)
-    modulars = np.zeros(J) if report else None
+    iterations = np.zeros(J, dtype=np.int64)
+    lo, hi, lam = np.zeros(J), np.zeros(J), np.zeros(J)
     # The root is found for v / max|v| and scaled back (the norm is
-    # homogeneous), so the powers neither overflow nor underflow at any
-    # magnitude float64 holds.  An all-zero row gives NaN terms here and
-    # the norm 0, as does a row whose modular vanishes.
-    W = weights if weights.ndim == 0 else np.broadcast_to(weights, vals.shape).reshape(J, -1)
-    P = expo if expo.ndim == 0 else E
-    terms = V      # |vals| is a fresh array: the terms are formed in its buffer
+    # homogeneous), so no term overflows or underflows at any magnitude
+    # float64 holds.  Each term enters as its log, e log(v / max) + log w,
+    # formed once: a zero value or weight gives -inf, and the term
+    # exp(-inf) = 0 at every lam.  An all-zero row gives NaN logs and the
+    # norm 0, as does a row whose modular vanishes.
+    L = V      # |vals| is a fresh array: the logs are formed in its buffer
     with np.errstate(invalid="ignore", divide="ignore"):
-        terms /= scale[:, None]
-        terms **= P
-        terms *= W
-    R = terms.sum(axis=1)
+        L /= scale[:, None]
+        np.log(L, out=L)
+        L *= E
+        L += rows_of(np.log(weights))
+    R = np.exp(L).sum(axis=1)
     rows = np.flatnonzero(R > 0)
     for i in rows:
         a, b = float(R[i]) ** (1.0 / float(emin[i])), float(R[i]) ** (1.0 / float(emax[i]))
         lo[i], hi[i] = min(a, b), max(a, b)
 
-    def scaled_at(sel, log_lam):
-        whole = sel.size == J
-        return _scaled_terms(terms if whole else terms[sel],
-                             P if P.ndim == 0 or whole else P[sel], log_lam)
+    def block(sel):
+        """The logs and exponents of the rows sel: the whole block without a copy."""
+        if sel.size == J:
+            return L, E
+        return L[sel], E if E.ndim == 0 else E[sel]
 
     # roundoff safety: the analytic bracket can miss by an ulp, so hi steps
     # up by 1, 4, 16, .. ulps until the modular there is at most 1.  The
     # last evaluation keeps rho(hi) and -d rho / d mu there, where Newton
-    # takes its first step (a constant exponent closes the bracket: no slope)
+    # takes its first step
     rho_hi, slope_hi = np.zeros(J), np.zeros(J)
     sel = rows
     for guard in range(_GUARD_STEPS + 1):
-        a = scaled_at(sel, _logs(hi[sel]))
-        rho_hi[sel] = a.sum(axis=1)
-        if P.ndim:
-            slope_hi[sel] = np.vecdot(E if sel.size == J else E[sel], a)
+        rho_hi[sel], slope_hi[sel] = _rho_slope(*block(sel), _logs(hi[sel]))
         sel = sel[rho_hi[sel] > 1.0]
         if not sel.size:
             break
@@ -182,43 +192,30 @@ def solve_luxemburg_rows(vals, expo, weights, report: bool = False) -> RowNorms:
                 f"Luxemburg bracket: the modular stays above 1 at the upper end of "
                 f"row(s) {sel.tolist()} after {_GUARD_STEPS} ulp steps")
         hi[sel] += np.spacing(hi[sel]) * 4.0 ** guard
+    # a constant exponent closes the bracket (the guard moves hi by at most
+    # 21845 ulps, below RTOL): its closed form is hi, and Newton never sees
+    # a scalar exponent
     shut = hi[rows] - lo[rows] <= RTOL * hi[rows]
     closed, newton = rows[shut], rows[~shut]
-    values[closed] = scale[closed] * hi[closed]
+    lam[closed] = hi[closed]
+    lam[newton], iterations[newton] = _newton_rows(*block(newton), lo[newton], hi[newton],
+                                                   rho_hi[newton], slope_hi[newton])
+    modulars = None
     if report:
-        modulars[closed] = scaled_at(closed, _logs(hi[closed])).sum(axis=1)
-    # one Newton block per zero pattern, compacted to its nonzero columns in
-    # C order: no block holds a zero term (zero times an overflowed power is
-    # NaN), and each row sums the terms of its one-row call in the same order
-    live, blocks = terms > 0.0, {}
-    for i in newton.tolist():
-        blocks.setdefault(live[i].tobytes(), []).append(i)
-    for sel in map(np.array, blocks.values()):
-        cols = live[sel[0]]
-        if sel.size == J and cols.all():
-            block = terms, E
-        else:
-            ix = np.ix_(sel, np.flatnonzero(cols))
-            block = terms[ix], E[ix]
-        lam, iterations[sel], mods = _newton_rows(*block, lo[sel], hi[sel], rho_hi[sel],
-                                                  slope_hi[sel], report)
-        values[sel] = scale[sel] * lam
-        if report:
-            modulars[sel] = mods
-    return RowNorms(values, iterations, np.stack([scale * lo, scale * hi], axis=1), modulars)
+        modulars = np.zeros(J)
+        modulars[rows] = _rho_slope(*block(rows), _logs(lam[rows]))[0]
+    return RowNorms(scale * lam, iterations, np.stack([scale * lo, scale * hi], axis=1),
+                    modulars)
 
 
-def _scaled_terms(T, E, log_lam):
-    """The terms T * exp(-E log(lam)) of the modular at one lam per row."""
-    a = np.multiply(E, -log_lam[:, None])
+def _rho_slope(L, E, mu):
+    """rho and -d rho / d mu per row at mu = log lam, in one pass of the
+    terms exp(L - E mu) over the logs L of the terms at lam = 1."""
+    a = np.multiply(E, mu[:, None])
+    a = np.subtract(L, a, out=a if a.shape == L.shape else None)
     np.exp(a, out=a)
-    return np.multiply(a, T, out=a if a.shape == T.shape else None)
-
-
-def _rho_slope(T, E, mu):
-    """rho and -d rho / d mu per row at mu = log lam."""
-    a = _scaled_terms(T, E, mu)
-    return a.sum(axis=1), np.vecdot(E, a)
+    rho = a.sum(axis=1)
+    return rho, E * rho if E.ndim == 0 else np.vecdot(E, a)
 
 
 def _tangent_root(log_lo: float, log_hi: float, rho: float, slope: float) -> float:
@@ -231,25 +228,23 @@ def _tangent_root(log_lo: float, log_hi: float, rho: float, slope: float) -> flo
     return min(max(log_hi + math.log(rho) * rho / slope, log_lo), log_hi)
 
 
-def _newton_rows(T, E, lo, hi, rho_hi, slope_hi, report):
-    """Safeguarded Newton (module docstring) on the rows of T, which holds
-    no zero term, the root of each row bracketed by [lo, hi], started at
-    the tangent root at hi from rho(hi) and -d rho / d mu there; returns
-    lam and the step count per row, and the modular at lam when `report`
-    is set.
+def _newton_rows(L, E, lo, hi, rho_hi, slope_hi):
+    """Safeguarded Newton (module docstring) on the rows of the log terms
+    L, the root of each row bracketed by [lo, hi], started at the tangent
+    root at hi from rho(hi) and -d rho / d mu there; returns lam and the
+    step count per row.
 
     Where rho overflows, near lo when e+/e- is large, the step is not
     finite; a step that leaves the bracket [blo, bhi], which tightens with
     every evaluation, is replaced by a bisection step.
     """
-    full = (T, E)
     blo, bhi = _logs(lo).tolist(), _logs(hi).tolist()
     mu = [_tangent_root(*args) for args in zip(blo, bhi, rho_hi.tolist(), slope_hi.tolist())]
     steps = [0] * len(blo)
     act = np.arange(len(blo))
     with np.errstate(over="ignore", invalid="ignore"):
         while act.size:
-            rho, slope = _rho_slope(T, E, np.array([mu[k] for k in act]))
+            rho, slope = _rho_slope(L, E, np.array([mu[k] for k in act]))
             # the step itself runs per row on Python floats with math.log,
             # as a one-row call does, so each row keeps its bits
             keep = np.ones(act.size, dtype=bool)
@@ -268,10 +263,8 @@ def _newton_rows(T, E, lo, hi, rho_hi, slope_hi, report):
                 mu[k] = nxt
                 keep[j] = not done and steps[k] < MAX_ITER
             if not keep.all():
-                act, T, E = act[keep], T[keep], E[keep]
-        lam = np.array([math.exp(m) for m in mu])
-        mods = _scaled_terms(*full, _logs(lam)).sum(axis=1) if report else None
-    return lam, steps, mods
+                act, L, E = act[keep], L[keep], E[keep]
+    return np.array([math.exp(m) for m in mu]), steps
 
 
 def solve_luxemburg(vals, expo, weights) -> NormResult:
@@ -336,7 +329,8 @@ def mixed_core(inner_terms: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     """Mixed norm from per-level (values, pointwise exponent, weights) terms
     of one size; the inner norms of all levels are one row solve.  The norm
     is homogeneous, so it is found for the values divided by their largest,
-    and scaled back: the powers |v|^q_v neither overflow nor underflow."""
+    and scaled back: the powers |v|^q_v neither overflow nor underflow.  A
+    level of norm 0 is a term 0 of the outer solve at every lambda."""
     vals = [np.abs(np.asarray(v, dtype=float)) for v, _, _ in inner_terms]
     scale = float(max(v.max(initial=0.0) for v in vals)) or 1.0
     rows = []
@@ -345,22 +339,8 @@ def mixed_core(inner_terms: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         rows.append((v, np.broadcast_to(np.asarray(expo, dtype=float) / qv, v.shape),
                      np.broadcast_to(np.asarray(weights, dtype=float), v.shape)))
     A = solve_luxemburg_rows(*(np.stack(x) for x in zip(*rows))).values
-    if A.sum() == 0:
-        return 0.0
     qs = np.asarray(q_levels, dtype=float)
-    live = A > 0
-    return scale * float(solve_luxemburg_rows((A[live] ** (1.0 / qs[live]))[None], qs[live],
-                                              1.0).values[0])
-
-
-def lq_norm(x, q: float, weights=1.0) -> float:
-    """(sum w x^q)^(1/q) of nonnegative x, formed as m (sum w (x/m)^q)^(1/q)
-    with m = max x, so no power overflows or underflows at any magnitude."""
-    x = np.asarray(x, dtype=float)
-    m = float(x.max(initial=0.0))
-    if m == 0.0:
-        return 0.0
-    return m * float(np.sum((x / m) ** q * weights) ** (1.0 / q))
+    return scale * float(solve_luxemburg_rows((A ** (1.0 / qs))[None], qs, 1.0).values[0])
 
 
 # -- norms on the t-axis ------------------------------------------------------
@@ -379,11 +359,10 @@ def t_norm(g, q: Optional[ExponentField], ladder: ScaleLadder,
     if not (np.all(np.isfinite(g)) and np.all(g >= 0)):
         raise ParameterError("profile values must be finite and nonnegative")
     _check_q(q)
-    if form == "variable":
-        return float(solve_luxemburg_rows(g[None], q.value_at(ladder.t), ladder.weights).values[0])
-    if form == "q0":
-        return lq_norm(g, float(q.limit_value), ladder.weights)
-    raise ParameterError(f"unknown t-norm form {form!r}")
+    if form not in ("variable", "q0"):
+        raise ParameterError(f"unknown t-norm form {form!r}")
+    expo = q.value_at(ladder.t) if form == "variable" else float(q.limit_value)
+    return float(solve_luxemburg_rows(g[None], expo, ladder.weights).values[0])
 
 
 def octave_block_norm(g, ladder: ScaleLadder, q: ExponentField) -> float:

@@ -359,9 +359,8 @@ def sequence_norm_b_loop(dec: AtomicDecomposition, alpha, p, q, form: str = "con
     solve (discrete), or per octave the weights t^{-(alpha+n/2)} times the
     level's indicator sum, one row solve, then the octave-block t-norm
     (continuous).  The level norms collapse to the fixed exponent q(0) with
-    the library's `lq_norm`."""
-    from vbesov.luxemburg import (lq_norm, octave_block_norm, solve_luxemburg,
-                                  solve_luxemburg_rows)
+    the library's one-row solve at that scalar exponent."""
+    from vbesov.luxemburg import octave_block_norm, solve_luxemburg, solve_luxemburg_rows
 
     ladder, spec = dec.ladder, dec.spec
     n = spec.dimension
@@ -378,7 +377,8 @@ def sequence_norm_b_loop(dec: AtomicDecomposition, alpha, p, q, form: str = "con
     if form == "discrete":
         norms = [solve_luxemburg(2.0 ** (v * (av + half)) * S, pv, h).value
                  for v, S in enumerate(levels, start=1)]
-        return level0 + lq_norm(norms, float(q.limit_value))
+        return level0 + float(solve_luxemburg_rows(np.array([norms]), float(q.limit_value),
+                                                   1.0).values[0])
 
     node_norms = np.zeros(ladder.t.size)  # octaves beyond V stay zero
     for v, S in enumerate(levels, start=1):

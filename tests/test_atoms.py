@@ -294,7 +294,8 @@ def test_discrete_sequence_norm_is_one_row_solve(monkeypatch, setup2k):
     q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + 1.0 / np.log(np.e + 1.0 / t), 2.0)
     vb.sequence_norm_b(dec, vb.constant_field(spec, 0.5, "alpha"), vb.constant_field(spec, 3.0),
                        q, form="discrete")
-    assert blocks == [dec.V + 1]
+    # the level block, then the one-row collapse at the scalar q(0)
+    assert blocks == [dec.V + 1, 1]
 
 
 def test_export_import_roundtrip(tmp_path, setup2k):

@@ -5,8 +5,9 @@
 tests run the `decompose` request of every `norm-light` member, and one
 `norm` request per form and exponent config (of `norm-light`, and of
 `norm-maximal` at its N = 2048 for the maximal forms), on `gauss_w05` and
-`bandnoise_a` in turn, and every `norm-light` request of the `const`
-exponents (p = 2, whose profiles come from the spectrum), through
+`bandnoise_a` in turn, and every other `norm-light` request: those of the
+`const` exponents (p = 2, whose profiles come from the spectrum) and those
+of the `variable` ones (whose profiles are Luxemburg row solves), through
 `cli.main`; each output is checked with
 `References.check`, so a change that moves the pinned numbers fails here and
 not only in the benchmark.  The module is loaded by path and only read.
@@ -43,7 +44,8 @@ NORM_LIGHT, NORM_MAXIMAL = WL.WORKLOADS["norm-light"], WL.WORKLOADS["norm-maxima
 
 def _replayed():
     """(workload, request) pairs: every norm-light decompose, then per form
-    and exponent config one norm request, the two members taking turns."""
+    and exponent config one norm request, the two members taking turns,
+    then the other norm-light norm requests."""
     out = [(NORM_LIGHT, r) for r in NORM_LIGHT.requests if r.command == "decompose"]
     norms = {(r.form, r.exponents, r.member): (w, r) for w in (NORM_LIGHT, NORM_MAXIMAL)
              for r in w.requests if r.command == "norm"}
@@ -51,9 +53,10 @@ def _replayed():
     for i, form in enumerate(forms):
         for j, exponents in enumerate(WL.EXPONENTS):
             out.append(norms[form, exponents, NORM_MEMBERS[(i + j) % 2]])
-    # and every norm-light p = 2 request, all members: the Parseval profiles
+    # and every other norm-light request, all members: the Parseval profiles
+    # of p = 2 and the Luxemburg rows of the variable exponents
     out += [(NORM_LIGHT, r) for r in NORM_LIGHT.requests
-            if r.command == "norm" and r.exponents == "const" and (NORM_LIGHT, r) not in out]
+            if r.command == "norm" and (NORM_LIGHT, r) not in out]
     return out
 
 

@@ -265,14 +265,17 @@ def test_homogeneity_at_any_magnitude(unit_box, log10_c):
     assert solve_luxemburg(c * v, [4.0, 4.0, 5.0], 1.0).value == pytest.approx(c * one, rel=1e-9)
 
 
-def test_lq_norm_is_the_power_sum_scaled_by_the_maximum():
+def test_a_scalar_exponent_is_the_power_sum_scaled_by_the_maximum():
+    # the closed form of the solver, which the q0 t-norm and the discrete
+    # coefficient norm take at the scalar q(0)
     x, w = np.array([0.5, 2.0, 0.0, 1.25]), np.array([0.2, 0.3, 0.1, 0.4])
     for q in (1.0, 2.0, 2.7):
-        assert luxemburg.lq_norm(x, q, w) == pytest.approx(np.sum(w * x ** q) ** (1 / q),
-                                                             rel=1e-15)
-        assert luxemburg.lq_norm(1e300 * x, q, w) == pytest.approx(
-            1e300 * luxemburg.lq_norm(x, q, w), rel=1e-15)
-    assert luxemburg.lq_norm(np.zeros(3), 2.0) == 0.0
+        one = solve_luxemburg_rows(x[None], q, w)
+        assert one.iterations[0] == 0
+        assert one.values[0] == pytest.approx(np.sum(w * x ** q) ** (1 / q), rel=1e-15)
+        assert solve_luxemburg_rows(1e300 * x[None], q, w).values[0] == pytest.approx(
+            1e300 * one.values[0], rel=1e-15)
+    assert solve_luxemburg_rows(np.zeros((1, 3)), 2.0, 1.0).values[0] == 0.0
 
 
 # -- Newton against the bisection oracle ----------------------------------------
@@ -491,6 +494,7 @@ def test_rows_with_different_zero_patterns_get_the_bits_of_one_row_calls(exponen
         vals[rng.random(vals.shape) < zeros] = 0.0
         expo = 1.5 + rng.random(300 if exponent == "broadcast" else (4, 300))
         weights = rng.random(300)
+        weights[rng.random(300) < 0.1] = 0.0   # a zero weight is a log term -inf
         block = solve_luxemburg_rows(vals, expo, weights, report=True)
         for j in range(4):
             one = solve_luxemburg(vals[j], expo if expo.ndim == 1 else expo[j], weights)
@@ -513,6 +517,17 @@ def test_non_finite_input_is_rejected_before_iterating(vals, expo, weights):
         solve_luxemburg(vals, expo, weights)
     with pytest.raises(ParameterError, match="finite"):
         solve_luxemburg_rows(np.array([vals, vals]), expo, weights)
+
+
+@pytest.mark.parametrize("weights", [[-1.0, 0.5], [-0.2, 0.5], -1.0])
+def test_a_negative_weight_is_rejected_before_iterating(monkeypatch, weights):
+    # without the check, [-1, 0.5] gave the norm 0 and [-0.2, 0.5] raised
+    # from the bracket guard
+    monkeypatch.setattr(luxemburg, "_rho_slope", None)   # no step is taken
+    with pytest.raises(ParameterError, match="nonnegative"):
+        solve_luxemburg([1.0, 1.0], [2.0, 3.0], weights)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        solve_luxemburg_rows(np.ones((2, 2)), [2.0, 3.0], weights)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -539,7 +554,30 @@ def test_bracket_guard_steps_by_ulps():
 
 
 def test_bracket_guard_raises_when_the_modular_stays_above_one(monkeypatch):
-    real = luxemburg._scaled_terms
-    monkeypatch.setattr(luxemburg, "_scaled_terms", lambda *args: 2.0 * real(*args))
+    real = luxemburg._rho_slope
+    monkeypatch.setattr(luxemburg, "_rho_slope",
+                        lambda *args: tuple(2.0 * x for x in real(*args)))
     with pytest.raises(ConstructionError, match="bracket"):
         solve_luxemburg([1.0, 0.5], [2.0, 3.0], [0.3, 0.7])
+
+
+def test_one_newton_block_for_rows_with_different_zero_patterns(monkeypatch):
+    # rows with zero values in different columns, and a zero weight: every
+    # guard step and every Newton round is one evaluation over the open rows
+    rng = np.random.default_rng(5)
+    vals = rng.random((6, 40))
+    vals[rng.random(vals.shape) < 0.3] = 0.0
+    expo, weights = 1.5 + rng.random(40), rng.random(40)
+    weights[3] = 0.0
+    assert len({row.tobytes() for row in vals > 0}) == 6
+    calls = []
+    real = luxemburg._rho_slope
+    monkeypatch.setattr(luxemburg, "_rho_slope",
+                        lambda L, E, mu: calls.append(len(mu)) or real(L, E, mu))
+    block = solve_luxemburg_rows(vals, expo, weights)
+    # one guard step (no row's modular rounds above 1 at its upper end),
+    # then one round per step of the slowest row, over the rows still open
+    rounds = int(block.iterations.max())
+    assert len(calls) == 1 + rounds
+    assert calls[:2] == [6, 6]
+    assert calls[1:] == [int(np.sum(block.iterations > k)) for k in range(rounds)]

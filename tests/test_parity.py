@@ -75,3 +75,38 @@ def test_errors_hold_the_exit_code_and_last_stderr_line_of_each_bad_input():
         ("negative-seed-in-config", "2"), ("negative-seed-option", "2"), ("p-below-1", "2"),
         ("alpha-at-least-S-plus-1", "3"), ("unknown-member", "1"), ("bad-expression", "2")]
     assert all(last and "Traceback" not in last for _, _, last in rows)
+
+
+def test_rtol_compares_counts_exactly_and_lists_them(tmp_path, capsys):
+    parity = _parity()
+    here, there = tmp_path / "here", tmp_path / "there"
+    for root in (here, there):
+        root.mkdir()
+    (here / "a.json").write_text('{"iterations": 3, "value": 1.0000000000000002}\n')
+    (there / "a.json").write_text('{"iterations": 2, "value": 1.0}\n')
+    # one step more is a changed count at any tolerance, not 50 % relative
+    assert not parity.compare(str(here), str(there), rtol=1.0)
+    out = capsys.readouterr().out
+    assert "changed counts: 1\n  a.json: iterations [2] -> [3]\n" in out
+    (here / "a.json").write_text('{"iterations": 2, "value": 1.0000000000000002}\n')
+    assert parity.compare(str(here), str(there), rtol=1e-13)
+    assert "changed counts: 0\n" in capsys.readouterr().out
+    # an integer column of a CSV is a count as well
+    (here / "b.csv").write_text("v,lambda\n1,2.0\n")
+    (there / "b.csv").write_text("v,lambda\n2,2.0\n")
+    assert not parity.compare(str(here), str(there), rtol=1.0)
+    assert "  b.csv: v [2] -> [1]\n" in capsys.readouterr().out
+
+
+def test_rtol_takes_level0_relative_to_the_value_of_its_document(tmp_path, capsys):
+    parity = _parity()
+    here, there = tmp_path / "here", tmp_path / "there"
+    for root in (here, there):
+        root.mkdir()
+    # a level 0 of rounding noise beside a norm of 4.69 (modgauss_f16)
+    (here / "a.json").write_text('{"level0": 7.42e-16, "value": 4.69}\n')
+    (there / "a.json").write_text('{"level0": 7.40e-16, "value": 4.69}\n')
+    assert parity.compare(str(here), str(there), rtol=1e-13)
+    assert "level0 2e-18 (rel 4.26e-19)" in capsys.readouterr().out
+    (here / "a.json").write_text('{"level0": 1e-12, "value": 4.69}\n')
+    assert not parity.compare(str(here), str(there), rtol=1e-13)
