@@ -158,9 +158,8 @@ def _level(frame: CalderonFrame, v: int):
     if v == 0:
         return (np.ones(1), mirror(spec, frame.level0[None]),
                 mirror(spec, frame.level0_analysis[None]))
-    sl = frame.ladder.octave_slice(v)
-    synth = mirror(spec, frame.multipliers(frame.ladder.t[sl]))
-    return frame.ladder.weights[sl], synth, synth / frame.profile.c2
+    synth = mirror(spec, frame.blocks[v - 1])
+    return frame.ladder.weights[frame.ladder.octave_slice(v)], synth, synth / frame.profile.c2
 
 
 def _level_bound(spec: GridSpec, F: np.ndarray, ws: np.ndarray, analysis: np.ndarray,
@@ -331,6 +330,15 @@ def measured_kernel_constant(kernel: GridFunction, K: int) -> float:
     return best
 
 
+def _kernel_constants(frame: CalderonFrame, K: int) -> Tuple[float, float]:
+    """(C_phi, C_Phi): `measured_kernel_constant` of phi_1 and of Phi at
+    order K, measured once per frame and K and held in `frame.constants`."""
+    if K not in frame.constants:
+        frame.constants[K] = (measured_kernel_constant(synthesize_phi_t(frame, 1.0), K),
+                              measured_kernel_constant(synthesize_Phi(frame), K))
+    return frame.constants[K]
+
+
 def _check_target(K: int, L: int, alpha: ExponentField) -> None:
     need_K = math.floor(alpha.cached_max) + 1
     if K < need_K:
@@ -373,8 +381,7 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
     if target_alpha is not None:
         _check_target(K, L, target_alpha)
 
-    C_phi = measured_kernel_constant(synthesize_phi_t(frame, 1.0), K)
-    C_Phi = measured_kernel_constant(synthesize_Phi(frame), K)
+    C_phi, C_Phi = _kernel_constants(frame, K)
     F = spectrum(f)
 
     levels = []

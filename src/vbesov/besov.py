@@ -13,7 +13,7 @@ The kernels are radial, so the bands of a real f are real: a real f runs on
 its half (`rfftn`) spectrum, with one batched `irfftn` per octave and |.|
 taken in place, and a complex f on the full spectrum (`grid.band_spectrum`
 picks the layout).  A kernel (a resolution of unity or a local-mean pair)
-gives the pipeline `multipliers(ts)` and `level0` on the half grid, and
+gives the pipeline its octave `blocks` and `level0` on the half grid, and
 `ladder`.  `FORMS` names each form's kernel class, maximal step and t-norm,
 and `besov_norm` computes all six.
 
@@ -332,9 +332,7 @@ def _kernel_profile(f: GridFunction, kernel: Kernel, alpha: ExponentField,
     Parseval gives from the spectrum (`grid.band_l2_norms`); otherwise one
     batched transform per octave gives the bands, and a real f's real bands
     take |.| in place."""
-    spec, F, ladder = f.spec, band_spectrum(f), kernel.ladder
-    blocks = (kernel.multipliers(ladder.t[ladder.octave_slice(v)])
-              for v in range(1, ladder.octaves + 1))
+    spec, F, ladder, blocks = f.spec, band_spectrum(f), kernel.ladder, kernel.blocks
     if a is None and p.is_constant and p.cached_min == 2.0 and alpha.is_constant:
         vals = np.zeros(ladder.t.size)
         for v, A in enumerate(blocks, start=1):

@@ -39,13 +39,15 @@ _GUARD_STEPS = 8   # ulp steps of the bracket's upper end, 4^k ulps each
 # -- scale ladder -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaleLadder:
     """Quadrature ladder for integrals dt/t over t in (0, 1].
 
     Octave v covers [2^-v, 2^{1-v}]; per-octave Gauss-Legendre nodes in log t,
     so each octave's weights sum to log 2 exactly (up to roundoff).
-    Nodes are stored strictly decreasing in t.
+    Nodes are stored strictly decreasing in t.  Two ladders are equal, and
+    hash equal, when their sizes and the bytes of their nodes and weights
+    are: a ladder is part of a kernel's cache key (`frame`).
     """
 
     octaves: int
@@ -58,6 +60,17 @@ class ScaleLadder:
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def _key(self) -> tuple:
+        return (self.octaves, self.nodes_per_octave, self.t.tobytes(), self.weights.tobytes())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScaleLadder):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def octave_slice(self, v: int) -> slice:
         J = self.nodes_per_octave

@@ -93,6 +93,19 @@ def identity_residual_per_node(profile: RadialProfile, ladder: ScaleLadder,
     return float(np.max(np.abs(total - 1.0)))
 
 
+def pairing_residual_per_node(profile: RadialProfile, ladder: ScaleLadder,
+                              xi_max: float, n_samples: int = 6000) -> float:
+    """max over the band of |FPsi(xi) FPhi(xi) + sum_k Fpsi(t_k xi)
+    Fphi(t_k xi) w_k - 1|, one `psi_hat` and one `phi_hat` call per ladder
+    node on its slice of the annulus."""
+    s = np.geomspace(xi_max * 1e-4, xi_max, n_samples)
+    total = profile.Psi_hat(s) * profile.Phi_hat(s)
+    for t, w in zip(ladder.t, ladder.weights):
+        i, j = np.searchsorted(s, (0.5 * (1 - 1e-9) / t, 2.0 * (1 + 1e-9) / t))
+        total[i:j] += w * profile.psi_hat(t * s[i:j]) * profile.phi_hat(t * s[i:j])
+    return float(np.max(np.abs(total - 1.0)))
+
+
 def scale_profile_per_node(spec: GridSpec, F: np.ndarray, band, level0: np.ndarray,
                            ladder: ScaleLadder, alpha, p, a: Optional[float] = None):
     """(node values, level-0 value) of a scale profile, one ladder node at a

@@ -19,7 +19,7 @@ from vbesov.checks import (LEMMA_CHECKS, check_key_modular,
                            check_mixed_equivalence, check_norm_equivalences,
                            run_checks)
 from vbesov.cli import main as cli_main
-from vbesov.frame import BumpParams
+from vbesov.frame import PAIRING_TOL, BumpParams
 from vbesov.grid import spectrum
 from vbesov.luxemburg import t_norm
 from vbesov.reporting import strip_timestamp
@@ -107,14 +107,16 @@ def test_criterion_1_luxemburg(bank):
 
 def test_criterion_2_frame_identity(bank):
     t0 = time.time()
-    residuals = {}
+    residuals, pairings = {}, {}
     for order in (6, 10):
         fr = vb.build_resolution_of_unity(bank.spec, bank.ladder, BumpParams(order))
-        residuals[order] = fr.residual
+        residuals[order], pairings[order] = fr.residual, fr.pairing_residual
         assert fr.residual <= 1e-6, (order, fr.residual)
+        assert fr.pairing_residual <= PAIRING_TOL, (order, fr.pairing_residual)
     elapsed = time.time() - t0
     _report(2, elapsed <= 5.0,
-            f"residuals {residuals[6]:.2e} / {residuals[10]:.2e} in {elapsed:.1f}s")
+            f"residuals {residuals[6]:.2e} / {residuals[10]:.2e}, pairing residuals "
+            f"{pairings[6]:.2e} / {pairings[10]:.2e} in {elapsed:.1f}s")
 
 
 def test_criterion_3_sobolev_oracle(bank, frame):

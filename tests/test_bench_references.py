@@ -1,16 +1,19 @@
 """The benchmark's reference check, replayed in-process at CLI seed 7.
 
-`perfbench/workloads.py` pins, per request, the norm to 1e-8 and every
-`decompose` coefficient to 1e-12 relative of the recorded references.  These
-tests run the `decompose` request of every `norm-light` member, and one
-`norm` request per form and exponent config (of `norm-light`, and of
-`norm-maximal` at its N = 2048 for the maximal forms), on `gauss_w05` and
-`bandnoise_a` in turn, and every other `norm-light` request: those of the
-`const` exponents (p = 2, whose profiles come from the spectrum) and those
-of the `variable` ones (whose profiles are Luxemburg row solves), through
-`cli.main`; each output is checked with
-`References.check`, so a change that moves the pinned numbers fails here and
-not only in the benchmark.  The module is loaded by path and only read.
+`perfbench/workloads.py` pins, per request, the norm to 1e-8, every
+`decompose` coefficient to 1e-12 relative of the recorded references, and a
+`synthesize` round trip to its residual limit.  These tests run the
+`decompose` request of every `norm-light` member, and one `norm` request per
+form and exponent config (of `norm-light`, and of `norm-maximal` at its
+N = 2048 for the maximal forms), on `gauss_w05` and `bandnoise_a` in turn,
+every other `norm-light` request: those of the `const` exponents (p = 2,
+whose profiles come from the spectrum) and those of the `variable` ones
+(whose profiles are Luxemburg row solves), and every `atoms-roundtrip`
+request (N = 2048, 7 octaves), through `cli.main` in one process, so most
+of them run on kernels that an earlier request built; each output is
+checked with `References.check`, so a change that moves the pinned numbers
+fails here and not only in the benchmark.  The module is loaded by path and
+only read.
 """
 
 import contextlib
@@ -40,12 +43,14 @@ def _workloads():
 
 WL = _workloads()
 NORM_LIGHT, NORM_MAXIMAL = WL.WORKLOADS["norm-light"], WL.WORKLOADS["norm-maximal"]
+ATOMS_ROUNDTRIP = WL.WORKLOADS["atoms-roundtrip"]
 
 
 def _replayed():
     """(workload, request) pairs: every norm-light decompose, then per form
     and exponent config one norm request, the two members taking turns,
-    then the other norm-light norm requests."""
+    then the other norm-light norm requests and every atoms-roundtrip
+    request."""
     out = [(NORM_LIGHT, r) for r in NORM_LIGHT.requests if r.command == "decompose"]
     norms = {(r.form, r.exponents, r.member): (w, r) for w in (NORM_LIGHT, NORM_MAXIMAL)
              for r in w.requests if r.command == "norm"}
@@ -57,7 +62,7 @@ def _replayed():
     # of p = 2 and the Luxemburg rows of the variable exponents
     out += [(NORM_LIGHT, r) for r in NORM_LIGHT.requests
             if r.command == "norm" and (NORM_LIGHT, r) not in out]
-    return out
+    return out + [(ATOMS_ROUNDTRIP, r) for r in ATOMS_ROUNDTRIP.requests]
 
 
 REPLAYED = _replayed()
@@ -69,6 +74,10 @@ def references():
 
 
 def test_the_replayed_set_covers_every_decompose_and_norm_form():
+    for workload in WL.WORKLOADS.values():
+        replayed = {r.command for w, r in REPLAYED if w is workload}
+        assert replayed == {r.command for r in workload.requests}, workload.name
+    assert {r for w, r in REPLAYED if w is ATOMS_ROUNDTRIP} == set(ATOMS_ROUNDTRIP.requests)
     decomposed = {r.member for _, r in REPLAYED if r.command == "decompose"}
     assert decomposed == {r.member for r in NORM_LIGHT.requests}
     normed = {(r.form, r.exponents) for _, r in REPLAYED if r.command == "norm"}

@@ -1,11 +1,22 @@
+import contextlib
+import dataclasses
+import io
+import os
+import shutil
+
 import numpy as np
 import pytest
 
 import vbesov as vb
-from oracles import identity_residual_full_grid, identity_residual_per_node
+import vbesov.frame as frame_mod
+from oracles import (identity_residual_full_grid, identity_residual_per_node,
+                     pairing_residual_per_node)
+from vbesov.cli import main
 from vbesov.errors import ConstructionError, ParameterError
-from vbesov.frame import BumpParams, build_radial_profile, identity_residual
+from vbesov.frame import (KERNEL_CACHE_SIZE, PAIRING_TOL, BumpParams, build_radial_profile,
+                          identity_residual, pairing_residual)
 from vbesov.grid import from_spectrum, mirror, spectrum
+from vbesov.reporting import strip_timestamp
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +195,7 @@ def test_half_grid_multipliers_mirror_to_the_full_evaluation_bit_for_bit(dimensi
         for kern, at in ((frame, frame.profile.phi_hat), (pair, pair.k_spectrum_at)):
             block = kern.multipliers(ts)
             assert block.shape == (ts.size,) + spec.half_shape
+            assert np.array_equal(kern.blocks[v - 1], block), v
             assert np.array_equal(block, np.stack([at(t * hr) for t in ts])), v
             assert np.array_equal(mirror(spec, block), np.stack([at(t * sr) for t in ts])), v
     for half, at in ((frame.level0, frame.profile.Phi_hat),
@@ -219,3 +231,179 @@ def test_phi_hat_horner_is_polyval_bit_for_bit(order):
     inside = np.abs(zs) < 1.0
     assert np.array_equal(profile.phi_hat(s)[inside],
                           npoly.polyval(zs[inside], profile.coef) / profile.c_b)
+
+
+@pytest.mark.parametrize("octaves, nodes, xi_max", [(8, 12, 115.2), (4, 12, 7.2), (6, 5, 28.8)])
+def test_pairing_residual_equals_the_per_node_loop(octaves, nodes, xi_max):
+    profile = build_radial_profile(BumpParams())
+    ladder = vb.make_ladder(octaves, nodes)
+    assert (pairing_residual(profile, ladder, xi_max)
+            == pairing_residual_per_node(profile, ladder, xi_max))
+
+
+@pytest.mark.parametrize("order, measured", [(6, 2.580e-9), (10, 1.127e-9)])
+def test_pairing_residual_is_certified_on_the_frame(order, measured):
+    # the same figure on every grid and ladder length: a function of the
+    # bump order, the ladder density and the band
+    for N, octaves in ((1024, 6), (2048, 7), (4096, 8)):
+        fr = vb.build_resolution_of_unity(vb.make_grid(1, 16.0, N), vb.make_ladder(octaves, 12),
+                                          BumpParams(order))
+        assert fr.pairing_residual == pytest.approx(measured, rel=1e-3), (N, octaves)
+        assert fr.pairing_residual <= PAIRING_TOL
+
+
+def test_a_wrong_c2_fails_the_pairing_certification(spec1k, monkeypatch):
+    # c2 enters only the analysis kernels: the synthesis identity still
+    # passes, and the pairing check alone must reject the frame
+    ladder = vb.make_ladder(6, 12)
+    right = build_radial_profile(BumpParams())
+    wrong = dataclasses.replace(right, c2=right.c2 * 1.001)
+    xi_max = 0.9 * min(spec1k.nyquist, 2.0 ** (ladder.octaves - 1))
+    assert identity_residual(wrong, ladder, xi_max) == identity_residual(right, ladder, xi_max)
+    assert pairing_residual(wrong, ladder, xi_max) > 1e-4
+    monkeypatch.setattr(frame_mod, "build_radial_profile", lambda params: wrong)
+    frame_mod._kernel.cache_clear()
+    with pytest.raises(ConstructionError,
+                       match=r"frame pairing residual .* on the resolved band \|xi\| <= 28.8"):
+        vb.build_resolution_of_unity(spec1k, ladder)
+
+
+# -- the per-process kernel cache ------------------------------------------------
+
+
+def test_equal_ladders_compare_and_hash_equal():
+    a, b = vb.make_ladder(8, 12), vb.make_ladder(8, 12)
+    assert a == b and hash(a) == hash(b)
+    weights = a.weights.copy()
+    weights[5] *= 1 + 1e-15
+    changed = vb.ScaleLadder(a.octaves, a.nodes_per_octave, a.t, weights)
+    assert changed != a
+    assert vb.make_ladder(8, 12) != vb.make_ladder(7, 12) != vb.make_ladder(7, 11)
+    assert len({a, b, changed}) == 2
+
+
+def test_kernels_compare_by_identity(spec1k, ladder):
+    frame = vb.build_resolution_of_unity(spec1k, ladder)
+    assert frame == vb.build_resolution_of_unity(spec1k, ladder)
+    assert frame != vb.build_resolution_of_unity(spec1k, ladder, BumpParams(10))
+    pair = vb.build_local_mean_pair(spec1k, ladder, S=2)
+    assert pair == vb.build_local_mean_pair(spec1k, ladder, 2, 1)
+    assert frame != pair
+
+
+ROUND_CONFIG = """
+points = 2048
+octaves = 7
+p = 3 + sin(2 * pi * x / 16)
+alpha = 3 / 10 + 3 / 5 * sin(2 * pi * x / 16)
+q = 2 + 1 / log(e + 1 / t)
+"""
+ROUND = (["norm", "--form", "direct"], ["norm", "--form", "local_mean_double_prime"],
+         ["decompose"], ["synthesize"])
+
+
+def _round(tmp_path, member: str) -> dict:
+    """Every output byte of ROUND on `member`, the timestamps emptied, and
+    what each request printed; the output directory is emptied after."""
+    cfg = tmp_path / f"{member}.cfg"
+    cfg.write_text(ROUND_CONFIG + f"member = {member}\n")
+    out = str(tmp_path / "out")
+    printed = io.StringIO()
+    for argv in ROUND:
+        with contextlib.redirect_stdout(printed):
+            assert main(argv + ["--config", str(cfg), "--out", out, "--seed", "7"]) == 0
+    files = {f: strip_timestamp(os.path.join(out, f)) for f in sorted(os.listdir(out))}
+    shutil.rmtree(out)
+    assert len(files) == 6
+    return {"files": files, "printed": printed.getvalue()}
+
+
+def test_a_second_request_reuses_the_kernels_of_the_first(tmp_path, monkeypatch):
+    # after its first build, each builder raises: the second round of
+    # requests must be served by the kernels of the first, unchanged
+    def once(build):
+        calls = []
+
+        def patched(*args):
+            if calls:
+                raise RuntimeError("kernel built twice")
+            calls.append(args)
+            return build(*args)
+        return patched
+
+    frame_mod._kernel.cache_clear()
+    monkeypatch.setattr(frame_mod, "_build_frame", once(frame_mod._build_frame))
+    monkeypatch.setattr(frame_mod, "_build_pair", once(frame_mod._build_pair))
+    first = _round(tmp_path, "gauss_w1")
+    assert _round(tmp_path, "gauss_w1") == first
+    assert frame_mod._kernel.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("member", ["gauss_w05", "bandnoise_a"])
+def test_cold_and_warm_requests_write_the_same_bytes(tmp_path, member):
+    frame_mod._kernel.cache_clear()
+    cold = _round(tmp_path, member)
+    assert _round(tmp_path, member) == cold
+
+
+def test_every_array_of_a_cached_kernel_is_read_only(ladder):
+    spec = vb.make_grid(1, 16.0, 1024)
+    frame = vb.build_resolution_of_unity(spec, ladder)
+    pair = vb.build_local_mean_pair(spec, ladder, S=2)
+    prof = frame.profile
+    arrays = [frame.level0, frame.level0_analysis, frame.radius_order, frame.radius_sorted,
+              prof.coef, prof.integ, prof.integ2, *frame.blocks,
+              pair.radius, pair.level0, pair.k.samples, *pair.blocks,
+              ladder.t, ladder.weights]
+    assert len(frame.blocks) == len(pair.blocks) == ladder.octaves
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    assert frame.blocks is vb.build_resolution_of_unity(spec, ladder).blocks
+
+
+def test_a_failed_certification_is_never_cached(spec4k):
+    cases = [lambda: vb.build_resolution_of_unity(spec4k, vb.make_ladder(8, 3)),
+             lambda: vb.build_local_mean_pair(vb.make_grid(2, 16.0, 32), vb.make_ladder(), S=1)]
+    for build in cases:
+        for _ in range(3):
+            before = frame_mod._kernel.cache_info()
+            with pytest.raises(ConstructionError):
+                build()
+            after = frame_mod._kernel.cache_info()
+            assert after.misses == before.misses + 1 and after.hits == before.hits
+
+
+def test_each_key_gives_its_own_kernel():
+    spec, ladder = vb.make_grid(1, 16.0, 1024), vb.make_ladder(6, 12)
+    specs = [spec, vb.make_grid(1, 16.0, 2048), vb.make_grid(1, 32.0, 1024),
+             vb.make_grid(2, 16.0, 64)]
+    ladders = [ladder, vb.make_ladder(7, 12), vb.make_ladder(6, 16)]
+
+    def frame_key(k):
+        return k.spec, k.ladder, k.profile.params
+
+    def pair_key(k):
+        return k.spec, k.ladder, k.S, k.epsilon
+
+    frames = [(s, ladder, BumpParams()) for s in specs]
+    frames += [(spec, lad, BumpParams()) for lad in ladders[1:]] + [(spec, ladder, BumpParams(10))]
+    pairs = [(s, ladder, 1, 1.0) for s in specs]
+    pairs += [(spec, lad, 1, 1.0) for lad in ladders[1:]]
+    pairs += [(spec, ladder, 2, 1.0), (spec, ladder, 1, 2.0)]
+    for build, keys, key_of in ((vb.build_resolution_of_unity, frames, frame_key),
+                                (vb.build_local_mean_pair, pairs, pair_key)):
+        kernels = []
+        for key in keys:
+            kernels.append(build(*key))
+            assert build(*key) is kernels[-1]
+            assert key_of(kernels[-1]) == key
+        assert len({id(k) for k in kernels}) == len(keys)
+
+
+def test_the_cache_never_holds_more_than_its_cap():
+    spec = vb.make_grid(1, 16.0, 1024)
+    frame_mod._kernel.cache_clear()
+    for i, octaves in enumerate(range(2, 2 + 2 * KERNEL_CACHE_SIZE)):
+        vb.build_local_mean_pair(spec, vb.make_ladder(octaves, 12), S=0)
+        assert frame_mod._kernel.cache_info().currsize == min(i + 1, KERNEL_CACHE_SIZE)
