@@ -303,31 +303,11 @@ class AtomicDecomposition:
         return pos
 
 
-KERNEL_ROWS = 8
-
-
 def measured_kernel_constant(kernel: GridFunction, K: int) -> float:
-    """max over |beta| <= K of sup |D^beta kernel| (the coefficient constant).
-
-    The kernel's spectrum is taken once; row beta of a block is it times
-    (i xi)^beta, axis after axis as `spectral_derivative` forms it, and one
-    batched inverse transform per block of at most KERNEL_ROWS rows gives
-    the derivatives with the bits of their own calls.  The block is reused,
-    so memory does not grow with K."""
-    spec = kernel.spec
-    ft = spectrum(kernel)
-    betas = _multi_indices(spec.dimension, K)
-    block = np.empty((min(len(betas), KERNEL_ROWS),) + spec.shape, dtype=np.complex128)
-    best = 0.0
-    for start in range(0, len(betas), KERNEL_ROWS):
-        chunk = betas[start:start + KERNEL_ROWS]
-        rows = block[:len(chunk)]
-        for row, beta in zip(rows, chunk):
-            row[...] = ft
-            for xi, order in zip(spec.freq_axes(), beta):
-                row *= (1j * xi) ** order
-        best = max(best, float(np.max(np.abs(from_spectrum_rows(spec, rows, out=rows)))))
-    return best
+    """max over |beta| <= K of sup |D^beta kernel| (the coefficient constant),
+    one `spectral_derivative` per multi-index."""
+    return max((float(np.max(spectral_derivative(kernel, beta).abs_samples()))
+                for beta in _multi_indices(kernel.spec.dimension, K)), default=0.0)
 
 
 def _kernel_constants(frame: CalderonFrame, K: int) -> Tuple[float, float]:

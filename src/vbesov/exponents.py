@@ -96,8 +96,8 @@ class ExponentField:
     def value_at(self, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Evaluate a q_of_t field at arbitrary t by interpolation in log t.
 
-        t below the sampled range returns values pulled toward q(0); t above
-        returns the last sample.
+        t below the sampled range returns the first sample, t above it the
+        last (`np.interp` holds the end values).
         """
         if self.kind != "q_of_t":
             raise ParameterError("value_at is for q_of_t fields")

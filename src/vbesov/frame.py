@@ -7,12 +7,13 @@ shift:
     FPhi(xi) = int_{|xi|}^inf Fphi(u) du/u   (= 1 at xi = 0),
 which gives FPhi(xi) + int_0^1 Fphi(t xi) dt/t = 1 for every xi.
 
-Every multiplier here is real and radial, so both kernels evaluate it once
-per point of the half grid (`GridSpec.half_shape`, the `rfftn` layout):
-`multipliers(ts)`, `level0` and the frame's `level0_analysis` are half-grid
-arrays.  The norm profiles use them as they are; the full layout, which the
-atoms, `synthesize_Phi`, `phi_t_spectrum` and `level0_transform` need, is
-their `grid.mirror`, bit for bit the evaluation on the full grid.
+Every multiplier here is real and radial, so both kernels evaluate it at
+every point of the half grid (`GridSpec.half_shape`, the `rfftn` layout),
+from the radii `radius` they hold: `multipliers(ts)`, `level0` and the
+frame's `level0_analysis` are half-grid arrays.  The norm profiles use them
+as they are; the full layout, which the atoms, `synthesize_Phi`,
+`phi_t_spectrum` and `level0_transform` need, is their `grid.mirror`, bit
+for bit the evaluation on the full grid.
 
 The bump is the polynomial (1 - z^2)^order.  Per-octave Gauss-Legendre then
 integrates the profile exactly on every panel interior to the support, the
@@ -23,9 +24,10 @@ frame certifies that identity and the analysis-synthesis pairing the atoms
 use, FPsi FPhi + int_0^1 Fpsi(t xi) Fphi(t xi) dt/t = 1, both on the ladder.
 
 A kernel depends on the grid, the ladder and its own parameters, never on f,
-so a process builds and certifies each one once.  The two builders return a
-shared kernel per value key (`_kernel`: the kind, the `GridSpec`, the
-`ScaleLadder`, and `BumpParams` or S and epsilon) from one LRU of
+so a process builds and certifies each one once, and its multipliers are
+evaluated densely, the zeros outside the annulus included.  The two builders
+return a shared kernel per value key (`_kernel`: the kind, the `GridSpec`,
+the `ScaleLadder`, and `BumpParams` or S and epsilon) from one LRU of
 KERNEL_CACHE_SIZE kernels; a build that raises is not stored.  Every array a
 kernel holds is read-only, and so are the octave blocks (`blocks`) it builds
 on first use: octaves x nodes per octave x half grid x 8 bytes, 1.57 MB in
@@ -74,19 +76,6 @@ class BumpParams:
             raise ParameterError("bump order must be an integer >= 2")
 
 
-def _even_polyval(z: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """`npoly.polyval(z, coef)` for finite z and a nonzero constant term, by
-    the same Horner steps in place, with the adds of zero coefficients left
-    out: they can only flip the sign of a zero that the next nonzero
-    coefficient's add erases, so the bits are polyval's."""
-    acc = np.full_like(z, coef[-1])
-    for c in coef[-2::-1]:
-        acc *= z
-        if c:
-            acc += c
-    return acc
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """The normalized bump with closed-form tail integrals.
@@ -117,7 +106,7 @@ class RadialProfile:
         z = self._z(s)
         inside = np.abs(z) < 1.0
         out = np.zeros_like(s)
-        out[inside] = _even_polyval(z[inside], self.coef) / self.c_b
+        out[inside] = npoly.polyval(z[inside], self.coef) / self.c_b
         return out
 
     def Phi_hat(self, s) -> np.ndarray:
@@ -179,23 +168,16 @@ class CalderonFrame(_Kernel):
     ladder: ScaleLadder
     level0: np.ndarray             # the level-0 multiplier FPhi on the half grid
     level0_analysis: np.ndarray    # the level-0 analysis multiplier FPsi on the half grid
-    annulus: Tuple[float, float]   # support of the Fphi profile
     residual: float                # measured identity residual on the band
     pairing_residual: float        # measured analysis-synthesis pairing residual on the band
     resolved_xi_max: float
-    radius_order: np.ndarray       # stable argsort of the flattened half-grid |xi|
-    radius_sorted: np.ndarray      # the flattened half-grid |xi| in that order
+    radius: np.ndarray             # |xi| on the half grid
     constants: Dict[int, Tuple[float, float]] = field(default_factory=dict, init=False,
                                                       repr=False)
 
     def multipliers(self, ts) -> np.ndarray:
-        """Fphi(t xi) on the half grid for every t in ts, one row per t: a
-        (len(ts), *half_shape) array from one `phi_hat` call over the
-        annulus slices; every sample outside a row's slice is exactly 0."""
-        rows, idx, vals = _annulus_values(self.profile, self.radius_sorted, ts)
-        out = np.zeros((np.size(ts), self.radius_order.size))
-        out[rows, self.radius_order[idx]] = vals
-        return out.reshape(out.shape[:1] + self.spec.half_shape)
+        """Fphi(t xi) on the half grid for every t in ts, one row per t."""
+        return self.profile.phi_hat(np.multiply.outer(ts, self.radius))
 
     def phi_t_spectrum(self, t: float) -> np.ndarray:
         """Fphi(t xi) at the full grid's frequencies: one row of
@@ -215,21 +197,6 @@ class CalderonFrame(_Kernel):
                           "octaves": ladder.octaves, "nodes_per_octave": ladder.nodes_per_octave}}
 
 
-def _annulus_values(profile: RadialProfile, radii: np.ndarray, ts):
-    """Fphi(t s) for every t in ts on the slice of the ascending radii s
-    where t*s can lie in the annulus 1/2 < t|xi| < 2, from one `phi_hat`
-    call.  The slices are supersets, padded against the rounding of t*s, and
-    Fphi vanishes exactly outside them.  Returns, per value, its node (the
-    position in ts) and its radius index, node after node, plus the values."""
-    ts = np.asarray(ts, dtype=float)
-    lo = np.searchsorted(radii, 0.5 * (1 - 1e-9) / ts)
-    hi = np.searchsorted(radii, 2.0 * (1 + 1e-9) / ts)
-    counts = hi - lo
-    rows = np.repeat(np.arange(ts.size), counts)
-    idx = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return rows, idx, profile.phi_hat(ts[rows] * radii[idx])
-
-
 def _residuals(profile: RadialProfile, ladder: ScaleLadder, xi_max: float,
                n_samples: int = 6000) -> Tuple[float, float]:
     """max over the band of |FPhi(xi) + sum_k Fphi(t_k xi) w_k - 1| and of
@@ -241,10 +208,10 @@ def _residuals(profile: RadialProfile, ladder: ScaleLadder, xi_max: float,
     pairing = profile.Psi_hat(s) * profile.Phi_hat(s)
     for v in range(1, ladder.octaves + 1):
         sl = ladder.octave_slice(v)
-        rows, idx, vals = _annulus_values(profile, s, ladder.t[sl])
-        w = ladder.weights[sl][rows]
-        np.add.at(total, idx, w * vals)
-        np.add.at(pairing, idx, w * (vals / profile.c2) * vals)
+        vals = profile.phi_hat(np.multiply.outer(ladder.t[sl], s))
+        for w, row in zip(ladder.weights[sl], vals):
+            total += w * row
+            pairing += w * (row / profile.c2) * row
     return float(np.max(np.abs(total - 1.0))), float(np.max(np.abs(pairing - 1.0)))
 
 
@@ -287,12 +254,9 @@ def _build_frame(spec: GridSpec, ladder: ScaleLadder, profile_params: BumpParams
             raise ConstructionError(
                 f"frame {name} residual {value:.3e} exceeds {tol:g} on the "
                 f"resolved band |xi| <= {resolved:.3g}; increase nodes_per_octave")
-    radius = spec.half_freq_radius()
-    flat = radius.reshape(-1)
-    order = np.argsort(flat, kind="stable")
+    radius = _read_only(spec.half_freq_radius())
     return CalderonFrame(spec, profile, ladder, _read_only(profile.Phi_hat(radius)),
-                         _read_only(profile.Psi_hat(radius)), (0.5, 2.0), res, pairing,
-                         resolved, _read_only(order), _read_only(flat[order]))
+                         _read_only(profile.Psi_hat(radius)), res, pairing, resolved, radius)
 
 
 def synthesize_phi_t(frame: CalderonFrame, t: float) -> GridFunction:
@@ -310,11 +274,8 @@ def synthesize_Phi(frame: CalderonFrame) -> GridFunction:
 
 
 def _k0_hat(s, epsilon: float) -> np.ndarray:
-    """Fk0(s) = exp(-s^2 / (2 eps^2)), formed in one buffer."""
-    out = np.square(np.asarray(s, dtype=float))
-    np.negative(out, out=out)
-    out /= 2 * epsilon ** 2
-    return np.exp(out, out=out)
+    """Fk0(s) = exp(-s^2 / (2 eps^2))."""
+    return np.exp(-np.square(np.asarray(s, dtype=float)) / (2 * epsilon ** 2))
 
 
 def _k_hat(s, epsilon: float, m: int) -> np.ndarray:
@@ -323,10 +284,7 @@ def _k_hat(s, epsilon: float, m: int) -> np.ndarray:
         return _k0_hat(s, epsilon)
     s = np.asarray(s, dtype=float)
     peak = (2 * m) ** m * epsilon ** (2 * m) * math.exp(-m)
-    out = _k0_hat(s, epsilon)
-    out *= s ** (2 * m)
-    out /= peak
-    return out
+    return _k0_hat(s, epsilon) * s ** (2 * m) / peak
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +302,6 @@ class LocalMeanPair(_Kernel):
     ladder: ScaleLadder
     radius: np.ndarray      # |xi| on the half grid
     level0: np.ndarray      # the level-0 multiplier Fk0 on the half grid
-    k: GridFunction
     S: int
     epsilon: float
     m: int
@@ -389,7 +346,6 @@ def _build_pair(spec: GridSpec, ladder: ScaleLadder, S: int, epsilon: float) -> 
 
     sr = _read_only(spec.half_freq_radius())
     k = from_spectrum(spec, mirror(spec, _k_hat(sr, epsilon, m)), tag="k")
-    _read_only(k.samples)
 
     # certification: Tauberian lower bounds on dense radial samples + moments
     ball = np.linspace(0.0, 2 * epsilon * (1 - 1e-9), 512)
@@ -422,8 +378,7 @@ def _build_pair(spec: GridSpec, ladder: ScaleLadder, S: int, epsilon: float) -> 
                 f"or trade epsilon against L: Nyquist/epsilon and epsilon*L/2 "
                 f"must both be large (README: the 2-D sweep)")
 
-    return LocalMeanPair(spec, ladder, sr, _read_only(_k0_hat(sr, epsilon)), k, S, epsilon, m,
-                         cert)
+    return LocalMeanPair(spec, ladder, sr, _read_only(_k0_hat(sr, epsilon)), S, epsilon, m, cert)
 
 
 # -- eta kernels ---------------------------------------------------------------

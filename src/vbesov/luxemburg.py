@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConstructionError, ParameterError, UnsupportedFeatureError
 from .exponents import ExponentField
-from .grid import GridFunction, same_grid
+from .grid import GridFunction
 
 RTOL = 1e-10
 MAX_ITER = 200
@@ -292,33 +292,22 @@ def solve_luxemburg(vals, expo, weights) -> NormResult:
 # -- grid-space operations ----------------------------------------------------
 
 
-def _check_spatial(f: GridFunction, p: ExponentField,
-                   w: Optional[GridFunction]) -> np.ndarray:
+def _check_spatial(f: GridFunction, p: ExponentField) -> None:
     if p.spec is None or p.spec != f.spec:
         raise ParameterError("exponent field lives on a different grid")
-    if w is not None:
-        same_grid(f, w)
-        wv = w.samples.real
-        if np.any(wv < 0):
-            raise ParameterError("weight has negative samples")
-        return wv
-    return np.ones(f.spec.shape)
 
 
-def modular(f: GridFunction, p: ExponentField,
-            w: Optional[GridFunction] = None) -> float:
-    """rho_{p(.)}(f) = h^n sum |f(x)|^{p(x)} w(x)."""
-    wv = _check_spatial(f, p, w)
+def modular(f: GridFunction, p: ExponentField) -> float:
+    """rho_{p(.)}(f) = h^n sum |f(x)|^{p(x)}."""
+    _check_spatial(f, p)
     h = f.spec.spacing ** f.spec.dimension
-    return float(np.sum(np.abs(f.samples) ** p.grid_values() * wv) * h)
+    return float(np.sum(np.abs(f.samples) ** p.grid_values()) * h)
 
 
-def luxemburg_norm(f: GridFunction, p: ExponentField,
-                   w: Optional[GridFunction] = None) -> NormResult:
+def luxemburg_norm(f: GridFunction, p: ExponentField) -> NormResult:
     """inf{lam > 0 : rho(f/lam) <= 1} by safeguarded Newton in log lam."""
-    wv = _check_spatial(f, p, w)
-    h = f.spec.spacing ** f.spec.dimension
-    return solve_luxemburg(np.abs(f.samples), p.grid_values(), wv * h)
+    _check_spatial(f, p)
+    return solve_luxemburg(np.abs(f.samples), p.grid_values(), f.spec.spacing ** f.spec.dimension)
 
 
 # -- mixed sequence norms -----------------------------------------------------

@@ -234,7 +234,9 @@ def test_criterion_6_atomic_round_trip(bank, frame):
         rel = (np.linalg.norm(rec.samples - f.samples)
                / np.linalg.norm(f.samples))
         worst_rec = max(worst_rec, rel)
-        assert rel <= 0.05, (name, rel)
+        # in-band members: the round trip is exact up to the pairing
+        # certificate (gauss_w2's periodization kink at the box edge is not)
+        assert rel <= 2 * frame.pairing_residual, (name, rel)
 
     ratios = []
     for name in bank.names():

@@ -546,8 +546,8 @@ def test_real_input_gives_a_real_reconstruction_and_complex_input_is_linear(setu
 def test_kernel_constant_block_equals_the_per_beta_loop(dimension, L, N):
     # the frame's two kernels, and two anisotropic ones whose largest
     # derivative is along the last and along the first axis.  In 2-D, K = 3
-    # has 10 derivatives, more than one block of KERNEL_ROWS, and the
-    # first-axis wave peaks at the last one, beta = (3, 0)
+    # has 10 derivatives, and the first-axis wave peaks at the last one,
+    # beta = (3, 0)
     spec = vb.make_grid(dimension, L, N)
     frame = vb.build_resolution_of_unity(spec, vb.make_ladder(4, 12))
     waves = [vb.from_callable(spec, lambda *x, ax=ax: np.cos(3 * x[ax]) * np.exp(

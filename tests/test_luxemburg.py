@@ -247,8 +247,6 @@ def test_luxemburg_norm_2d_equals_flattened():
         flat = solve_luxemburg(np.abs(f.samples).reshape(-1),
                                p.grid_values().reshape(-1), h2).value
         assert vb.luxemburg_norm(f, p).value == flat
-        w = f.with_samples(np.ones(spec.shape))
-        assert vb.luxemburg_norm(f, p, w).value == flat
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -116,8 +116,10 @@ def test_atoms_level_rows_equal_the_per_node_bands(setup):
         assert len(bands) == len(block) == len(synth) == len(analysis)
 
 
-def test_frame_residual_equals_the_per_node_loop(setup):
-    _, ladder, frame, _, _ = setup
+@pytest.mark.parametrize("order", [6, 10])
+def test_frame_residual_equals_the_per_node_loop(setup, order):
+    spec, ladder, _, _, _ = setup
+    frame = vb.build_resolution_of_unity(spec, ladder, vb.BumpParams(order))
     assert frame.residual == identity_residual_per_node(frame.profile, ladder,
                                                         frame.resolved_xi_max)
 
