@@ -368,6 +368,8 @@ def besov_norm(f: GridFunction, kernel: Kernel, alpha: ExponentField,
     kernel.check_alpha(alpha)
     _check_q(q)
     if row.maximal:
+        if not np.isfinite(a):
+            raise ParameterError(f"Peetre order a must be finite, got {a}")
         _warn_peetre_order(a, p, f.spec)
     a = a if row.maximal else None
     prof = profile if profile is not None else _kernel_profile(f, kernel, alpha, p, a)

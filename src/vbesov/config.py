@@ -1,8 +1,9 @@
 """Run configuration: plain-text key-value files that round-trip exactly.
 
 Exponent fields are defined by expression strings over x (spatial) or t
-(scale axis) in the tiny grammar of exprgrammar.  emit_config(parse_config(text))
-reproduces the canonical form.
+(scale axis) in the closed grammar of exprgrammar; parse_config checks them,
+and every number, which must be finite, before any work.
+emit_config(parse_config(text)) reproduces the canonical form.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"cannot parse value {value_s!r} for {key_s}", lineno, col)
         if key_s == "seed" and cfg.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {cfg.seed}", *where[key_s])
+        if isinstance(current, float) and not np.isfinite(getattr(cfg, key_s)):
+            raise ConfigError(f"{key_s} must be finite, got {value_s}", *where[key_s])
     # expressions must at least parse now, not at first use
     for key in ("p", "alpha", "q"):
         try:

@@ -125,6 +125,8 @@ def make_exponent_field(
     """
     if kind not in KINDS:
         raise ParameterError(f"unknown exponent kind {kind!r}")
+    if limit_value is not None and not np.isfinite(limit_value):
+        raise ParameterError(f"limit_value must be finite, got {limit_value}")
     vals = np.asarray(samples, dtype=float).reshape(-1)
     if not np.all(np.isfinite(vals)):
         raise ParameterError("exponent samples contain NaN/Inf")

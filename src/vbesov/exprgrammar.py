@@ -1,17 +1,20 @@
-"""Tiny arithmetic expression grammar for exponent-field definitions.
+"""Closed arithmetic grammar for the exponent fields of a config.
 
-Supported: + - * /, unary minus, parentheses, numbers, the constants pi and
-e, one free variable (x or t), and the functions sin, cos, exp, log, abs.
-No user code is ever executed; expressions parse to a closed AST evaluated
-with numpy.
+Supported: + - * /, unary minus, parentheses, decimal numbers (`2`, `2.`,
+`.5`, `007`; no exponent, no underscores), the constants pi and e, one free
+variable (x or t), and one-argument calls of sin, cos, exp, log, abs.  Input
+is ASCII.  Python's parser reads the text and `_walk` admits only the nodes of
+this grammar, evaluating them with numpy, so no user code is ever executed.
+An expression too deeply nested to read is an ExprError like any other.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
-from dataclasses import dataclass
-from typing import List, Tuple, Union
+import warnings
 
 import numpy as np
 
@@ -20,8 +23,17 @@ from .errors import ParameterError
 FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
              "log": np.log, "abs": np.abs}
 CONSTANTS = {"pi": math.pi, "e": math.e}
+_VARIABLES = ("x", "t")
+_NAMES = {*FUNCTIONS, *CONSTANTS, *_VARIABLES}
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv}
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_]\w*)|([-+*/()]))")
+_BAD_CHAR = re.compile(r"[^A-Za-z0-9_ \t.+\-*/()]")
+_NUMBER = re.compile(r"\d+\.\d*|\.\d+|\d+")
+# Python reads neither leading blanks nor leading zeros (`02`); form feeds in
+# their place keep every column, and at the start of a line they are no indent
+_BLANKED = re.compile(r"^[ \t]+|(?<![\w.])0+(?=\d)")
+_TOO_DEEP = "expression is nested too deeply"
 
 
 class ExprError(ParameterError):
@@ -30,138 +42,57 @@ class ExprError(ParameterError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "name" | "op"
-    text: str
-    column: int
+def _walk(node: ast.expr, text: str, var: str = None, values: np.ndarray = None):
+    """Check `node` against the grammar; given `values`, also evaluate it with
+    the free variable `var` bound to them."""
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _OPS:
+        a, b = _walk(node.left, text, var, values), _walk(node.right, text, var, values)
+        return None if values is None else _OPS[type(node.op)](a, b)
+    if kind is ast.UnaryOp and type(node.op) is ast.USub:
+        a = _walk(node.operand, text, var, values)
+        return None if values is None else -a
+    name = getattr(node.func if kind is ast.Call else node, "id", None)
+    if kind is ast.Call and name in FUNCTIONS and len(node.args) == 1 and not node.keywords:
+        a = _walk(node.args[0], text, var, values)
+        return None if values is None else FUNCTIONS[name](a)
+    source = text[node.col_offset:node.end_col_offset]
+    if kind is ast.Constant and _NUMBER.fullmatch(source):
+        return None if values is None else np.full_like(values, float(source))
+    if kind is ast.Name and name in CONSTANTS:
+        return None if values is None else np.full_like(values, CONSTANTS[name])
+    if kind is ast.Name and name in _VARIABLES:
+        if var is not None and name != var:
+            raise ParameterError(f"expression uses variable {name!r}, expected {var!r}")
+        return values
+    if name is not None and name not in _NAMES:
+        raise ExprError(f"unknown name {name!r}", node.col_offset + 1)
+    raise ExprError(f"unsupported syntax {source!r}", node.col_offset + 1)
 
 
-def _tokenize(text: str) -> List[Token]:
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ExprError(f"unexpected character {rest[0]!r}", len(text) - len(rest) + 1)
-        num, name, op = m.groups()
-        col = m.start(m.lastindex) + 1
-        if num:
-            tokens.append(Token("num", num, col))
-        elif name:
-            tokens.append(Token("name", name, col))
-        else:
-            tokens.append(Token("op", op, col))
-        pos = m.end()
-    return tokens
-
-
-Node = Union[Tuple, float, str]
-
-
-class _Parser:
-    def __init__(self, tokens: List[Token], text_len: int):
-        self.tokens = tokens
-        self.i = 0
-        self.end_col = text_len + 1
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ExprError("unexpected end of expression", self.end_col)
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.take()
-        if tok.kind != "op" or tok.text != op:
-            raise ExprError(f"expected {op!r}, found {tok.text!r}", tok.column)
-
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ExprError(f"trailing input {tok.text!r}", tok.column)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while (t := self.peek()) and t.kind == "op" and t.text in "+-":
-            self.take()
-            node = (t.text, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while (t := self.peek()) and t.kind == "op" and t.text in "*/":
-            self.take()
-            node = (t.text, node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        t = self.peek()
-        if t and t.kind == "op" and t.text == "-":
-            self.take()
-            return ("neg", self.unary())
-        return self.atom()
-
-    def atom(self) -> Node:
-        tok = self.take()
-        if tok.kind == "num":
-            return float(tok.text)
-        if tok.kind == "name":
-            if tok.text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", tok.text, arg)
-            if tok.text in CONSTANTS:
-                return CONSTANTS[tok.text]
-            if tok.text in ("x", "t"):
-                return ("var", tok.text)
-            raise ExprError(f"unknown name {tok.text!r}", tok.column)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprError(f"unexpected token {tok.text!r}", tok.column)
-
-
-def parse_expression(text: str) -> Node:
-    return _Parser(_tokenize(text), len(text)).parse()
-
-
-def evaluate(node: Node, var: str, values: np.ndarray) -> np.ndarray:
-    """Evaluate the AST with the free variable bound to `values`."""
-    if isinstance(node, float):
-        return np.full_like(np.asarray(values, dtype=float), node)
-    op = node[0]
-    if op == "var":
-        if node[1] != var:
-            raise ParameterError(
-                f"expression uses variable {node[1]!r}, expected {var!r}")
-        return np.asarray(values, dtype=float)
-    if op == "neg":
-        return -evaluate(node[1], var, values)
-    if op == "call":
-        return FUNCTIONS[node[1]](evaluate(node[2], var, values))
-    a = evaluate(node[1], var, values)
-    b = evaluate(node[2], var, values)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ParameterError(f"corrupt AST node {node!r}")
+def parse_expression(text: str) -> ast.expr:
+    """The syntax tree of `text`, checked against the grammar."""
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise ExprError(f"unexpected character {bad[0]!r}", bad.start() + 1)
+    try:
+        with warnings.catch_warnings():  # Python only warns on `1if`; make it an error
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(_BLANKED.sub(lambda m: "\f" * len(m[0]), text), mode="eval").body
+        _walk(tree, text)
+    except SyntaxError as exc:  # offset 0: the text ended too early
+        raise ExprError(exc.msg, exc.offset if (exc.offset or 0) > 0 else len(text) + 1) from None
+    except RecursionError:
+        raise ExprError(_TOO_DEEP, 1) from None
+    return tree
 
 
 def evaluate_text(text: str, var: str, values: np.ndarray) -> np.ndarray:
-    return evaluate(parse_expression(text), var, values)
+    """`text` evaluated with the free variable `var` bound to `values`.  The
+    checking walk runs first, so a grammar error anywhere is reported before
+    a wrong variable."""
+    tree = parse_expression(text)
+    try:
+        return _walk(tree, text, var, np.asarray(values, dtype=float))
+    except RecursionError:
+        raise ExprError(_TOO_DEEP, 1) from None

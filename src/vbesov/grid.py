@@ -46,8 +46,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ParameterError(f"dimension must be 1 or 2, got {self.dimension}")
-        if not (self.box_length > 0):
-            raise ParameterError(f"box_length must be positive, got {self.box_length}")
+        if not 0 < self.box_length < np.inf:
+            raise ParameterError(f"box_length must be positive and finite, got {self.box_length}")
         N = self.points_per_axis
         if not isinstance(N, (int, np.integer)) or not _is_power_of_two(int(N)) or N < 16:
             raise ParameterError(

@@ -33,16 +33,12 @@ def _sanitize(obj):
     return obj
 
 
-def dump_json(document: dict, path: str, timestamp: bool = True,
-              volatile: dict = None) -> None:
+def dump_json(document: dict, path: str, volatile: dict = None) -> None:
     """Write the document; run-dependent data (wall clock, runtimes) all live
     inside the single `timestamp` field so the rest is reproducible."""
-    doc = _sanitize(document)
-    if timestamp or volatile:
-        stamp = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-        if volatile:
-            stamp.update(_sanitize(volatile))
-        doc = {"timestamp": stamp, **doc}
+    stamp = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+             **_sanitize(volatile or {})}
+    doc = {"timestamp": stamp, **_sanitize(document)}
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)

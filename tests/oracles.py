@@ -289,18 +289,6 @@ def level_lattices_unskipped(f: GridFunction, frame: CalderonFrame, V: int,
     return out
 
 
-def measured_kernel_constant_loop(kernel: GridFunction, K: int) -> float:
-    """`atoms.measured_kernel_constant` one `spectral_derivative` call, and
-    so one FFT pair, per multi-index."""
-    from vbesov.grid import _multi_indices, spectral_derivative
-
-    best = 0.0
-    for beta in _multi_indices(kernel.spec.dimension, K):
-        da = spectral_derivative(kernel, beta)
-        best = max(best, float(np.max(da.abs_samples())))
-    return best
-
-
 def synthesize_spatial(dec: AtomicDecomposition) -> GridFunction:
     """The collapsed sum of an analysed decomposition in the spatial domain:
     per level one batched inverse FFT of the masked node products, then the

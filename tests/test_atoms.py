@@ -1,8 +1,11 @@
 import csv
 import dataclasses
+import functools
+import itertools
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 
 import vbesov as vb
 from vbesov import atoms
@@ -10,8 +13,8 @@ from vbesov.atoms import AtomicDecomposition, export_coefficients
 from vbesov.errors import HypothesisViolationError, ParameterError
 from vbesov.grid import _multi_indices, cubes_per_axis
 
-from oracles import (analyze_eager, level_lattices_unskipped, measured_kernel_constant_loop,
-                     sequence_norm_b_loop, synthesize_atoms, synthesize_spatial)
+from oracles import (analyze_eager, level_lattices_unskipped, sequence_norm_b_loop,
+                     synthesize_atoms, synthesize_spatial)
 
 
 @pytest.fixture(scope="module")
@@ -542,17 +545,47 @@ def test_real_input_gives_a_real_reconstruction_and_complex_input_is_linear(setu
     assert np.max(np.abs(rec.samples - want)) <= 1e-13 * np.max(np.abs(both.samples))
 
 
-@pytest.mark.parametrize("dimension, L, N", [(1, 16.0, 256), (1, 16.0, 2048), (2, 8.0, 32)])
-def test_kernel_constant_block_equals_the_per_beta_loop(dimension, L, N):
-    # the frame's two kernels, and two anisotropic ones whose largest
-    # derivative is along the last and along the first axis.  In 2-D, K = 3
-    # has 10 derivatives, and the first-axis wave peaks at the last one,
-    # beta = (3, 0)
+def _five_point_derivative(samples, beta, h):
+    """D^beta by the periodic five-point central difference, applied
+    beta[axis] times along each axis."""
+    for axis, order in enumerate(beta):
+        for _ in range(order):
+            samples = (8 * (np.roll(samples, -1, axis) - np.roll(samples, 1, axis))
+                       - (np.roll(samples, -2, axis) - np.roll(samples, 2, axis))) / (12 * h)
+    return samples
+
+
+def _gauss_wave_derivative(c, a, w, m):
+    """d^m/dc^m of cos(w c) exp(-a c^2) in closed form: exp(-a c^2 + i w c) is
+    exp(-a u^2 - w^2 / 4a) at u = c - i w / 2a, and d^m/du^m exp(-a u^2) is
+    (-sqrt(a))^m H_m(sqrt(a) u) exp(-a u^2), H_m the Hermite polynomial."""
+    u = c - 1j * w / (2 * a)
+    return np.real((-np.sqrt(a)) ** m * hermval(np.sqrt(a) * u, [0] * m + [1])
+                   * np.exp(-a * u * u - w * w / (4 * a)))
+
+
+@pytest.mark.parametrize("dimension, L, N", [(1, 16.0, 256), (1, 16.0, 2048), (2, 8.0, 64)])
+def test_kernel_constant_matches_finite_differences_and_closed_forms(dimension, L, N):
     spec = vb.make_grid(dimension, L, N)
+    h = spec.spacing
     frame = vb.build_resolution_of_unity(spec, vb.make_ladder(4, 12))
-    waves = [vb.from_callable(spec, lambda *x, ax=ax: np.cos(3 * x[ax]) * np.exp(
-        -sum((k + 1) * c * c for k, c in enumerate(x))), tag=f"wave{ax}") for ax in (-1, 0)]
-    for kernel in (vb.synthesize_phi_t(frame, 1.0), vb.synthesize_Phi(frame), *waves):
-        for K in range(4):
-            assert (atoms.measured_kernel_constant(kernel, K)
-                    == measured_kernel_constant_loop(kernel, K)), (kernel.tag, K)
+    for K in range(4):
+        betas = [b for b in itertools.product(range(K + 1), repeat=dimension) if sum(b) <= K]
+        # phi_1 and Phi are band-limited to |xi| < 2, where the stencil's
+        # multiplier is xi (1 - (xi h)^4 / 30 + ...): K <= 3 steps stay
+        # within (2h)^4 / 10
+        for kernel in (vb.synthesize_phi_t(frame, 1.0), vb.synthesize_Phi(frame)):
+            want = max(np.abs(_five_point_derivative(kernel.samples, b, h)).max() for b in betas)
+            assert atoms.measured_kernel_constant(kernel, K) == pytest.approx(
+                want, rel=(2 * h) ** 4 / 10), (kernel.tag, K)
+        # two anisotropic Gaussian waves whose largest derivative is along the
+        # last and along the first axis (in 2-D at K = 3 the first-axis wave
+        # peaks at beta = (3, 0)); on the grid they are periodized, and
+        # exp(-x^2) is 1e-7 at the edge of the 2-D box
+        for ax in range(dimension):
+            wave = vb.from_callable(spec, lambda *x: np.cos(3 * x[ax]) * np.exp(
+                -sum((k + 1) * c * c for k, c in enumerate(x))))
+            want = max(np.abs(functools.reduce(np.multiply, [
+                _gauss_wave_derivative(c, k + 1, 3.0 * (k == ax), b[k])
+                for k, c in enumerate(spec.axes())])).max() for b in betas)
+            assert atoms.measured_kernel_constant(wave, K) == pytest.approx(want, rel=1e-6), (ax, K)

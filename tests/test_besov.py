@@ -260,6 +260,16 @@ def test_unknown_form_rejected(setup2k):
         vb.besov_norm(f, frame, F["a05"], F["p2"], F["q2"], "local_mean_prime")
 
 
+@pytest.mark.parametrize("a", [np.nan, np.inf])
+def test_maximal_forms_reject_a_non_finite_peetre_order(setup2k, monkeypatch, a):
+    spec, ladder, frame, F = setup2k
+    f = vb.from_callable(spec, lambda x: np.exp(-x ** 2))
+    # rejected before any transform: the profile is never built
+    monkeypatch.setattr(besov, "_kernel_profile", None)
+    with pytest.raises(ParameterError, match="Peetre order a must be finite"):
+        vb.besov_norm(f, frame, F["a05"], F["p2"], F["q2"], "peetre", a=a)
+
+
 @pytest.mark.parametrize("form", list(FORMS))
 def test_one_entry_point_for_every_form(setup2k, form):
     spec, ladder, frame, F = setup2k

@@ -1,8 +1,12 @@
 import json
+import math
+import operator
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vbesov as vb
 import vbesov.cli as cli
@@ -57,6 +61,104 @@ def test_expr_errors_carry_position():
 def test_expr_no_code_execution():
     with pytest.raises(ExprError):
         parse_expression("__import__('os')")
+
+
+# A generated expression is (text, precedence, value): the value is composed
+# from the numpy operations the grammar names, in the tree the text spells,
+# without the parser.  Precedence: 0 sum, 1 product, 2 negation, 3 atom; a
+# child below its operator's precedence is parenthesized, and the right
+# operand of a left-associative operator needs a strictly higher one.
+_X = np.array([-3.0, -1.5, -0.0, 0.0, 0.25, 1.0, 2.0, 7.5])
+_blank = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _number(draw):
+    i = draw(st.integers(0, 999))
+    frac = draw(st.text("0123456789", min_size=1, max_size=4))
+    text, value = draw(st.sampled_from([
+        (str(i), float(i)), (f"{i}.", float(i)), (f"00{i}", float(i)),
+        (f".{frac}", float(f"0.{frac}")), (f"{i}.{frac}", float(f"{i}.{frac}"))]))
+    return text, 3, lambda x: np.full_like(x, value)
+
+
+def _atoms(var):
+    const = st.sampled_from(sorted(vb.exprgrammar.CONSTANTS.items())).map(
+        lambda kv: (kv[0], 3, lambda x: np.full_like(x, kv[1])))
+    return st.one_of(_number(), const, st.just((var, 3, lambda x: x)))
+
+
+def _wrap(draw, node, floor):
+    text, prec, fn = node
+    if prec < floor or draw(st.booleans()) and draw(st.booleans()):
+        return f"({draw(_blank)}{text}{draw(_blank)})", 3, fn
+    return node
+
+
+def _compound(children):
+    @st.composite
+    def build(draw):
+        kind = draw(st.sampled_from(["+", "-", "*", "/", "neg", "call"]))
+        if kind == "neg":
+            text, _, fn = _wrap(draw, draw(children), 2)
+            return f"-{draw(_blank)}{text}", 2, lambda x: -fn(x)
+        if kind == "call":
+            name = draw(st.sampled_from(sorted(vb.exprgrammar.FUNCTIONS)))
+            text, _, fn = draw(children)
+            call = vb.exprgrammar.FUNCTIONS[name]
+            return f"{name}{draw(_blank)}({text})", 3, lambda x: call(fn(x))
+        prec = 0 if kind in "+-" else 1
+        (lt, _, lf), (rt, _, rf) = _wrap(draw, draw(children), prec), _wrap(draw, draw(children), prec + 1)
+        op = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[kind]
+        return f"{lt}{draw(_blank)}{kind}{draw(_blank)}{rt}", prec, lambda x: op(lf(x), rf(x))
+    return build()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["x", "t"]).flatmap(
+    lambda var: st.tuples(st.just(var), st.recursive(_atoms(var), _compound, max_leaves=12))),
+    _blank, _blank)
+def test_expr_reads_the_grammar_it_documents(case, lead, trail):
+    var, (text, _, fn) = case
+    with np.errstate(all="ignore"):
+        got = evaluate_text(lead + text + trail, var, _X)
+        assert np.array_equal(got, fn(_X), equal_nan=True), text
+
+
+@pytest.mark.parametrize("text", [
+    "x ** 2", "1e3", "1_000", "0x10", "1j", "x // 2", "x if x else x", "1if x else 2",
+    "x.real", "sin(x, x)", "sin(x=1)", "sin()", "abs", "True", "lambda: 1", "x < 1",
+    "+x", "x(2)", "()", "", "  ", "2 x", "1 +", "(x", "x)", "sin(x)(2)", "...",
+    "x\n+ 1", "\u0663", "x\u00a0+ 1"])
+def test_expr_outside_the_grammar_is_an_expr_error(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no parser warning leaks out either
+        with pytest.raises(ExprError):
+            parse_expression(text)
+
+
+def test_expr_columns_count_from_1_inside_the_text():
+    for text, column, message in [
+            ("2 + $", 5, "unexpected character '$'"), ("\tfob(x)", 2, "unknown name 'fob'"),
+            ("  2 * 007 + ab", 13, "unknown name 'ab'"), ("x * (1", 5, "'(' was never closed"),
+            ("1 +", 4, "invalid syntax")]:
+        with pytest.raises(ExprError) as ei:
+            parse_expression(text)
+        assert ei.value.column == column and str(ei.value) == f"{message} (column {column})"
+
+
+def test_expr_reads_leading_zeros_and_leading_blanks():
+    x = np.linspace(-1, 1, 5)
+    assert np.array_equal(evaluate_text(" \t02 * x + 00.50 - 000", "x", x), 2.0 * x + 0.5 - 0.0)
+
+
+def test_too_deep_an_expression_is_a_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "p = " + "+".join(["2"] * 5000) + "\n")
+    assert main(["norm", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 1, ") and err.count("\n") == 1
+    with pytest.raises(ExprError, match="nested too deeply"):
+        parse_expression("-" * 5000 + "x")
 
 
 # -- config ----------------------------------------------------------------------
@@ -167,6 +269,20 @@ def test_cli_rejects_inputs_outside_the_hypotheses(tmp_path, capsys, text, code,
     cfg = _write_cfg(tmp_path, text)
     assert main(["norm", "--config", cfg, "--out", str(tmp_path / "o")]) == code
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("key", ["q0", "peetre_a", "box_length", "kernel_epsilon", "atom_gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_rejects_a_non_finite_number(tmp_path, capsys, key, value):
+    cfg = _write_cfg(tmp_path, f"points = 256\n{key} = {value}\n")
+    assert main(["norm", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: line 2, column {len(key) + 4}: {key} must be finite, got {value}\n")
+
+
+def test_only_float_keys_are_checked_for_finiteness():
+    # an integer key holds any int, however large; only a float can be nan
+    assert parse_config("seed = " + "9" * 400 + "\n").seed == int("9" * 400)
 
 
 def test_cli_seed_option_must_be_nonnegative(tmp_path, capsys):

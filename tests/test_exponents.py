@@ -129,6 +129,13 @@ def test_q_field_requires_limit(ladder):
                                t_coords=ladder.t)
 
 
+@pytest.mark.parametrize("q0", [np.nan, np.inf])
+def test_q_field_rejects_a_non_finite_limit(ladder, q0):
+    with pytest.raises(ParameterError, match="limit_value must be finite"):
+        vb.make_exponent_field(np.full(ladder.t.size, 2.0), "q_of_t", q0,
+                               t_coords=ladder.t)
+
+
 def test_q_value_interpolation(ladder):
     q = vb.q_field_from_callable(ladder.t, lambda t: 2.0 + t, 2.0)
     assert q.value_at(float(ladder.t[5])) == pytest.approx(2.0 + ladder.t[5], abs=1e-12)

@@ -216,7 +216,7 @@ def test_identity_residual_equals_the_full_grid_loop(octaves, nodes, xi_max):
 
 
 @pytest.mark.parametrize("order", range(2, 10))
-def test_phi_hat_horner_is_polyval_bit_for_bit(order):
+def test_phi_hat_is_the_bump_polynomial_in_log2_radius(order):
     from numpy.polynomial import polynomial as npoly
 
     profile = build_radial_profile(BumpParams(order))

@@ -20,7 +20,8 @@ def test_make_grid_coordinates():
     assert x[-1] == pytest.approx(0.5 - 1.0 / 16)
 
 
-@pytest.mark.parametrize("bad", [(1, 16.0, 100), (1, 16.0, 8), (1, -1.0, 64), (3, 16.0, 64)])
+@pytest.mark.parametrize("bad", [(1, 16.0, 100), (1, 16.0, 8), (1, -1.0, 64), (3, 16.0, 64),
+                                 (1, np.inf, 64), (1, np.nan, 64)])
 def test_make_grid_rejects(bad):
     with pytest.raises(ParameterError):
         vb.make_grid(*bad)
