@@ -83,6 +83,7 @@ ERROR_CASES = (
      ["--form", "local_mean_double_prime"]),
     ("unknown-member", "member = nosuch\n", []),
     ("bad-expression", "q = 2 + $\n", []),
+    ("epsilon-not-positive", "kernel_epsilon = -1\n", ["--form", "local_mean_double_prime"]),
 )
 
 

@@ -68,6 +68,12 @@ class AtomDescriptor:
     validation: Optional[dict] = None
 
 
+def _check_atom_parameters(K: int, L: int, gamma: float) -> None:
+    if K < 0 or L < -1 or not 1 < gamma < math.inf:
+        raise ParameterError("atom parameters need K >= 0, L >= -1, gamma > 1 finite; "
+                             f"got K = {K}, L = {L}, gamma = {gamma}")
+
+
 def validate_atom(a: GridFunction, v: int, m, K: int, L: int, gamma: float,
                   derivative_constant: float = 1.0,
                   support_tolerance: float = SUPPORT_TOL) -> AtomDescriptor:
@@ -81,8 +87,7 @@ def validate_atom(a: GridFunction, v: int, m, K: int, L: int, gamma: float,
     synthesized from spectrum-supported kernels are never exactly compactly
     supported, so their leaked fraction is measured and gated, not assumed.
     """
-    if K < 0 or L < -1 or gamma <= 1:
-        raise ParameterError("atom parameters need K >= 0, L >= -1, gamma > 1")
+    _check_atom_parameters(K, L, gamma)
     m = tuple(int(x) for x in np.atleast_1d(m))
     spec = a.spec
     n = spec.dimension
@@ -358,6 +363,7 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
         raise ParameterError(
             f"V = {V} needs level-{V} cubes, but with grid spacing {spec.spacing:g} "
             f"the finest aligned level is {finest}; lower the octaves or raise the points")
+    _check_atom_parameters(K, L, gamma)
     if target_alpha is not None:
         _check_target(K, L, target_alpha)
 

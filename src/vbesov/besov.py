@@ -289,8 +289,11 @@ def peetre_maximal(spec: GridSpec, g: np.ndarray, t: float, a: float) -> np.ndar
         .transpose(tuple(i for ax in range(n) for i in (ax, n + ax))).reshape(spec.shape)
 
 
-def _warn_peetre_order(a: float, p: ExponentField, spec: GridSpec) -> None:
-    """Warn, at the caller of the function that calls this, when a <= n/p-."""
+def _check_peetre_order(a: float, p: ExponentField, spec: GridSpec) -> None:
+    """Reject a non-finite Peetre order a, and warn, at the caller of the
+    function that calls this, when a <= n/p-."""
+    if not np.isfinite(a):
+        raise ParameterError(f"Peetre order a must be finite, got {a}")
     if a <= spec.dimension / p.cached_min:
         warnings.warn(
             f"Peetre order a = {a} is not above n/p- = {spec.dimension / p.cached_min:g}; "
@@ -368,9 +371,7 @@ def besov_norm(f: GridFunction, kernel: Kernel, alpha: ExponentField,
     kernel.check_alpha(alpha)
     _check_q(q)
     if row.maximal:
-        if not np.isfinite(a):
-            raise ParameterError(f"Peetre order a must be finite, got {a}")
-        _warn_peetre_order(a, p, f.spec)
+        _check_peetre_order(a, p, f.spec)
     a = a if row.maximal else None
     prof = profile if profile is not None else _kernel_profile(f, kernel, alpha, p, a)
     params = {"alpha": _field_echo(alpha), "p": _field_echo(p), "q": _field_echo(q),
@@ -392,7 +393,7 @@ def lp_profile(f: GridFunction, frame: Kernel, alpha: ExponentField,
 def peetre_profile(f: GridFunction, frame: Kernel, alpha: ExponentField,
                    a: float, p: ExponentField) -> ScaleProfile:
     """Profile of Luxemburg norms of the Peetre maximal functions."""
-    _warn_peetre_order(a, p, f.spec)
+    _check_peetre_order(a, p, f.spec)
     return _kernel_profile(f, frame, alpha, p, a)
 
 

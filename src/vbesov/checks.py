@@ -3,8 +3,11 @@
 Every check samples configurations, computes both sides of an inequality,
 and reports the minimal admissible constant per configuration.  "Verified"
 means: the constants are finite, stable under refinement, and the designed
-hypothesis-violation runs visibly degrade.  Sample budgets are fixed
-constants below so the whole suite is deterministic under a seed.
+hypothesis-violation runs visibly degrade.  Each check's orders, scales
+and sample sizes are constants inside it, so the whole suite is
+deterministic under a seed; a check takes as keywords only the seed and
+the budgets that the acceptance suite refines (sample counts, members,
+the grid cap).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .atoms import level_sequence_norm, validate_atom
 from .bank import FunctionBank, make_bank
-from .besov import FORMS, ScaleProfile, besov_norm, lp_profile
+from .besov import FORMS, besov_norm, lp_profile
 from .errors import ParameterError
 from .exponents import (field_from_callable, log_holder_constants,
                         make_exponent_field, reciprocal_constants)
@@ -78,57 +81,42 @@ def _stability(base: float, refined: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_pointwise_shift(bank: FunctionBank, m: float = 4.0,
-                          R: Optional[float] = None, seed: int = 7,
-                          x_stride: int = 16) -> CheckReport:
+def check_pointwise_shift(bank: FunctionBank, seed: int = 7) -> CheckReport:
     """t^{-a(x)} eta_{t,m+R}(x-y) <= c t^{-a(y)} eta_{t,m}(x-y) for R >= clog(a).
 
     Also runs the origin variant and the designed R = 0 failure, whose
     constant must grow across the ladder.
     """
+    m, x_stride = 4.0, 16
     spec, ladder = bank.spec, bank.ladder
     alpha = bank.exponents["alpha_signchange"]
     clog_alpha = log_holder_constants(alpha, alpha.samples, alpha.limit_value)[0]
-    if R is None:
-        R = 2.0 * clog_alpha
-    x = spec.axis_coords()
-    xs = x[::x_stride]
-    av_s = alpha.grid_values()[::x_stride]
+    R = 2.0 * clog_alpha
+    x, av = spec.axis_coords(), alpha.grid_values()
+    xs, av_s = x[::x_stride], av[::x_stride]
 
-    ts = ladder.t
-
-    def max_ratio(xs, av, R_order):
+    def max_ratio(R_order, x_rows=xs, a_rows=av_s, y=xs, ay=av_s):
         # ratio_t(x,y) = t^{a(y)-a(x)} (1 + |x-y|/t)^{-R}, worst per t
-        worst_per_t = np.empty(len(ts))
-        d = np.abs(xs[:, None] - xs[None, :])
-        dexp = av[None, :] - av[:, None]  # a(y) - a(x), x rows
-        for i, t in enumerate(ts):
-            ratio = t ** (-dexp) * (1.0 + d / t) ** (-R_order)
-            worst_per_t[i] = ratio.max()
-        return worst_per_t
+        d = np.abs(x_rows[:, None] - y[None, :])
+        dexp = ay[None, :] - a_rows[:, None]  # a(y) - a(x), x rows
+        return np.array([(t ** (-dexp) * (1.0 + d / t) ** (-R_order)).max()
+                         for t in ladder.t])
 
     constants: Dict[str, float] = {}
-    w_var = max_ratio(xs, av_s, R)
-    constants["alpha_signchange_R2clog"] = float(w_var.max())
-    w_sharp = max_ratio(xs, av_s, clog_alpha)
-    constants["alpha_signchange_Rclog"] = float(w_sharp.max())
+    constants["alpha_signchange_R2clog"] = float(max_ratio(R).max())
+    constants["alpha_signchange_Rclog"] = float(max_ratio(clog_alpha).max())
 
-    # origin variant: y = 0, a(0) fixed
+    # origin variant: the row x = 0 against every sampled y, a(0) fixed
     i0 = int(np.argmin(np.abs(x)))
-    a0 = float(alpha.grid_values()[i0])
-    worst = 0.0
-    for t in ts:
-        ratio = t ** (a0 - av_s) * (1.0 + np.abs(xs) / t) ** (-R)
-        worst = max(worst, float(ratio.max()))
-    constants["origin_variant"] = worst
+    constants["origin_variant"] = float(max_ratio(R, x[i0:i0 + 1], av[i0:i0 + 1]).max())
 
     # designed failure: R = 0, nonconstant alpha -> per-t constant diverges
-    w_fail = max_ratio(xs, av_s, 0.0)
+    w_fail = max_ratio(0.0)
     growth = float(w_fail.max() / max(w_fail.min(), 1e-300))
 
     # refinement: halve the stride
-    half = max(1, x_stride // 2)
-    refined = float(max_ratio(x[::half], alpha.grid_values()[::half], R).max())
+    half = x_stride // 2
+    refined = float(max_ratio(R, x[::half], av[::half], x[::half], av[::half]).max())
 
     passed = (growth > 10.0
               and _stability(constants["alpha_signchange_R2clog"], refined) <= 1.25)
@@ -147,14 +135,13 @@ def check_pointwise_shift(bank: FunctionBank, m: float = 4.0,
 # ---------------------------------------------------------------------------
 
 
-def check_subconvolution(bank: FunctionBank, m: float = 4.0,
-                         seed: int = 7,
-                         scales: Sequence[int] = (4, 16, 64)) -> CheckReport:
+def check_subconvolution(bank: FunctionBank, seed: int = 7) -> CheckReport:
     """|theta_N * omega_N * g| <= c (eta_{N,m} * |omega_N * g|^r)^{1/r}.
 
     omega is band-limited (spectrum inside the unit ball), theta Gaussian;
     reports min c per (r, N) over a bank subset and the stability across N.
     """
+    m, scales = 4.0, (4, 16, 64)
     spec = bank.spec
     frame_profile = build_resolution_of_unity(spec, bank.ladder).profile
     members = ["gauss_w1", "modgauss_f4", "weier_s05", "bandnoise_a",
@@ -196,14 +183,13 @@ def check_subconvolution(bank: FunctionBank, m: float = 4.0,
 # ---------------------------------------------------------------------------
 
 
-def check_eta_algebra(bank: FunctionBank, m: float = 4.0,
-                      seed: int = 7, level_range: Sequence[int] = range(0, 7),
-                      window: float = 6.0) -> CheckReport:
+def check_eta_algebra(bank: FunctionBank, seed: int = 7) -> CheckReport:
     """eta_{v0,m} * eta_{v1,m} ~ eta_{min(v0,v1),m} and cube-average comparison.
 
     The two-sided constants are measured on |x| <= window (the box truncates
     the kernels' tails; the window keeps wraparound out of the ratio).
     """
+    m, level_range, window = 4.0, range(0, 7), 6.0
     spec = bank.spec
     x = spec.axis_coords()
     sel = np.abs(x) <= window
@@ -223,7 +209,6 @@ def check_eta_algebra(bank: FunctionBank, m: float = 4.0,
 
     # cube averages: eta_{v,m} * (chi_Q / |Q|) ~ eta_{v,m}(. - y), y in Q
     worst_cube = 0.0
-    h = spec.spacing
     for v in (0, 2, 4):
         eta = etas[v]
         for mi in (0, -2, 3):
@@ -262,10 +247,13 @@ def check_eta_algebra(bank: FunctionBank, m: float = 4.0,
 # ---------------------------------------------------------------------------
 
 
-def check_hardy(bank: FunctionBank, seed: int = 7,
-                lengths: Sequence[int] = (16, 64, 256), draws: int = 20) -> CheckReport:
+def check_hardy(bank: FunctionBank, seed: int = 7) -> CheckReport:
     """Discrete: ||sum_j |k-j|^sigma a^|k-j| eps_j||_q <= c ||eps||_q.
-    Continuous: cumulative t^s / t^-s averages bounded on L^{q(.)}((0,1],dt/t)."""
+    Continuous: cumulative t^s / t^-s averages bounded on L^{q(.)}((0,1],dt/t).
+
+    At constant q each of the two averaging operators has norm <= 1/s, so
+    the gate is the continuous q_const2 constant <= 2/s."""
+    lengths, draws = (16, 64, 256), 20
     rng = np.random.default_rng(seed)
     constants: Dict[str, float] = {}
 
@@ -292,24 +280,6 @@ def check_hardy(bank: FunctionBank, seed: int = 7,
                         worst = max(worst, float(c))
                     per_len.append(worst)
                 constants[f"discrete_sigma={sigma}_a={a}_q={q}"] = max(per_len)
-                if sigma == 0.0 and a == 0.5 and q == 2.0:
-                    # length stability on circulant sections with the all-ones
-                    # input: finite sections carry O(1/length) edge defect,
-                    # the circulant models the bi-infinite operator directly
-                    cs = []
-                    for length in lengths:
-                        d = np.arange(length)
-                        circ = np.minimum(d, length - d).astype(float)
-                        row = 0.5 ** circ
-                        cs.append(float(row.sum()))
-                    stability = max(cs) / min(cs)
-
-    # frozen closed form: unit impulse, sigma=0, a=1/2, q=1 -> c = 3
-    Kmat = smooth_kernel(0.0, 0.5, 16)
-    eps = np.zeros(16)
-    eps[0] = 1.0
-    impulse_c = float(np.sum(Kmat @ eps))
-    constants["discrete_impulse_geometric"] = impulse_c
 
     # continuous version on the ladder
     ladder = bank.ladder
@@ -338,12 +308,11 @@ def check_hardy(bank: FunctionBank, seed: int = 7,
                 worst = max(worst, num / den)
             constants[f"continuous_s={s}_{qname}"] = worst
 
-    passed = abs(impulse_c - 3.0) <= 1e-9 and stability <= 1.05
+    passed = all(constants[f"continuous_s={s}_q_const2"] <= 2.0 / s for s in (1.0, 0.5))
     return CheckReport(
         "hardy", seed,
         [{"lengths": list(lengths), "draws": draws}],
         constants, [], passed,
-        details={"length_stability_sigma0_a05_q2": stability},
     )
 
 # ---------------------------------------------------------------------------
@@ -368,16 +337,17 @@ def _worst_ratio(gamma: float, A: float, px: np.ndarray, pmin: float, wQ: float,
     return float(ratio[k]), float(T2[k] / (T1[k] + T2[k] + 1e-300))
 
 
-def check_key_modular(bank: FunctionBank, m: float = 2.0,
-                      seed: int = 7, cubes_per_level: int = 8,
+def check_key_modular(bank: FunctionBank, seed: int = 7, cubes_per_level: int = 8,
                       x_per_cube: int = 24, pairs: int = 40) -> CheckReport:
     """(gamma_m avg_Q |f| w)^{p(x)} <= c [main term + damped tail term].
 
     Grid mode uses dyadic cubes and p(.) on the box; the interval modes run on
     a (0, b] axis with the three (omega, phi, g) right-hand sides.  Inputs are
-    normalized to unit weighted Luxemburg norm first; the two RHS terms are
-    reported separately so the binding one is visible.
+    normalized to unit weighted Luxemburg norm first; the share of the tail
+    term at each worst ratio is reported so the binding term is visible.  The
+    estimate holds with constant 1, and that is the gate: every constant <= 1.
     """
+    m = 2.0
     spec = bank.spec
     h = spec.spacing
     xg = spec.axis_coords()
@@ -472,13 +442,11 @@ def check_key_modular(bank: FunctionBank, m: float = 2.0,
     for key, *variant in variants:
         constants[key], tail_share[key] = run_interval(*variant)
 
-    jensen_ok = constants["grid_p_const2_w1"] <= 1.0 + 1e-6
     return CheckReport(
         "key-modular", seed,
         [{"m": m, "cubes_per_level": cubes_per_level, "members": members}],
-        constants, [], jensen_ok,
-        details={"tail_term_share_at_worst": tail_share,
-                 "jensen_constant_at_most_one": jensen_ok},
+        constants, [], all(c <= 1.0 for c in constants.values()),
+        details={"tail_term_share_at_worst": tail_share},
     )
 
 
@@ -492,15 +460,9 @@ def check_mixed_equivalence(bank: FunctionBank,
     """Octave-block mixed norm vs (sum ||f_v||^{q(0)})^{1/q(0)}, the masked-cube
     variant with t^{-alpha}, and the 2^{-|k-v|delta} smoothing bound."""
     ladder = bank.ladder
-    V = ladder.octaves
+    V, J = ladder.octaves, ladder.nodes_per_octave   # np.repeat(a, J): a[v-1] on octave v
     rng = np.random.default_rng(seed)
     constants: Dict[str, float] = {}
-
-    def block_profile(a):
-        g = np.zeros(ladder.t.size)
-        for v in range(1, V + 1):
-            g[ladder.octave_slice(v)] = a[v - 1]
-        return g
 
     # part A: scalar level norms
     qc = bank.exponents["q_const2"]
@@ -511,12 +473,11 @@ def check_mixed_equivalence(bank: FunctionBank,
         a[rng.random(V) < 0.3] = 0.0
         if a.sum() == 0:
             a[0] = 1.0
-        lhs_c = octave_block_norm(block_profile(a), ladder, qc)
-        rhs_c = float(np.sum(a ** 2.0) ** 0.5)
-        const_dev = max(const_dev, abs(lhs_c / (math.log(2.0) ** 0.5 * rhs_c) - 1.0))
-        lhs_v = octave_block_norm(block_profile(a), ladder, ql)
-        rhs_v = float(np.sum(a ** 2.0) ** 0.5)
-        r = lhs_v / rhs_v
+        g = np.repeat(a, J)
+        rhs = float(np.sum(a ** 2.0) ** 0.5)
+        lhs_c = octave_block_norm(g, ladder, qc)
+        const_dev = max(const_dev, abs(lhs_c / (math.log(2.0) ** 0.5 * rhs) - 1.0))
+        r = octave_block_norm(g, ladder, ql) / rhs
         ratio_lo, ratio_hi = min(ratio_lo, r), max(ratio_hi, r)
     constants["scalar_qconst_normalized_dev"] = const_dev
     constants["scalar_qlog_ratio_max"] = ratio_hi
@@ -527,7 +488,7 @@ def check_mixed_equivalence(bank: FunctionBank,
     for v in range(1, V + 1):
         a = np.zeros(V)
         a[v - 1] = 1.0
-        sweep.append(octave_block_norm(block_profile(a), ladder, ql))
+        sweep.append(octave_block_norm(np.repeat(a, J), ladder, ql))
     sweep = np.asarray(sweep)
     constants["single_level_spread"] = float(sweep.max() / sweep.min())
 
@@ -553,8 +514,8 @@ def check_mixed_equivalence(bank: FunctionBank,
             a = rng.random(V)
             g = np.array([sum(2.0 ** (-abs(k - v) * delta) * a[k] for k in range(V))
                           for v in range(V)])
-            num = octave_block_norm(block_profile(g), ladder, ql)
-            den = octave_block_norm(block_profile(a), ladder, ql)
+            num = octave_block_norm(np.repeat(g, J), ladder, ql)
+            den = octave_block_norm(np.repeat(a, J), ladder, ql)
             worst[delta] = max(worst[delta], num / den)
         constants[f"smoothing_delta={delta}"] = worst[delta]
 
@@ -612,19 +573,15 @@ def _fj_atom(spec: GridSpec, v: int, mloc: int, K: int, L: int):
         psi = psi - (mom / ref) * bump
     # sup-normalize over derivative orders 0..K at the atom's own scale
     a = GridFunction(spec, 2.0 ** (v / 2) * psi)
-    worst = 0.0
-    for beta in range(K + 1):
-        da = spectral_derivative(a, beta)
-        worst = max(worst, float(np.max(da.abs_samples())) / 2.0 ** (v * (beta + 0.5)))
-    return GridFunction(spec, a.samples / worst)
+    inflation = validate_atom(a, v, (mloc,), K, -1, gamma=3.0).validation["derivative_inflation"]
+    return GridFunction(spec, a.samples / inflation)
 
 
-def check_kernel_decay(bank: FunctionBank, seed: int = 7,
-                       N_poly: float = 4.0,
-                       moment_orders: Sequence[int] = (-1, 1, 3)) -> CheckReport:
+def check_kernel_decay(bank: FunctionBank, seed: int = 7) -> CheckReport:
     """sup_z |mu_t * rho(z)| (1+|z|)^N ~ t^{M+1} for mu with M+1 vanishing
     moments; M = -1 shows no gain.  The FJ variant regresses both decay
     exponents of band transforms of a constructed atom."""
+    N_poly, moment_orders = 4.0, (-1, 1, 3)
     spec = bank.spec
     x = spec.axis_coords()
     rho = from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
@@ -684,19 +641,15 @@ def check_kernel_decay(bank: FunctionBank, seed: int = 7,
 # ---------------------------------------------------------------------------
 
 
-def _scaled_profile(base, s: float):
-    """Profile for constant smoothness s from the alpha = 0 base profile."""
-    return ScaleProfile(base.ladder, base.values * base.ladder.t ** (-s), base.level0)
-
-
-def check_embeddings(bank: FunctionBank, seed: int = 7,
-                     variable_members: int = 6) -> CheckReport:
+def check_embeddings(bank: FunctionBank, seed: int = 7) -> CheckReport:
     """Target norm <= c * source norm for the three embedding regimes.
 
     Constant-exponent configurations run bank-wide (profiles at alpha = 0 are
     shared and rescaled); the variable-exponent spot checks run on a member
-    subset.  The fixed-q q-monotonicity configuration must have c <= 1.1.
+    subset.  The gate is the identity: the rescaled profile path must agree
+    with a full norm call.
     """
+    variable_members = 6
     spec, ladder = bank.spec, bank.ladder
     frame = build_resolution_of_unity(spec, ladder)
     p2 = bank.exponents["p_const2"]
@@ -705,58 +658,26 @@ def check_embeddings(bank: FunctionBank, seed: int = 7,
     ql2, ql3 = bank.exponents["q_logdecay"], bank.exponents["q_logdecay3"]
     alpha0 = bank.exponents["alpha_const0"]
     names = bank.names()
+    subset = names[:variable_members]
 
     base2 = {n: lp_profile(bank[n], frame, alpha0, p2) for n in names}
     base4 = {n: lp_profile(bank[n], frame, alpha0, p4) for n in names}
 
-    def norm_const_alpha(base, s, q):
-        prof = _scaled_profile(base, s)
-        return prof.level0 + t_norm(prof.values, q, ladder, "variable")
+    def const_alpha(base, s, q):
+        """member -> its norm at constant smoothness s, rescaled from the
+        alpha = 0 base profile"""
+        return lambda n: base[n].level0 + t_norm(base[n].values * ladder.t ** (-s), q,
+                                                 ladder, "variable")
 
-    constants: Dict[str, float] = {}
+    def variable(alpha, p):
+        """member -> its direct norm with smoothness alpha and integrability p"""
+        return lambda n: besov_norm(bank[n], frame, alpha, p, ql2).value
 
-    # (i) elementary embedding: alpha drops by 0.2, any (q0, q1)
-    worst = 0.0
-    for n in names:
-        src = norm_const_alpha(base2[n], 0.5, ql3)
-        tgt = norm_const_alpha(base2[n], 0.3, ql2)
-        if src > 0:
-            worst = max(worst, tgt / src)
-    constants["elementary_alpha_margin"] = worst
+    def worst_ratio(source, target, members=names):
+        """max of target / source over the members with a nonzero source, 0 if none"""
+        return max([target(n) / src for n in members if (src := source(n)) > 0], default=0.0)
 
-    # (ii) q-monotone: q0(0)=2 <= q1(0)=3, same alpha and p.  The gated
-    # profile-level constant uses octave blocks (sup per octave), where pure
-    # sequence monotonicity bounds it by (log 2)^{1/3-1/2}; the full-form
-    # ratio additionally carries within-octave variation and is reported only.
-    worst, worst_full = 0.0, 0.0
-    ln2 = math.log(2.0)
-    for n in names:
-        prof = _scaled_profile(base2[n], 0.5)
-        blocks = np.array([prof.values[ladder.octave_slice(v)].max()
-                           for v in range(1, ladder.octaves + 1)])
-        if blocks.sum() == 0:
-            continue
-        b_src = prof.level0 + (np.sum(blocks ** 2.0) * ln2) ** (1 / 2.0)
-        b_tgt = prof.level0 + (np.sum(blocks ** 3.0) * ln2) ** (1 / 3.0)
-        worst = max(worst, b_tgt / b_src)
-        src = norm_const_alpha(base2[n], 0.5, q2)
-        tgt = norm_const_alpha(base2[n], 0.5, q3)
-        if src > 0:
-            worst_full = max(worst_full, tgt / src)
-    constants["q_monotone_profile_level"] = worst
-    constants["q_monotone_full_form"] = worst_full
-
-    # (iii) Sobolev line: p0=2 -> p1=4, alpha0 = alpha1 + 1/4 (n = 1)
-    worst = 0.0
-    for n in names:
-        src = norm_const_alpha(base2[n], 0.75, ql2)
-        tgt = norm_const_alpha(base4[n], 0.5, ql2)
-        if src > 0:
-            worst = max(worst, tgt / src)
-    constants["sobolev_line_p2_to_p4"] = worst
-
-    # variable-exponent spot checks on a subset
-    subset = names[:variable_members]
+    # variable-exponent spot checks on the subset
     a_var = bank.exponents["alpha_signchange"]
     a_var_up = field_from_callable(
         spec, lambda x: 0.55 + 0.6 * np.sin(2 * np.pi * x / spec.box_length),
@@ -768,50 +689,46 @@ def check_embeddings(bank: FunctionBank, seed: int = 7,
     a1_vals = 1.2 - 1.0 / p_sin.grid_values() + 1.0 / p_sin1.grid_values()
     a_sob1 = make_exponent_field(a1_vals.reshape(-1), "alpha", None, spec=spec)
     a_sob0 = bank.exponents["alpha_const12"]
-    worst_elem, worst_sob = 0.0, 0.0
-    for n in subset:
-        f = bank[n]
-        src = besov_norm(f, frame, a_var_up, p_sin, ql2).value
-        tgt = besov_norm(f, frame, a_var, p_sin, ql2).value
-        if src > 0:
-            worst_elem = max(worst_elem, tgt / src)
-        src = besov_norm(f, frame, a_sob0, p_sin, ql2).value
-        tgt = besov_norm(f, frame, a_sob1, p_sin1, ql2).value
-        if src > 0:
-            worst_sob = max(worst_sob, tgt / src)
-    constants["elementary_variable"] = worst_elem
-    constants["sobolev_variable"] = worst_sob
-
-    # identity: the rescaled alpha = 0 profile path against a full norm call
-    # at alpha = 1/2; separate Luxemburg solves agree to their RTOL only
-    a05 = bank.exponents["alpha_const05"]
-    ratios = np.array([norm_const_alpha(base2[n], 0.5, q2)
-                       / besov_norm(bank[n], frame, a05, p2, q2, "direct").value
-                       for n in subset])
-    constants["identity_embedding"] = float(ratios[np.argmax(np.abs(ratios - 1.0))])
 
     # chain: norms finite against Schwartz-type seminorms; pairing bound
     x = spec.axis_coords()
     g0 = from_callable(spec, lambda x: np.exp(-x ** 2 / 2))
-    worst_upper, worst_pair = 0.0, 0.0
     smooth = ["gauss_w05", "gauss_w1", "gauss_w2", "modgauss_f4", "dgauss", "gausspair"]
-    for n in smooth:
-        f = bank[n]
-        semi = 0.0
-        for gpow in (0, 1, 2):
-            for beta in (0, 1, 2):
-                df = spectral_derivative(f, beta)
-                semi = max(semi, float(np.max(np.abs(x) ** gpow * df.abs_samples())))
-        bn = norm_const_alpha(base2[n], 0.5, q2)
-        worst_upper = max(worst_upper, bn / semi)
-        pairing = abs(integrate(GridFunction(spec, (f.samples * g0.samples))))
-        if bn > 0:
-            worst_pair = max(worst_pair, pairing / bn)
-    constants["schwartz_to_space"] = worst_upper
-    constants["space_to_distributions"] = worst_pair
 
-    passed = (constants["q_monotone_profile_level"] <= 1.1
-              and abs(constants["identity_embedding"] - 1.0) <= 1e-9)
+    def seminorm(n):
+        """max over gpow, beta <= 2 of sup |x|^gpow |D^beta f|"""
+        ders = [spectral_derivative(bank[n], beta).abs_samples() for beta in (0, 1, 2)]
+        return max(float(np.max(np.abs(x) ** gpow * d)) for gpow in (0, 1, 2) for d in ders)
+
+    def pairing(n):
+        return abs(integrate(GridFunction(spec, bank[n].samples * g0.samples)))
+
+    b05 = const_alpha(base2, 0.5, q2)
+    constants: Dict[str, float] = {
+        # (i) elementary embedding: alpha drops by 0.2, any (q0, q1)
+        "elementary_alpha_margin": worst_ratio(const_alpha(base2, 0.5, ql3),
+                                               const_alpha(base2, 0.3, ql2)),
+        # (ii) q-monotone: q0(0)=2 <= q1(0)=3, same alpha and p
+        "q_monotone_full_form": worst_ratio(b05, const_alpha(base2, 0.5, q3)),
+        # (iii) Sobolev line: p0=2 -> p1=4, alpha0 = alpha1 + 1/4 (n = 1)
+        "sobolev_line_p2_to_p4": worst_ratio(const_alpha(base2, 0.75, ql2),
+                                             const_alpha(base4, 0.5, ql2)),
+        "elementary_variable": worst_ratio(variable(a_var_up, p_sin), variable(a_var, p_sin),
+                                           subset),
+        "sobolev_variable": worst_ratio(variable(a_sob0, p_sin), variable(a_sob1, p_sin1),
+                                        subset),
+    }
+
+    # identity: the rescaled alpha = 0 profile path against a full norm call
+    # at alpha = 1/2; separate Luxemburg solves agree to their RTOL only
+    a05 = bank.exponents["alpha_const05"]
+    ratios = np.array([b05(n) / besov_norm(bank[n], frame, a05, p2, q2, "direct").value
+                       for n in subset])
+    constants["identity_embedding"] = float(ratios[np.argmax(np.abs(ratios - 1.0))])
+    constants["schwartz_to_space"] = worst_ratio(seminorm, b05, smooth)
+    constants["space_to_distributions"] = worst_ratio(b05, pairing, smooth)
+
+    passed = abs(constants["identity_embedding"] - 1.0) <= 1e-9
     return CheckReport(
         "embeddings", seed,
         [{"variable_members": subset}],
@@ -826,11 +743,9 @@ def check_embeddings(bank: FunctionBank, seed: int = 7,
 
 def check_norm_equivalences(bank: FunctionBank, seed: int = 7,
                             members: Optional[Sequence[str]] = None,
-                            peetre_a: float = 2.0, S: int = 2,
-                            ratio_window: float = 10.0,
                             max_points: int = 2048) -> CheckReport:
     """All norm forms across two frames; flags pairwise ratios outside
-    [1/window, window].
+    [1/ratio_window, ratio_window].
 
     The maximal-function forms are the costly ones: the pruned maximal
     function evaluates only the block pairs that can set a maximum, usually
@@ -839,6 +754,7 @@ def check_norm_equivalences(bank: FunctionBank, seed: int = 7,
     reference resolution); a larger input bank is rebuilt at the cap with
     the same ladder and seed.
     """
+    peetre_a, S, ratio_window = 2.0, 2, 10.0
     if bank.spec.points_per_axis > max_points:
         bank = make_bank(
             make_grid(bank.spec.dimension, bank.spec.box_length, max_points),

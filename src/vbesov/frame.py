@@ -339,7 +339,9 @@ def _build_pair(spec: GridSpec, ladder: ScaleLadder, S: int, epsilon: float) -> 
     """Construct and certify the local-mean pair."""
     if S < -1:
         raise ParameterError(f"moment order S must be >= -1, got {S}")
-    if not (0 < 2 * epsilon <= 0.9 * spec.nyquist):
+    if not 0 < epsilon < math.inf:
+        raise ParameterError(f"epsilon must be a positive finite number, got {epsilon}")
+    if not 2 * epsilon <= 0.9 * spec.nyquist:
         raise ParameterError(
             f"epsilon {epsilon} incompatible with grid Nyquist {spec.nyquist:.3g}")
     m = max(0, math.ceil((S + 1) / 2))

@@ -84,6 +84,17 @@ def test_validate_rejects_bad_params(setup2k):
         vb.validate_atom(zero, 1, (0,), 1, -1, 0.5)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, 1.0, 0.5])
+def test_analyze_rejects_gamma_before_any_transform(setup2k, monkeypatch, gamma):
+    spec, ladder, frame = setup2k
+    f = vb.from_callable(spec, lambda x: np.exp(-x ** 2))
+    monkeypatch.setattr(atoms, "spectrum", None)
+    with pytest.raises(ParameterError, match=r"gamma > 1 finite; got K = 2, L = 0, gamma"):
+        vb.analyze(f, frame, V=3, gamma=gamma)
+    with pytest.raises(ParameterError, match=r"gamma > 1 finite"):
+        vb.validate_atom(f, 1, (0,), 2, 0, gamma)
+
+
 def test_analyze_zero(setup2k):
     spec, ladder, frame = setup2k
     zero = vb.from_callable(spec, lambda x: np.zeros_like(x))

@@ -268,6 +268,8 @@ def test_maximal_forms_reject_a_non_finite_peetre_order(setup2k, monkeypatch, a)
     monkeypatch.setattr(besov, "_kernel_profile", None)
     with pytest.raises(ParameterError, match="Peetre order a must be finite"):
         vb.besov_norm(f, frame, F["a05"], F["p2"], F["q2"], "peetre", a=a)
+    with pytest.raises(ParameterError, match="Peetre order a must be finite"):
+        besov.peetre_profile(f, frame, F["a05"], a, F["p2"])
 
 
 @pytest.mark.parametrize("form", list(FORMS))

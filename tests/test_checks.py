@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import vbesov.checks as C
 from vbesov.checks import CheckReport, run_checks
 from vbesov.errors import ParameterError
+from vbesov.luxemburg import ScaleLadder
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +38,23 @@ def test_kernel_decay_no_gain_without_moments(bank):
     assert r.details["slopes"]["M=1"] >= 1.8
 
 
-def test_hardy_impulse_closed_form(bank):
-    r = C.check_hardy(bank=bank)
-    assert r.constants["discrete_impulse_geometric"] == pytest.approx(3.0, abs=1e-9)
+def test_hardy_gate_trips_when_the_ladder_weights_are_doubled(bank):
+    # doubled dt/t weights double both averaging operators past 1/s
+    lad = bank.ladder
+    doubled = ScaleLadder(lad.octaves, lad.nodes_per_octave, lad.t, 2 * lad.weights)
+    r = C.check_hardy(bank=dataclasses.replace(bank, ladder=doubled))
+    for s in (1.0, 0.5):
+        assert r.constants[f"continuous_s={s}_q_const2"] > 2.0 / s
+    assert r.passed is False
 
 
-def test_key_modular_jensen(bank):
+def test_key_modular_gate_trips_when_the_tail_term_is_dropped(bank, monkeypatch):
+    real = C._worst_ratio
+    monkeypatch.setattr(C, "_worst_ratio",
+                        lambda *args: real(*args[:-1], np.zeros_like(args[-1])))
     r = C.check_key_modular(bank=bank)
-    assert r.constants["grid_p_const2_w1"] <= 1.0 + 1e-6
+    assert r.constants["interval_pinf_below"] > 1.0
+    assert r.passed is False
 
 
 def test_reports_deterministic(bank):
@@ -78,7 +90,6 @@ def test_unbounded_constant_fails_the_report(bad):
 def test_embeddings_pass(bank):
     r = C.check_embeddings(bank=bank)
     assert r.passed, r.constants
-    assert r.constants["q_monotone_profile_level"] <= 1.1
     assert np.isfinite(r.constants["sobolev_line_p2_to_p4"])
 
 
@@ -126,3 +137,35 @@ def test_eta_algebra_mass_gate_trips_when_the_scale_normalization_is_dropped(ban
     r = C.check_eta_algebra(bank=bank)
     assert r.details["mass_t_independence_rel"] >= 1e-2
     assert not r.passed
+
+
+def test_pointwise_shift_growth_gate_trips_when_alpha_is_constant(bank):
+    # at constant alpha the R = 0 ratio is 1 at every t: nothing grows
+    const = dataclasses.replace(bank, exponents={
+        **bank.exponents, "alpha_signchange": bank.exponents["alpha_const05"]})
+    r = C.check_pointwise_shift(bank=const)
+    assert r.details["R0_growth_across_ladder"] <= 10
+    assert r.passed is False
+
+
+def test_subconvolution_stability_gate_trips_when_the_scale_normalization_is_dropped(
+        bank, monkeypatch):
+    real = C.eta_kernel
+    monkeypatch.setattr(C, "eta_kernel", lambda spec, t, m: C.GridFunction(
+        spec, real(spec, t, m).samples * t ** spec.dimension))
+    r = C.check_subconvolution(bank=bank)
+    assert r.details["stability_across_N"]["r=1.0"] > 2.0
+    assert r.passed is False
+
+
+def test_norm_equivalences_window_gate_trips_when_one_form_is_off(bank, monkeypatch):
+    real = C.besov_norm
+
+    def q0_off(f, kernel, alpha, p, q, form, **kwargs):
+        rep = real(f, kernel, alpha, p, q, form, **kwargs)
+        return dataclasses.replace(rep, value=20.0 * rep.value) if form == "q0" else rep
+
+    monkeypatch.setattr(C, "besov_norm", q0_off)
+    r = C.check_norm_equivalences(bank=bank, members=["gauss_w1"])
+    assert r.violations and all("q0" in v["pair"] for v in r.violations)
+    assert r.passed is False

@@ -355,6 +355,14 @@ def test_cli_decompose_synthesize(tmp_path):
     assert doc["l2_relative_residual"] <= 0.05
 
 
+def test_cli_decompose_rejects_an_atom_gamma_of_1(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, FAST_CONFIG + "atom_gamma = 1\n")
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: atom parameters need K >= 0, L >= -1, gamma > 1 finite; "
+        "got K = 2, L = 0, gamma = 1.0\n")
+
+
 def test_cli_decompose_synthesize_build_no_cube_keys(tmp_path, monkeypatch):
     # the per-cube {(v, m): lambda} view is for callers; the commands read
     # the level lattices, so a view that raises leaves every output byte

@@ -123,8 +123,15 @@ def test_local_mean_tauberian(spec4k, ladder):
 
 
 def test_local_mean_epsilon_guard(spec4k, ladder):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="incompatible with grid Nyquist"):
         vb.build_local_mean_pair(spec4k, ladder, S=1, epsilon=1e6)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0, 0.0])
+def test_local_mean_epsilon_must_be_positive_and_finite(spec4k, ladder, epsilon):
+    with pytest.raises(ParameterError,
+                       match=f"epsilon must be a positive finite number, got {epsilon}"):
+        vb.build_local_mean_pair(spec4k, ladder, S=1, epsilon=epsilon)
 
 
 def test_eta_kernel_mass(spec4k):
