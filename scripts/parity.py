@@ -18,7 +18,9 @@ only one side.  With `--rtol R` as well, a file whose text differs only in
 its numbers, each within R relative to DIR's, passes; a difference in the
 text around the numbers, or in how many numbers a key holds, still fails.
 Integer-valued keys, such as the solver's `iterations`, are counts: they
-must agree exactly, and every changed count is listed in its own section.
+must agree exactly, and every changed count is listed in its own section,
+after the total of each changed key on both sides, over the files where it
+changed (`iterations: 130 -> 98 over 60 files`).
 A `level0` is compared relative to its document's `value`, not to itself:
 where a member has no spectrum at level 0 it is rounding noise of the norm.
 
@@ -30,7 +32,8 @@ The request set:
   `variable` exponents, at N = 4096 (N = 2048 for the two maximal forms);
 - `decompose` (N = 4096, 8 octaves) and `synthesize` (N = 2048, 7 octaves)
   on DECOMPOSE_MEMBERS and SYNTHESIZE_MEMBERS, with the variable exponents;
-- `verify --quick --check all`, with its `checks.csv`;
+- `verify --quick --check all`, with its `checks.csv`, then `report` on its
+  outputs, with its `rollup.json`;
 - the text of `vbesov norm --help`;
 - `sequence_norms.json`, the coefficient norm `sequence_norm_b`, which no
   command prints, for SYNTHESIZE_MEMBERS at N = 2048 and 7 octaves, both
@@ -214,6 +217,7 @@ def compare(here: str, there: str, rtol: Optional[float] = None) -> bool:
     `level0` within rtol of the `value` beside it), with every count equal."""
     mine, theirs = _files(here), _files(there)
     identical, tolerated, counts = [], 0, []
+    totals: Dict[str, List[int]] = {}   # count key -> [there, here, files]
     for rel in sorted(set(mine) - set(theirs)):
         print(f"only here: {rel}")
     for rel in sorted(set(theirs) - set(mine)):
@@ -236,6 +240,10 @@ def compare(here: str, there: str, rtol: Optional[float] = None) -> bool:
             if all(isinstance(x, int) and isinstance(y, int) for x, y in pairs):
                 if na[key] != nb[key]:
                     counts.append(f"{rel}: {key} {nb[key]} -> {na[key]}")
+                    total = totals.setdefault(key, [0, 0, 0])
+                    total[0] += sum(nb[key])
+                    total[1] += sum(na[key])
+                    total[2] += 1
                     exact_parts_agree = False
                 continue
             base = nb.get(key[:-len("level0")] + "value", ()) if key.endswith("level0") else ()
@@ -252,6 +260,8 @@ def compare(here: str, there: str, rtol: Optional[float] = None) -> bool:
         if rtol is not None and exact_parts_agree and not text_differs and worst_rel <= rtol:
             tolerated += 1
     print(f"changed counts: {len(counts)}")
+    for key, (before, after, files) in sorted(totals.items()):
+        print(f"  {key}: {before} -> {after} over {files} files")
     for line in counts:
         print(f"  {line}")
     print(f"byte-identical: {len(identical)} files")
@@ -299,6 +309,7 @@ def main() -> int:
     with contextlib.redirect_stdout(io.StringIO()):   # its lines carry runtimes
         cli.main(["verify", "--quick", "--check", "all", "--out", "verify",
                   "--seed", str(SEED)])
+        cli.main(["report", "--out", "verify"])
 
     for root, _, files in os.walk("."):
         for name in files:

@@ -2,13 +2,15 @@
 
 Every form is a level-0 term plus a t-norm of one scale profile, and every
 profile but the p = 2 ones (below) comes from one pipeline
-(`_scale_profile`): per ladder node t,
-nonnegative rows times t^-s(x), then, for the maximal forms, the Peetre
-maximal function of order a, then the Luxemburg norm in L^p(.).  The unit
-of work is the octave: its nodes form one (nodes, *grid) block with one
-row-wise Luxemburg solve.  For a norm the rows are |kernel multiplier at t
-times the spectrum of f|, one batched inverse FFT per octave, and s = alpha;
-`atoms.sequence_norm_b` feeds the level indicator sums with s = alpha + n/2.
+(`_scale_profile`): per ladder node t, the Luxemburg norm in L^p(.) of
+nonnegative rows times t^-s(x), for the maximal forms after the Peetre
+maximal function of order a.  That step prunes on linear values, so it
+takes the power t^-s(x); otherwise the row solve takes its log -s(x) log t
+(`smoothness`).  The unit of work is the octave: its nodes form one
+(nodes, *grid) block with one row-wise Luxemburg solve.  For a norm the
+rows are |kernel multiplier at t times the spectrum of f|, one batched
+inverse FFT per octave, and s = alpha; `atoms.sequence_norm_b` feeds the
+level indicator sums with s = alpha + n/2.
 The kernels are radial, so the bands of a real f are real: a real f runs on
 its half (`rfftn`) spectrum, with one batched `irfftn` per octave and |.|
 taken in place, and a complex f on the full spectrum (`grid.band_spectrum`
@@ -308,23 +310,26 @@ def _check_peetre_order(a: float, p: ExponentField, spec: GridSpec) -> None:
 def _scale_profile(spec: GridSpec, rows: Iterable[np.ndarray], level0: np.ndarray,
                    ladder: ScaleLadder, s, p, a: Optional[float] = None) -> ScaleProfile:
     """The pipeline of the module docstring.  `rows` gives each octave's
-    nonnegative (nodes, *grid) block, which the weights t^{-s(x)} multiply in
-    place, and octaves it does not reach stay zero; `level0` is the (1, *grid)
-    row of the level-0 term.  s and p are samples, or scalars when constant.
-    The maximal step runs row by row when a is given (t = 1 at level 0)."""
+    nonnegative (nodes, *grid) block, and octaves it does not reach stay
+    zero; `level0` is the (1, *grid) row of the level-0 term, at t = 1.  s
+    and p are samples, or scalars when constant.  Without a maximal step the
+    weights t^{-s(x)} enter the row solve as their logs; with one (a given)
+    they multiply the block in place, and the maximal step runs row by row."""
     h = spec.spacing ** spec.dimension
 
-    def norms(g: np.ndarray, ts) -> np.ndarray:
-        if a is not None:
-            g = np.stack([peetre_maximal(spec, row, t, a) for row, t in zip(g, ts)])
+    def norms(g: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        if a is None:   # t^{-s(x)} enters the solver's log terms
+            return solve_luxemburg_rows(g, p, h, smoothness=(s, ts)).values
+        # the maximal step prunes on linear values, so it takes the power
+        g *= _scale_weights(ts, s, spec.dimension)
+        g = np.stack([peetre_maximal(spec, row, t, a) for row, t in zip(g, ts)])
         return solve_luxemburg_rows(g, p, h).values
 
     vals = np.zeros(ladder.t.size)
     for v, g in enumerate(rows, start=1):
         sl = ladder.octave_slice(v)
-        g *= _scale_weights(ladder.t[sl], s, spec.dimension)
         vals[sl] = norms(g, ladder.t[sl])
-    return ScaleProfile(ladder, vals, float(norms(level0, [1.0])[0]))
+    return ScaleProfile(ladder, vals, float(norms(level0, np.ones(1))[0]))
 
 
 def _kernel_profile(f: GridFunction, kernel: Kernel, alpha: ExponentField,

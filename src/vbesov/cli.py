@@ -8,6 +8,7 @@ or inadmissible exponents; 3 theorem-hypothesis violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -82,7 +83,7 @@ def cmd_norm(args) -> int:
         kernel = build_resolution_of_unity(spec, ladder, BumpParams(cfg.profile_order))
     report = besov_norm(f, kernel, alpha, p, q, cfg.form, a=cfg.peetre_a)
     lux = luxemburg_norm(f, p)
-    doc = {"member": cfg.member, **report.to_dict(), "lebesgue_norm": lux.to_dict(),
+    doc = {"member": cfg.member, **report.to_dict(), "lebesgue_norm": dataclasses.asdict(lux),
            "seed": cfg.seed}
     out_path = os.path.join(cfg.out, f"norm_{os.path.basename(cfg.member)}_{cfg.form}.json")
     dump_json(doc, out_path)
@@ -158,20 +159,21 @@ def cmd_report(args) -> int:
     cfg = _load_config(args)
     import glob
     import json
-    rows = []
+    rows, runtimes = [], []
     for path in sorted(glob.glob(os.path.join(cfg.out, "check_*.json"))):
         with open(path) as fh:
             doc = json.load(fh)
         stamp = doc.get("timestamp", {})
         rows.append({"check_id": doc["check_id"], "passed": doc["passed"],
-                     "n_violations": len(doc["violations"]),
-                     "runtime_s": stamp.get("runtime_s", 0.0)
-                     if isinstance(stamp, dict) else 0.0})
+                     "n_violations": len(doc["violations"])})
+        runtimes.append(stamp.get("runtime_s", 0.0) if isinstance(stamp, dict) else 0.0)
     if not rows:
         print(f"no check outputs found under {cfg.out}")
         return EXIT_FAIL
+    # the runtimes are run-dependent: they go to the volatile timestamp
+    # block, in the order of `checks`
     dump_json({"checks": rows, "all_passed": all(r["passed"] for r in rows)},
-              os.path.join(cfg.out, "rollup.json"))
+              os.path.join(cfg.out, "rollup.json"), volatile={"runtime_s": runtimes})
     for r in rows:
         print(f"{r['check_id']}: {'pass' if r['passed'] else 'FAIL'}")
     print(f"rollup -> {os.path.join(cfg.out, 'rollup.json')}")

@@ -8,19 +8,24 @@ found by safeguarded Newton in mu = log lambda: log modular(mu) =
 log sum w v^e exp(-e mu) is convex and decreasing, so its tangent at the
 upper end of the bracket meets 0 left of the root, Newton started there
 climbs to the root monotonically, and a step that leaves the bracket falls
-back to bisection.  One solver does this for a block of rows at once (an
-octave of ladder nodes); a single norm is its one-row call.
+back to bisection; a row stops when its step is below RTOL, or sooner on
+an enclosure of the root within 1e-14 (`_root_above`).  One solver does
+this for a block of rows at once (an octave of ladder nodes); a single norm
+is its one-row call.
 
-The solver takes each term once as its log, e log(v / max v) + log w, and
-evaluates the modular and its slope in one pass of exp(log term - e mu).
-A zero value or a zero weight is the log term -inf, whose term is 0 at
-every lambda, so every row keeps all its columns: the open rows of a block
-run as one Newton block, and each row still sums the terms of its one-row
-call in the same order.
+The solver takes each term once as its log, e (log(v / c) - s log t - m)
++ log w, with a profile row's scale weight t^{-s(x)} entering as its log
+(`smoothness`), c = max v and m the row's largest log(v / c) - s log t, so
+the norm is c e^m lambda; it evaluates the modular and its slope in one
+pass of exp(log term - e mu).  A zero value or a zero weight is the log
+term -inf, whose term is 0 at every lambda, so every row keeps all its
+columns: the open rows of a block run as one Newton block, and each row
+still sums the terms of its one-row call in the same order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -34,6 +39,7 @@ from .grid import GridFunction
 RTOL = 1e-10
 MAX_ITER = 200
 _GUARD_STEPS = 8   # ulp steps of the bracket's upper end, 4^k ulps each
+_CERTIFIED = 1e-14  # width in log lam of an enclosure that stops Newton
 
 
 # -- scale ladder -------------------------------------------------------------
@@ -81,6 +87,8 @@ class ScaleLadder:
         return 3.0 * 2.0 ** (-v - 1)
 
 
+# built once per process: a ladder is frozen and its arrays read-only
+@functools.lru_cache(maxsize=16)
 def make_ladder(octaves: int = 8, nodes_per_octave: int = 12) -> ScaleLadder:
     if octaves < 1 or nodes_per_octave < 1:
         raise ParameterError("ladder needs octaves >= 1 and nodes_per_octave >= 1")
@@ -107,14 +115,6 @@ class NormResult:
     iterations: int
     bracket: Tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "modular_at_value": self.modular_at_value,
-            "iterations": self.iterations,
-            "bracket": list(self.bracket),
-        }
-
 
 @dataclass(frozen=True)
 class RowNorms:
@@ -131,15 +131,17 @@ def _logs(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x), float, len(x))
 
 
-def solve_luxemburg_rows(vals, expo, weights, report: bool = False) -> RowNorms:
+def solve_luxemburg_rows(vals, expo, weights, report: bool = False,
+                         smoothness=None) -> RowNorms:
     """inf{lam > 0 : sum w * (v/lam)^e <= 1} for every row v of a block.
 
     vals holds one row per norm along its first axis; expo and weights
-    broadcast against one row or against the whole block.  The rows share
-    every array operation, the open ones in one Newton block, but never
-    mix: each row takes the steps, and gets the bits, of a one-row call.
-    The modular at each value only feeds a report, so it is computed only
-    when `report` is set.
+    broadcast against one row or against the whole block; with smoothness
+    = (s, t), row j is t[j]^{-s} vals[j], the weight taken as its log.  The
+    rows share every array operation, the open ones in one Newton block,
+    but never mix: each row takes the steps, and gets the bits, of a
+    one-row call on the same inputs.  The modular at each value only feeds
+    a report, so it is computed only when `report` is set.
     """
     vals = np.abs(np.asarray(vals, dtype=float))
     expo, weights = np.asarray(expo, dtype=float), np.asarray(weights, dtype=float)
@@ -155,9 +157,10 @@ def solve_luxemburg_rows(vals, expo, weights, report: bool = False) -> RowNorms:
     else:
         emin, emax = E.min(axis=1, initial=math.inf), E.max(axis=1, initial=0.0)
     scale = V.max(axis=1, initial=0.0)
+    s = 0.0 if smoothness is None else np.asarray(smoothness[0], dtype=float)
     if not (np.isfinite(scale).all() and np.isfinite(emax).all()
-            and np.isfinite(weights).all()):
-        raise ParameterError("values, exponents and weights must be finite")
+            and np.isfinite(weights).all() and np.isfinite(s).all()):
+        raise ParameterError("values, exponents, weights and smoothness must be finite")
     if np.any(weights < 0):
         raise ParameterError("weights must be nonnegative")
     if not np.all(emin > 0):
@@ -165,16 +168,25 @@ def solve_luxemburg_rows(vals, expo, weights, report: bool = False) -> RowNorms:
 
     iterations = np.zeros(J, dtype=np.int64)
     lo, hi, lam = np.zeros(J), np.zeros(J), np.zeros(J)
-    # The root is found for v / max|v| and scaled back (the norm is
-    # homogeneous), so no term overflows or underflows at any magnitude
-    # float64 holds.  Each term enters as its log, e log(v / max) + log w,
-    # formed once: a zero value or weight gives -inf, and the term
+    # The root is found for t^-s v / (c e^m) and scaled back (the norm is
+    # homogeneous): c = max|v| is divided out before the log, so no term
+    # overflows or underflows at any magnitude float64 holds, and m, the
+    # row's largest log(v / c) - s log t, puts the largest term at its
+    # weight, so the bracket stays as tight as without the weight.  Each
+    # term enters as its log, e (log(v / c) - s log t - m) + log w, formed
+    # once in one buffer: a zero value or weight gives -inf, and the term
     # exp(-inf) = 0 at every lam.  An all-zero row gives NaN logs and the
     # norm 0, as does a row whose modular vanishes.
     L = V      # |vals| is a fresh array: the logs are formed in its buffer
     with np.errstate(invalid="ignore", divide="ignore"):
         L /= scale[:, None]
         np.log(L, out=L)
+        if smoothness is not None:   # one row at a time: no block of weights
+            for row, lt in zip(L.reshape(vals.shape), _logs(smoothness[1]), strict=True):
+                row -= s * lt
+            m = np.where(scale > 0.0, L.max(axis=1, initial=-math.inf), 0.0)
+            L -= m[:, None]
+            scale *= np.exp(m)
         L *= E
         L += rows_of(np.log(weights))
     R = np.exp(L).sum(axis=1)
@@ -212,7 +224,8 @@ def solve_luxemburg_rows(vals, expo, weights, report: bool = False) -> RowNorms:
     closed, newton = rows[shut], rows[~shut]
     lam[closed] = hi[closed]
     lam[newton], iterations[newton] = _newton_rows(*block(newton), lo[newton], hi[newton],
-                                                   rho_hi[newton], slope_hi[newton])
+                                                   rho_hi[newton], slope_hi[newton],
+                                                   (0.5 * (emax - emin)[newton]) ** 2)
     modulars = None
     if report:
         modulars = np.zeros(J)
@@ -241,11 +254,22 @@ def _tangent_root(log_lo: float, log_hi: float, rho: float, slope: float) -> flo
     return min(max(log_hi + math.log(rho) * rho / slope, log_lo), log_hi)
 
 
-def _newton_rows(L, E, lo, hi, rho_hi, slope_hi):
+def _root_above(mu: float, rho: float, slope: float, spread: float) -> float:
+    """An upper bound mu + d of the root from rho > 1 at mu: (log rho)'' is the
+    variance of e under the term weights, at most spread = (e+ - e-)^2 / 4,
+    so log rho(mu + d) <= 0 at d = (sigma - sqrt(sigma^2 - 2 spread log rho))
+    / spread, sigma = slope / rho (inf where the root is complex)."""
+    lr, sigma = math.log(rho), slope / rho
+    disc = sigma * sigma - 2.0 * spread * lr
+    return mu + 2.0 * lr / (sigma + math.sqrt(disc)) if disc >= 0.0 else math.inf
+
+
+def _newton_rows(L, E, lo, hi, rho_hi, slope_hi, spread):
     """Safeguarded Newton (module docstring) on the rows of the log terms
     L, the root of each row bracketed by [lo, hi], started at the tangent
     root at hi from rho(hi) and -d rho / d mu there; returns lam and the
-    step count per row.
+    step count per row, which also stops where the Newton point and
+    `_root_above` (spread bounds (log rho)'') are within _CERTIFIED.
 
     Where rho overflows, near lo when e+/e- is large, the step is not
     finite; a step that leaves the bracket [blo, bhi], which tightens with
@@ -269,10 +293,11 @@ def _newton_rows(L, E, lo, hi, rho_hi, slope_hi):
                     bhi[k] = mu[k]
                 finite = 0.0 < r and s < math.inf
                 nxt = mu[k] + math.log(r) * r / s if finite else math.nan
-                if not blo[k] <= nxt <= bhi[k]:
-                    nxt = 0.5 * (blo[k] + bhi[k])
+                newton = blo[k] <= nxt <= bhi[k]
+                nxt = nxt if newton else 0.5 * (blo[k] + bhi[k])
                 steps[k] += 1
-                done = abs(nxt - mu[k]) <= RTOL or bhi[k] - blo[k] <= RTOL
+                done = (abs(nxt - mu[k]) <= RTOL or bhi[k] - blo[k] <= RTOL or (newton and r > 1.0
+                        and _root_above(mu[k], r, s, spread[k]) - nxt <= _CERTIFIED))
                 mu[k] = nxt
                 keep[j] = not done and steps[k] < MAX_ITER
             if not keep.all():

@@ -18,6 +18,11 @@ from vbesov.grid import (GridFunction, GridSpec, cubes_per_axis, from_spectrum,
                          spectrum, zero_function)
 from vbesov.luxemburg import MAX_ITER, RTOL, NormResult, RowNorms, ScaleLadder
 
+# t^-s(x) as the log terms of the solver against the power multiplied in:
+# the two round differently (4.4e-16 measured on the profiles, 2.3e-16 on
+# the coefficient norms of `tests/test_atoms.py`)
+POWER_WEIGHT_RTOL = 2e-15
+
 
 def solve_luxemburg_bisection(vals, expo, weights, rtol: float = RTOL,
                               max_iter: int = MAX_ITER) -> NormResult:
@@ -67,11 +72,30 @@ def solve_luxemburg_bisection(vals, expo, weights, rtol: float = RTOL,
     return NormResult(scale * bhi, modular_at(bhi), iters, (scale * lo, scale * hi))
 
 
+def log_modular_root(L, E, lo: float, hi: float) -> float:
+    """The root mu of sum exp(L - E mu) = 1 from the log terms L and
+    exponents E of one row, by bisection of [lo, hi] in extended precision
+    (np.longdouble) until the midpoint rounds to an end."""
+    L, E = np.asarray(L, dtype=np.longdouble), np.asarray(E, dtype=np.longdouble)
+    lo, hi = np.longdouble(lo), np.longdouble(hi)
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if np.exp(L - E * mid).sum() > 1:
+            lo = mid
+        else:
+            hi = mid
+    return float(mid)
+
+
 def solve_luxemburg_rows_bisection(vals, expo, weights, rtol: float = RTOL,
-                                   max_iter: int = MAX_ITER, report: bool = False) -> RowNorms:
+                                   max_iter: int = MAX_ITER, report: bool = False,
+                                   smoothness=None) -> RowNorms:
     """The rows of a block one by one through `solve_luxemburg_bisection`;
-    expo and weights broadcast against one row or the whole block."""
+    expo and weights broadcast against one row or the whole block.  With
+    smoothness = (s, t), row j is multiplied by the power t[j]^{-s} first."""
     vals = np.asarray(vals, dtype=float)
+    if smoothness is not None:
+        s, t = smoothness
+        vals = vals * np.power(np.reshape(t, (-1,) + (1,) * (vals.ndim - 1)), -np.asarray(s))
     expo = np.broadcast_to(np.asarray(expo, dtype=float), vals.shape)
     weights = np.broadcast_to(np.asarray(weights, dtype=float), vals.shape)
     res = [solve_luxemburg_bisection(v, e, w, rtol, max_iter)
@@ -107,19 +131,27 @@ def pairing_residual_per_node(profile: RadialProfile, ladder: ScaleLadder,
 
 
 def scale_profile_per_node(spec: GridSpec, F: np.ndarray, band, level0: np.ndarray,
-                           ladder: ScaleLadder, alpha, p, a: Optional[float] = None):
+                           ladder: ScaleLadder, alpha, p, a: Optional[float] = None,
+                           log_weights: bool = False):
     """(node values, level-0 value) of a scale profile, one ladder node at a
     time: multiplier band(t) times F, |.| t^-alpha(x), the Peetre maximal
     function when a is given, then the Luxemburg norm with the exponent as
-    an array."""
-    from vbesov.besov import peetre_maximal
-    from vbesov.luxemburg import solve_luxemburg
+    an array.  With log_weights (and no maximal step) t^-alpha(x) enters
+    each one-row solve as its logs (`smoothness`), alpha as the library
+    passes it, in place of the power; the power path is within
+    POWER_WEIGHT_RTOL of it."""
+    from vbesov.besov import _exponent, peetre_maximal
+    from vbesov.luxemburg import solve_luxemburg, solve_luxemburg_rows
 
     h = spec.spacing ** spec.dimension
     pv = p.grid_values()
 
     def norm(multiplier, t, weight):
-        g = from_spectrum(spec, multiplier * F).abs_samples() * weight
+        g = from_spectrum(spec, multiplier * F).abs_samples()
+        if log_weights:
+            return solve_luxemburg_rows(g[None], pv, h,
+                                        smoothness=(_exponent(alpha), [t])).values[0]
+        g = g * weight
         if a is not None:
             g = peetre_maximal(spec, g, t, a)
         return solve_luxemburg(g, pv, h).value
@@ -355,12 +387,15 @@ def export_coefficients_rows(dec: AtomicDecomposition, path: str) -> None:
 
 
 def sequence_norm_b_loop(dec: AtomicDecomposition, alpha, p, q, form: str = "continuous",
-                         half_dim_sign: float = 1.0) -> float:
+                         half_dim_sign: float = 1.0, log_weights: bool = False) -> float:
     """The coefficient-space norm by hand: per level a one-row Luxemburg
     solve (discrete), or per octave the weights t^{-(alpha+n/2)} times the
     level's indicator sum, one row solve, then the octave-block t-norm
-    (continuous).  The level norms collapse to the fixed exponent q(0) with
-    the library's one-row solve at that scalar exponent."""
+    (continuous).  With log_weights the continuous form solves node by node,
+    one-row calls with the weights as their logs (`smoothness`); the power
+    path is within POWER_WEIGHT_RTOL of it.  The level norms collapse to the
+    fixed exponent q(0) with the library's one-row solve at that scalar
+    exponent."""
     from vbesov.luxemburg import octave_block_norm, solve_luxemburg, solve_luxemburg_rows
 
     ladder, spec = dec.ladder, dec.spec
@@ -384,6 +419,10 @@ def sequence_norm_b_loop(dec: AtomicDecomposition, alpha, p, q, form: str = "con
     node_norms = np.zeros(ladder.t.size)  # octaves beyond V stay zero
     for v, S in enumerate(levels, start=1):
         sl = ladder.octave_slice(v)
+        if log_weights:
+            node_norms[sl] = [solve_luxemburg_rows(S[None], pv, h, smoothness=(av + half, [t]))
+                              .values[0] for t in ladder.t[sl]]
+            continue
         ts = ladder.t[sl].reshape((-1,) + (1,) * n)
         node_norms[sl] = solve_luxemburg_rows(ts ** (-(av + half)) * S, pv, h).values
     return level0 + octave_block_norm(node_norms, ladder, q)

@@ -13,8 +13,8 @@ from vbesov.atoms import AtomicDecomposition, export_coefficients
 from vbesov.errors import HypothesisViolationError, ParameterError
 from vbesov.grid import _multi_indices, cubes_per_axis
 
-from oracles import (analyze_eager, level_lattices_unskipped, sequence_norm_b_loop,
-                     synthesize_atoms, synthesize_spatial)
+from oracles import (POWER_WEIGHT_RTOL, analyze_eager, level_lattices_unskipped,
+                     sequence_norm_b_loop, synthesize_atoms, synthesize_spatial)
 
 
 @pytest.fixture(scope="module")
@@ -291,10 +291,15 @@ def test_sequence_norm_equals_the_hand_loop(dimension, L, N, octaves, V, exponen
         alpha = vb.field_from_callable(
             spec, lambda *x: 0.3 + 0.6 * np.sin(2 * np.pi * x[0] / L), "alpha", 0.3)
         p = vb.field_from_callable(spec, lambda *x: 3 + np.sin(2 * np.pi * x[0] / L), "p", 3.0)
+    # the continuous form gets the bits of one-row calls with the weights as
+    # log terms, and is within POWER_WEIGHT_RTOL of the power-weight loop
     for form in ("continuous", "discrete"):
         for sign in (1.0, -1.0):
-            assert (vb.sequence_norm_b(dec, alpha, p, q, form, sign)
-                    == sequence_norm_b_loop(dec, alpha, p, q, form, sign)), (form, sign)
+            got = vb.sequence_norm_b(dec, alpha, p, q, form, sign)
+            assert got == sequence_norm_b_loop(dec, alpha, p, q, form, sign,
+                                               log_weights=True), (form, sign)
+            assert got == pytest.approx(sequence_norm_b_loop(dec, alpha, p, q, form, sign),
+                                        rel=POWER_WEIGHT_RTOL, abs=0.0), (form, sign)
 
 
 def test_discrete_sequence_norm_is_one_row_solve(monkeypatch, setup2k):

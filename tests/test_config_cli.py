@@ -401,6 +401,24 @@ def test_cli_verify_single_and_report(tmp_path):
     assert main(["report", "--config", cfg, "--out", out]) == 0
 
 
+def test_cli_report_is_byte_stable_outside_its_timestamp(tmp_path):
+    # the check runtimes live in the volatile timestamp block, so two runs
+    # of verify + report give the same rollup bytes
+    cfg = _write_cfg(tmp_path, FAST_CONFIG)
+    rollups = []
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        assert main(["verify", "--config", cfg, "--out", out, "--check", "hardy",
+                     "--check", "eta-algebra"]) == 0
+        assert main(["report", "--config", cfg, "--out", out]) == 0
+        rollup = os.path.join(out, "rollup.json")
+        with open(rollup) as fh:
+            assert len(json.load(fh)["timestamp"]["runtime_s"]) == 2
+        rollups.append(strip_timestamp(rollup))
+    assert rollups[0] == rollups[1]
+    assert b"runtime_s" not in rollups[0]
+
+
 def test_cli_verify_quick_reaches_the_runner_with_the_reduced_grid(tmp_path, monkeypatch):
     seen = {}
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vbesov as vb
-from oracles import (kernel_profile_full, solve_luxemburg_bisection,
+from oracles import (kernel_profile_full, log_modular_root, solve_luxemburg_bisection,
                      solve_luxemburg_rows_bisection)
 from vbesov.atoms import analyze, sequence_norm_b
 from vbesov.bank import make_member, weierstrass
@@ -34,6 +34,16 @@ def test_ladder_invariants(ladder):
         assert abs(ladder.weights[sl].sum() - math.log(2.0)) < 1e-12
         assert np.all(ladder.t[sl] <= 2.0 ** (1 - v) + 1e-15)
         assert np.all(ladder.t[sl] >= 2.0 ** (-v) - 1e-15)
+
+
+def test_a_ladder_is_built_once_per_process():
+    # every CLI request asks for its ladder; leggauss runs on the first call
+    first = vb.make_ladder(5, 7)
+    assert vb.make_ladder(5, 7) is first
+    assert not first.t.flags.writeable and not first.weights.flags.writeable
+    for octaves, nodes in ((0, 12), (8, 0)):
+        with pytest.raises(ParameterError, match="octaves >= 1"):
+            vb.make_ladder(octaves, nodes)
 
 
 def test_modular_indicator(unit_box):
@@ -301,9 +311,13 @@ def _inputs(spec):
         lambda x, y: weierstrass(x, 0.3, w0, 5) * np.exp(-y ** 2 / 2))]
 
 
-@pytest.mark.parametrize("dimension, N", [(1, 4096), (2, 64)])
-@pytest.mark.parametrize("config", sorted(EXPONENT_CONFIGS))
-def test_newton_matches_bisection_oracle_on_band_profiles(dimension, N, config):
+BAND_GRIDS = [(1, 4096), (2, 64)]
+
+
+def _band_profiles(dimension, N, config):
+    """(values, exponents, weight) of the Luxemburg norms of a profile:
+    t^-alpha(x) |phi_t * f| at every fifth ladder node, for the inputs of
+    `_inputs`, each scaled by 10^u with u uniform in [-300, 300]."""
     spec = vb.make_grid(dimension, 16.0, N)
     ladder = vb.make_ladder()
     frame = vb.build_resolution_of_unity(spec, ladder)
@@ -316,12 +330,19 @@ def test_newton_matches_bisection_oracle_on_band_profiles(dimension, N, config):
         for t in ladder.t[::5]:
             g = np.abs(from_spectrum(spec, frame.phi_t_spectrum(t) * F).samples) * t ** (-av)
             g *= 10.0 ** rng.uniform(-300.0, 300.0)
-            new, old = solve_luxemburg(g, pv, h), solve_luxemburg_bisection(g, pv, h)
-            assert abs(new.value - old.value) <= 2 * RTOL * old.value
-            if config == "const":
-                assert new.iterations == 0
-            elif N == 4096:
-                assert 1 <= new.iterations <= 6
+            yield g, pv, h
+
+
+@pytest.mark.parametrize("dimension, N", BAND_GRIDS)
+@pytest.mark.parametrize("config", sorted(EXPONENT_CONFIGS))
+def test_newton_matches_bisection_oracle_on_band_profiles(dimension, N, config):
+    for g, pv, h in _band_profiles(dimension, N, config):
+        new, old = solve_luxemburg(g, pv, h), solve_luxemburg_bisection(g, pv, h)
+        assert abs(new.value - old.value) <= 2 * RTOL * old.value
+        if config == "const":
+            assert new.iterations == 0
+        elif N == 4096:
+            assert 1 <= new.iterations <= 6
 
 
 def _skewed_inputs(count, seed=3):
@@ -345,6 +366,71 @@ def test_newton_climbs_from_the_lower_end_in_few_steps():
         assert abs(new.value - old.value) <= 2 * RTOL * old.value
         worst = max(worst, new.iterations)
     assert worst <= 8
+
+
+@pytest.mark.parametrize("spread_factor, holds", [(1.0, True), (0.5, False)])
+def test_the_certified_stop_encloses_the_root(monkeypatch, spread_factor, holds):
+    # at every evaluation left of the root that tests the certified stop,
+    # each Newton row's stops included, the Newton point and `_root_above`
+    # bracket the root of the same log terms, found by bisection in extended
+    # precision, up to the rounding of rho and its slope in float64 (up to
+    # 1 ulp of the root measured; 4 eps (1 + |root|) allowed).  The rows:
+    # the 1000 skewed modulars and the variable band profiles (a constant
+    # exponent never reaches Newton).  With the bound on (log rho)'' halved,
+    # the upper end misses the root
+    rows = []
+    newton_rows, root_above = luxemburg._newton_rows, luxemburg._root_above
+
+    def newton(L, E, lo, hi, *args):
+        if lo.size:   # a one-row call: its one row, if it is open
+            rows.append((L[0], E[0], math.log(lo[0]), math.log(hi[0]), []))
+        return newton_rows(L, E, lo, hi, *args)
+
+    def above(mu, rho, slope, spread):
+        upper = root_above(mu, rho, slope, spread_factor * spread)
+        rows[-1][-1].append((mu + math.log(rho) * rho / slope, upper))
+        return upper
+
+    monkeypatch.setattr(luxemburg, "_newton_rows", newton)
+    monkeypatch.setattr(luxemburg, "_root_above", above)
+    inputs = list(_skewed_inputs(1000))
+    if holds:   # the halved bound already misses on the skewed modulars
+        inputs += [x for grid in BAND_GRIDS for x in _band_profiles(*grid, "variable")]
+    for args in inputs:
+        solve_luxemburg(*args)
+    assert len(rows) > 0.9 * len(inputs)
+    misses = certified = 0
+    for L, E, lo, hi, bounds in rows:
+        root = log_modular_root(L, E, lo - 1.0, hi + 1.0)
+        tol = 4.0 * np.finfo(float).eps * (1.0 + abs(root))
+        misses += sum(not lower - tol <= root <= upper + tol for lower, upper in bounds)
+        certified += any(upper - lower <= luxemburg._CERTIFIED for lower, upper in bounds)
+    assert (misses == 0) == holds, misses
+    if holds:   # the stop is exercised (418 of 1199 rows measured)
+        assert certified > 0.25 * len(rows)
+
+
+# rows x columns of every modular evaluation of `norm --form direct` with the
+# variable exponents of the norm-light workload, N = 4096, seed 7, summed
+# over bandnoise_a and gauss_w05: 1302816 + 1282336 with the step test
+# alone, 983232 + 1081536 with the certified stop
+TERMS_BEFORE_THE_CERTIFIED_STOP = 2585152
+
+
+def test_the_certified_stop_cuts_the_modular_terms_of_a_variable_request(monkeypatch,
+                                                                          tmp_path):
+    from vbesov import cli
+
+    terms = []
+    real = luxemburg._rho_slope
+    monkeypatch.setattr(luxemburg, "_rho_slope",
+                        lambda L, E, mu: terms.append(L.size) or real(L, E, mu))
+    cfg, variable = tmp_path / "run.cfg", EXPONENT_CONFIGS["variable"]
+    for member in ("bandnoise_a", "gauss_w05"):
+        cfg.write_text("".join(f"{k} = {getattr(variable, k)}\n" for k in ("p", "alpha", "q"))
+                       + f"member = {member}\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["norm", "--config", str(cfg), "--seed", "7", "--form", "direct"]) == 0
+    assert sum(terms) <= 0.85 * TERMS_BEFORE_THE_CERTIFIED_STOP
 
 
 def test_newton_falls_back_to_bisection_where_the_modular_overflows():

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import vbesov as vb
-from oracles import identity_residual_per_node, kernel_profile_full, scale_profile_per_node
+from oracles import (POWER_WEIGHT_RTOL, identity_residual_per_node, kernel_profile_full,
+                     scale_profile_per_node)
 from vbesov.atoms import _level
 from vbesov.bank import make_member
 from vbesov.besov import _kernel_profile
@@ -160,12 +161,14 @@ def _per_node_multipliers(kern, radius):
                          ids=["-".join(map(str, c[:3])) + (f"-{c[3]}" if c[3] else "")
                               + ("-complex" if c[4] == "full" else "") for c in PROFILE_CASES])
 def test_block_profile_equals_the_per_node_pipeline(config, kernel, maximal, member, layout):
-    # the row solver gives each row the bits of a one-row call; only a
-    # constant exponent differs, through numpy's scalar-power path: its
-    # last-bit changes move the closed form R^(1/p), and can flip the guard
-    # on the bracket, which steps it by a few ulps (2 ulps measured).  The
-    # oracle follows the input's layout: the half grid for a real f, the
-    # full grid for a complex one.
+    # the row solver gives each row the bits of a one-row call on the same
+    # inputs: without a maximal step the weights t^-alpha(x) enter both as
+    # log terms, and the power-weight oracle is within POWER_WEIGHT_RTOL.
+    # Only a constant exponent differs, through numpy's scalar-power path:
+    # its last-bit changes move the closed form R^(1/p), and can flip the
+    # guard on the bracket, which steps it by a few ulps (2 ulps measured).
+    # The oracle follows the input's layout: the half grid for a real f,
+    # the full grid for a complex one.
     if member is None:
         spec, ladder = vb.make_grid(1, 16.0, 512), vb.make_ladder(6, 12)
         f = _input(spec)
@@ -183,7 +186,12 @@ def test_block_profile_equals_the_per_node_pipeline(config, kernel, maximal, mem
     band, level0 = _per_node_multipliers(kern, radius)
     prof = _kernel_profile(f, kern, alpha, p, maximal)
     vals, lev0 = scale_profile_per_node(spec, F, band, level0, ladder, alpha, p, maximal)
-    if config == "variable":
+    if config == "variable" and maximal is None:
+        logs, lev0_logs = scale_profile_per_node(spec, F, band, level0, ladder, alpha, p,
+                                                 log_weights=True)
+        assert np.array_equal(prof.values, logs) and prof.level0 == lev0_logs == lev0
+        assert np.allclose(prof.values, vals, rtol=POWER_WEIGHT_RTOL, atol=0.0)
+    elif config == "variable":
         assert np.array_equal(prof.values, vals) and prof.level0 == lev0
     else:
         assert np.allclose(prof.values, vals, rtol=1e-15, atol=0.0)

@@ -3,6 +3,7 @@ byte-identical, or with `--rtol` when they differ only in numbers within it."""
 
 import importlib.util
 import os
+import sys
 
 PARITY_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "parity.py")
 
@@ -89,7 +90,15 @@ def test_rtol_compares_counts_exactly_and_lists_them(tmp_path, capsys):
     # one step more is a changed count at any tolerance, not 50 % relative
     assert not parity.compare(str(here), str(there), rtol=1.0)
     out = capsys.readouterr().out
-    assert "changed counts: 1\n  a.json: iterations [2] -> [3]\n" in out
+    assert "changed counts: 1\n  iterations: 2 -> 3 over 1 files\n" in out
+    assert "  a.json: iterations [2] -> [3]\n" in out
+    # the totals show the direction of the change, over the files it touched
+    (here / "c.json").write_text('{"iterations": [4, 1]}\n')
+    (there / "c.json").write_text('{"iterations": [5, 3]}\n')
+    assert not parity.compare(str(here), str(there), rtol=1.0)
+    assert "changed counts: 2\n  iterations: 10 -> 8 over 2 files\n" in capsys.readouterr().out
+    (here / "c.json").unlink()
+    (there / "c.json").unlink()
     (here / "a.json").write_text('{"iterations": 2, "value": 1.0000000000000002}\n')
     assert parity.compare(str(here), str(there), rtol=1e-13)
     assert "changed counts: 0\n" in capsys.readouterr().out
@@ -112,3 +121,16 @@ def test_rtol_takes_level0_relative_to_the_value_of_its_document(tmp_path, capsy
     assert "level0 2e-18 (rel 4.26e-19)" in capsys.readouterr().out
     (here / "a.json").write_text('{"level0": 1e-12, "value": 4.69}\n')
     assert not parity.compare(str(here), str(there), rtol=1e-13)
+
+
+def test_the_request_set_runs_report_on_the_verify_outputs(tmp_path, monkeypatch):
+    parity = _parity()
+    calls = []
+    monkeypatch.setattr(parity.cli, "main", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(parity, "_sequence_norms", dict)
+    monkeypatch.setattr(parity, "_errors", str)
+    monkeypatch.setattr(sys, "argv", ["parity.py", "--out", str(tmp_path / "out")])
+    monkeypatch.chdir(tmp_path)
+    assert parity.main() == 0
+    assert [argv[0] for argv in calls[-2:]] == ["verify", "report"]
+    assert calls[-1] == ["report", "--out", "verify"]
