@@ -1,17 +1,19 @@
 """Numerical verification of the convolution, modular, and embedding estimates.
 
 Every check samples configurations, computes both sides of an inequality,
-and reports the minimal admissible constant per configuration.  "Verified"
-means: the constants are finite, stable under refinement, and the designed
-hypothesis-violation runs visibly degrade.  Each check's orders, scales
-and sample sizes are constants inside it, so the whole suite is
-deterministic under a seed; a check takes as keywords only the seed and
-the budgets that the acceptance suite refines (sample counts, members,
-the grid cap).
+and reports the minimal admissible constant per configuration.  Its verdict
+is its list of gates, each one measured value against a bound; the report
+adds a finiteness gate per constant.  No bound is derived, so no gate is set,
+for Hardy's `q_logdecay` and discrete constants, `masked_cube_ratio`,
+`smoothing_delta=*` and the embedding ratios.  Each check's orders, scales
+and sample sizes are constants inside it, so the suite is deterministic
+under a seed; a check takes as keywords only the seed and the budgets that
+the acceptance suite refines (sample counts, members, the grid cap).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -35,39 +37,60 @@ from .luxemburg import octave_block_norm, solve_luxemburg, t_norm
 HUGE = 1e12  # constants above this count as "no finite constant"
 
 
+@dataclass(frozen=True)
+class Gate:
+    """`value` `sense` `bound`, sense "<=" or ">=".  The margin is the signed
+    distance to the bound over |bound|, positive on the passing side; the gate
+    passes when it is >= 0, so a NaN value fails."""
+    name: str
+    value: float
+    bound: float
+    sense: str = "<="
+
+    @property
+    def margin(self) -> float:
+        gap = self.bound - self.value if self.sense == "<=" else self.value - self.bound
+        return gap / abs(self.bound)
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0
+
+    def to_dict(self) -> dict:
+        return {**dataclasses.asdict(self), "margin": self.margin}
+
+
 @dataclass
 class CheckReport:
-    """One check's measured constants and verdict.
-
-    Every constant must be finite and below HUGE: construction appends each
-    one that is not to `violations` and fails the report.  `runtime_s` is
-    wall time, set by run_checks and kept out of to_dict().
+    """One check's constants and gates; construction appends a gate
+    `finite:<key>` (value <= HUGE) per constant.  `passed` and `violations`
+    are read off the gates.  `runtime_s`, set by run_checks, is not in to_dict().
     """
     check_id: str
     seed: int
     configurations: List[dict]
     constants: Dict[str, float]
-    violations: List[dict]
-    passed: bool
+    gates: List[Gate]
     details: dict = field(default_factory=dict)
     runtime_s: float = 0.0
 
     def __post_init__(self):
-        unbounded = [{"config": k, "constant": v} for k, v in self.constants.items()
-                     if not (np.isfinite(v) and v < HUGE)]
-        self.violations = self.violations + unbounded
-        self.passed = bool(self.passed) and not unbounded
+        self.gates = self.gates + [Gate(f"finite:{k}", v, HUGE)
+                                   for k, v in self.constants.items()]
+
+    @property
+    def passed(self) -> bool:
+        return all(g.passed for g in self.gates)
+
+    @property
+    def violations(self) -> List[dict]:
+        return [g.to_dict() for g in self.gates if not g.passed]
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "seed": self.seed,
-            "configurations": self.configurations,
-            "constants": self.constants,
-            "violations": self.violations,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return {"check_id": self.check_id, "seed": self.seed,
+                "configurations": self.configurations, "constants": self.constants,
+                "gates": [g.to_dict() for g in self.gates], "violations": self.violations,
+                "passed": self.passed, "details": self.details}
 
 
 def _stability(base: float, refined: float) -> float:
@@ -118,12 +141,12 @@ def check_pointwise_shift(bank: FunctionBank, seed: int = 7) -> CheckReport:
     half = x_stride // 2
     refined = float(max_ratio(R, x[::half], av[::half], x[::half], av[::half]).max())
 
-    passed = (growth > 10.0
-              and _stability(constants["alpha_signchange_R2clog"], refined) <= 1.25)
     return CheckReport(
         "pointwise-shift", seed,
         [{"m": m, "R": R, "clog_alpha": clog_alpha, "x_stride": x_stride}],
-        constants, [], passed,
+        constants,
+        [Gate("R0_growth", growth, 10.0, ">="),
+         Gate("refinement", _stability(constants["alpha_signchange_R2clog"], refined), 1.25)],
         details={"R0_growth_across_ladder": growth,
                  "refined_constant": refined,
                  "per_t_constants_R0": {"t_max": float(w_fail[0]), "t_min": float(w_fail[-1])}},
@@ -169,11 +192,10 @@ def check_subconvolution(bank: FunctionBank, seed: int = 7) -> CheckReport:
     for r in (1.0, 0.5):
         vals = [constants[f"r={r}_N={N}"] for N in scales]
         stab[f"r={r}"] = max(vals) / min(vals)
-    passed = stab["r=1.0"] <= 2.0
     return CheckReport(
         "subconvolution", seed,
         [{"m": m, "scales": list(scales), "members": members}],
-        constants, [], passed,
+        constants, [Gate("stability_r=1.0", stab["r=1.0"], 2.0)],
         details={"stability_across_N": stab},
     )
 
@@ -231,11 +253,10 @@ def check_eta_algebra(bank: FunctionBank, seed: int = 7) -> CheckReport:
               for t in (1.0, t_cmp, 1.0 / 64.0)}
     mass_dev = abs(masses[1.0] - masses[t_cmp]) / masses[1.0]
 
-    passed = mass_dev < 1e-2
     return CheckReport(
         "eta-algebra", seed,
         [{"m": m, "levels": list(level_range), "window": window}],
-        constants, [], passed,
+        constants, [Gate("mass_t_independence", mass_dev, 1e-2)],
         details={"eta_masses": {str(k): v for k, v in masses.items()},
                  "mass_t_independence_rel": mass_dev,
                  "continuum_mass_2_over_m_minus_1": 2.0 / (m - 1.0)},
@@ -308,11 +329,11 @@ def check_hardy(bank: FunctionBank, seed: int = 7) -> CheckReport:
                 worst = max(worst, num / den)
             constants[f"continuous_s={s}_{qname}"] = worst
 
-    passed = all(constants[f"continuous_s={s}_q_const2"] <= 2.0 / s for s in (1.0, 0.5))
     return CheckReport(
         "hardy", seed,
         [{"lengths": list(lengths), "draws": draws}],
-        constants, [], passed,
+        constants, [Gate(f"continuous_s={s}_q_const2", constants[f"continuous_s={s}_q_const2"],
+                         2.0 / s) for s in (1.0, 0.5)],
     )
 
 # ---------------------------------------------------------------------------
@@ -445,7 +466,7 @@ def check_key_modular(bank: FunctionBank, seed: int = 7, cubes_per_level: int = 
     return CheckReport(
         "key-modular", seed,
         [{"m": m, "cubes_per_level": cubes_per_level, "members": members}],
-        constants, [], all(c <= 1.0 for c in constants.values()),
+        constants, [Gate("worst_constant", max(constants.values()), 1.0)],
         details={"tail_term_share_at_worst": tail_share},
     )
 
@@ -519,13 +540,14 @@ def check_mixed_equivalence(bank: FunctionBank,
             worst[delta] = max(worst[delta], num / den)
         constants[f"smoothing_delta={delta}"] = worst[delta]
 
-    passed = (const_dev <= 1e-9
-              and 0.5 <= ratio_lo and ratio_hi <= 2.0
-              and constants["single_level_spread"] <= 1.10)
     return CheckReport(
         "mixed-equivalence", seed,
         [{"draws": draws, "octaves": V}],
-        constants, [], passed,
+        constants,
+        [Gate("scalar_qconst_dev", const_dev, 1e-9),
+         Gate("scalar_qlog_ratio_min", ratio_lo, 0.5, ">="),
+         Gate("scalar_qlog_ratio_max", ratio_hi, 2.0),
+         Gate("single_level_spread", constants["single_level_spread"], 1.10)],
         details={"single_level_values": sweep.tolist()},
     )
 
@@ -571,7 +593,10 @@ def _fj_atom(spec: GridSpec, v: int, mloc: int, K: int, L: int):
         mom = np.sum(mono * psi) * h
         ref = np.sum(mono * bump) * h
         psi = psi - (mom / ref) * bump
-    # sup-normalize over derivative orders 0..K at the atom's own scale
+    # sup-normalize over derivative orders 0..K at the atom's own scale.  The
+    # atom then passes `validate_atom` by construction: it is divided by the
+    # measured inflation, its moments are projected out with the sums that
+    # validation takes, and its bump lies inside 2Q
     a = GridFunction(spec, 2.0 ** (v / 2) * psi)
     inflation = validate_atom(a, v, (mloc,), K, -1, gamma=3.0).validation["derivative_inflation"]
     return GridFunction(spec, a.samples / inflation)
@@ -619,21 +644,17 @@ def check_kernel_decay(bank: FunctionBank, seed: int = 7) -> CheckReport:
     slopes["fj_fine_scale"] = slope_K
     slopes["fj_coarse_scale"] = slope_L
 
-    atom_report = validate_atom(atom, v, (mloc,), K, L, gamma=3.0)
-
-    passed = (abs(slopes["M=-1"]) <= 0.2
-              and slopes["M=1"] >= 1.8
-              and slopes["M=3"] >= 3.8
-              and abs(slope_K - K) <= 0.3
-              and abs(slope_L - (L + spec.dimension + 1)) <= 0.3
-              and atom_report.validation["pass"])
     return CheckReport(
         "kernel-decay", seed,
         [{"N_poly": N_poly, "moment_orders": list(moment_orders),
           "fj_atom": {"v": v, "m": mloc, "K": K, "L": L}}],
-        constants, [], passed,
-        details={"slopes": slopes,
-                 "fj_atom_validation": atom_report.validation},
+        constants,
+        [Gate("slope_M=-1", abs(slopes["M=-1"]), 0.2),
+         Gate("slope_M=1", slopes["M=1"], 1.8, ">="),
+         Gate("slope_M=3", slopes["M=3"], 3.8, ">="),
+         Gate("fj_fine_scale", abs(slope_K - K), 0.3),
+         Gate("fj_coarse_scale", abs(slope_L - (L + spec.dimension + 1)), 0.3)],
+        details={"slopes": slopes},
     )
 
 # ---------------------------------------------------------------------------
@@ -728,11 +749,10 @@ def check_embeddings(bank: FunctionBank, seed: int = 7) -> CheckReport:
     constants["schwartz_to_space"] = worst_ratio(seminorm, b05, smooth)
     constants["space_to_distributions"] = worst_ratio(b05, pairing, smooth)
 
-    passed = abs(constants["identity_embedding"] - 1.0) <= 1e-9
     return CheckReport(
         "embeddings", seed,
         [{"variable_members": subset}],
-        constants, [], passed,
+        constants, [Gate("identity", abs(constants["identity_embedding"] - 1.0), 1e-9)],
     )
 
 
@@ -744,8 +764,8 @@ def check_embeddings(bank: FunctionBank, seed: int = 7) -> CheckReport:
 def check_norm_equivalences(bank: FunctionBank, seed: int = 7,
                             members: Optional[Sequence[str]] = None,
                             max_points: int = 2048) -> CheckReport:
-    """All norm forms across two frames; flags pairwise ratios outside
-    [1/ratio_window, ratio_window].
+    """All norm forms across two frames; gates the worst pairwise spread
+    max(r, 1/r) of each exponent configuration at ratio_window.
 
     The maximal-function forms are the costly ones: the pruned maximal
     function evaluates only the block pairs that can set a maximum, usually
@@ -776,7 +796,7 @@ def check_norm_equivalences(bank: FunctionBank, seed: int = 7,
          bank.exponents["q_logdecay"]),
     ]
     constants: Dict[str, float] = {}
-    violations: List[dict] = []
+    gates: List[Gate] = []
     matrices: Dict[str, dict] = {}
     for label, alpha, p, q in configs:
         worst_spread = 0.0
@@ -796,27 +816,21 @@ def check_norm_equivalences(bank: FunctionBank, seed: int = 7,
             names_f = list(vals)
             for i, ni in enumerate(names_f):
                 for nj in names_f[i + 1:]:
-                    if vals[ni] == 0 or vals[nj] == 0:
-                        violations.append({"config": label, "member": name,
-                                           "pair": (ni, nj), "reason": "zero-norm"})
-                        continue
-                    r = vals[ni] / vals[nj]
-                    spread = max(r, 1 / r)
+                    # a zero norm beside a nonzero one is an infinite spread
+                    r = vals[ni] / vals[nj] if vals[ni] and vals[nj] else 0.0
+                    spread = max(r, 1 / r) if r else math.inf
                     if spread > worst_spread:
                         worst_spread = spread
                         worst_entry = {"member": name, "pair": (ni, nj), "ratio": r}
-                    if spread > ratio_window:
-                        violations.append({"config": label, "member": name,
-                                           "pair": (ni, nj), "ratio": r})
             per_member[name] = vals
         constants[f"{label}_max_pairwise_spread"] = worst_spread
+        gates.append(Gate(f"{label}_pairwise_spread", worst_spread, ratio_window))
         matrices[label] = {"worst": worst_entry, "values": per_member}
-    passed = not violations
     return CheckReport(
         "norm-equivalences", seed,
         [{"members": list(members), "peetre_a": peetre_a, "S": S,
           "ratio_window": ratio_window}],
-        constants, violations, passed,
+        constants, gates,
         details={"matrices": matrices},
     )
 

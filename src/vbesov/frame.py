@@ -51,6 +51,7 @@ from .luxemburg import ScaleLadder
 
 RESIDUAL_TOL = 1e-6
 PAIRING_TOL = 1e-7
+RESIDUAL_SAMPLES = 6000   # log-spaced radii on which `residuals` measures the band
 KERNEL_CACHE_SIZE = 4
 
 
@@ -197,13 +198,14 @@ class CalderonFrame(_Kernel):
                           "octaves": ladder.octaves, "nodes_per_octave": ladder.nodes_per_octave}}
 
 
-def _residuals(profile: RadialProfile, ladder: ScaleLadder, xi_max: float,
-               n_samples: int = 6000) -> Tuple[float, float]:
-    """max over the band of |FPhi(xi) + sum_k Fphi(t_k xi) w_k - 1| and of
+def residuals(profile: RadialProfile, ladder: ScaleLadder,
+              xi_max: float) -> Tuple[float, float]:
+    """(identity, pairing): max over the band of
+    |FPhi(xi) + sum_k Fphi(t_k xi) w_k - 1| and of
     |FPsi(xi) FPhi(xi) + sum_k Fpsi(t_k xi) Fphi(t_k xi) w_k - 1|, on
-    n_samples log-spaced radii up to xi_max: one `phi_hat` call per octave,
-    and the node terms added node after node."""
-    s = np.geomspace(xi_max * 1e-4, xi_max, n_samples)
+    RESIDUAL_SAMPLES log-spaced radii up to xi_max: one `phi_hat` call per
+    octave, and the node terms added node after node."""
+    s = np.geomspace(xi_max * 1e-4, xi_max, RESIDUAL_SAMPLES)
     total = profile.Phi_hat(s)
     pairing = profile.Psi_hat(s) * profile.Phi_hat(s)
     for v in range(1, ladder.octaves + 1):
@@ -213,18 +215,6 @@ def _residuals(profile: RadialProfile, ladder: ScaleLadder, xi_max: float,
             total += w * row
             pairing += w * (row / profile.c2) * row
     return float(np.max(np.abs(total - 1.0))), float(np.max(np.abs(pairing - 1.0)))
-
-
-def identity_residual(profile: RadialProfile, ladder: ScaleLadder,
-                      xi_max: float, n_samples: int = 6000) -> float:
-    """The synthesis identity's residual of `_residuals`."""
-    return _residuals(profile, ladder, xi_max, n_samples)[0]
-
-
-def pairing_residual(profile: RadialProfile, ladder: ScaleLadder,
-                     xi_max: float, n_samples: int = 6000) -> float:
-    """The analysis-synthesis pairing's residual of `_residuals`."""
-    return _residuals(profile, ladder, xi_max, n_samples)[1]
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -248,7 +238,7 @@ def _build_frame(spec: GridSpec, ladder: ScaleLadder, profile_params: BumpParams
         raise ParameterError("ladder must resolve the annulus: nodes_per_octave >= 2")
     profile = build_radial_profile(profile_params)
     resolved = 0.9 * min(spec.nyquist, 2.0 ** (ladder.octaves - 1))
-    res, pairing = _residuals(profile, ladder, resolved)
+    res, pairing = residuals(profile, ladder, resolved)
     for name, value, tol in (("identity", res, RESIDUAL_TOL), ("pairing", pairing, PAIRING_TOL)):
         if value > tol:
             raise ConstructionError(

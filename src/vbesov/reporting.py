@@ -55,15 +55,16 @@ def strip_timestamp(path: str) -> bytes:
 
 
 def write_rollup_csv(reports: Iterable, path: str) -> None:
-    """One row per check: id, passed, worst constant, violations.  Runtimes
-    are run-dependent, so they live only in each check's JSON timestamp."""
+    """One row per check: id, passed, the smallest margin of its gates (NaN
+    if any is NaN), violations.  Runtimes are run-dependent, so they live
+    only in each check's JSON timestamp."""
+    import numpy as np
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["check_id", "passed", "n_configurations", "max_constant",
+        w.writerow(["check_id", "passed", "n_configurations", "worst_margin",
                     "n_violations"])
         for r in reports:
-            consts = [v for v in r.constants.values()]
             w.writerow([r.check_id, r.passed, len(r.configurations),
-                        repr(float(max(consts) if consts else 0.0)),
+                        repr(float(np.min([g.margin for g in r.gates]))),
                         len(r.violations)])

@@ -29,5 +29,11 @@ def bank4k(spec4k, ladder):
     return vb.make_bank(spec4k, ladder, seed=7)
 
 
+@pytest.fixture(scope="session")
+def bank1k(spec1k):
+    """The bank at `verify --quick`'s resolution: N = 1024, 6 octaves of 12 nodes."""
+    return vb.make_bank(spec1k, vb.make_ladder(6, 12), seed=7)
+
+
 def l2_error(f, g):
     return float(np.sqrt(np.mean(np.abs(f.samples - g.samples) ** 2)))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import vbesov.checks as C
-from vbesov.checks import CheckReport, run_checks
+from vbesov.checks import CheckReport, Gate, run_checks
 from vbesov.errors import ParameterError
+from vbesov.exponents import make_exponent_field, q_field_from_callable
 from vbesov.luxemburg import ScaleLadder
 
 
@@ -82,9 +83,18 @@ def test_run_checks_times_each_call_outside_the_document(bank):
 
 @pytest.mark.parametrize("bad", [np.inf, 2 * C.HUGE])
 def test_unbounded_constant_fails_the_report(bad):
-    r = CheckReport("probe", 7, [], {"bounded": 1.0, "unbounded": bad}, [], True)
+    r = CheckReport("probe", 7, [], {"bounded": 1.0, "unbounded": bad}, [])
     assert not r.passed
-    assert r.violations == [{"config": "unbounded", "constant": bad}]
+    assert r.violations == [Gate("finite:unbounded", bad, C.HUGE).to_dict()]
+    assert r.violations[0]["margin"] < 0
+
+
+def test_a_gate_passes_at_its_bound_and_fails_on_nan():
+    assert Gate("le", 2.0, 2.0).passed and Gate("ge", 2.0, 2.0, ">=").passed
+    assert Gate("le", 1.0, 4.0).margin == 0.75 and Gate("ge", 1.0, 4.0, ">=").margin == -0.75
+    assert not Gate("le", np.nan, 1.0).passed and not Gate("ge", np.nan, 1.0, ">=").passed
+    r = CheckReport("probe", 7, [], {}, [Gate("ok", 0.5, 1.0), Gate("off", 0.5, 1.0, ">=")])
+    assert not r.passed and [v["name"] for v in r.violations] == ["off"]
 
 
 def test_embeddings_pass(bank):
@@ -167,5 +177,152 @@ def test_norm_equivalences_window_gate_trips_when_one_form_is_off(bank, monkeypa
 
     monkeypatch.setattr(C, "besov_norm", q0_off)
     r = C.check_norm_equivalences(bank=bank, members=["gauss_w1"])
-    assert r.violations and all("q0" in v["pair"] for v in r.violations)
+    assert {v["name"] for v in r.violations} == {"const_pairwise_spread",
+                                                 "variable_pairwise_spread"}
+    assert all("q0" in m["worst"]["pair"] for m in r.details["matrices"].values())
     assert r.passed is False
+
+
+# -- the gate table: every gate of every check, and a fault that fails it ------
+# A row is (check, fault, the gates the fault must fail).  A fault takes the
+# monkeypatch fixture and the bank, and returns the bank the check runs on.
+
+
+def _patched(name, wrap):
+    """The fault that replaces C.<name> by wrap(bank, the real one)."""
+    def fault(monkeypatch, bank):
+        monkeypatch.setattr(C, name, wrap(bank, getattr(C, name)))
+        return bank
+    return fault
+
+
+def _exponent(key, make):
+    """The fault that replaces the bank's exponent field `key` by make(bank)."""
+    return lambda monkeypatch, bank: dataclasses.replace(
+        bank, exponents={**bank.exponents, key: make(bank)})
+
+
+def _weights(factor):
+    """The fault that scales the ladder's dt/t weights."""
+    def fault(monkeypatch, bank):
+        lad = bank.ladder
+        return dataclasses.replace(bank, ladder=ScaleLadder(
+            lad.octaves, lad.nodes_per_octave, lad.t, factor * lad.weights))
+    return fault
+
+
+def _alpha_spikes_without_clog(monkeypatch, bank):
+    # R = 0, and alpha raised by 0.5 on the samples that only the halved
+    # stride reads: the R = 0 growth is measured without them
+    real = C.log_holder_constants
+    monkeypatch.setattr(C, "log_holder_constants", lambda *args: (0.0, *real(*args)[1:]))
+    alpha = bank.exponents["alpha_signchange"]
+    vals = alpha.samples.copy()
+    vals[8::16] += 0.5
+    spiked = make_exponent_field(vals, "alpha", alpha.limit_value, spec=bank.spec)
+    return dataclasses.replace(bank, exponents={**bank.exponents, "alpha_signchange": spiked})
+
+
+def _pair_order(src, dst):
+    """The fault that builds the local-mean pair of order S = src at S = dst."""
+    return _patched("build_local_mean_pair", lambda bank, real: lambda spec, ladder, S: real(
+        spec, ladder, S=dst if S == src else S))
+
+
+def _fj_atom_plus(bump):
+    """The fault that adds bump(x - x_Q) times the atom's sup to the FJ atom."""
+    def wrap(bank, real):
+        def atom(spec, v, m, K, L):
+            a = real(spec, v, m, K, L)
+            x = spec.axis_coords() - 2.0 ** -v * (m + 0.5)
+            return C.GridFunction(spec, a.samples + np.abs(a.samples).max() * bump(x))
+        return atom
+    return _patched("_fj_atom", wrap)
+
+
+def _block_norm_times(factor, q_key):
+    """The fault that scales `octave_block_norm` at the exponent q_key."""
+    return _patched("octave_block_norm", lambda bank, real: lambda g, ladder, q: real(
+        g, ladder, q) * (factor if q is bank.exponents[q_key] else 1.0))
+
+
+def _q0_times(factor, p_key=None):
+    """The fault that scales the q0 form of `besov_norm` at the exponent p_key
+    (at every p if None)."""
+    def wrap(bank, real):
+        def norm(f, kernel, alpha, p, q, form, **kwargs):
+            rep = real(f, kernel, alpha, p, q, form, **kwargs)
+            if form != "q0" or p_key is not None and p is not bank.exponents[p_key]:
+                return rep
+            return dataclasses.replace(rep, value=factor * rep.value)
+        return norm
+    return _patched("besov_norm", wrap)
+
+
+_ETA_UNNORMALIZED = _patched("eta_kernel", lambda bank, real: lambda spec, t, m: C.GridFunction(
+    spec, real(spec, t, m).samples * t ** spec.dimension))
+
+GATE_TABLE = [
+    ("pointwise-shift", "alpha-constant",
+     _exponent("alpha_signchange", lambda b: b.exponents["alpha_const05"]), {"R0_growth"}),
+    ("pointwise-shift", "alpha-spikes-at-R0", _alpha_spikes_without_clog, {"refinement"}),
+    ("subconvolution", "eta-unnormalized", _ETA_UNNORMALIZED, {"stability_r=1.0"}),
+    ("eta-algebra", "eta-unnormalized", _ETA_UNNORMALIZED, {"mass_t_independence"}),
+    ("hardy", "weights-x2", _weights(2.0),
+     {"continuous_s=1.0_q_const2", "continuous_s=0.5_q_const2"}),
+    ("hardy", "weights-x1.5", _weights(1.5), {"continuous_s=1.0_q_const2"}),
+    ("key-modular", "tail-dropped", _patched("_worst_ratio", lambda bank, real: lambda *args: real(
+        *args[:-1], np.zeros_like(args[-1]))), {"worst_constant"}),
+    ("mixed-equivalence", "qconst-x1.001", _block_norm_times(1.001, "q_const2"),
+     {"scalar_qconst_dev"}),
+    ("mixed-equivalence", "qlog-x0.3", _block_norm_times(0.3, "q_logdecay"),
+     {"scalar_qlog_ratio_min"}),
+    ("mixed-equivalence", "qlog-x3", _block_norm_times(3.0, "q_logdecay"),
+     {"scalar_qlog_ratio_max"}),
+    # q(t) = 1.2 + 2.8 t is not log-decaying: the norm (log 2)^{1/q} of one
+    # octave follows q across the ladder
+    ("mixed-equivalence", "q-climbs", _exponent("q_logdecay", lambda b: q_field_from_callable(
+        b.ladder.t, lambda t: 1.2 + 2.8 * t, 1.2)), {"single_level_spread"}),
+    ("kernel-decay", "S-1-as-1", _pair_order(-1, 1), {"slope_M=-1"}),
+    ("kernel-decay", "S1-as-1", _pair_order(1, -1), {"slope_M=1"}),
+    ("kernel-decay", "S3-as-1", _pair_order(3, 1), {"slope_M=3"}),
+    # a one-sample spike is rough; a unit Gaussian has a nonzero mean
+    ("kernel-decay", "fj-spike", _fj_atom_plus(lambda x: np.abs(x) == np.abs(x).min()),
+     {"fj_fine_scale"}),
+    ("kernel-decay", "fj-mass", _fj_atom_plus(lambda x: 0.2 * np.exp(-x ** 2 / 2)),
+     {"fj_coarse_scale"}),
+    ("embeddings", "alpha-dropped", _patched("besov_norm", lambda bank, real: lambda f, frame,
+     alpha, *args, **kwargs: real(f, frame, bank.exponents["alpha_const0"], *args, **kwargs)),
+     {"identity"}),
+    ("norm-equivalences", "q0-x20-const", _q0_times(20.0, "p_const2"), {"const_pairwise_spread"}),
+    ("norm-equivalences", "q0-x20-variable", _q0_times(20.0, "p_sin"),
+     {"variable_pairwise_spread"}),
+    # a zero norm beside nonzero ones is an infinite spread
+    ("norm-equivalences", "q0-zero", _q0_times(0.0),
+     {"const_pairwise_spread", "variable_pairwise_spread",
+      "finite:const_max_pairwise_spread", "finite:variable_max_pairwise_spread"}),
+]
+
+
+def _run_quick(check_id, bank):
+    # one member keeps the norm-form matrix to a fraction of a second
+    kwargs = {"members": ["gauss_w1"]} if check_id == "norm-equivalences" else {}
+    return C.CHECKS[check_id](bank, **kwargs)
+
+
+@pytest.mark.parametrize("check_id, fault, gates",
+                         [pytest.param(c, f, g, id=f"{c}-{name}") for c, name, f, g in GATE_TABLE])
+def test_each_fault_fails_exactly_the_gates_of_its_row(bank1k, monkeypatch, check_id, fault,
+                                                       gates):
+    r = _run_quick(check_id, fault(monkeypatch, bank1k))
+    assert {v["name"] for v in r.violations} == gates, r.violations
+    assert r.passed is False
+
+
+@pytest.mark.parametrize("check_id", sorted(C.CHECKS))
+def test_every_gate_has_a_row_and_passes_without_its_fault(bank1k, check_id):
+    r = _run_quick(check_id, bank1k)
+    assert r.passed, r.violations
+    rows = set().union(*(g for c, _, _, g in GATE_TABLE if c == check_id))
+    assert {g.name for g in r.gates if not g.name.startswith("finite:")} == {
+        g for g in rows if not g.startswith("finite:")}

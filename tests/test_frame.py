@@ -14,7 +14,7 @@ from oracles import (identity_residual_full_grid, identity_residual_per_node,
 from vbesov.cli import main
 from vbesov.errors import ConstructionError, ParameterError
 from vbesov.frame import (KERNEL_CACHE_SIZE, PAIRING_TOL, BumpParams, build_radial_profile,
-                          identity_residual, pairing_residual)
+                          residuals)
 from vbesov.grid import from_spectrum, mirror, spectrum
 from vbesov.reporting import strip_timestamp
 
@@ -217,7 +217,7 @@ def test_identity_residual_equals_the_full_grid_loop(octaves, nodes, xi_max):
     # bits as the per-node loop on the annulus slices and on the full grid
     profile = build_radial_profile(BumpParams())
     ladder = vb.make_ladder(octaves, nodes)
-    res = identity_residual(profile, ladder, xi_max)
+    res = residuals(profile, ladder, xi_max)[0]
     assert res == identity_residual_per_node(profile, ladder, xi_max)
     assert res == identity_residual_full_grid(profile, ladder, xi_max)
 
@@ -241,7 +241,7 @@ def test_phi_hat_is_the_bump_polynomial_in_log2_radius(order):
 def test_pairing_residual_equals_the_per_node_loop(octaves, nodes, xi_max, order):
     profile = build_radial_profile(BumpParams(order))
     ladder = vb.make_ladder(octaves, nodes)
-    assert (pairing_residual(profile, ladder, xi_max)
+    assert (residuals(profile, ladder, xi_max)[1]
             == pairing_residual_per_node(profile, ladder, xi_max))
 
 
@@ -263,8 +263,9 @@ def test_a_wrong_c2_fails_the_pairing_certification(spec1k, monkeypatch):
     right = build_radial_profile(BumpParams())
     wrong = dataclasses.replace(right, c2=right.c2 * 1.001)
     xi_max = 0.9 * min(spec1k.nyquist, 2.0 ** (ladder.octaves - 1))
-    assert identity_residual(wrong, ladder, xi_max) == identity_residual(right, ladder, xi_max)
-    assert pairing_residual(wrong, ladder, xi_max) > 1e-4
+    res_wrong, pairing_wrong = residuals(wrong, ladder, xi_max)
+    assert res_wrong == residuals(right, ladder, xi_max)[0]
+    assert pairing_wrong > 1e-4
     monkeypatch.setattr(frame_mod, "build_radial_profile", lambda params: wrong)
     frame_mod._kernel.cache_clear()
     with pytest.raises(ConstructionError,

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 
 import pytest
@@ -42,4 +43,6 @@ def test_checks_csv_constants_are_plain_floats(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["check_id"] for r in rows] == ["hardy", "kernel-decay"]
     for r in rows:
-        float(r["max_constant"])
+        with open(os.path.join(out, f"check_{r['check_id']}.json")) as fh:
+            gates = json.load(fh)["gates"]
+        assert float(r["worst_margin"]) == min(g["margin"] for g in gates) > 0
