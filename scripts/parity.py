@@ -38,6 +38,14 @@ The request set:
 - `sequence_norms.json`, the coefficient norm `sequence_norm_b`, which no
   command prints, for SYNTHESIZE_MEMBERS at N = 2048 and 7 octaves, both
   exponent sets, both forms and both signs of the n/2 term;
+- `layouts.json`, library calls on the inputs of LAYOUT_INPUTS, a complex
+  1-D input (N = 1024, 6 x 12 ladder) and a complex 2-D one (N = 64,
+  5 x 12 ladder), whose bands run in the full spectrum layout where every
+  request above runs a real input: `besov_norm` of each input for both
+  exponent sets and every form (the non-maximal ones in 2-D, the local-mean
+  pair at S = 1 and epsilon = 1), and the per-level lattice sums of
+  `analyze` and the relative L^2 residual of `synthesize` (V = 2 in 2-D)
+  for each input and for its real part;
 - `errors.txt`, the exit code and the last stderr line of `vbesov norm` on
   each input of ERROR_CASES, which it must reject.
 """
@@ -45,6 +53,7 @@ The request set:
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -54,11 +63,16 @@ import sys
 import tempfile
 from typing import Dict, List, Optional, Union
 
+import numpy as np
+
 from vbesov import cli
 from vbesov.bank import MEMBER_NAMES
-from vbesov.atoms import sequence_norm_b
-from vbesov.besov import FORMS
+from vbesov.atoms import analyze, sequence_norm_b, synthesize
+from vbesov.besov import FORMS, besov_norm
 from vbesov.config import RunConfig
+from vbesov.frame import (CalderonFrame, LocalMeanPair, build_local_mean_pair,
+                          build_resolution_of_unity)
+from vbesov.grid import from_callable
 from vbesov.reporting import strip_timestamp
 
 Number = Union[int, float]
@@ -75,6 +89,14 @@ DECOMPOSE_MEMBERS = ("gauss_w05", "modgauss_f16", "smoothstep_w1", "weier_s03",
 # smoothstep_w1's level 7 is only partly nonzero: it covers the masked synthesis
 SYNTHESIZE_MEMBERS = ("gauss_w1", "tone_k40", "bandnoise_a", "smoothstep_w1")
 SEED = 7
+# name -> (grid and kernel configuration, the finest level V, the complex
+# input as a function of the coordinate arrays)
+LAYOUT_INPUTS = {
+    "1d": (RunConfig(points=1024, octaves=6), 6,
+           lambda x: np.exp(-x ** 2 / 2 + 3j * x) + 0.3j * np.exp(-8 * (x - 1) ** 2)),
+    "2d": (RunConfig(dimension=2, points=64, octaves=5, kernel_S=1), 2,
+           lambda x, y: np.exp(-(x ** 2 + 2 * y ** 2) / 2) * (1 + 0.5 * np.exp(3j * x))),
+}
 # (name, config text, further arguments) of inputs that `norm` must reject
 ERROR_CASES = (
     ("q-at-0-differs-from-q0", "q = 3\n", []),
@@ -139,6 +161,32 @@ def _sequence_norms() -> dict:
                 for sign in (1.0, -1.0):
                     out[f"{exponents} {member} {form} {sign:+g}"] = repr(
                         sequence_norm_b(dec, *fields, form, sign))
+    return out
+
+
+def _layouts() -> dict:
+    """repr of the norms, lattice sums and round-trip residuals of
+    LAYOUT_INPUTS (module docstring)."""
+    out = {}
+    for name, (cfg, V, fn) in LAYOUT_INPUTS.items():
+        spec, ladder = cfg.grid(), cfg.ladder()
+        frame = build_resolution_of_unity(spec, ladder)
+        kernels = {CalderonFrame: frame, LocalMeanPair: build_local_mean_pair(
+            spec, ladder, cfg.kernel_S, cfg.kernel_epsilon)}
+        f = from_callable(spec, fn)
+        for exponents in EXPONENTS:
+            run = dataclasses.replace(cfg, **EXPONENTS[exponents])
+            fields = run.alpha_field(spec), run.p_field(spec), run.q_field(ladder)
+            for form, row in FORMS.items():
+                if not (row.maximal and spec.dimension == 2):
+                    out[f"{name} {exponents} {form}"] = repr(
+                        besov_norm(f, kernels[row.kernel], *fields, form).value)
+        for part, g in (("complex", f), ("real", f.with_samples(f.samples.real))):
+            dec = analyze(g, frame, V=V)
+            out[f"{name} {part} lattice sums"] = [repr(float(lat.sum())) for lat in dec.levels]
+            rec = synthesize(dec).samples
+            out[f"{name} {part} relative residual"] = repr(
+                float(np.linalg.norm(rec - g.samples) / np.linalg.norm(g.samples)))
     return out
 
 
@@ -320,6 +368,9 @@ def main() -> int:
                     fh.write(masked)
     with open("sequence_norms.json", "w") as fh:
         json.dump(_sequence_norms(), fh, indent=1)
+        fh.write("\n")
+    with open("layouts.json", "w") as fh:
+        json.dump(_layouts(), fh, indent=1)
         fh.write("\n")
     with open("errors.txt", "w") as fh:
         fh.write(_errors())

@@ -13,8 +13,10 @@ of a level tile the box, so that sum is one spectral product per ladder node
 of the band masked to the nonzero cubes.  When every cube of a level is
 nonzero the mask is the whole band, whose spectrum is A F, and the level
 adds sum_j w_j S_j A_j F with no transform: the discretized continuous
-Calderon formula, synthesis times analysis multiplier.  The products of
-every node and level share one inverse FFT; atoms are built only on request.
+Calderon formula, synthesis times analysis multiplier, summed on the
+frame's half grid, where the multipliers stay, and applied to F as one row.
+The products of every node and level share one inverse FFT; atoms are built
+only on request.
 
 By Parseval no lambda of level v exceeds
     C (sum_j w_j sum_k A_j(k)^2 |F_k|^2 / L^n)^{1/2},
@@ -42,8 +44,8 @@ from .besov import _scale_profile
 from .errors import HypothesisViolationError, ParameterError
 from .exponents import ExponentField
 from .frame import CalderonFrame, synthesize_Phi, synthesize_phi_t
-from .grid import (GridFunction, GridSpec, _multi_indices, band_l2_norms, band_rows,
-                   cubes_per_axis, finest_aligned_level, from_spectrum_rows, mirror,
+from .grid import (GridFunction, GridSpec, _multi_indices, apply_multipliers, band_l2_norms,
+                   band_rows, cubes_per_axis, finest_aligned_level, from_spectrum_rows,
                    spectral_derivative, spectrum, spectrum_rows, zero_function)
 from .luxemburg import ScaleLadder, octave_block_norm, solve_luxemburg_rows
 
@@ -152,18 +154,15 @@ def _expand(spec: GridSpec, lattice: np.ndarray) -> np.ndarray:
 
 def _level(frame: CalderonFrame, v: int):
     """(weights, S, A) of level v: the quadrature weights, and the synthesis
-    and analysis multipliers at the full grid's frequencies (the mirrors of
-    the frame's half-grid values), one row per node in (nodes, *grid)
-    blocks.
+    and analysis multipliers on the frame's half grid, one row per node in
+    (nodes, *half_shape) blocks; `grid` applies them to F's full layout.
 
     Level 0 is the Phi/Psi pair with unit weight and no t-integral; level
     v >= 1 runs phi_t/psi_t over the nodes of octave v, Fpsi_t = Fphi_t / c2.
     """
-    spec = frame.spec
     if v == 0:
-        return (np.ones(1), mirror(spec, frame.level0[None]),
-                mirror(spec, frame.level0_analysis[None]))
-    synth = mirror(spec, frame.blocks[v - 1])
+        return np.ones(1), frame.level0[None], frame.level0_analysis[None]
+    synth = frame.blocks[v - 1]
     return frame.ladder.weights[frame.ladder.octave_slice(v)], synth, synth / frame.profile.c2
 
 
@@ -203,8 +202,7 @@ def _masked_synthesis(spec: GridSpec, bands: np.ndarray, synth: np.ndarray,
     cubes, each cube's value taken on its grid points."""
     bands *= _expand(spec, weight)
     spectrum_rows(spec, bands, out=bands)
-    bands *= synth
-    return bands
+    return apply_multipliers(spec, synth, bands, out=bands)
 
 
 @dataclass(frozen=True)
@@ -373,7 +371,7 @@ def analyze(f: GridFunction, frame: CalderonFrame, V: Optional[int] = None,
     levels = []
     for v in range(V + 1):
         const = C_Phi if v == 0 else C_phi
-        ws, analysis = _level(frame, v)[::2]  # hold no S: one multiplier block a level
+        ws, _, analysis = _level(frame, v)
         if _level_bound(spec, F, ws, analysis, const) < COEFF_FLOOR / 2:
             lam = np.zeros((cubes_per_axis(spec, v),) * spec.dimension)
         else:
@@ -410,7 +408,7 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
         if mask.all():
             gain = synth * analysis
             gain *= ws.reshape((-1,) + (1,) * spec.dimension)
-            out += gain.sum(axis=0) * F
+            out += apply_multipliers(spec, gain.sum(axis=0), F)
         else:
             parts = _masked_synthesis(spec, band_rows(spec, analysis, F), synth, mask)
             for w, part in zip(ws, parts):

@@ -563,8 +563,8 @@ def _fj_atom(spec: GridSpec, v: int, mloc: int, K: int, L: int):
     psi is the (L+1)-th derivative of (1-u^2)^{K+L+5/4}, sup-normalized over
     derivative orders <= K, placed as 2^{v/2} psi(2^v x - mloc); the discrete
     moments through L are projected out so the grid quadrature sees exact
-    zeros.  Fractional smoothness pins the observable fine-scale decay
-    exponent at ~K + 1/4 instead of running off to the atom's full regularity.
+    zeros.  The fine-scale decay exponent `check_kernel_decay` measures does
+    not follow K: 1.84, 2.11, 2.16 and 2.25 at K = 1-4 (ROADMAP item 6).
     """
     x = spec.axis_coords()
     u = 2.0 ** v * x - mloc - 0.5  # center of Q_{v,mloc}
@@ -605,7 +605,8 @@ def _fj_atom(spec: GridSpec, v: int, mloc: int, K: int, L: int):
 def check_kernel_decay(bank: FunctionBank, seed: int = 7) -> CheckReport:
     """sup_z |mu_t * rho(z)| (1+|z|)^N ~ t^{M+1} for mu with M+1 vanishing
     moments; M = -1 shows no gain.  The FJ variant regresses both decay
-    exponents of band transforms of a constructed atom."""
+    exponents of band transforms of a constructed atom; its fine-scale gate
+    catches a gross roughness such as a spike, not the atom's K."""
     N_poly, moment_orders = 4.0, (-1, 1, 3)
     spec = bank.spec
     x = spec.axis_coords()

@@ -10,10 +10,10 @@ which gives FPhi(xi) + int_0^1 Fphi(t xi) dt/t = 1 for every xi.
 Every multiplier here is real and radial, so both kernels evaluate it at
 every point of the half grid (`GridSpec.half_shape`, the `rfftn` layout),
 from the radii `radius` they hold: `multipliers(ts)`, `level0` and the
-frame's `level0_analysis` are half-grid arrays.  The norm profiles use them
-as they are; the full layout, which the atoms, `synthesize_Phi`,
-`phi_t_spectrum` and `level0_transform` need, is their `grid.mirror`, bit
-for bit the evaluation on the full grid.
+frame's `level0_analysis` are half-grid arrays, which the norms and atoms
+apply as they are (`grid.apply_multipliers`).  Only the full-grid arrays,
+`phi_t_spectrum`, `synthesize_Phi` and a pair's spatial k, are their
+`grid.mirror`, bit for bit the evaluation on the full grid.
 
 The bump is the polynomial (1 - z^2)^order.  Per-octave Gauss-Legendre then
 integrates the profile exactly on every panel interior to the support, the
@@ -46,7 +46,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import ConstructionError, HypothesisViolationError, ParameterError
 from .exponents import ExponentField
-from .grid import GridFunction, GridSpec, _multi_indices, from_spectrum, mirror, spectrum
+from .grid import (GridFunction, GridSpec, _multi_indices, apply_multipliers, from_spectrum,
+                   mirror, spectrum)
 from .luxemburg import ScaleLadder
 
 RESIDUAL_TOL = 1e-6
@@ -187,7 +188,7 @@ class CalderonFrame(_Kernel):
 
     def level0_transform(self, f: GridFunction) -> GridFunction:
         """Phi * f."""
-        return from_spectrum(f.spec, mirror(f.spec, self.level0) * spectrum(f))
+        return from_spectrum(f.spec, apply_multipliers(f.spec, self.level0, spectrum(f)))
 
     def check_alpha(self, alpha: ExponentField) -> None:
         """Every alpha is admissible: Fphi vanishes near the origin to every order."""

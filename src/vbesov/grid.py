@@ -9,11 +9,11 @@ frequencies 2*pi*k/L.
 Spectra come in two layouts, told apart by the length of their last axis.
 The full layout (N) is `fftn`'s; the half layout (N/2 + 1) is `rfftn`'s,
 the spectrum of real samples, whose other half is its Hermitian mirror.
-A real radial multiplier is even, so the half grid holds every value of it
-and `mirror` gives its full layout.  Bands of real samples under such
-multipliers are real: `band_spectrum` takes a real f's spectrum in the half
-layout, and `band_rows` then returns real rows from one `irfftn`.  The
-norm profiles run there.  `atoms.analyze` keeps the full layout: its
+Only this module tells them apart.  A real radial multiplier is even, so
+the kernels keep it on the half grid, and `apply_multipliers`, `band_rows`
+and `band_l2_norms` take it so with a spectrum of either layout.  A real
+f's bands are real: `band_spectrum` takes its spectrum in the half layout,
+where the norm profiles run.  `atoms.analyze` keeps the full layout: its
 smallest coefficients are rounding noise of the band transform, some 200
 ulps of the largest, which another transform moves far beyond the 1e-12
 relative that the benchmark's references hold them to.
@@ -180,30 +180,13 @@ def zero_function(spec: GridSpec, tag: Optional[str] = None) -> GridFunction:
 # exp(+i pi k) reduces to (-1)^j with j the raw FFT index.
 
 
-def _phase(spec: GridSpec) -> np.ndarray:
-    return _phase_of(spec.points_per_axis, spec.dimension)
-
-
-def _phase_pairs(spec: GridSpec) -> np.ndarray:
-    return _phase_pairs_of(spec.points_per_axis, spec.dimension)
-
-
 @functools.lru_cache(maxsize=8)
-def _phase_of(N: int, dimension: int) -> np.ndarray:
-    """The (-1)^j sign pattern of an N^dimension grid, built once per grid
-    shape and shared read-only."""
+def _sign_pairs(N: int, dimension: int) -> np.ndarray:
+    """The (-1)^j signs of an N^dimension grid, each twice along the last
+    axis to scale the float64 view of a complex grid array (re, im) pair by
+    pair; built once per grid shape and shared read-only."""
     p = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
-    out = functools.reduce(np.multiply.outer, (p,) * dimension)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _phase_pairs_of(N: int, dimension: int) -> np.ndarray:
-    """`_phase_of` with every sign repeated along the last axis, so that it
-    scales the float64 view of a complex grid array, (re, im) pair by pair;
-    built once per grid shape and shared read-only."""
-    out = np.repeat(_phase_of(N, dimension), 2, axis=-1)
+    out = functools.reduce(np.multiply.outer, (p,) * (dimension - 1) + (np.repeat(p, 2),))
     out.flags.writeable = False
     return out
 
@@ -224,8 +207,16 @@ def _is_half(spec: GridSpec, ft: np.ndarray) -> bool:
 
 
 def _pairs_of(spec: GridSpec, ft: np.ndarray) -> np.ndarray:
-    """`_phase_pairs` in ft's layout: the half grid's are its first columns."""
-    return _phase_pairs(spec)[..., :2 * ft.shape[-1]]
+    """`_sign_pairs` in ft's layout: the half grid's are its first columns."""
+    return _sign_pairs(spec.points_per_axis, spec.dimension)[..., :2 * ft.shape[-1]]
+
+
+def _negated(spec: GridSpec, a: np.ndarray) -> np.ndarray:
+    """a with every grid axis but the last read at -i (mod N)."""
+    neg = -np.arange(spec.points_per_axis) % spec.points_per_axis
+    for ax in range(-spec.dimension, -1):
+        a = np.take(a, neg, axis=ax)
+    return a
 
 
 def mirror(spec: GridSpec, half: np.ndarray) -> np.ndarray:
@@ -235,11 +226,17 @@ def mirror(spec: GridSpec, half: np.ndarray) -> np.ndarray:
     frequencies at k and -k have the same |xi| to the bit, so this equals
     the evaluation on the full grid bit for bit."""
     N = spec.points_per_axis
-    tail = half[..., N // 2 - 1:0:-1]
-    neg = -np.arange(N) % N
-    for ax in range(-spec.dimension, -1):
-        tail = np.take(tail, neg, axis=ax)
-    return np.concatenate([half, tail], axis=-1)
+    return np.concatenate([half, _negated(spec, half[..., N // 2 - 1:0:-1])], axis=-1)
+
+
+def apply_multipliers(spec: GridSpec, multipliers: np.ndarray, ft: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A * ft for every row A of a block of real even multipliers, given in
+    ft's layout or on the half grid; a half-grid block meets a full-layout
+    ft as its `mirror`.  `out` may be ft itself."""
+    if _is_half(spec, multipliers) and not _is_half(spec, ft):
+        multipliers = mirror(spec, multipliers)
+    return np.multiply(multipliers, ft, out=out)
 
 
 def spectrum_rows(spec: GridSpec, samples: np.ndarray,
@@ -259,84 +256,77 @@ def spectrum_rows(spec: GridSpec, samples: np.ndarray,
     return out
 
 
-def from_spectrum_rows(spec: GridSpec, ft: np.ndarray,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Inverse of `spectrum_rows`: (ft * phase), transformed, then divided
-    by h^n, so each row equals `from_spectrum(spec, ft[j]).samples`.  A
-    full-layout ft is transformed in place of `out`, a C-contiguous complex
-    array of its shape, which may be `ft` itself; a half-layout ft gives
-    real rows from one `irfftn` and takes no `out`."""
-    if _is_half(spec, ft):
-        return _real_rows(spec, _with_phase(spec, ft))
+def _with_phase(spec: GridSpec, ft: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """ft * phase, formed on the float views in place of `out`, which may be
+    ft itself: the signs are exact, so a product with them commutes with any
+    other product to the bit."""
     ft = np.require(ft, np.complex128, "C")
     if out is None:
         out = np.empty(ft.shape, dtype=np.complex128)
-    pairs = out.view(np.float64)
-    np.multiply(ft.view(np.float64), _phase_pairs(spec), out=pairs)
-    np.fft.ifftn(out, axes=_grid_axes(spec), out=out)
-    # numpy divides a complex array by a real scalar as a product with the
-    # reciprocal: the same bits
-    pairs *= 1.0 / spec.spacing ** spec.dimension
-    return out
-
-
-def _with_phase(spec: GridSpec, ft: np.ndarray) -> np.ndarray:
-    """ft * phase, formed on the float view: the signs are exact, so a
-    product with them commutes with any other product to the bit."""
-    ft = np.require(ft, np.complex128, "C")
-    out = np.empty(ft.shape, dtype=np.complex128)
     np.multiply(ft.view(np.float64), _pairs_of(spec, ft), out=out.view(np.float64))
     return out
 
 
-def _real_rows(spec: GridSpec, ft_phase: np.ndarray) -> np.ndarray:
-    """irfftn of half-layout spectra that already carry the phase, divided
-    by h^n in place."""
-    rows = np.fft.irfftn(ft_phase, s=spec.shape, axes=_grid_axes(spec))
-    rows *= 1.0 / spec.spacing ** spec.dimension
+def _inverse(spec: GridSpec, ft_phase: np.ndarray) -> np.ndarray:
+    """The inverse transform of spectra that already carry the phase,
+    divided by h^n: real rows from one `irfftn` for the half layout, and
+    one `ifftn` in place of ft_phase for the full one."""
+    if _is_half(spec, ft_phase):
+        rows = np.fft.irfftn(ft_phase, s=spec.shape, axes=_grid_axes(spec))
+    else:
+        rows = np.fft.ifftn(ft_phase, axes=_grid_axes(spec), out=ft_phase)
+    # numpy divides a complex array by a real scalar as a product with the
+    # reciprocal: the same bits
+    pairs = rows.view(np.float64)
+    pairs *= 1.0 / spec.spacing ** spec.dimension
     return rows
+
+
+def from_spectrum_rows(spec: GridSpec, ft: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Inverse of `spectrum_rows`, each row `from_spectrum(spec, ft[j]).samples`
+    (`_inverse`).  A full-layout ft is transformed in place of `out`, a
+    C-contiguous complex array of its shape, which may be `ft` itself; a
+    half-layout ft takes no `out`."""
+    return _inverse(spec, _with_phase(spec, ft, out))
 
 
 def band_rows(spec: GridSpec, multipliers: np.ndarray, ft: np.ndarray) -> np.ndarray:
     """`from_spectrum(spec, A * ft).samples` for every row A of a block of
-    real multipliers, in ft's layout.  Full layout: (A * ft) * phase, then
-    the batched inverse transform in place of one complex buffer; half-grid
-    multipliers are mirrored to it.  Half layout: A * (ft * phase), the
-    same bits as (A * ft) * phase, then one batched `irfftn` to real rows."""
-    if _is_half(spec, ft):
-        return _real_rows(spec, multipliers * _with_phase(spec, ft))
-    if _is_half(spec, multipliers):
-        multipliers = mirror(spec, multipliers)
-    out = multipliers * ft
-    return from_spectrum_rows(spec, out, out=out)
+    real even multipliers (`apply_multipliers`): A * (ft * phase), the same
+    bits as (A * ft) * phase, and one batched inverse transform."""
+    return _inverse(spec, apply_multipliers(spec, multipliers, _with_phase(spec, ft)))
 
 
 def band_l2_norms(spec: GridSpec, multipliers: np.ndarray, ft: np.ndarray) -> np.ndarray:
     """The L^2 norm of `from_spectrum(spec, A * ft)` for every row A of a
-    block of real multipliers, in ft's layout, from the spectrum alone.
+    block of real even multipliers on the half grid, from the spectrum alone.
 
     Parseval: h^n sum_x |band(x)|^2 = sum_k A_k^2 |ft_k|^2 / L^n over the
-    full grid; in the half layout every column but the first and the
-    Nyquist one also stands for its mirror, so its weight is 2.  Full-layout
-    ft takes half-grid multipliers mirrored.  |ft| is divided by its
-    maximum M before it is squared and M multiplies the roots, so the norms
-    scale with ft exactly and no square overflows at any magnitude float64
-    holds.  The multipliers are a kernel's, a few units at most.  A band
-    keeps full relative accuracy while its largest |A_k ft_k| exceeds
-    2^-460 M: the squares that underflow are then under 2^-78 of its own,
-    on grids of up to 2^24 points.
+    full grid.  A_k = A_-k, so each half-grid column but the first and the
+    Nyquist one stands for the one at -k too: a full ft adds its square
+    there to the one at k, and a half one, Hermitian, doubles it.  |ft| is
+    divided by its maximum M before it is squared and M multiplies the
+    roots, so the norms scale with ft exactly and no square overflows at
+    any magnitude float64 holds.  The multipliers are a kernel's, a few
+    units at most.  A band keeps full relative accuracy while its largest
+    |A_k ft_k| exceeds 2^-460 M: the squares that underflow are then under
+    2^-78 of its own, on grids of up to 2^24 points.
     """
-    half = _is_half(spec, ft)
-    if not half and _is_half(spec, multipliers):
-        multipliers = mirror(spec, multipliers)
+    N = spec.points_per_axis
     w = np.abs(ft)
     M = float(w.max(initial=0.0))
     if M == 0.0:
         return np.zeros(len(multipliers))
     w /= M
     w *= w
-    if half:
-        w[..., 1:spec.points_per_axis // 2] *= 2.0
+    if _is_half(spec, ft):
+        w[..., 1:N // 2] *= 2.0
+    else:
+        tail = _negated(spec, w[..., N - 1:N // 2:-1])
+        w = w[..., :N // 2 + 1]
+        w[..., 1:N // 2] += tail
     squares = np.square(multipliers).reshape(len(multipliers), -1) @ w.reshape(-1)
     return M * np.sqrt(squares / spec.box_length ** spec.dimension)
 
@@ -360,12 +350,7 @@ def from_spectrum(spec: GridSpec, ft: np.ndarray, tag: Optional[str] = None) -> 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """Circular convolution with L^1-correct scaling h^n * sum f(x_i) g(x - x_i)."""
     same_grid(f, g)
-    h = f.spec.spacing
-    # the (-1)^j factor is a half-box roll: offsets i-j index the centered box,
-    # whose origin sits at sample N/2, not sample 0.
-    prod = np.fft.fftn(f.samples) * np.fft.fftn(g.samples) * _phase(f.spec)
-    out = np.fft.ifftn(prod) * h ** f.spec.dimension
-    return GridFunction(f.spec, out, tag=None)
+    return from_spectrum(f.spec, spectrum(f) * spectrum(g))
 
 
 def spectral_derivative(f: GridFunction, order: Union[int, Sequence[int]]) -> GridFunction:
@@ -497,7 +482,9 @@ def write_csv(f: GridFunction, path: str) -> None:
 
 
 def read_csv(path: str, spec: GridSpec) -> GridFunction:
-    vals = []
+    """A `write_csv` file as a function on spec, whose nodes its rows must
+    list in raster order, each coordinate within 1e-9 h."""
+    coords, vals = [], []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r)
@@ -505,8 +492,15 @@ def read_csv(path: str, spec: GridSpec) -> GridFunction:
         if ncoord != spec.dimension:
             raise ParameterError(f"CSV has {ncoord} coordinate columns, grid is {spec.dimension}-D")
         for row in r:
+            coords.append([float(c) for c in row[:ncoord]])
             vals.append(complex(float(row[-2]), float(row[-1])))
     arr = np.array(vals, dtype=np.complex128)
     if arr.size != spec.size:
         raise ParameterError(f"CSV has {arr.size} rows, grid needs {spec.size}")
+    nodes = spec.coords().reshape(-1, spec.dimension)
+    off = ~np.all(np.abs(np.array(coords) - nodes) <= 1e-9 * spec.spacing, axis=1)
+    if off.any():
+        i = int(np.argmax(off))
+        raise ParameterError(f"CSV row {i + 1} lies at ({', '.join(map(repr, coords[i]))}), "
+                             f"not at grid node ({', '.join(map(repr, nodes[i].tolist()))})")
     return GridFunction(spec, arr.reshape(spec.shape))

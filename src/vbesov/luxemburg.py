@@ -9,9 +9,9 @@ log sum w v^e exp(-e mu) is convex and decreasing, so its tangent at the
 upper end of the bracket meets 0 left of the root, Newton started there
 climbs to the root monotonically, and a step that leaves the bracket falls
 back to bisection; a row stops when its step is below RTOL, or sooner on
-an enclosure of the root within 1e-14 (`_root_above`).  One solver does
-this for a block of rows at once (an octave of ladder nodes); a single norm
-is its one-row call.
+an enclosure of the root within 1e-14, each end to 1 ulp of mu in float64
+(`_root_above`).  One solver does this for a block of rows at once (an
+octave of ladder nodes); a single norm is its one-row call.
 
 The solver takes each term once as its log, e (log(v / c) - s log t - m)
 + log w, with a profile row's scale weight t^{-s(x)} entering as its log
@@ -258,7 +258,8 @@ def _root_above(mu: float, rho: float, slope: float, spread: float) -> float:
     """An upper bound mu + d of the root from rho > 1 at mu: (log rho)'' is the
     variance of e under the term weights, at most spread = (e+ - e-)^2 / 4,
     so log rho(mu + d) <= 0 at d = (sigma - sqrt(sigma^2 - 2 spread log rho))
-    / spread, sigma = slope / rho (inf where the root is complex)."""
+    / spread, sigma = slope / rho (inf where the root is complex).  In float64
+    it and the Newton point enclose the root to 1 ulp of mu on each side."""
     lr, sigma = math.log(rho), slope / rho
     disc = sigma * sigma - 2.0 * spread * lr
     return mu + 2.0 * lr / (sigma + math.sqrt(disc)) if disc >= 0.0 else math.inf

@@ -326,7 +326,7 @@ def synthesize_spatial(dec: AtomicDecomposition) -> GridFunction:
     per level one batched inverse FFT of the masked node products, then the
     nodes added node after node."""
     from vbesov.atoms import _expand, _level
-    from vbesov.grid import band_rows, from_spectrum_rows, spectrum_rows
+    from vbesov.grid import band_rows, from_spectrum_rows, mirror, spectrum_rows
 
     spec = dec.spec
     out = np.zeros(spec.shape, dtype=np.complex128)
@@ -337,7 +337,7 @@ def synthesize_spatial(dec: AtomicDecomposition) -> GridFunction:
         ws, synth, analysis = _level(dec.frame, v)
         parts = np.where(mask, band_rows(spec, analysis, dec.f_spectrum), 0.0)
         spectrum_rows(spec, parts, out=parts)
-        parts *= synth
+        parts *= mirror(spec, synth)
         for w, part in zip(ws, from_spectrum_rows(spec, parts, out=parts)):
             out += w * part
     return GridFunction(spec, out, tag="synthesized")

@@ -243,6 +243,32 @@ def test_cli_norm_and_zero(tmp_path):
     assert doc["value"] == 0.0
 
 
+def test_cli_rejects_a_csv_member_written_on_another_box(tmp_path, capsys):
+    # the same N on L = 8 puts row 1 at -4.0, not at the L = 16 grid's -8.0
+    member = str(tmp_path / "f.csv")
+    vb.grid.write_csv(vb.from_callable(vb.make_grid(1, 8.0, 1024), lambda x: np.exp(-x ** 2)),
+                      member)
+    cfg = _write_cfg(tmp_path, FAST_CONFIG.replace("member = gauss_w1", f"member = {member}"))
+    assert main(["norm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: CSV row 1 lies at (-4.0), not at grid node (-8.0)\n")
+    # on its own grid, a row 1 ulp off its node reads, and one 1e-6 off is named
+    spec = vb.make_grid(1, 8.0, 1024)
+    with open(member, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    x, rest = lines[3].split(",", 1)
+
+    def shifted(by):
+        lines[3] = f"{float(x) + by!r},{rest}"
+        with open(member, "w", newline="") as fh:
+            fh.write("\r\n".join(lines))
+        return member
+
+    vb.grid.read_csv(shifted(float(np.spacing(float(x)))), spec)
+    with pytest.raises(ParameterError, match=r"^CSV row 3 lies at \(-3\.98437"):
+        vb.grid.read_csv(shifted(1e-6), spec)
+
+
 def test_cli_exit_codes(tmp_path):
     bad = _write_cfg(tmp_path, "p = 0.5\npoints = 1024\n")
     assert main(["norm", "--config", bad, "--out", str(tmp_path / "o")]) == 2

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import vbesov as vb
 from vbesov.errors import ParameterError
-from vbesov.grid import cube_mask, cubes_per_axis, from_spectrum, read_csv, spectrum, write_csv
+from vbesov.grid import (cube_mask, cubes_per_axis, from_spectrum, mirror, read_csv, spectrum,
+                         write_csv)
 
 
 def test_make_grid_spacing():
@@ -238,15 +239,20 @@ def test_2d_from_callable_of_one_coordinate_fills_the_grid():
 
 
 @pytest.mark.parametrize("dimension, N", [(1, 16), (1, 4096), (2, 32)])
-def test_phase_is_cached_read_only_and_matches_the_formula(dimension, N):
+def test_sign_pairs_are_cached_read_only_and_match_the_formula(dimension, N):
     spec = vb.make_grid(dimension, 16.0, N)
     sign = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
     formula = sign if dimension == 1 else np.multiply.outer(sign, sign)
-    phase = vb.grid._phase(spec)
-    assert phase.shape == spec.shape and np.array_equal(phase, formula)
-    assert vb.grid._phase(vb.make_grid(dimension, 10.0, N)) is phase  # shared per shape
+    pairs = vb.grid._sign_pairs(N, dimension)
+    assert pairs.shape == spec.shape[:-1] + (2 * N,)
+    assert np.array_equal(pairs[..., ::2], formula) and np.array_equal(pairs[..., 1::2], formula)
+    # shared per shape: every grid of it, and both layouts, view the one array
+    other = vb.make_grid(dimension, 10.0, N)
+    assert vb.grid._pairs_of(other, np.empty(spec.shape)).base is pairs
+    half = vb.grid._pairs_of(other, np.empty(spec.half_shape))
+    assert half.base is pairs and half.shape == spec.shape[:-1] + (2 * (N // 2 + 1),)
     with pytest.raises(ValueError):
-        phase[0] = 2.0
+        pairs[..., 0] = 2.0
 
 
 @pytest.mark.parametrize("dimension, N", [(1, 16), (1, 2048), (2, 32)])
@@ -256,7 +262,7 @@ def test_float_view_scaling_has_the_bits_of_the_complex_arithmetic(dimension, N)
     spec = vb.make_grid(dimension, 16.0, N)
     rng = np.random.default_rng(3)
     block = rng.standard_normal((3,) + spec.shape) + 1j * rng.standard_normal((3,) + spec.shape)
-    phase, h = vb.grid._phase(spec), spec.spacing ** dimension
+    phase, h = vb.grid._sign_pairs(N, dimension)[..., ::2], spec.spacing ** dimension
     axes = tuple(range(-dimension, 0))
     want = np.fft.ifftn(block * phase, axes=axes)
     want /= h
@@ -269,9 +275,58 @@ def test_float_view_scaling_has_the_bits_of_the_complex_arithmetic(dimension, N)
     # a real spectrum is taken as complex
     assert np.array_equal(vb.grid.from_spectrum_rows(spec, block.real),
                           vb.grid.from_spectrum_rows(spec, block.real + 0j))
-    pairs = vb.grid._phase_pairs(spec)
-    assert pairs.shape == spec.shape[:-1] + (2 * N,)
-    assert np.array_equal(pairs[..., ::2], phase) and np.array_equal(pairs[..., 1::2], phase)
-    assert vb.grid._phase_pairs(vb.make_grid(dimension, 10.0, N)) is pairs
-    with pytest.raises(ValueError):
-        pairs[..., 0] = 2.0
+
+
+@pytest.mark.parametrize("dimension, N", [(1, 16), (1, 4096), (2, 32)])
+def test_apply_multipliers_is_the_mirrored_product_bit_for_bit(dimension, N):
+    spec = vb.make_grid(dimension, 16.0, N)
+    rng = np.random.default_rng(5)
+    A = rng.random((3,) + spec.half_shape)
+    ft = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    apply = vb.grid.apply_multipliers
+    want = (mirror(spec, A) * ft).view(np.int64)
+    assert np.array_equal(apply(spec, A, ft).view(np.int64), want)
+    assert np.array_equal(apply(spec, mirror(spec, A), ft).view(np.int64), want)
+    block = np.repeat(ft[None], 3, axis=0)   # `out` may be the spectrum itself
+    assert apply(spec, A, block, out=block) is block
+    assert np.array_equal(block.view(np.int64), want)
+    half = ft[..., :N // 2 + 1]
+    assert np.array_equal(apply(spec, A, half).view(np.int64), (A * half).view(np.int64))
+
+
+@pytest.mark.parametrize("dimension, N", [(1, 2048), (2, 64)])
+def test_band_l2_norms_of_a_full_spectrum_fold_the_full_grid_sum(dimension, N):
+    # the full-layout Parseval sum runs on the half grid, the square at -k
+    # added to the one at k; against sum_k A_k^2 |F_k|^2 / L^n over the full
+    # grid only the order of the additions differs, so 1e-14 relative bounds it
+    spec = vb.make_grid(dimension, 16.0, N)
+    frame = vb.build_resolution_of_unity(spec, vb.make_ladder(5, 12))
+    if dimension == 1:
+        f = vb.from_callable(spec, lambda x: np.exp(-x ** 2 / 2 + 3j * x) + 0.3j * np.exp(-x ** 2))
+    else:
+        f = vb.from_callable(spec, lambda x, y: np.exp(-(x ** 2 + 2 * y ** 2) / 2 + 2j * x + 1j * y)
+                             + 0.3j * np.exp(-x ** 2))
+    F = spectrum(f)
+    A = np.concatenate([frame.level0[None]] + list(frame.blocks))
+    got = vb.grid.band_l2_norms(spec, A, F)
+    full = np.square(mirror(spec, A)) * np.square(np.abs(F))
+    want = np.sqrt(full.reshape(len(A), -1).sum(axis=1) / spec.box_length ** dimension)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    assert np.all(want > 0)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_convolve_equals_the_direct_circular_sum(dimension):
+    # at L = 10 the spacing 10/32 is no power of two, so the h^n scalings of
+    # the two spectra and the inverse round; the transforms' rounding keeps
+    # the result within 1e-14 of h^n sum|f| max|g|, which bounds |f * g|
+    spec = vb.make_grid(dimension, 10.0, 32)
+    rng = np.random.default_rng(11)
+    f, g = (rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+            for _ in range(2))
+    h, axes = spec.spacing ** dimension, tuple(range(dimension))
+    # node i sits at (i - N/2) h, so x_m - x_i is the node m - i + N/2
+    want = sum(h * f[i] * np.roll(g, tuple(k - 16 for k in i), axis=axes)
+               for i in np.ndindex(spec.shape))
+    got = vb.convolve(vb.GridFunction(spec, f), vb.GridFunction(spec, g)).samples
+    assert np.max(np.abs(got - want)) <= 1e-14 * h * np.abs(f).sum() * np.abs(g).max()

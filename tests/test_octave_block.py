@@ -19,7 +19,7 @@ from vbesov.atoms import _level
 from vbesov.bank import make_member
 from vbesov.besov import _kernel_profile
 from vbesov.config import RunConfig
-from vbesov.grid import _phase, band_rows, band_spectrum, from_spectrum, mirror, spectrum
+from vbesov.grid import _sign_pairs, band_rows, band_spectrum, from_spectrum, mirror, spectrum
 from vbesov.luxemburg import t_norm
 
 GRIDS = [(1, 2048), (1, 4096), (2, 32), (2, 64)]
@@ -59,12 +59,13 @@ def _layouts(spec, F):
 def test_from_spectrum_is_the_textbook_inverse(setup):
     spec, _, frame, _, F = setup
     h = spec.spacing ** spec.dimension
+    phase = _sign_pairs(spec.points_per_axis, spec.dimension)[..., ::2]
     ft = mirror(spec, frame.level0) * F
-    want = np.fft.ifftn(ft * _phase(spec)) / h
+    want = np.fft.ifftn(ft * phase) / h
     assert np.array_equal(from_spectrum(spec, ft).samples, want)
     _, Fh = _layouts(spec, F)[1]
     ft = frame.level0 * Fh
-    half_phase = _phase(spec)[..., :ft.shape[-1]]
+    half_phase = phase[..., :ft.shape[-1]]
     want = np.fft.irfftn(ft * half_phase, s=spec.shape, axes=range(spec.dimension)) / h
     assert np.array_equal(from_spectrum(spec, ft).samples, want)
 
@@ -110,7 +111,9 @@ def test_atoms_level_rows_equal_the_per_node_bands(setup):
             analysis = [frame.profile.psi_hat(t * sr) for t in nodes]
             synthesis = [frame.profile.phi_hat(t * sr) for t in nodes]
         assert np.array_equal(ws, weights)
-        for g, row, S, A, B in zip(bands, block, synth, analysis, synthesis):
+        # the level's half-grid blocks, mirrored, are the full-grid evaluations
+        for g, row, S, A, B in zip(bands, mirror(spec, block), mirror(spec, synth),
+                                   analysis, synthesis):
             assert np.array_equal(row, A), v
             assert np.array_equal(g, from_spectrum(spec, A * F).samples), v
             assert np.array_equal(S, B), v
