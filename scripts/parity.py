@@ -47,7 +47,8 @@ The request set:
   `analyze` and the relative L^2 residual of `synthesize` (V = 2 in 2-D)
   for each input and for its real part;
 - `errors.txt`, the exit code and the last stderr line of `vbesov norm` on
-  each input of ERROR_CASES, which it must reject.
+  each input of ERROR_CASES, then on each CSV member of MALFORMED_CSV, all
+  of which it must reject.
 """
 
 import argparse
@@ -110,6 +111,13 @@ ERROR_CASES = (
     ("bad-expression", "q = 2 + $\n", []),
     ("epsilon-not-positive", "kernel_epsilon = -1\n", ["--form", "local_mean_double_prime"]),
 )
+# (name, CSV text) of members that `norm` must reject: each is written next to
+# the configs and named by the `member` of its own config
+MALFORMED_CSV = (
+    ("csv-empty", ""),
+    ("csv-row-without-im", "x,re,im\r\n-8.0,0.5\r\n"),
+    ("csv-non-numeric", "x,re,im\r\n-8.0,0.5,0.0\r\n-7.99609375,half,0.0\r\n"),
+)
 
 
 def _config(name: str, exponents: str, out: str, **grid) -> str:
@@ -129,12 +137,18 @@ def _run(argv) -> None:
 
 
 def _errors() -> str:
-    """One line per ERROR_CASES entry: its name, the exit code and the last
-    stderr line (argparse writes its usage before it; every other error is
-    one line)."""
+    """One line per ERROR_CASES entry, then per MALFORMED_CSV member: its
+    name, the exit code and the last stderr line (argparse writes its usage
+    before it; every other error is one line)."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text, extra in ERROR_CASES:
+        members = []
+        for name, text in MALFORMED_CSV:
+            path = os.path.join(tmp, f"{name}.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            members.append((name, f"member = {path}\n", []))
+        for name, text, extra in ERROR_CASES + tuple(members):
             path = os.path.join(tmp, f"{name}.cfg")
             with open(path, "w") as fh:
                 fh.write(text + f"out = {os.path.join(tmp, 'out')}\n")

@@ -459,16 +459,25 @@ def level_sequence_norm(spec: GridSpec, ladder: ScaleLadder, levels: List[np.nda
 # -- export ---------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _coefficient_template(n: int, sides: Tuple[int, ...]) -> str:
+    """The `export_coefficients` text of n-D lattices of the given sides,
+    level by level, with one `%r` for each lambda: every key is formatted
+    here, once per lattice shape."""
+    rows = [",".join(["v"] + [f"m{i}" for i in range(n)] + ["lambda"]) + "\r\n"]
+    for v, nc in enumerate(sides):
+        ms = [str(m) for m in range(-(nc // 2), nc - nc // 2)]
+        rows += (",".join(key) + ",%r\r\n" for key in itertools.product([str(v)], *[ms] * n))
+    return "".join(rows)
+
+
 def export_coefficients(dec: AtomicDecomposition, path: str) -> None:
     """CSV of (v, m..., lambda) over every cube, rows sorted by key, with
-    `repr` floats and CRLF line ends as `csv.writer` writes them, one
-    formatted block per level."""
-    n = dec.spec.dimension
+    `repr` floats and CRLF line ends as `csv.writer` writes them.  The keys
+    are one template per lattice shape (`_coefficient_template`), so a call
+    formats only the coefficients."""
+    template = _coefficient_template(dec.spec.dimension,
+                                     tuple(lat.shape[0] for lat in dec.levels))
+    values = itertools.chain.from_iterable(lat.ravel().tolist() for lat in dec.levels)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["v"] + [f"m{i}" for i in range(n)] + ["lambda"]) + "\r\n")
-        for v, lat in enumerate(dec.levels):
-            nc = lat.shape[0]
-            ms = [str(m) for m in range(-(nc // 2), nc - nc // 2)]
-            keys = map(",".join, itertools.product([str(v)], *[ms] * n))
-            fields = itertools.chain.from_iterable(zip(keys, lat.ravel().tolist()))
-            fh.write("%s,%r\r\n" * lat.size % tuple(fields))
+        fh.write(template % tuple(values))

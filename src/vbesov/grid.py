@@ -469,38 +469,68 @@ def cube_mask(spec: GridSpec, cube: DyadicCube) -> np.ndarray:
 # -- import / export ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _csv_template(spec: GridSpec, real: bool) -> str:
+    """The `write_csv` text of a function on spec with one `%r` for each
+    value: every coordinate is formatted here, once per grid, and a real
+    function's rows end in a fixed `0.0` im field."""
+    n = spec.dimension
+    tail = ",%r,0.0\r\n" if real else ",%r,%r\r\n"
+    coords = spec.coords().reshape(-1, n).tolist()
+    return ",".join(["x", "y"][:n] + ["re", "im"]) + "\r\n" + "".join(
+        ",".join(map(repr, c)) + tail for c in coords)
+
+
 def write_csv(f: GridFunction, path: str) -> None:
     """CSV columns: coordinate(s), re, im, with `repr` floats and CRLF line
-    ends as `csv.writer` writes them, formatted as one block."""
-    n = f.spec.dimension
+    ends as `csv.writer` writes them.  The text around the values is one
+    template per grid (`_csv_template`), so a call formats only f's values:
+    the real parts alone when every imaginary part is +0.0 (a -0.0 must
+    still be written as one)."""
     v = f.samples.reshape(-1)
-    table = np.column_stack([f.spec.coords().reshape(-1, n), v.real, v.imag])
-    row = ",".join(["%r"] * (n + 2)) + "\r\n"
+    real = not v.imag.any() and not np.signbit(v.imag).any()
+    values = v.real if real else v.view(np.float64)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["x", "y"][:n] + ["re", "im"]) + "\r\n")
-        fh.write(row * len(table) % tuple(table.ravel().tolist()))
+        fh.write(_csv_template(f.spec, real) % tuple(values.tolist()))
 
 
 def read_csv(path: str, spec: GridSpec) -> GridFunction:
-    """A `write_csv` file as a function on spec, whose nodes its rows must
-    list in raster order, each coordinate within 1e-9 h."""
-    coords, vals = [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        ncoord = len(header) - 2
-        if ncoord != spec.dimension:
-            raise ParameterError(f"CSV has {ncoord} coordinate columns, grid is {spec.dimension}-D")
-        for row in r:
-            coords.append([float(c) for c in row[:ncoord]])
-            vals.append(complex(float(row[-2]), float(row[-1])))
-    arr = np.array(vals, dtype=np.complex128)
-    if arr.size != spec.size:
-        raise ParameterError(f"CSV has {arr.size} rows, grid needs {spec.size}")
-    nodes = spec.coords().reshape(-1, spec.dimension)
-    off = ~np.all(np.abs(np.array(coords) - nodes) <= 1e-9 * spec.spacing, axis=1)
+    """A `write_csv` file as a function on spec: the header `x[,y],re,im`,
+    then one row of numbers per node, in raster order, each coordinate
+    within 1e-9 h of its node.  A file that is not one is rejected with a
+    `ParameterError` naming its first faulty row (counted from the first
+    after the header) and, for a field that is not a number, its column; a
+    file that is not UTF-8 text, by the offset of its first bad byte."""
+    n = spec.dimension
+    names = ["x", "y"][:n] + ["re", "im"]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"CSV is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    if not rows:
+        raise ParameterError(f"CSV is empty: no header {','.join(names)}")
+    header, rows = rows[0], rows[1:]
+    if header != names:
+        raise ParameterError(f"CSV header is {','.join(header)!r}, not {','.join(names)!r} "
+                             f"of a {n}-D grid")
+    table = np.empty((len(rows), n + 2))
+    for i, row in enumerate(rows):
+        if len(row) != n + 2:
+            raise ParameterError(f"CSV row {i + 1} has {len(row)} fields, not {n + 2}")
+        for j, field in enumerate(row):
+            try:
+                table[i, j] = float(field)
+            except ValueError:
+                raise ParameterError(f"CSV row {i + 1}, column {names[j]}: {field!r} "
+                                     f"is not a number") from None
+    if len(table) != spec.size:
+        raise ParameterError(f"CSV has {len(table)} rows, grid needs {spec.size}")
+    nodes = spec.coords().reshape(-1, n)
+    off = ~np.all(np.abs(table[:, :n] - nodes) <= 1e-9 * spec.spacing, axis=1)
     if off.any():
         i = int(np.argmax(off))
-        raise ParameterError(f"CSV row {i + 1} lies at ({', '.join(map(repr, coords[i]))}), "
-                             f"not at grid node ({', '.join(map(repr, nodes[i].tolist()))})")
-    return GridFunction(spec, arr.reshape(spec.shape))
+        at, node = (", ".join(map(repr, c[i, :n].tolist())) for c in (table, nodes))
+        raise ParameterError(f"CSV row {i + 1} lies at ({at}), not at grid node ({node})")
+    # the (re, im) columns as complex samples, bit for bit
+    return GridFunction(spec, np.ascontiguousarray(table[:, n:]).view(np.complex128))

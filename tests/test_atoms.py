@@ -352,6 +352,23 @@ def test_export_bytes_equal_the_row_writer(tmp_path, dimension, L, N, V):
     assert got.count(b"\r\n") == len(dec.coefficients) + 1
 
 
+def test_export_keys_its_text_on_every_lattice_side(tmp_path):
+    # decompositions of one grid to different finest levels, and a 2-D one of
+    # the same N, written in turn in one process, each keep their own keys
+    from oracles import export_coefficients_rows
+
+    ladder = vb.make_ladder(4, 12)
+    for dimension, V in ((1, 1), (1, 2), (2, 2), (1, 1)):
+        spec = vb.make_grid(dimension, 8.0, 32)
+        f = vb.from_callable(spec, lambda *x: np.exp(-sum(c * c for c in x)))
+        dec = vb.analyze(f, vb.build_resolution_of_unity(spec, ladder), V=V)
+        export_coefficients(dec, str(tmp_path / "block.csv"))
+        export_coefficients_rows(dec, str(tmp_path / "rows.csv"))
+        got = (tmp_path / "block.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert got.count(b"\r\n") == len(dec.coefficients) + 1
+
+
 def test_hand_built_decomposition_accepts_every_cube_of_the_lattice():
     # L = 1: level 0 is one cube (m = 0), level 1 holds m in [-1, 0]
     spec = vb.make_grid(1, 1.0, 16)

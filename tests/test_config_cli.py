@@ -269,6 +269,24 @@ def test_cli_rejects_a_csv_member_written_on_another_box(tmp_path, capsys):
         vb.grid.read_csv(shifted(1e-6), spec)
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"", "error: CSV is empty: no header x,re,im"),
+    (b"x,re,im\r\n-8.0,0.5\r\n", "error: CSV row 1 has 2 fields, not 3"),
+    (b"x,re,im\r\n-8.0,0.5,0.0\r\n-7.984375,half,0.0\r\n",
+     "error: CSV row 2, column re: 'half' is not a number"),
+    (b"x,im,re\r\n-8.0,0.5,0.0\r\n", "error: CSV header is 'x,im,re', not 'x,re,im' of a 1-D grid"),
+    (b"x,re,im\r\n\xff\xfe", "error: CSV is not UTF-8 text: invalid start byte at byte 9"),
+], ids=["empty", "short-row", "non-numeric", "columns-swapped", "not-text"])
+def test_cli_rejects_a_malformed_csv_member(tmp_path, capsys, data, message):
+    # a member that is not a `write_csv` file is one error line and exit 1,
+    # not a traceback or samples read from the wrong columns
+    member = tmp_path / "f.csv"
+    member.write_bytes(data)
+    cfg = _write_cfg(tmp_path, FAST_CONFIG.replace("member = gauss_w1", f"member = {member}"))
+    assert main(["norm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_cli_exit_codes(tmp_path):
     bad = _write_cfg(tmp_path, "p = 0.5\npoints = 1024\n")
     assert main(["norm", "--config", bad, "--out", str(tmp_path / "o")]) == 2

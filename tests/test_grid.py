@@ -200,6 +200,41 @@ def test_write_csv_bytes_equal_the_row_writer(tmp_path, dimension):
     assert b"-0.0" in got and b"1e-300" in got
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("negative_zeros", [False, True], ids=["plus-zero", "minus-zero"])
+def test_write_csv_of_a_real_function_equals_the_row_writer(tmp_path, dimension,
+                                                            negative_zeros):
+    # a real f's rows end in a fixed 0.0 only while every imaginary part is
+    # +0.0; one -0.0 keeps every row's im field formatted
+    from oracles import write_csv_rows
+
+    spec = vb.make_grid(dimension, 8.0, 16)
+    z = np.random.default_rng(dimension).standard_normal(spec.size) + 0j
+    if negative_zeros:
+        z.imag[[1, 5]] = -0.0
+    f = vb.GridFunction(spec, z.reshape(spec.shape))
+    assert f.is_real()
+    write_csv(f, str(tmp_path / "block.csv"))
+    write_csv_rows(f, str(tmp_path / "rows.csv"))
+    got = (tmp_path / "block.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    assert got.count(b",-0.0\r\n") == (2 if negative_zeros else 0)
+
+
+def test_write_csv_keys_its_text_on_the_whole_grid(tmp_path):
+    # two grids of one N and dimension but different boxes, written in turn in
+    # one process, each keep their own coordinates
+    from oracles import write_csv_rows
+
+    for L in (8.0, 16.0, 8.0):
+        f = vb.from_callable(vb.make_grid(1, L, 16), lambda x: np.exp(-x ** 2))
+        write_csv(f, str(tmp_path / "block.csv"))
+        write_csv_rows(f, str(tmp_path / "rows.csv"))
+        got = (tmp_path / "block.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert got.startswith(f"x,re,im\r\n{-L / 2!r},".encode())
+
+
 def test_2d_smoke():
     spec = vb.make_grid(2, 8.0, 32)
     f = vb.from_callable(spec, lambda x, y: np.exp(-(x ** 2 + y ** 2)))

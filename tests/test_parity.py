@@ -75,9 +75,11 @@ def test_errors_hold_the_exit_code_and_last_stderr_line_of_each_bad_input():
         ("q-at-0-differs-from-q0", "2"), ("2d-with-a-bank-member", "1"),
         ("negative-seed-in-config", "2"), ("negative-seed-option", "2"), ("p-below-1", "2"),
         ("alpha-at-least-S-plus-1", "3"), ("unknown-member", "1"), ("bad-expression", "2"),
-        ("epsilon-not-positive", "1")]
+        ("epsilon-not-positive", "1"), ("csv-empty", "1"), ("csv-row-without-im", "1"),
+        ("csv-non-numeric", "1")]
     assert all(last and "Traceback" not in last for _, _, last in rows)
-    assert rows[-1][2] == "error: epsilon must be a positive finite number, got -1.0"
+    assert rows[8][2] == "error: epsilon must be a positive finite number, got -1.0"
+    assert rows[-1][2] == "error: CSV row 2, column re: 'half' is not a number"
 
 
 def test_rtol_compares_counts_exactly_and_lists_them(tmp_path, capsys):
